@@ -1,0 +1,8 @@
+"""``python -m superroot <subcommand> ...`` runs the command-line driver."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -93,11 +93,21 @@ def _handle_of(cmd: Command):
     return build(cmd.type_spec)
 
 
+def _int_vector(raw, flag: str) -> tuple[int, ...]:
+    """A root's coordinates: a JSON list of integers, never coerced."""
+    if not isinstance(raw, list) or any(type(x) is not int for x in raw):
+        raise SuperrootError(f"{flag}: a root must be a list of integers, got {raw!r}")
+    return tuple(raw)
+
+
 def _roots_of(cmd: Command, attr: str = "roots") -> ps.RootSet:
+    flag = f"--{attr.replace('_', '-')}"
     raw = _load_json_arg(getattr(cmd.args, attr))
     if raw is None:
-        raise SuperrootError(f"--{attr.replace('_', '-')} is required")
-    return ps.root_set(_handle_of(cmd), raw)
+        raise SuperrootError(f"{flag} is required")
+    if not isinstance(raw, list):
+        raise SuperrootError(f"{flag}: expected a list of roots, each a list of integers, got {raw!r}")
+    return ps.root_set(_handle_of(cmd), [_int_vector(r, flag) for r in raw])
 
 
 def _root_list(roots) -> list[list[int]]:
@@ -278,8 +288,8 @@ def _run_verify_dynkin(cmd: Command) -> int:
 
 def _run_string(cmd: Command) -> int:
     handle = _handle_of(cmd)
-    alpha = tuple(_load_json_arg(cmd.args.alpha))
-    beta = tuple(_load_json_arg(cmd.args.beta))
+    alpha = _int_vector(_load_json_arg(cmd.args.alpha), "--alpha")
+    beta = _int_vector(_load_json_arg(cmd.args.beta), "--beta")
     s = rootstring.root_string(handle, beta, alpha, cmd.args.window)
     entries = [{"k": e.k, "root": list(e.root), "tag": "real" if e.real else "imaginary"}
                for e in s.entries]
@@ -373,6 +383,25 @@ def _run_replay_examples(cmd: Command) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _bounded_int(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+_nonneg = _bounded_int(0)
+_positive = _bounded_int(1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superroot",
@@ -393,12 +422,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("real-roots", help="enumerate real roots via the base graph")
     common(p, with_matrix=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--explore", type=int, default=None)
+    p.add_argument("--height", type=_nonneg, required=True)
+    p.add_argument("--explore", type=_nonneg, default=None)
 
     p = sub.add_parser("principal-roots", help="even roots from odd reflections only")
     common(p, with_matrix=True)
-    p.add_argument("--explore", type=int, default=64)
+    p.add_argument("--explore", type=_nonneg, default=64)
 
     for name, helptext in (
         ("pi-check", "test the two pi-system conditions"),
@@ -412,32 +441,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure", help="reflection closure S_infinity")
     common(p)
     p.add_argument("--roots", required=True)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--max-rounds", type=int, default=64)
+    p.add_argument("--height", type=_nonneg, default=None)
+    p.add_argument("--max-rounds", type=_positive, default=64)
 
     p = sub.add_parser("admits-pi", help="the unique candidate pi-system, if any")
     common(p)
     p.add_argument("--roots", required=True)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--max-rounds", type=int, default=64)
+    p.add_argument("--height", type=_nonneg, default=None)
+    p.add_argument("--max-rounds", type=_positive, default=64)
 
     p = sub.add_parser("verify-dynkin", help="closure / Pi round trip / oracle match")
     common(p)
     p.add_argument("--sigma", required=True)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--max-rounds", type=int, default=64)
-    p.add_argument("--K", dest="loop_degree", type=int, default=None)
+    p.add_argument("--height", type=_nonneg, default=None)
+    p.add_argument("--max-rounds", type=_positive, default=64)
+    p.add_argument("--K", dest="loop_degree", type=_nonneg, default=None)
 
     p = sub.add_parser("string", help="one tagged root string")
     common(p)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=_nonneg, default=None)
 
     p = sub.add_parser("string-sweep", help="every string law over a grid")
     common(p)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--height", type=_nonneg, default=None)
+    p.add_argument("--degree", type=_nonneg, default=None)
 
     p = sub.add_parser("verify", help="oracle-backed theorem checks")
     vsub = p.add_subparsers(dest="verify_what", required=True)
@@ -445,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
         vp = vsub.add_parser(name)
         common(vp)
         vp.add_argument("--sigma", required=True)
-        vp.add_argument("--K", dest="loop_degree", type=int, default=None)
+        vp.add_argument("--K", dest="loop_degree", type=_nonneg, default=None)
 
     p = sub.add_parser("replay-examples", help="run the three worked examples end to end")
     common(p, with_type=False)

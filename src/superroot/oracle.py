@@ -8,6 +8,12 @@ root-space statements are insensitive to the centre.  All elements are kept
 Cartan-homogeneous by seeding every computation with root vectors, so spans
 can be reduced weight by weight.
 
+The realizations are almost elementary matrices, so a matrix keeps only its
+nonzero entries, as integers where they are integral and as Fractions
+otherwise; brackets multiply sparse by sparse and span reduction runs on
+sparse vectors.  Nothing is ever rounded.  Dense views remain for callers
+that want them, such as the independent echelon check ``span_signature``.
+
 Loop elements carry a truncation degree K fixed per session.  A bracket whose
 result would leave the window raises; the span growth records the event and
 reports a truncated status instead of silently dropping anything.
@@ -34,79 +40,134 @@ from .errors import (
     TruncationHitError,
     UnsupportedTypeError,
 )
-from .linalg import rref, solve
+from .linalg import nullspace, rref, solve
 from .rootspace import Root, height
 
 # ---------------------------------------------------------------------------
 # graded matrices and loop elements
 
 
-@dataclass(frozen=True)
-class GradedMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
-    parity: int
-    space: tuple[int, ...]  # parities of the underlying basis vectors
+Entry = tuple[int, int]  # (row, column)
 
-    def __post_init__(self):
-        d = len(self.space)
-        if len(self.entries) != d or any(len(r) != d for r in self.entries):
+
+def _exact(x):
+    """An exact matrix value: an int when integral, else the Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # bool and other int subclasses
+        return int(x)
+    raise TypeError(f"matrix entries must be int or Fraction, not {x!r}")
+
+
+class GradedMatrix:
+    """A parity-homogeneous matrix on a Z/2-graded space, stored sparsely.
+
+    ``nz`` maps (row, column) to the nonzero entries only; a value is an
+    ``int`` when integral and a ``Fraction`` otherwise, so arithmetic stays
+    exact and mostly in integers.  Every construction checks, over the
+    nonzero entries, that each lies in the matrix and in the block of the
+    matrix's parity.  ``GradedMatrix(rows, parity, space)`` builds from dense
+    rows and ``GradedMatrix.sparse`` from a map; ``entries`` and ``flat()``
+    are dense read-only views with ``Fraction`` values.  Instances are
+    immutable.
+    """
+
+    __slots__ = ("nz", "parity", "space")
+
+    def __init__(self, rows: Sequence[Sequence], parity: int, space: Sequence[int]):
+        d = len(space)
+        if len(rows) != d or any(len(r) != d for r in rows):
             raise ValueError("matrix shape does not match the space")
-        for r in range(d):
-            for c in range(d):
-                if self.entries[r][c] != 0 and (self.space[r] ^ self.space[c]) != self.parity:
-                    raise ValueError("matrix is not parity-homogeneous")
+        self._init({(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)},
+                   parity, space)
+
+    @classmethod
+    def sparse(cls, nz: dict[Entry, object], parity: int, space: Sequence[int]) -> "GradedMatrix":
+        """The matrix with entries ``nz``; zero values are dropped."""
+        m = object.__new__(cls)
+        m._init(nz, parity, space)
+        return m
+
+    def _init(self, nz: dict[Entry, object], parity: int, space: Sequence[int]) -> None:
+        space = tuple(space)
+        d = len(space)
+        kept = {}
+        for (r, c), x in nz.items():
+            if not x:
+                continue
+            if not (0 <= r < d and 0 <= c < d):
+                raise ValueError(f"entry {(r, c)} lies outside a {d}x{d} matrix")
+            if space[r] ^ space[c] != parity:
+                raise ValueError("matrix is not parity-homogeneous")
+            kept[r, c] = _exact(x)
+        object.__setattr__(self, "nz", kept)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "space", space)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedMatrix is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedMatrix):
+            return NotImplemented
+        return (self.parity, self.space, self.nz) == (other.parity, other.space, other.nz)
+
+    def __hash__(self) -> int:
+        return hash((self.parity, self.space, frozenset(self.nz.items())))
+
+    def __repr__(self) -> str:
+        return f"GradedMatrix.sparse({self.nz!r}, {self.parity}, {self.space})"
 
     @property
     def dim(self) -> int:
         return len(self.space)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def scaled(self, c: Fraction) -> "GradedMatrix":
-        return GradedMatrix(
-            tuple(tuple(c * x for x in row) for row in self.entries), self.parity, self.space
-        )
-
-    def plus(self, other: "GradedMatrix") -> "GradedMatrix":
-        if other.parity != self.parity:
-            raise ValueError("cannot add matrices of different parity")
-        return GradedMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            self.parity,
-            self.space,
-        )
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        d, get = self.dim, self.nz.get
+        return tuple(tuple(Fraction(get((r, c), 0)) for c in range(d)) for r in range(d))
 
     def flat(self) -> tuple[Fraction, ...]:
         return tuple(x for row in self.entries for x in row)
 
+    def is_zero(self) -> bool:
+        return not self.nz
+
+    def scaled(self, c: Fraction) -> "GradedMatrix":
+        return GradedMatrix.sparse({k: c * x for k, x in self.nz.items()}, self.parity, self.space)
+
+    def plus(self, other: "GradedMatrix") -> "GradedMatrix":
+        if other.parity != self.parity:
+            raise ValueError("cannot add matrices of different parity")
+        acc = dict(self.nz)
+        for k, x in other.nz.items():
+            acc[k] = acc.get(k, 0) + x
+        return GradedMatrix.sparse(acc, self.parity, self.space)
+
 
 def gm_unit(space: tuple[int, ...], r: int, c: int, val=1) -> GradedMatrix:
-    d = len(space)
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    rows[r][c] = Fraction(val)
-    return GradedMatrix(tuple(tuple(x for x in row) for row in rows), space[r] ^ space[c], space)
+    return GradedMatrix.sparse({(r, c): val}, space[r] ^ space[c], space)
 
 
-def _matmul(a: GradedMatrix, b: GradedMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    d = a.dim
-    return tuple(
-        tuple(
-            sum((a.entries[i][t] * b.entries[t][j] for t in range(d)), Fraction(0))
-            for j in range(d)
-        )
-        for i in range(d)
-    )
+def _add_product(acc: dict[Entry, object], a: GradedMatrix, b: GradedMatrix, s: int) -> None:
+    """acc += s * a b, with the right factor indexed by row."""
+    b_rows: dict[int, list] = {}
+    for (t, j), y in b.nz.items():
+        b_rows.setdefault(t, []).append((j, s * y))
+    for (i, t), x in a.nz.items():
+        for j, y in b_rows.get(t, ()):
+            acc[i, j] = acc.get((i, j), 0) + x * y
 
 
 def gm_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """Superbracket ab - (-1)^{p(a)p(b)} ba."""
+    """Superbracket ab - (-1)^{p(a)p(b)} ba, sparse by sparse."""
     sign = -1 if (a.parity and b.parity) else 1
-    ab, ba = _matmul(a, b), _matmul(b, a)
-    rows = tuple(
-        tuple(x - sign * y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba)
-    )
-    return GradedMatrix(rows, a.parity ^ b.parity, a.space)
+    acc: dict[Entry, object] = {}
+    _add_product(acc, a, b, 1)
+    _add_product(acc, b, a, -sign)
+    return GradedMatrix.sparse(acc, a.parity ^ b.parity, a.space)
 
 
 @dataclass(frozen=True)
@@ -197,7 +258,7 @@ class Realization:
         for idx, wt in enumerate(self.index_weights):
             ci = next((i for i, x in enumerate(wt) if x != 0), None)
             if ci is not None and wt[ci] == 1:
-                total += coords[ci] * diag.entries[idx][idx]
+                total += coords[ci] * diag.nz.get((idx, idx), 0)
         return total
 
     def finite_root_matrix(self, v: EpsDeltaVector) -> GradedMatrix:
@@ -342,15 +403,8 @@ def _osp_realization(handle: FiniteHandle, ambient: RootSystemHandle, K: int) ->
                         coeff += sign * gram[a][r]
                     row.append(coeff)
                 rows.append(row)
-        basis = []
-        from .linalg import nullspace
-
-        for vecsol in nullspace(rows):
-            mat = [[Fraction(0)] * d for _ in range(d)]
-            for (r, c), x in zip(pairs, vecsol):
-                mat[r][c] = x
-            basis.append(GradedMatrix(tuple(tuple(x for x in row) for row in mat), parity, space))
-        return basis
+        return [GradedMatrix.sparse(dict(zip(pairs, vecsol)), parity, space)
+                for vecsol in nullspace(rows)]
 
     root_spaces: dict[tuple[int, ...], GradedMatrix] = {}
     for v in handle.real_roots_ed(None):
@@ -415,11 +469,20 @@ def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realizati
     """Grow the span of iterated superbrackets until it stabilizes.
 
     Elements must be Cartan-homogeneous; brackets of homogeneous elements are
-    homogeneous, so reduction happens weight by weight.  In the loop case a
-    bracket leaving the degree window marks the result truncated.
+    homogeneous, so reduction happens weight by weight, on sparse vectors
+    keyed by matrix entry (row, column).  The pivot of a vector is its
+    smallest key, which is its first nonzero in row-major order.
+
+    Each pair is bracketed in one order only.  For homogeneous x and y,
+    [y,x] = -(-1)^{p(x)p(y)} [x,y] term by term, so [y,x] lies in the span
+    once [x,y] has been offered; it is zero exactly when [x,y] is, and it
+    leaves the degree window exactly when [x,y] does.  Bracketing one order
+    therefore admits the same elements in the same order, and marks the
+    result truncated in the same cases, as bracketing both.  In the loop
+    case a bracket leaving the degree window marks the result truncated.
     """
     K = realization.truncation
-    spans: dict[tuple[int, ...], list[tuple[int, list[Fraction]]]] = {}
+    spans: dict[tuple[int, ...], list[tuple[Entry, dict[Entry, object]]]] = {}
     basis: list[WeightedElement] = []
     truncated = False
 
@@ -428,18 +491,22 @@ def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realizati
             return False
         if len(e.value.terms) != 1:
             raise ValueError("span growth expects Cartan-homogeneous elements")
-        vec = list(_flatten(e))
+        vec = dict(e.value.terms[0][1].nz)
         rows = spans.setdefault(e.weight, [])
         for pivot, rvec in rows:
-            if vec[pivot] != 0:
-                f = vec[pivot]
-                vec = [x - f * y for x, y in zip(vec, rvec)]
-        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
+            f = vec.get(pivot)
+            if f:
+                for k, y in rvec.items():
+                    x = vec.get(k, 0) - f * y
+                    if x:
+                        vec[k] = x
+                    else:
+                        del vec[k]
+        if not vec:
             return False
-        pv = vec[pivot]
-        vec = [x / pv for x in vec]
-        rows.append((pivot, vec))
+        pivot = min(vec)
+        inv = 1 / Fraction(vec[pivot])
+        rows.append((pivot, {k: _exact(x * inv) for k, x in vec.items()}))
         rows.sort(key=lambda t: t[0])
         basis.append(e)
         return True
@@ -451,18 +518,17 @@ def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realizati
     while queue:
         x = queue.pop()
         for y in list(basis):
-            for a, b in ((x, y), (y, x)):
-                try:
-                    br = loop_bracket(a.value, b.value, K)
-                except TruncationHitError:
-                    truncated = True
-                    continue
-                if br.is_zero():
-                    continue
-                w = tuple(p + q for p, q in zip(a.weight, b.weight))
-                e = WeightedElement(w, br)
-                if insert(e):
-                    queue.append(e)
+            try:
+                br = loop_bracket(x.value, y.value, K)
+            except TruncationHitError:
+                truncated = True
+                continue
+            if br.is_zero():
+                continue
+            w = tuple(p + q for p, q in zip(x.weight, y.weight))
+            e = WeightedElement(w, br)
+            if insert(e):
+                queue.append(e)
     return SubalgebraBasis(basis, truncated, K)
 
 
@@ -683,9 +749,10 @@ def verify_osp12_module(k: int, realization: Optional[Realization] = None) -> bo
             acc = [[Fraction(0)] * table.e.dim for _ in range(table.e.dim)]
             for c, bm in zip(coeffs, basis_m):
                 if c:
+                    dense = bm.entries
                     for r in range(table.e.dim):
                         for s in range(table.e.dim):
-                            acc[r][s] += c * bm.entries[r][s]
+                            acc[r][s] += c * dense[r][s]
             if tuple(tuple(r) for r in acc) != lhs.entries:
                 return False
     return True

@@ -1,4 +1,8 @@
 import json
+import runpy
+import sys
+
+import pytest
 
 from superroot.cli import main
 
@@ -139,3 +143,52 @@ def test_roots_from_file(tmp_path, capsys):
     path.write_text(json.dumps([[1, 0], [0, 1]]))
     code, out = _capture(capsys, ["pi-check", "--type", "A(0,1)", "--roots", str(path)])
     assert code == 0
+
+
+def test_rejects_non_integer_coordinates(capsys):
+    cases = [
+        ["pi-check", "--type", "A(0,1)", "--roots", "[[1.7,0],[0,1]]"],
+        ["pi-check", "--type", "A(0,1)", "--roots", "[[true,0],[0,1]]"],
+        ["pi-check", "--type", "A(0,1)", "--roots", '[["1",0]]'],
+        ["pi-check", "--type", "A(0,1)", "--roots", "[1,0]"],
+        ["closure", "--type", "A(0,1)", "--roots", "{\"a\": 1}"],
+        ["verify", "main-theorem", "--type", "B(0,1)", "--sigma", "[[1.0]]"],
+        ["verify-dynkin", "--type", "A(0,1)", "--sigma", "[[1,0],[0,false]]"],
+        ["string", "--type", "B(1,1)^(1)", "--alpha", "[0,0,0.5]", "--beta", "[1,2,1]"],
+        ["string", "--type", "B(1,1)^(1)", "--alpha", "[0,0,1]", "--beta", "[1,true,1]"],
+        ["string", "--type", "B(1,1)^(1)", "--alpha", "3", "--beta", "[1,2,1]"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "list" in err and "integer" in err, (argv, err)
+
+
+def test_rejects_negative_bounds(capsys):
+    cases = [
+        ["real-roots", "--type", "A(0,1)", "--height", "-3"],
+        ["real-roots", "--type", "A(0,1)", "--height", "3", "--explore", "-1"],
+        ["principal-roots", "--type", "A(0,1)", "--explore", "-2"],
+        ["closure", "--type", "A(0,1)", "--roots", "[[1,0]]", "--height", "-1"],
+        ["closure", "--type", "A(0,1)", "--roots", "[[1,0]]", "--max-rounds", "0"],
+        ["admits-pi", "--type", "A(0,1)", "--roots", "[[1,0]]", "--max-rounds", "0"],
+        ["verify-dynkin", "--type", "A(0,1)", "--sigma", "[[1,0]]", "--K", "-1"],
+        ["verify", "main-theorem", "--type", "B(0,1)", "--sigma", "[[1]]", "--K", "-1"],
+        ["string", "--type", "B(1,1)", "--alpha", "[0,1]", "--beta", "[1,0]", "--window", "-1"],
+        ["string-sweep", "--type", "B(1,1)^(1)", "--degree", "-1"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        assert "must be at least" in capsys.readouterr().err, argv
+    assert main(["real-roots", "--type", "A(0,1)", "--height", "two"]) == 2
+    assert "expected an integer" in capsys.readouterr().err
+    code, out = _capture(capsys, ["real-roots", "--type", "A(0,1)", "--height", "0"])
+    assert code == 0 and out.startswith("0 real roots")
+
+
+def test_python_dash_m_entry_point(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["superroot", "validate", "--type", "A(0,1)"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("superroot", run_name="__main__")
+    assert exc.value.code == 0
+    assert "admissible:     True" in capsys.readouterr().out

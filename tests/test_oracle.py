@@ -30,6 +30,69 @@ def _neg(r):
 def test_graded_matrix_homogeneity_enforced():
     with pytest.raises(ValueError):
         GradedMatrix(((Q(0), Q(1)), (Q(0), Q(0))), 0, (0, 1))
+    with pytest.raises(ValueError):
+        GradedMatrix.sparse({(0, 1): Q(1, 2)}, 0, (0, 1))
+    with pytest.raises(ValueError):
+        GradedMatrix.sparse({(0, 2): 1}, 1, (0, 1))
+    with pytest.raises(TypeError):
+        GradedMatrix(((1.5, 0), (0, 1)), 0, (0, 1))
+
+
+# Reference: the dense O(d^3) bracket that the sparse one replaced.
+def _dense_matmul(a, b):
+    d, ea, eb = a.dim, a.entries, b.entries
+    return tuple(
+        tuple(sum((ea[i][t] * eb[t][j] for t in range(d)), Q(0)) for j in range(d))
+        for i in range(d)
+    )
+
+
+def _dense_bracket(a, b):
+    sign = -1 if (a.parity and b.parity) else 1
+    ab, ba = _dense_matmul(a, b), _dense_matmul(b, a)
+    return tuple(tuple(x - sign * y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba))
+
+
+def _random_graded(rng, space, parity):
+    values = (Q(1), Q(-1), Q(2), Q(1, 2), Q(-2, 3), Q(5, 4))
+    d = len(space)
+    rows = [[rng.choice(values) if (space[r] ^ space[c]) == parity and rng.random() < 0.4
+             else Q(0) for c in range(d)] for r in range(d)]
+    return GradedMatrix(rows, parity, space)
+
+
+def test_sparse_arithmetic_matches_dense_reference():
+    rng = random.Random(11)
+    cancelled = 0
+    for _ in range(300):
+        space = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 5)))
+        x = _random_graded(rng, space, rng.randint(0, 1))
+        y = _random_graded(rng, space, rng.randint(0, 1))
+        for a, b in ((x, y), (x, x), (y, x)):
+            br = gm_bracket(a, b)
+            dense = br.entries
+            assert dense == _dense_bracket(a, b)
+            assert br.parity == a.parity ^ b.parity
+            ab = _dense_matmul(a, b)
+            cancelled += sum(1 for r in range(a.dim) for c in range(a.dim)
+                             if ab[r][c] != 0 and dense[r][c] == 0)
+        c = rng.choice((Q(0), Q(3), Q(-1, 2)))
+        assert x.scaled(c).entries == tuple(tuple(c * v for v in row) for row in x.entries)
+        if x.parity == y.parity:
+            assert x.plus(y).entries == tuple(
+                tuple(u + v for u, v in zip(r1, r2)) for r1, r2 in zip(x.entries, y.entries))
+        else:
+            with pytest.raises(ValueError):
+                x.plus(y)
+        assert x.plus(x.scaled(Q(-1))).is_zero()
+        # dense and sparse views round-trip, and integral values are ints
+        assert GradedMatrix(x.entries, x.parity, x.space) == x
+        assert x.flat() == tuple(v for row in x.entries for v in row)
+        assert GradedMatrix.sparse(
+            {(i // x.dim, i % x.dim): v for i, v in enumerate(x.flat())}, x.parity, x.space) == x
+        for m in (x, br):
+            assert all(type(v) is int or v.denominator != 1 for v in m.nz.values())
+    assert cancelled > 0
 
 
 def test_loop_element_sums():
@@ -132,6 +195,20 @@ def test_rank_one_generated():
     assert set(subalgebra_real_roots(basis2, h).elements) == {
         delta, _neg(delta), rs.scale(2, delta), rs.scale(-2, delta)
     }
+
+
+def test_span_growth_truncation_flags():
+    # values of the growth that bracketed both orders of every pair
+    h = build("B(0,1)^(1)")
+    r = realize(h, loop_degree=1)
+    simples = h.simple_roots_alpha()
+    gens = [r.root_vector(x) for x in simples] + [r.root_vector(_neg(x)) for x in simples]
+    basis = generated_subalgebra(gens, r)
+    assert basis.dimension() == 15
+    assert basis.truncated is True
+    full = realize("B(1,1)^(1)", loop_degree=3).full_basis()
+    assert full.dimension() == 84
+    assert full.truncated is True
 
 
 def test_generated_subalgebra_empty():
