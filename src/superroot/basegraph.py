@@ -162,6 +162,28 @@ def _neighbors(base: Base, cd: CartanData, odd_only: bool) -> list[Base]:
     return out
 
 
+def _search(cd: CartanData, h_explore: int, odd_only: bool) -> tuple[list[Base], bool]:
+    """Breadth-first search over the bases reachable from the standard base.
+
+    Returns the visited bases in visit order and whether a neighbour holding
+    a root above ``h_explore`` was pruned.
+    """
+    start = _validated(standard_base(cd), cd)
+    bases = [start]  # also the queue: the loop below reaches what it appends
+    visited = {start.root_set()}
+    pruned = False
+    for base in bases:
+        for nb in _neighbors(base, cd, odd_only):
+            if nb.max_height() > h_explore:
+                pruned = True
+                continue
+            key = nb.root_set()
+            if key not in visited:
+                visited.add(key)
+                bases.append(_validated(nb, cd))
+    return bases, pruned
+
+
 def enumerate_real_roots(
     cd: CartanData, h_report: int, h_explore: Optional[int] = None
 ) -> RealRootsResult:
@@ -176,33 +198,19 @@ def enumerate_real_roots(
         h_explore = h_report
     if h_explore < h_report:
         raise ValueError("h_explore must be at least h_report")
-    start = _validated(standard_base(cd), cd)
-    queue = [start]
-    visited = {start.root_set()}
+    bases, pruned = _search(cd, h_explore, odd_only=False)
     found: set[Root] = set()
-    pruned = False
-    while queue:
-        base = queue.pop(0)
-        matrix = base.cartan_matrix(cd)
-        par = base.parities(cd)
-        for t in range(base.size):
-            found.add(base.roots[t])
-            if matrix[t][t] == 2 and par[t] == 1:
-                found.add(rs.scale(2, base.roots[t]))
-        for nb in _neighbors(base, cd, odd_only=False):
-            if nb.max_height() > h_explore:
-                pruned = True
-                continue
-            key = nb.root_set()
-            if key not in visited:
-                visited.add(key)
-                queue.append(_validated(nb, cd))
+    for base in bases:
+        for r, h in zip(base.roots, base.coroots):
+            found.add(r)
+            if cd.root_parity(r) == 1 and pair(r, h, cd) == 2:
+                found.add(rs.scale(2, r))
     symmetric = {r for r in found if height(r) <= h_report}
     symmetric |= {rs.neg(r) for r in symmetric}
     return RealRootsResult(
         roots=frozenset(symmetric),
         complete_up_to=None if pruned else math.inf,
-        bases_visited=len(visited),
+        bases_visited=len(bases),
     )
 
 
@@ -224,28 +232,14 @@ def principal_roots(cd: CartanData, h_explore: int = 64) -> PrincipalRootsResult
     a pruned run is best-effort (in practice the root set stabilizes at tiny
     heights long before any reasonable bound).
     """
-    start = _validated(standard_base(cd), cd)
-    queue = [start]
-    visited = {start.root_set()}
+    bases, pruned = _search(cd, h_explore, odd_only=True)
     found: set[Root] = set()
-    pruned = False
-    while queue:
-        base = queue.pop(0)
-        matrix = base.cartan_matrix(cd)
-        par = base.parities(cd)
-        for t in range(base.size):
-            if par[t] == 0:
-                found.add(base.roots[t])
-            elif matrix[t][t] == 2:
-                found.add(rs.scale(2, base.roots[t]))
-        for nb in _neighbors(base, cd, odd_only=True):
-            if nb.max_height() > h_explore:
-                pruned = True
-                continue
-            key = nb.root_set()
-            if key not in visited:
-                visited.add(key)
-                queue.append(_validated(nb, cd))
+    for base in bases:
+        for r, h in zip(base.roots, base.coroots):
+            if cd.root_parity(r) == 0:
+                found.add(r)
+            elif pair(r, h, cd) == 2:
+                found.add(rs.scale(2, r))
     return PrincipalRootsResult(
-        roots=frozenset(found), complete=not pruned, bases_visited=len(visited)
+        roots=frozenset(found), complete=not pruned, bases_visited=len(bases)
     )

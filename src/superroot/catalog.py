@@ -5,9 +5,12 @@ for one catalog type, exposes a distinguished base in both coordinate systems
 and converts between epsilon/delta and simple-root coordinates.
 
 Families shipped: A(m,n) with m != n, B(m,n), C(n), D(m,n), D(2,1;a), their
-untwisted affinizations, and the twisted family A(2k,2l)^(4).  F(4) and G(3)
-are staged out of this release.  The null root of an affine type is written
-``null`` in code to keep it apart from the odd coordinates delta_p.
+untwisted affinizations, and the twisted family A(2k,2l)^(4).  B(m,n), C(n)
+and D(m,n) are all osp(M|2n) and share one handle, ``_OspHandle``; only the
+distinguished base and the presence of the short roots differ between them.
+F(4) and G(3) are staged out of this release.  The null root of an affine
+type is written ``null`` in code to keep it apart from the odd coordinates
+delta_p.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Iterator, Optional, Sequence
 
 from . import cartan as cartan_mod
@@ -135,6 +139,13 @@ class MembershipReport:
 def _unit(dim: int, i: int, val: int = 1) -> tuple[int, ...]:
     v = [0] * dim
     v[i] = val
+    return tuple(v)
+
+
+def _step(dim: int, i: int) -> tuple[int, ...]:
+    """The unit vector i minus the unit vector i + 1."""
+    v = [0] * dim
+    v[i], v[i + 1] = 1, -1
     return tuple(v)
 
 
@@ -409,15 +420,6 @@ class FiniteHandle(RootSystemHandle):
         if not self.contains_ed(highest_root):
             raise AssertionError("highest root is not a root")
 
-    def all_roots_ed(self) -> list[EpsDeltaVector]:
-        return list(self.real_roots_ed(None))
-
-    def real_roots(self, max_height=None, max_degree=None) -> list[Root]:
-        out = [self.to_alpha(v) for v in self.real_roots_ed(None)]
-        if max_height is not None:
-            out = [r for r in out if height(r) <= max_height]
-        return sorted(out)
-
 
 def _pattern_pairs(dim: int, val_i: int, val_j: int) -> Iterator[tuple[int, ...]]:
     for i in range(dim):
@@ -427,11 +429,6 @@ def _pattern_pairs(dim: int, val_i: int, val_j: int) -> Iterator[tuple[int, ...]
             v = [0] * dim
             v[i], v[j] = val_i, val_j
             yield tuple(v)
-
-
-def _pattern_singles(dim: int, val: int) -> Iterator[tuple[int, ...]]:
-    for i in range(dim):
-        yield _unit(dim, i, val)
 
 
 class _TypeAHandle(FiniteHandle):
@@ -463,136 +460,56 @@ class _TypeAHandle(FiniteHandle):
                     yield EpsDeltaVector(_unit(e, i, s), _unit(d, p, -s))
 
 
-class _TypeBHandle(FiniteHandle):
-    """B(m,n) = osp(2m+1|2n); includes B(0,n) = osp(1|2n)."""
+def _osp_pattern(e: int, d: int, short: bool, null: int = 0) -> Iterator[EpsDeltaVector]:
+    """The real roots of osp(M|2d) with e eps coordinates, at null degree ``null``.
+
+    Each vector with two entries +-1 and each +-2 delta_p, plus each +-eps_i
+    and +-delta_p when ``short`` (M odd); every one exactly once.
+    """
+    n = e + d
+
+    def vec(entries) -> EpsDeltaVector:
+        c = [0] * n
+        for i, x in entries:
+            c[i] = x
+        return EpsDeltaVector(tuple(c[:e]), tuple(c[e:]), null)
+
+    for i, j in combinations(range(n), 2):
+        for a in (1, -1):
+            for b in (1, -1):
+                yield vec(((i, a), (j, b)))
+    for i in range(n):
+        for x in ((1, -1) if short else ()) + ((2, -2) if i >= e else ()):
+            yield vec(((i, x),))
+
+
+class _OspHandle(FiniteHandle):
+    """B(m,n) = osp(2m+1|2n), C(n) = osp(2|2n-2) and D(m,n) = osp(2m|2n).
+
+    A vector with two nonzero entries is a root when both are +-1; one with a
+    single nonzero entry when it is +-2 delta_p or, for B only, +-eps_i or
+    +-delta_p (the short roots of odd M).  C(n) has one eps, so the rule for
+    D needs no change for it.
+    """
+
+    def __init__(self, ctype: CatalogType, *args):
+        self._short = ctype.family == "B"
+        super().__init__(ctype, *args)
 
     def contains_ed(self, v: EpsDeltaVector) -> bool:
         self._check_dims(v)
         if v.null != 0:
             return False
-        se, sd = _support(v.eps), _support(v.delta)
-        if not sd:
-            if len(se) == 2:
-                return all(abs(x) == 1 for _, x in se)
-            return len(se) == 1 and abs(se[0][1]) == 1
-        if not se:
-            if len(sd) == 2:
-                return all(abs(x) == 1 for _, x in sd)
-            return len(sd) == 1 and abs(sd[0][1]) in (1, 2)
-        if len(se) == 1 and len(sd) == 1:
-            return abs(se[0][1]) == 1 and abs(sd[0][1]) == 1
+        sup = _support(v.eps + v.delta)
+        if len(sup) == 2:
+            return abs(sup[0][1]) == 1 and abs(sup[1][1]) == 1
+        if len(sup) == 1:
+            i, x = sup[0]
+            return (abs(x) == 2 and i >= self.eps_dim) or (abs(x) == 1 and self._short)
         return False
 
     def real_roots_ed(self, max_degree=None) -> Iterator[EpsDeltaVector]:
-        e, d = self.eps_dim, self.delta_dim
-        zd, ze = (0,) * d, (0,) * e
-        seen = set()
-        for ev in _pattern_pairs(e, 1, 1):
-            seen.add(ev)
-        for ev in _pattern_pairs(e, 1, -1):
-            seen.add(ev)
-        for ev in _pattern_pairs(e, -1, -1):
-            seen.add(ev)
-        for ev in sorted(seen):
-            yield EpsDeltaVector(ev, zd)
-        for s in (1, -1):
-            for ev in _pattern_singles(e, s):
-                yield EpsDeltaVector(ev, zd)
-        seen = set()
-        for a in (1, -1):
-            for b in (1, -1):
-                for dv in _pattern_pairs(d, a, b):
-                    seen.add(dv)
-        for dv in sorted(seen):
-            yield EpsDeltaVector(ze, dv)
-        for s in (1, -1, 2, -2):
-            for dv in _pattern_singles(d, s):
-                yield EpsDeltaVector(ze, dv)
-        for i in range(e):
-            for p in range(d):
-                for a in (1, -1):
-                    for b in (1, -1):
-                        yield EpsDeltaVector(_unit(e, i, a), _unit(d, p, b))
-
-
-class _TypeCHandle(FiniteHandle):
-    """C(n) = osp(2|2n-2); one eps, delta_1..delta_{n-1}."""
-
-    def contains_ed(self, v: EpsDeltaVector) -> bool:
-        self._check_dims(v)
-        if v.null != 0:
-            return False
-        se, sd = _support(v.eps), _support(v.delta)
-        if not se:
-            if len(sd) == 2:
-                return all(abs(x) == 1 for _, x in sd)
-            return len(sd) == 1 and abs(sd[0][1]) == 2
-        if len(se) == 1 and len(sd) == 1:
-            return abs(se[0][1]) == 1 and abs(sd[0][1]) == 1
-        return False
-
-    def real_roots_ed(self, max_degree=None) -> Iterator[EpsDeltaVector]:
-        e, d = self.eps_dim, self.delta_dim
-        zd, ze = (0,) * d, (0,) * e
-        seen = set()
-        for a in (1, -1):
-            for b in (1, -1):
-                for dv in _pattern_pairs(d, a, b):
-                    seen.add(dv)
-        for dv in sorted(seen):
-            yield EpsDeltaVector(ze, dv)
-        for s in (2, -2):
-            for dv in _pattern_singles(d, s):
-                yield EpsDeltaVector(ze, dv)
-        for p in range(d):
-            for a in (1, -1):
-                for b in (1, -1):
-                    yield EpsDeltaVector(_unit(e, 0, a), _unit(d, p, b))
-
-
-class _TypeDHandle(FiniteHandle):
-    """D(m,n) = osp(2m|2n), m >= 2."""
-
-    def contains_ed(self, v: EpsDeltaVector) -> bool:
-        self._check_dims(v)
-        if v.null != 0:
-            return False
-        se, sd = _support(v.eps), _support(v.delta)
-        if not sd:
-            return len(se) == 2 and all(abs(x) == 1 for _, x in se)
-        if not se:
-            if len(sd) == 2:
-                return all(abs(x) == 1 for _, x in sd)
-            return len(sd) == 1 and abs(sd[0][1]) == 2
-        if len(se) == 1 and len(sd) == 1:
-            return abs(se[0][1]) == 1 and abs(sd[0][1]) == 1
-        return False
-
-    def real_roots_ed(self, max_degree=None) -> Iterator[EpsDeltaVector]:
-        e, d = self.eps_dim, self.delta_dim
-        zd, ze = (0,) * d, (0,) * e
-        seen = set()
-        for a in (1, -1):
-            for b in (1, -1):
-                for ev in _pattern_pairs(e, a, b):
-                    seen.add(ev)
-        for ev in sorted(seen):
-            yield EpsDeltaVector(ev, zd)
-        seen = set()
-        for a in (1, -1):
-            for b in (1, -1):
-                for dv in _pattern_pairs(d, a, b):
-                    seen.add(dv)
-        for dv in sorted(seen):
-            yield EpsDeltaVector(ze, dv)
-        for s in (2, -2):
-            for dv in _pattern_singles(d, s):
-                yield EpsDeltaVector(ze, dv)
-        for i in range(e):
-            for p in range(d):
-                for a in (1, -1):
-                    for b in (1, -1):
-                        yield EpsDeltaVector(_unit(e, i, a), _unit(d, p, b))
+        return _osp_pattern(self.eps_dim, self.delta_dim, self._short)
 
 
 class _TypeD21Handle(FiniteHandle):
@@ -618,101 +535,9 @@ class _TypeD21Handle(FiniteHandle):
 
 
 def _build_finite(ctype: CatalogType) -> FiniteHandle:
+    fam, m, n = ctype.family, ctype.m, ctype.n
     ones = Fraction(1)
-    if ctype.family == "A":
-        m, n = ctype.m, ctype.n
-        if m == n:
-            raise UnsupportedTypeError(
-                f"A({m},{n}) has degenerate Cartan data and is not quasisimple; unsupported"
-            )
-        if m < 0 or n < 0:
-            raise UnsupportedTypeError("negative rank")
-        e, d = m + 1, n + 1
-        simples, parities = [], []
-        for i in range(m):
-            simples.append(EpsDeltaVector(
-                tuple(x - y for x, y in zip(_unit(e, i), _unit(e, i + 1))), (0,) * d))
-            parities.append(0)
-        simples.append(EpsDeltaVector(_unit(e, m), _unit(d, 0, -1)))
-        parities.append(1)
-        for p in range(n):
-            simples.append(EpsDeltaVector(
-                (0,) * e, tuple(x - y for x, y in zip(_unit(d, p), _unit(d, p + 1)))))
-            parities.append(0)
-        theta = EpsDeltaVector(_unit(e, 0), _unit(d, d - 1, -1))
-        return _TypeAHandle(
-            ctype, e, d, (ones,) * e, (0,) * e + (1,) * d + (0,),
-            simples, parities, (ones,) * len(simples), theta,
-        )
-    if ctype.family == "B":
-        m, n = ctype.m, ctype.n
-        if n < 1 or m < 0:
-            raise UnsupportedTypeError("B(m,n) requires n >= 1")
-        simples, parities = [], []
-        for p in range(n - 1):
-            simples.append(EpsDeltaVector(
-                (0,) * m, tuple(x - y for x, y in zip(_unit(n, p), _unit(n, p + 1)))))
-            parities.append(0)
-        if m >= 1:
-            simples.append(EpsDeltaVector(_unit(m, 0, -1), _unit(n, n - 1)))
-            parities.append(1)
-            for i in range(m - 1):
-                simples.append(EpsDeltaVector(
-                    tuple(x - y for x, y in zip(_unit(m, i), _unit(m, i + 1))), (0,) * n))
-                parities.append(0)
-            simples.append(EpsDeltaVector(_unit(m, m - 1), (0,) * n))
-            parities.append(0)
-        else:
-            simples.append(EpsDeltaVector((), _unit(n, n - 1)))
-            parities.append(1)
-        theta = EpsDeltaVector((0,) * m, _unit(n, 0, 2))
-        return _TypeBHandle(
-            ctype, m, n, (ones,) * m, (0,) * m + (1,) * n + (0,),
-            simples, parities, (ones,) * len(simples), theta,
-        )
-    if ctype.family == "C":
-        n = ctype.n
-        if n < 2:
-            raise UnsupportedTypeError("C(n) requires n >= 2")
-        d = n - 1
-        simples = [EpsDeltaVector((1,), _unit(d, 0, -1))]
-        parities = [1]
-        for p in range(d - 1):
-            simples.append(EpsDeltaVector(
-                (0,), tuple(x - y for x, y in zip(_unit(d, p), _unit(d, p + 1)))))
-            parities.append(0)
-        simples.append(EpsDeltaVector((0,), _unit(d, d - 1, 2)))
-        parities.append(0)
-        theta = EpsDeltaVector((1,), _unit(d, 0))
-        return _TypeCHandle(
-            ctype, 1, d, (ones,), (0,) + (1,) * d + (0,),
-            simples, parities, (ones,) * len(simples), theta,
-        )
-    if ctype.family == "D":
-        m, n = ctype.m, ctype.n
-        if m < 2 or n < 1:
-            raise UnsupportedTypeError("D(m,n) requires m >= 2, n >= 1")
-        simples, parities = [], []
-        for p in range(n - 1):
-            simples.append(EpsDeltaVector(
-                (0,) * m, tuple(x - y for x, y in zip(_unit(n, p), _unit(n, p + 1)))))
-            parities.append(0)
-        simples.append(EpsDeltaVector(_unit(m, 0, -1), _unit(n, n - 1)))
-        parities.append(1)
-        for i in range(m - 1):
-            simples.append(EpsDeltaVector(
-                tuple(x - y for x, y in zip(_unit(m, i), _unit(m, i + 1))), (0,) * n))
-            parities.append(0)
-        last = [0] * m
-        last[m - 2], last[m - 1] = 1, 1
-        simples.append(EpsDeltaVector(tuple(last), (0,) * n))
-        parities.append(0)
-        theta = EpsDeltaVector((0,) * m, _unit(n, 0, 2))
-        return _TypeDHandle(
-            ctype, m, n, (ones,) * m, (0,) * m + (1,) * n + (0,),
-            simples, parities, (ones,) * len(simples), theta,
-        )
-    if ctype.family == "D21":
+    if fam == "D21":
         a = ctype.param
         if a is None or a == 0 or a == -1:
             raise UnsupportedTypeError("D(2,1;a) requires a rational a outside {0,-1}")
@@ -726,7 +551,51 @@ def _build_finite(ctype: CatalogType) -> FiniteHandle:
             ctype, 3, 0, (-(1 + a), Fraction(1), a), (0, 0, 1, 0),
             simples, (1, 0, 0), (Fraction(-1, 2), ones, ones), theta,
         )
-    raise UnsupportedTypeError(f"family {ctype.family!r} is not in the catalog")
+    if fam == "A":
+        if m == n:
+            raise UnsupportedTypeError(
+                f"A({m},{n}) has degenerate Cartan data and is not quasisimple; unsupported"
+            )
+        if m < 0 or n < 0:
+            raise UnsupportedTypeError("negative rank")
+        cls, e, d = _TypeAHandle, m + 1, n + 1
+        simples = [EpsDeltaVector(_step(e, i), (0,) * d) for i in range(m)]
+        simples.append(EpsDeltaVector(_unit(e, m), _unit(d, 0, -1)))
+        simples += [EpsDeltaVector((0,) * e, _step(d, p)) for p in range(n)]
+        parities = [0] * m + [1] + [0] * n
+        theta = EpsDeltaVector(_unit(e, 0), _unit(d, d - 1, -1))
+    elif fam in ("B", "D"):
+        if fam == "B" and (n < 1 or m < 0):
+            raise UnsupportedTypeError("B(m,n) requires n >= 1")
+        if fam == "D" and (m < 2 or n < 1):
+            raise UnsupportedTypeError("D(m,n) requires m >= 2, n >= 1")
+        # delta_p - delta_{p+1}, then the odd root delta_n - eps_1 (delta_n
+        # alone for B(0,n)), eps_i - eps_{i+1}, and last eps_m for B or
+        # eps_{m-1} + eps_m for D.
+        cls, e, d = _OspHandle, m, n
+        simples = [EpsDeltaVector((0,) * m, _step(n, p)) for p in range(n - 1)]
+        simples.append(EpsDeltaVector(_unit(m, 0, -1) if m else (), _unit(n, n - 1)))
+        simples += [EpsDeltaVector(_step(m, i), (0,) * n) for i in range(m - 1)]
+        if m:
+            last = (0,) * (m - 2) + (1, 1) if fam == "D" else _unit(m, m - 1)
+            simples.append(EpsDeltaVector(last, (0,) * n))
+        parities = [0] * (n - 1) + [1] + [0] * m
+        theta = EpsDeltaVector((0,) * m, _unit(n, 0, 2))
+    elif fam == "C":
+        if n < 2:
+            raise UnsupportedTypeError("C(n) requires n >= 2")
+        cls, e, d = _OspHandle, 1, n - 1
+        simples = [EpsDeltaVector((1,), _unit(d, 0, -1))]
+        simples += [EpsDeltaVector((0,), _step(d, p)) for p in range(d - 1)]
+        simples.append(EpsDeltaVector((0,), _unit(d, d - 1, 2)))
+        parities = [1] + [0] * d
+        theta = EpsDeltaVector((1,), _unit(d, 0))
+    else:
+        raise UnsupportedTypeError(f"family {ctype.family!r} is not in the catalog")
+    return cls(
+        ctype, e, d, (ones,) * e, (0,) * e + (1,) * d + (0,),
+        simples, parities, (ones,) * len(simples), theta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -786,19 +655,11 @@ class TwistedA4Handle(RootSystemHandle):
             raise UnsupportedTypeError("the order-4 twist needs even superranks >= 2")
         k, l = ctype.m // 2, ctype.n // 2
         simples = [EpsDeltaVector((0,) * k, _unit(l, 0, -1), 1)]
-        parities = [0]
-        for p in range(l - 1):
-            simples.append(EpsDeltaVector(
-                (0,) * k, tuple(x - y for x, y in zip(_unit(l, p), _unit(l, p + 1))), 0))
-            parities.append(0)
+        simples += [EpsDeltaVector((0,) * k, _step(l, p), 0) for p in range(l - 1)]
         simples.append(EpsDeltaVector(_unit(k, 0, -1), _unit(l, l - 1), 0))
-        parities.append(1)
-        for i in range(k - 1):
-            simples.append(EpsDeltaVector(
-                tuple(x - y for x, y in zip(_unit(k, i), _unit(k, i + 1))), (0,) * l, 0))
-            parities.append(0)
+        simples += [EpsDeltaVector(_step(k, i), (0,) * l, 0) for i in range(k - 1)]
         simples.append(EpsDeltaVector(_unit(k, k - 1), (0,) * l, 0))
-        parities.append(0)
+        parities = [0] * l + [1] + [0] * k
         super().__init__(
             ctype, k, l, (Fraction(1),) * k, (0,) * k + (1,) * l + (1,),
             simples, parities, (Fraction(1),) * len(simples), has_null=True,
@@ -806,69 +667,28 @@ class TwistedA4Handle(RootSystemHandle):
 
     def contains_ed(self, v: EpsDeltaVector) -> bool:
         self._check_dims(v)
-        se, sd = _support(v.eps), _support(v.delta)
+        sup = _support(v.eps + v.delta)
         r = v.null
-        if not se and not sd:
-            return r != 0
-        if not sd:
-            if len(se) == 2:
-                return all(abs(x) == 1 for _, x in se) and r % 2 == 0
-            if len(se) == 1:
-                if abs(se[0][1]) == 1:
-                    return True
-                return abs(se[0][1]) == 2 and r % 4 == 2
-            return False
-        if not se:
-            if len(sd) == 2:
-                return all(abs(x) == 1 for _, x in sd) and r % 2 == 0
-            if len(sd) == 1:
-                if abs(sd[0][1]) == 1:
-                    return True
-                return abs(sd[0][1]) == 2 and r % 4 == 0
-            return False
-        if len(se) == 1 and len(sd) == 1:
-            return abs(se[0][1]) == 1 and abs(sd[0][1]) == 1 and r % 2 == 0
-        return False
+        if len(sup) == 2:
+            return abs(sup[0][1]) == 1 and abs(sup[1][1]) == 1 and r % 2 == 0
+        if len(sup) == 1:
+            i, x = sup[0]
+            if abs(x) == 1:
+                return True
+            return abs(x) == 2 and r % 4 == (2 if i < self.eps_dim else 0)
+        return not sup and r != 0
 
     def real_roots_ed(self, max_degree: Optional[int] = None) -> Iterator[EpsDeltaVector]:
+        """The candidates osp(2k+1|2l) and +-2 eps_i at each degree that ``contains_ed`` keeps."""
         if max_degree is None:
             raise ValueError("affine enumeration needs a degree bound")
         k, l = self.eps_dim, self.delta_dim
-        zd, ze = (0,) * l, (0,) * k
-        degrees = range(-max_degree, max_degree + 1)
-        pair_eps = set()
-        for a in (1, -1):
-            for b in (1, -1):
-                pair_eps.update(_pattern_pairs(k, a, b))
-        pair_del = set()
-        for a in (1, -1):
-            for b in (1, -1):
-                pair_del.update(_pattern_pairs(l, a, b))
-        for r in degrees:
-            even = r % 2 == 0
-            if even:
-                for ev in sorted(pair_eps):
-                    yield EpsDeltaVector(ev, zd, r)
-                for dv in sorted(pair_del):
-                    yield EpsDeltaVector(ze, dv, r)
-                for i in range(k):
-                    for p in range(l):
-                        for a in (1, -1):
-                            for b in (1, -1):
-                                yield EpsDeltaVector(_unit(k, i, a), _unit(l, p, b), r)
-            for s in (1, -1):
-                for ev in _pattern_singles(k, s):
-                    yield EpsDeltaVector(ev, zd, r)
-                for dv in _pattern_singles(l, s):
-                    yield EpsDeltaVector(ze, dv, r)
-            if r % 4 == 2:
-                for s in (2, -2):
-                    for ev in _pattern_singles(k, s):
-                        yield EpsDeltaVector(ev, zd, r)
-            if r % 4 == 0:
-                for s in (2, -2):
-                    for dv in _pattern_singles(l, s):
-                        yield EpsDeltaVector(ze, dv, r)
+        for r in range(-max_degree, max_degree + 1):
+            doubled_eps = (EpsDeltaVector(_unit(k, i, s), (0,) * l, r)
+                           for i in range(k) for s in (2, -2))
+            for v in chain(_osp_pattern(k, l, True, r), doubled_eps):
+                if self.contains_ed(v):
+                    yield v
 
 
 def build(ctype: CatalogType) -> RootSystemHandle:

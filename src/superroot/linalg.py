@@ -32,26 +32,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def vadd(x: Sequence, y: Sequence) -> tuple:
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vsub(x: Sequence, y: Sequence) -> tuple:
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vneg(x: Sequence) -> tuple:
-    return tuple(-a for a in x)
-
-
-def vscale(c, x: Sequence) -> tuple:
-    return tuple(c * a for a in x)
-
-
 def is_zero_vec(x: Sequence) -> bool:
     return all(a == 0 for a in x)
 
@@ -104,16 +84,6 @@ def solve(rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional
     return sol
 
 
-def solve_unique(rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Solve A x = b when the columns of A are linearly independent."""
-    sol = solve(rows, b)
-    if sol is None:
-        return None
-    if rank(rows) != len(rows[0]):
-        raise ValueError("columns are not linearly independent")
-    return sol
-
-
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
     """Basis of the right nullspace of A."""
     if not rows:
@@ -129,17 +99,3 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
             v[c] = -red[i][f]
         basis.append(tuple(v))
     return basis
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != k:
-        raise ValueError("dimension mismatch")
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vec:
-    return tuple(sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) for row in a)

@@ -21,6 +21,8 @@ def _max_vars() -> Optional[int]:
     raw = os.environ.get(_ENV_CAP)
     if raw is None or raw == "":
         return None
+    if not raw.strip().isdecimal():
+        raise FeasibilitySizeError(f"{_ENV_CAP} must be a nonnegative integer, got {raw!r}")
     return int(raw)
 
 

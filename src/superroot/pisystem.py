@@ -21,6 +21,7 @@ from .errors import (
     InconclusiveError,
     NotARealRootError,
     NotClosedError,
+    NotInLatticeError,
     PairingNotIntegralError,
 )
 from .lp import feasible_nonneg
@@ -57,7 +58,14 @@ class RootSet:
 
 
 def root_set(handle: RootSystemHandle, roots: Iterable[Iterable[int]]) -> RootSet:
-    return RootSet(frozenset(tuple(int(c) for c in r) for r in roots), handle)
+    """Bind roots to a handle; coordinates must be ints (bools, floats and strings are refused)."""
+    out = []
+    for r in roots:
+        r = tuple(r)
+        if any(type(c) is not int for c in r):
+            raise NotInLatticeError(f"root {r!r} has a coordinate that is not an int")
+        out.append(r)
+    return RootSet(frozenset(out), handle)
 
 
 def reflect(handle: RootSystemHandle, alpha: Root, beta: Root) -> Root:

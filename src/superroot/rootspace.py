@@ -20,14 +20,6 @@ Root = tuple[int, ...]
 Coroot = tuple[Fraction, ...]
 
 
-def root(coords: Sequence[int]) -> Root:
-    return tuple(int(c) for c in coords)
-
-
-def coroot(coords: Sequence) -> Coroot:
-    return tuple(Fraction(c) for c in coords)
-
-
 def height(beta: Sequence[int]) -> int:
     return sum(abs(c) for c in beta)
 
@@ -46,10 +38,6 @@ def neg(x: Root) -> Root:
 
 def scale(k: int, x: Root) -> Root:
     return tuple(k * a for a in x)
-
-
-def is_nonneg(x: Sequence[int]) -> bool:
-    return all(c >= 0 for c in x)
 
 
 def pair(beta: Sequence, h: Sequence, cd: CartanData) -> Fraction:

@@ -123,7 +123,7 @@ def test_enumerate_contains_plus_minus_simples():
 
 def test_enumerate_matches_catalog_finite():
     for spec in ("A(0,1)", "A(0,2)", "A(1,2)", "B(1,1)", "B(2,1)", "C(2)", "D(2,1)",
-                 "D(2,1;1/2)"):
+                 "D(2,1;1/2)", "B(0,2)", "B(1,2)", "C(3)", "D(2,2)"):
         h = build(spec)
         res = enumerate_real_roots(h.cartan, 16)
         assert res.complete_up_to == math.inf, spec

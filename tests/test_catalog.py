@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -190,3 +191,32 @@ def test_positive_real_roots_split():
     for r in pos:
         assert h.is_positive(r)
         assert not h.is_positive(tuple(-c for c in r))
+
+
+def _grid(dim):
+    """Vectors with support <= 3 and entries in {+-1, +-2, +-3}."""
+    vals = (1, -1, 2, -2, 3, -3)
+    for size in range(4):
+        for pos in itertools.combinations(range(dim), size):
+            for xs in itertools.product(vals, repeat=size):
+                v = [0] * dim
+                for p, x in zip(pos, xs):
+                    v[p] = x
+                yield tuple(v)
+
+
+def test_real_roots_ed_is_the_membership_grid():
+    # the enumerators and contains_ed must describe the same finite pattern
+    specs = ["B(0,1)", "B(0,2)", "B(1,1)", "B(2,1)", "B(1,2)", "B(3,2)", "C(2)", "C(3)",
+             "C(4)", "D(2,1)", "D(2,2)", "D(3,1)", "D(3,2)",
+             "A(2,2)^(4)", "A(4,2)^(4)", "A(2,4)^(4)", "A(4,4)^(4)"]
+    for spec in specs:
+        h = build(spec)
+        e = h.eps_dim
+        for k in ((0, 1, 3) if h.has_null else (None,)):
+            listed = list(h.real_roots_ed(k))
+            assert len(listed) == len(set(listed)), (spec, k)
+            window = (0,) if k is None else range(-k, k + 1)
+            accepted = {ED(c[:e], c[e:], r) for c in _grid(e + h.delta_dim) for r in window}
+            accepted = {v for v in accepted if h.is_real_ed(v)}
+            assert set(listed) == accepted, (spec, k)

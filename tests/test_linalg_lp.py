@@ -63,5 +63,9 @@ def test_env_cap(monkeypatch):
     monkeypatch.setenv("SUPERROOT_MAX_LP_VARS", "2")
     with pytest.raises(FeasibilitySizeError):
         feasible_nonneg([[1, 1, 1]], [1])
+    for malformed in ("two", "-1", "2.5"):
+        monkeypatch.setenv("SUPERROOT_MAX_LP_VARS", malformed)
+        with pytest.raises(FeasibilitySizeError, match="SUPERROOT_MAX_LP_VARS"):
+            feasible_nonneg([[1, 1, 1]], [1])
     monkeypatch.delenv("SUPERROOT_MAX_LP_VARS")
     assert feasible_nonneg([[1, 1, 1]], [1]) is not None

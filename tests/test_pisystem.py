@@ -2,7 +2,7 @@ import pytest
 
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import NotARealRootError, NotClosedError
+from superroot.errors import NotARealRootError, NotClosedError, SuperrootError
 from superroot.pisystem import (
     admits_pi_system,
     classify_subset,
@@ -27,6 +27,15 @@ def test_rootset_rejects_imaginary():
     h = build("B(1,1)^(1)")
     with pytest.raises(NotARealRootError):
         root_set(h, [h.null_root()])
+
+
+def test_rootset_refuses_non_int_coordinates():
+    h = build("A(0,1)")
+    # (True, 1) == (1, 1), so each bad root is checked before deduplication
+    for bad in ([[1.7, 0], [True, 1]], [[1, 1], [True, 1]], [[1.0, 0]], [["1", 0]]):
+        with pytest.raises(SuperrootError):
+            root_set(h, bad)
+    assert root_set(h, [[1, 0], (1, 1)]).sorted() == [(1, 0), (1, 1)]
 
 
 def test_simple_roots_are_pi_system():
