@@ -151,10 +151,9 @@ class RealRootsResult:
 
 def _neighbors(base: Base, cd: CartanData, odd_only: bool) -> list[Base]:
     out = []
-    matrix = base.cartan_matrix(cd)
     par = base.parities(cd)
     for t in range(base.size):
-        d = matrix[t][t]
+        d = pair(base.roots[t], base.coroots[t], cd)
         if d == 0 and par[t] == 1:
             out.append(odd_reflect_base(base, cd, t))
         elif d == 2 and not odd_only:

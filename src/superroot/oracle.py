@@ -1,8 +1,9 @@
 """Brute-force ground truth: matrix realizations and subalgebra closures.
 
 Finite types are realized concretely: A(m,n) as supertraceless matrices on
-C^{m+1|n+1}, the orthosymplectic families by solving the invariance equations
-of the even supersymmetric form exactly.  Untwisted affine types are loop
+C^{m+1|n+1}, the orthosymplectic families as the matrices that preserve an
+even supersymmetric form, with every root vector written in closed form
+rather than solved for.  Untwisted affine types are loop
 algebras over the finite realization with the central extension omitted;
 root-space statements are insensitive to the centre.  All elements are kept
 Cartan-homogeneous by seeding every computation with root vectors, so spans
@@ -40,7 +41,7 @@ from .errors import (
     TruncationHitError,
     UnsupportedTypeError,
 )
-from .linalg import nullspace, rref, solve
+from .linalg import rref, solve
 from .rootspace import Root, height
 
 # ---------------------------------------------------------------------------
@@ -147,10 +148,6 @@ class GradedMatrix:
         return GradedMatrix.sparse(acc, self.parity, self.space)
 
 
-def gm_unit(space: tuple[int, ...], r: int, c: int, val=1) -> GradedMatrix:
-    return GradedMatrix.sparse({(r, c): val}, space[r] ^ space[c], space)
-
-
 def _add_product(acc: dict[Entry, object], a: GradedMatrix, b: GradedMatrix, s: int) -> None:
     """acc += s * a b, with the right factor indexed by row."""
     b_rows: dict[int, list] = {}
@@ -248,9 +245,6 @@ class Realization:
 
     # -- basic helpers -------------------------------------------------------
 
-    def _fin_coords(self, v: EpsDeltaVector) -> tuple[int, ...]:
-        return v.eps + v.delta
-
     def weight_eval(self, functional: EpsDeltaVector, diag: GradedMatrix) -> Fraction:
         """Evaluate an eps/delta functional on a diagonal matrix; null gives 0."""
         total = Fraction(0)
@@ -262,7 +256,7 @@ class Realization:
         return total
 
     def finite_root_matrix(self, v: EpsDeltaVector) -> GradedMatrix:
-        key = self._fin_coords(v.finite_part())
+        key = v.eps + v.delta
         if key not in self._root_spaces:
             raise NotARootError(f"no root space at {v} in the realization")
         return self._root_spaces[key]
@@ -323,97 +317,52 @@ class Realization:
         return generated_subalgebra(gens, self)
 
 
-def _sl_realization(handle: FiniteHandle, ambient: RootSystemHandle, K: int) -> Realization:
-    m1, n1 = handle.eps_dim, handle.delta_dim
-    space = (0,) * m1 + (1,) * n1
-    index_weights = []
-    for i in range(m1):
-        w = [0] * (m1 + n1)
-        w[i] = 1
-        index_weights.append(tuple(w))
-    for p in range(n1):
-        w = [0] * (m1 + n1)
-        w[m1 + p] = 1
-        index_weights.append(tuple(w))
-    root_spaces: dict[tuple[int, ...], GradedMatrix] = {}
-    for v in handle.real_roots_ed(None):
-        key = v.eps + v.delta
-        sup = [(a, x) for a, x in enumerate(key) if x != 0]
-        (a, xa), (b, xb) = sup
-        r, c = (a, b) if xa == 1 else (b, a)
-        root_spaces[key] = gm_unit(space, r, c)
-    return Realization(ambient, handle, space, index_weights, root_spaces, K)
+def _realization(finite: FiniteHandle, ambient: RootSystemHandle, K: int) -> Realization:
+    """Root vectors of sl(m+1|n+1) or osp(M|2n) in closed form (Kac 1977).
 
+    The index basis is eps_i then delta_p for sl; for osp it is +-eps_i, the
+    middle index for B only, then +-delta_p, and the even supersymmetric form
+    J pairs each index i with the index i' of opposite weight, J[i][i'] = g_i:
+    -1 on -delta_p and 1 on the others.  The root vector at w is E_rc for the
+    largest index pair (r, c) of weight w.  For osp it is completed to the
+    J-invariant E_rc + s E_c'r', or is E_rc alone when (c', r') = (r, c).
+    Invariance, X^T J + sigma J X = 0 with sigma = -1 on the odd rows of an
+    odd X, gives s = -g_r sigma_c g_c; sigma_c = 1 always, because the larger
+    of the two pairs of an odd vector has the odd index, which comes last, as
+    its row.  The result is the invariance nullspace with its last free
+    entry set to 1.
+    """
+    m, n = finite.eps_dim, finite.delta_dim
+    osp = finite.ctype.family != "A"
+    signs = (1, -1) if osp else (1,)
 
-def _osp_realization(handle: FiniteHandle, ambient: RootSystemHandle, K: int) -> Realization:
-    m, n = handle.eps_dim, handle.delta_dim
-    with_middle = handle.ctype.family == "B"
-    dim_even = 2 * m + (1 if with_middle else 0)
-    space = (0,) * dim_even + (1,) * (2 * n)
-    d = len(space)
+    def unit(slot: int, val: int) -> tuple[int, ...]:
+        return tuple(val if k == slot else 0 for k in range(m + n))
 
-    def fincoord(slot: int, val: int) -> tuple[int, ...]:
-        w = [0] * (m + n)
-        w[slot] = val
-        return tuple(w)
-
-    index_weights: list[tuple[int, ...]] = []
-    for i in range(m):
-        index_weights.append(fincoord(i, 1))
-    for i in range(m):
-        index_weights.append(fincoord(i, -1))
-    if with_middle:
-        index_weights.append(tuple([0] * (m + n)))
-    for p in range(n):
-        index_weights.append(fincoord(m + p, 1))
-    for p in range(n):
-        index_weights.append(fincoord(m + p, -1))
-
-    gram = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(m):
-        gram[i][m + i] = Fraction(1)
-        gram[m + i][i] = Fraction(1)
-    if with_middle:
-        gram[2 * m][2 * m] = Fraction(1)
-    off = dim_even
-    for p in range(n):
-        gram[off + p][off + n + p] = Fraction(1)
-        gram[off + n + p][off + p] = Fraction(-1)
-
-    def solve_weight(target: tuple[int, ...], parity: int) -> list[GradedMatrix]:
-        pairs = [
-            (r, c)
-            for r in range(d)
-            for c in range(d)
-            if (space[r] ^ space[c]) == parity
-            and tuple(a - b for a, b in zip(index_weights[r], index_weights[c])) == target
-        ]
-        if not pairs:
-            return []
-        rows = []
-        for a in range(d):
-            sign = Fraction(-1 if (parity and space[a]) else 1)
-            for b in range(d):
-                row = []
-                for (r, c) in pairs:
-                    coeff = Fraction(0)
-                    if c == a:
-                        coeff += gram[r][b]
-                    if c == b:
-                        coeff += sign * gram[a][r]
-                    row.append(coeff)
-                rows.append(row)
-        return [GradedMatrix.sparse(dict(zip(pairs, vecsol)), parity, space)
-                for vecsol in nullspace(rows)]
+    index_weights = [unit(i, s) for s in signs for i in range(m)]
+    if finite.ctype.family == "B":
+        index_weights.append((0,) * (m + n))
+    index_weights += [unit(m + p, s) for s in signs for p in range(n)]
+    space = tuple(int(any(w[m:])) for w in index_weights)
+    dual = [index_weights.index(rs.neg(w)) for w in index_weights] if osp else None
+    g = [-1 if space[i] and min(w) < 0 else 1 for i, w in enumerate(index_weights)]
+    # weight -> its largest index pair; pairs come in increasing order
+    largest: dict[tuple[int, ...], tuple[int, int]] = {}
+    for r, wr in enumerate(index_weights):
+        for c, wc in enumerate(index_weights):
+            largest[rs.sub(wr, wc)] = (r, c)
 
     root_spaces: dict[tuple[int, ...], GradedMatrix] = {}
-    for v in handle.real_roots_ed(None):
+    for v in finite.real_roots_ed(None):
         key = v.eps + v.delta
-        basis = solve_weight(key, handle.parity_ed(v))
-        if len(basis) != 1:
-            raise AssertionError(f"root space at {v} has dimension {len(basis)}")
-        root_spaces[key] = basis[0]
-    return Realization(ambient, handle, space, index_weights, root_spaces, K)
+        r, c = largest[key]
+        nz = {}
+        if osp and (dual[c], dual[r]) != (r, c):
+            # (c', r') precedes (r, c), so the entries stay in row-major order
+            nz[dual[c], dual[r]] = -g[r] * g[c]
+        nz[r, c] = 1
+        root_spaces[key] = GradedMatrix.sparse(nz, space[r] ^ space[c], space)
+    return Realization(ambient, finite, space, index_weights, root_spaces, K)
 
 
 def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
@@ -431,11 +380,9 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
         K = loop_degree if loop_degree is not None else 6
     else:
         raise UnsupportedTypeError(f"no matrix realization for {handle.label}")
-    if finite.ctype.family == "A":
-        return _sl_realization(finite, ambient, K)
-    if finite.ctype.family in ("B", "C", "D"):
-        return _osp_realization(finite, ambient, K)
-    raise UnsupportedTypeError(f"no matrix realization for family {finite.ctype.family}")
+    if finite.ctype.family not in ("A", "B", "C", "D"):
+        raise UnsupportedTypeError(f"no matrix realization for family {finite.ctype.family}")
+    return _realization(finite, ambient, K)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ truncated closure answers "inconclusive" rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import rootspace as rs
@@ -24,7 +23,7 @@ from .errors import (
     NotInLatticeError,
     PairingNotIntegralError,
 )
-from .lp import feasible_nonneg
+from .lp import in_nonneg_cone
 from .rootspace import Root, height
 
 STABILIZED = "stabilized"
@@ -107,16 +106,7 @@ def is_pi_system(sigma: RootSet) -> PiSystemReport:
                 d = rs.sub(a, b)
                 if handle.contains(d):
                     diffs.append((a, b, d))
-    cone = []
-    for a in elems:
-        others = [list(b) for b in elems if b != a]
-        if others:
-            dim = len(a)
-            rows = [[Fraction(o[i]) for o in others] for i in range(dim)]
-            if feasible_nonneg(rows, [Fraction(c) for c in a]) is not None:
-                cone.append(a)
-        elif all(c == 0 for c in a):
-            cone.append(a)
+    cone = [a for a in elems if in_nonneg_cone([b for b in elems if b != a], a)]
     return PiSystemReport(
         ok=not diffs and not cone and len(elems) > 0,
         difference_violations=tuple(diffs),
@@ -208,11 +198,8 @@ def _precedes(gamma: Root, alpha: Root, positives: list[Root]) -> bool:
     # other positives with a > 0.  Homogenized: t*alpha = gamma + nonneg combo,
     # t >= 0.  t = 0 would express 0 as gamma plus a nonnegative combination
     # of positive roots, impossible, so feasibility already forces t > 0.
-    others = [o for o in positives if o != gamma and o != alpha]
-    dim = len(alpha)
-    cols = [list(alpha)] + [[-x for x in o] for o in others]
-    rows = [[Fraction(c[i]) for c in cols] for i in range(dim)]
-    return feasible_nonneg(rows, [Fraction(x) for x in gamma]) is not None
+    others = [rs.neg(o) for o in positives if o != gamma and o != alpha]
+    return in_nonneg_cone([alpha] + others, gamma)
 
 
 def _is_positive_multiple(gamma: Root, alpha: Root) -> bool:

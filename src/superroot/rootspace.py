@@ -9,12 +9,11 @@ the coordinates and is the truncation parameter used throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cartan import CartanData
-from .errors import DimensionMismatchError, NotARootError, NotSymmetrizableError
+from .errors import DimensionMismatchError, NotSymmetrizableError
 
 Root = tuple[int, ...]
 Coroot = tuple[Fraction, ...]
@@ -66,21 +65,3 @@ def bilinear(beta: Sequence, gamma: Sequence, cd: CartanData, d: Optional[Sequen
         row = cd.matrix[i]
         total += d[i] * bi * sum((gamma[j] * row[j] for j in range(cd.n)), Fraction(0))
     return total
-
-
-@dataclass(frozen=True)
-class Classification:
-    parity: int
-    isotropic: Optional[bool]  # None when isotropy cannot be decided
-    real: bool
-
-
-def classify(beta: Root, handle) -> Classification:
-    """Parity / isotropy / reality of a root relative to a catalog handle."""
-    if not handle.contains(beta):
-        raise NotARootError(f"{beta} is not a root of {handle.label}")
-    return Classification(
-        parity=handle.parity(beta),
-        isotropic=handle.is_isotropic(beta),
-        real=handle.is_real(beta),
-    )

@@ -6,6 +6,7 @@ import pytest
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
 from superroot.errors import TruncationHitError, UnsupportedTypeError
+from superroot.linalg import nullspace, rank
 from superroot.oracle import (
     GradedMatrix,
     bracket_criteria_sweep,
@@ -155,7 +156,8 @@ def test_dimensions():
 
 
 def test_full_algebra_roots_match_catalog():
-    for spec in ("A(0,1)", "A(0,2)", "B(0,1)", "B(1,1)", "B(2,1)", "C(2)", "D(2,1)"):
+    for spec in ("A(0,1)", "A(0,2)", "B(0,1)", "B(1,1)", "B(2,1)", "C(2)", "D(2,1)",
+                 "B(0,2)", "B(1,2)", "B(2,2)", "B(3,1)", "C(3)", "D(2,2)", "D(3,1)"):
         r = realize(spec)
         h = r.handle
         basis = r.full_basis()
@@ -165,6 +167,59 @@ def test_full_algebra_roots_match_catalog():
         for w in basis.weights():
             if any(w):
                 assert len(basis.by_weight(w)) == 1, (spec, w)
+
+
+def _osp_form(handle):
+    """Index weights, parities and even supersymmetric form J of osp(M|2n).
+
+    Indices run +eps_i, -eps_i, the middle index (B only), +delta_p, -delta_p.
+    """
+    m, n = handle.eps_dim, handle.delta_dim
+
+    def unit(slot, val):
+        return tuple(val if k == slot else 0 for k in range(m + n))
+
+    weights = [unit(i, 1) for i in range(m)] + [unit(i, -1) for i in range(m)]
+    if handle.ctype.family == "B":
+        weights.append((0,) * (m + n))
+    even = len(weights)
+    weights += [unit(m + p, 1) for p in range(n)] + [unit(m + p, -1) for p in range(n)]
+    space = (0,) * even + (1,) * (2 * n)
+    J = [[0] * len(space) for _ in space]
+    for i in range(m):
+        J[i][m + i] = J[m + i][i] = 1
+    if handle.ctype.family == "B":
+        J[2 * m][2 * m] = 1
+    for p in range(n):
+        J[even + p][even + n + p] = 1
+        J[even + n + p][even + p] = -1
+    return weights, space, J
+
+
+def test_osp_root_vectors_solve_the_invariance_equations():
+    # Reference solve: the matrices X of the root's weight and parity with
+    # (X^T J)[a][b] + s_a (J X)[a][b] = 0 for all a, b, where s_a = -1 when X
+    # and index a are both odd.  The root space is that nullspace.
+    for spec in ("B(0,1)", "B(1,1)", "B(0,2)", "B(2,1)", "B(1,2)", "B(2,2)", "B(3,1)",
+                 "C(2)", "C(3)", "C(4)", "D(2,1)", "D(2,2)", "D(3,1)", "D(3,2)"):
+        r = realize(spec)
+        weights, space, J = _osp_form(r.finite)
+        assert (r.index_weights, r.space) == (weights, space), spec
+        d = len(space)
+        for v in r.finite.real_roots_ed(None):
+            key, parity = v.eps + v.delta, r.finite.parity_ed(v)
+            pairs = [(x, c) for x in range(d) for c in range(d)
+                     if space[x] ^ space[c] == parity and rs.sub(weights[x], weights[c]) == key]
+            rows = []
+            for a in range(d):
+                s = -1 if parity and space[a] else 1
+                for b in range(d):
+                    rows.append([Q((c == a) * J[x][b] + (c == b) * s * J[a][x]) for x, c in pairs])
+            null = nullspace(rows)
+            assert len(null) == 1, (spec, key)
+            m = r._root_spaces[key]
+            assert m.nz and m.parity == parity and set(m.nz) <= set(pairs), (spec, key)
+            assert rank([null[0], [Q(m.nz.get(p, 0)) for p in pairs]]) == 1, (spec, key)
 
 
 def test_affine_slice_matches_catalog():

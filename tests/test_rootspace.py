@@ -1,10 +1,7 @@
 from fractions import Fraction as Q
 
-import pytest
-
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import NotARootError
-from superroot.rootspace import bilinear, classify, height, pair
+from superroot.rootspace import bilinear, height, pair
 from superroot.cartan import normalize, symmetrizer
 
 
@@ -61,13 +58,13 @@ def test_bilinear_matches_catalog_form_up_to_scalar():
 def test_classify_isotropic_odd_real():
     handle = build("B(1,1)")
     beta = handle.to_alpha(ED((1,), (-1,)))
-    c = classify(beta, handle)
+    c = handle.membership_classify(handle.to_ed(beta))
     assert c.parity == 1 and c.isotropic and c.real
 
 
 def test_classify_null_root_imaginary():
     handle = build("B(1,1)^(1)")
-    c = classify(handle.null_root(), handle)
+    c = handle.membership_classify(handle.to_ed(handle.null_root()))
     assert not c.real
     assert c.parity == 0
 
@@ -77,15 +74,14 @@ def test_classify_even_real_roots_nonisotropic():
     for spec in ("A(0,2)", "B(1,1)", "B(2,1)", "B(1,1)^(1)", "A(2,2)^(4)"):
         handle = build(spec)
         for r in handle.real_roots(max_height=8, max_degree=2 if handle.has_null else None):
-            c = classify(r, handle)
+            c = handle.membership_classify(handle.to_ed(r))
             if c.parity == 0:
                 assert not c.isotropic, (spec, r)
 
 
 def test_classify_rejects_non_roots():
     handle = build("A(0,1)")
-    with pytest.raises(NotARootError):
-        classify((5, 0), handle)
+    assert handle.membership_classify(handle.to_ed((5, 0))).in_delta is False
 
 
 def test_parity_symmetric_under_negation():
