@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from . import cartan as cartan_mod
@@ -156,6 +157,11 @@ def _support(xs: Sequence[int]) -> list[tuple[int, int]]:
 class RootSystemHandle:
     """Membership and classification oracle for one catalog type.
 
+    The symmetric form is diagonal in eps/delta coordinates.  It is kept in
+    integers: ``_denom`` is the common denominator D of the eps norms (1 for
+    every type but D(2,1;a) with non-integral a) and ``_form`` returns D times
+    the form, so isotropy and pairings never build a ``Fraction`` sum.
+
     Immutable after construction; a handle may be shared freely.
     """
 
@@ -177,6 +183,10 @@ class RootSystemHandle:
         self.delta_dim = delta_dim
         self.has_null = has_null
         self.eps_norms = tuple(eps_norms)
+        self._denom = lcm(*(x.denominator for x in self.eps_norms))
+        # D times the norm of each eps then delta coordinate
+        self._int_norms = (tuple(int(x * self._denom) for x in self.eps_norms)
+                           + (-self._denom,) * delta_dim)
         self.parity_coeffs = tuple(parity_coeffs)
         self.simple_ed = tuple(simple_ed)
         self.simple_parities = tuple(simple_parities)
@@ -216,17 +226,23 @@ class RootSystemHandle:
         if v.null and not self.has_null:
             raise DimensionMismatchError(f"{self.label} has no null direction")
 
+    def _form(self, v: EpsDeltaVector, w: EpsDeltaVector) -> int:
+        """D (v, w) in integers, skipping zero coordinates."""
+        total = 0
+        for s, a, b in zip(self._int_norms, v.eps + v.delta, w.eps + w.delta):
+            if a and b:
+                total += s * a * b
+        return total
+
     def bilinear_ed(self, v: EpsDeltaVector, w: EpsDeltaVector) -> Fraction:
         """(eps_i,eps_j) = s_i delta_ij, (delta_p,delta_q) = -delta_pq, null isotropic."""
-        total = sum((s * a * b for s, a, b in zip(self.eps_norms, v.eps, w.eps)), Fraction(0))
-        total -= sum(a * b for a, b in zip(v.delta, w.delta))
-        return total
+        return Fraction(self._form(v, w), self._denom)
 
     def parity_ed(self, v: EpsDeltaVector) -> int:
         return sum(c * x for c, x in zip(self.parity_coeffs, v.coords())) % 2
 
     def is_isotropic_ed(self, v: EpsDeltaVector) -> bool:
-        return self.bilinear_ed(v, v) == 0
+        return self._form(v, v) == 0
 
     def is_real_ed(self, v: EpsDeltaVector) -> bool:
         return self.contains_ed(v) and not v.finite_part().is_zero()
@@ -321,10 +337,11 @@ class RootSystemHandle:
 
     def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> Fraction:
         """beta(h_alpha) = 2(beta,alpha)/(alpha,alpha) for non-isotropic alpha."""
-        aa = self.bilinear(alpha, alpha)
+        a = self.to_ed(alpha)
+        aa = self._form(a, a)
         if aa == 0:
             raise IsotropicReflectorError(f"{alpha} is isotropic; no canonical coroot pairing")
-        return 2 * self.bilinear(beta, alpha) / aa
+        return Fraction(2 * self._form(self.to_ed(beta), a), aa)
 
     def simple_roots_alpha(self) -> tuple[Root, ...]:
         return tuple(_unit(self.rank, i) for i in range(self.rank))

@@ -239,6 +239,9 @@ class Realization:
         self.finite = finite
         self.space = space
         self.index_weights = index_weights  # finite eps+delta coords per basis index
+        # index weights are +-unit vectors or zero; weight_eval reads the
+        # indices of weight +eps_i or +delta_p, at that coordinate
+        self._plus_coord = {idx: wt.index(1) for idx, wt in enumerate(index_weights) if 1 in wt}
         self._root_spaces = root_spaces  # finite eps+delta coords -> matrix
         self.truncation = truncation
         self.generators = self._chevalley_generators()
@@ -247,13 +250,9 @@ class Realization:
 
     def weight_eval(self, functional: EpsDeltaVector, diag: GradedMatrix) -> Fraction:
         """Evaluate an eps/delta functional on a diagonal matrix; null gives 0."""
-        total = Fraction(0)
-        coords = functional.eps + functional.delta
-        for idx, wt in enumerate(self.index_weights):
-            ci = next((i for i, x in enumerate(wt) if x != 0), None)
-            if ci is not None and wt[ci] == 1:
-                total += coords[ci] * diag.nz.get((idx, idx), 0)
-        return total
+        coords, plus = functional.eps + functional.delta, self._plus_coord
+        return Fraction(sum(coords[plus[r]] * x for (r, c), x in diag.nz.items()
+                            if r == c and r in plus))
 
     def finite_root_matrix(self, v: EpsDeltaVector) -> GradedMatrix:
         key = v.eps + v.delta
@@ -295,11 +294,9 @@ class Realization:
                         f"realized Cartan row {i} mismatches the catalog: "
                         f"{[c * x for x in row_raw]} vs {list(cat[i])}"
                     )
+            # the bracket is bilinear, so [x+, c x-] is c h_raw
             xminus = WeightedElement(xminus_raw.weight, xminus_raw.value.scaled(c))
-            h = WeightedElement(
-                tuple(0 for _ in xplus.weight),
-                loop_bracket(xplus.value, xminus.value, self.truncation),
-            )
+            h = WeightedElement(tuple(0 for _ in xplus.weight), h_raw.scaled(c))
             out.append((xplus, xminus, h))
         return out
 

@@ -190,7 +190,11 @@ class LawVerdict:
 
 
 def pairing_laws(
-    handle: RootSystemHandle, alpha: Root, beta: Root, k: Optional[int] = None
+    handle: RootSystemHandle,
+    alpha: Root,
+    beta: Root,
+    k: Optional[int] = None,
+    string: Optional[RootString] = None,
 ) -> list[LawVerdict]:
     """Evaluate the applicable pairing laws for one (alpha, beta) pair.
 
@@ -199,7 +203,26 @@ def pairing_laws(
     sets for isotropic beta against non-isotropic alpha; the exclusion
     alpha+beta real => alpha-beta not a root for isotropic alpha; and the
     two-real-roots bound for isotropic directions.
+
+    ``string`` is the alpha-string through beta, for a caller that has
+    already built it; otherwise it is built at most once, and only when a
+    law needs it.  A string through another root or along another direction
+    raises ``ValueError``.
     """
+    if string is not None and (
+        tuple(string.base_root) != tuple(beta) or tuple(string.direction) != tuple(alpha)
+    ):
+        raise ValueError(
+            f"the string through {string.base_root} along {string.direction} "
+            f"is not the one through {beta} along {alpha}"
+        )
+
+    def the_string() -> RootString:
+        nonlocal string
+        if string is None:
+            string = root_string(handle, beta, alpha)
+        return string
+
     out: list[LawVerdict] = []
     alpha_iso = handle.is_isotropic(alpha)
     beta_iso = handle.is_isotropic(beta)
@@ -220,7 +243,7 @@ def pairing_laws(
             out.append(LawVerdict("sum-not-real", False, True))
 
     if not alpha_iso and handle.is_real(alpha) and handle.contains(beta):
-        s = root_string(handle, beta, alpha)
+        s = the_string()
         out.append(
             LawVerdict(
                 "four-real-roots", True, s.real_count() <= 4,
@@ -232,8 +255,7 @@ def pairing_laws(
         if k is not None:
             ks = [k]
         else:
-            s = root_string(handle, beta, alpha)
-            ks = [e.k for e in s.entries if e.k != 0 and e.real]
+            ks = [e.k for e in the_string().entries if e.k != 0 and e.real]
         ok = True
         details = []
         pb = handle.pairing(beta, alpha)
@@ -256,7 +278,7 @@ def pairing_laws(
         out.append(
             LawVerdict("isotropic-sum-difference-exclusion", bool(checks), all(checks))
         )
-        s = root_string(handle, beta, alpha)
+        s = the_string()
         bound_ok = s.real_count() <= 2
         window_ok = True
         if handle.has_null:
@@ -324,7 +346,10 @@ def sweep_strings(
     height (finite) or null-degree (affine) window.  Non-isotropic directions
     are checked for unbrokenness, the pairing identity, reversal, the
     real/imaginary block pattern and the four-real-roots bound; isotropic
-    directions for the two-real-roots bound and the exclusion laws.
+    directions for the two-real-roots bound and the exclusion laws.  Each
+    (beta, alpha) string is scanned once: the sweep hands the string it built
+    for a non-isotropic alpha to ``pairing_laws``, and leaves isotropic ones
+    to it, since no law needs the string through an imaginary beta.
     """
     report = SweepReport()
     if handle.is_finite:
@@ -338,6 +363,7 @@ def sweep_strings(
         for beta in betas:
             report.pairs += 1
             tag = f"beta={beta} alpha={alpha}"
+            s = None
             if not iso:
                 try:
                     s = root_string(handle, beta, alpha)
@@ -352,7 +378,7 @@ def sweep_strings(
                         report.record("pattern", True)
                     except PatternViolationError as exc:
                         report.record("pattern", False, f"{tag}: {exc}")
-            for verdict in pairing_laws(handle, alpha, beta):
+            for verdict in pairing_laws(handle, alpha, beta, string=s):
                 if verdict.applicable:
                     report.record(verdict.law, verdict.passed, f"{tag}: {verdict.detail}")
     return report

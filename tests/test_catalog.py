@@ -220,3 +220,30 @@ def test_real_roots_ed_is_the_membership_grid():
             accepted = {ED(c[:e], c[e:], r) for c in _grid(e + h.delta_dim) for r in window}
             accepted = {v for v in accepted if h.is_real_ed(v)}
             assert set(listed) == accepted, (spec, k)
+
+
+def test_bilinear_ed_is_the_defining_diagonal_form():
+    # (eps_i, eps_j) = s_i delta_ij, (delta_p, delta_q) = -delta_pq, the null
+    # root isotropic, exactly, also when the eps norms are not integers
+    for spec in ("A(1,2)", "B(2,1)", "C(3)", "D(2,2)^(1)", "A(2,2)^(4)",
+                 "D(2,1;1/2)", "D(2,1;-5/3)^(1)", "D(2,1;3)"):
+        h = build(spec)
+        e, d = h.eps_dim, h.delta_dim
+        units = [ED(tuple(int(i == k) for i in range(e)), (0,) * d) for k in range(e)]
+        units += [ED((0,) * e, tuple(int(p == k) for p in range(d))) for k in range(d)]
+        norms = list(h.eps_norms) + [Q(-1)] * d
+        if h.has_null:
+            units.append(ED((0,) * e, (0,) * d, 1))
+            norms.append(Q(0))
+        for i, u in enumerate(units):
+            for j, w in enumerate(units):
+                value = h.bilinear_ed(u, w)
+                assert type(value) is Q and value == (norms[i] if i == j else 0), (spec, i, j)
+            assert h.is_isotropic_ed(u) is (norms[i] == 0), (spec, i)
+
+
+def test_d21_cartan_matrix():
+    for a in (Q(1), Q(1, 2), Q(-5, 3), Q(3)):
+        h = build(f"D(2,1;{a})")
+        assert h.eps_norms == (-(1 + a), 1, a)
+        assert h.cartan.matrix == ((0, 1, a), (-1, 2, 0), (-1, 0, 2))

@@ -1,8 +1,11 @@
 from fractions import Fraction as Q
 
+import pytest
+
 from superroot.catalog import EpsDeltaVector as ED, build
 from superroot.rootspace import bilinear, height, pair
 from superroot.cartan import normalize, symmetrizer
+from superroot.errors import IsotropicReflectorError
 
 
 def _sl12():
@@ -38,21 +41,44 @@ def test_bilinear_isotropy_of_odd_simple():
     assert bilinear((1, 0), (0, 1), cd, d) == bilinear((0, 1), (1, 0), cd, d)
 
 
+_SMALL_FINITE = (
+    "A(0,1)", "A(1,0)", "A(0,2)", "A(2,0)",
+    "B(0,1)", "B(1,1)", "B(0,2)", "B(2,1)", "B(1,2)", "B(0,3)",
+    "C(2)", "C(3)", "D(2,1)",
+    "D(2,1;1)", "D(2,1;1/2)", "D(2,1;-5/3)", "D(2,1;3)",
+)
+_SMALL_CATALOG = _SMALL_FINITE + tuple(f + "^(1)" for f in _SMALL_FINITE) + ("A(2,2)^(4)",)
+
+
 def test_bilinear_matches_catalog_form_up_to_scalar():
-    handle = build("B(1,1)")
-    cd, d = handle.cartan, handle.symmetrizer
-    # both are invariant forms of an indecomposable type, hence proportional
-    ratios = set()
-    simples = handle.simple_roots_alpha()
-    for i, a in enumerate(simples):
-        for b in simples:
-            lhs = bilinear(a, b, cd, d)
-            rhs = handle.bilinear(a, b)
-            if rhs != 0:
-                ratios.add(lhs / rhs)
-            else:
-                assert lhs == 0
-    assert len(ratios) == 1
+    # both are invariant forms of an indecomposable type, hence proportional;
+    # the catalog's integer form must also give the Cartan form's isotropy and
+    # pairings, in exact Fractions
+    for spec in _SMALL_CATALOG:
+        handle = build(spec)
+        cd, d = handle.cartan, handle.symmetrizer
+        roots = handle.real_roots(max_height=4)
+        assert roots, spec
+        ratios = set()
+        for a in roots:
+            aa = bilinear(a, a, cd, d)
+            assert handle.is_isotropic(a) is (aa == 0), (spec, a)
+            if aa == 0:
+                with pytest.raises(IsotropicReflectorError):
+                    handle.pairing(a, a)
+            for b in roots:
+                lhs = bilinear(b, a, cd, d)
+                rhs = handle.bilinear(b, a)
+                assert type(rhs) is Q, (spec, a, b, rhs)
+                if rhs != 0:
+                    ratios.add(lhs / rhs)
+                else:
+                    assert lhs == 0, (spec, a, b)
+                if aa != 0:
+                    p = handle.pairing(b, a)
+                    assert type(p) is Q, (spec, a, b, p)
+                    assert p == 2 * lhs / aa, (spec, a, b)
+        assert len(ratios) == 1 and 0 not in ratios, (spec, ratios)
 
 
 def test_classify_isotropic_odd_real():

@@ -164,3 +164,50 @@ def test_sweep_finite_types():
 def test_sweep_empty_height():
     report = sweep_strings(build("B(1,1)"), max_height=0)
     assert report.pairs == 0 and report.ok()
+
+
+@pytest.mark.parametrize("spec, window", [
+    ("B(1,1)^(1)", {"max_degree": 1}),
+    ("A(1,2)", {"max_height": 3}),
+], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3"])
+def test_sweep_scans_each_string_at_most_once(monkeypatch, spec, window):
+    import superroot.rootstring as rstr
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return root_string(*args, **kwargs)
+
+    monkeypatch.setattr(rstr, "root_string", counting)
+    report = sweep_strings(build(spec), **window)
+    assert report.ok(), report.failures[:3]
+    assert report.pairs > 0
+    assert len(calls) <= report.pairs
+    assert len(set(calls)) == len(calls)
+
+
+def test_pairing_laws_reuse_the_given_string():
+    for spec, window in (("B(1,1)^(1)", {"max_degree": 1}), ("A(1,2)", {"max_height": 3})):
+        h = build(spec)
+        alphas = h.real_roots(**window)
+        betas = h.all_roots(**window)
+        for alpha in alphas:
+            for beta in betas:
+                s = root_string(h, beta, alpha)
+                assert pairing_laws(h, alpha, beta, string=s) == pairing_laws(h, alpha, beta), (
+                    spec, alpha, beta)
+
+
+def test_pairing_laws_reject_a_foreign_string():
+    h = build("B(1,1)")
+    alpha = h.to_alpha(ED((1,), (0,)))
+    beta = h.to_alpha(ED((-1,), (1,)))
+    other = h.to_alpha(ED((0,), (1,)))
+    with pytest.raises(ValueError):
+        pairing_laws(h, alpha, beta, string=root_string(h, other, alpha))
+    with pytest.raises(ValueError):
+        pairing_laws(h, alpha, beta, string=root_string(h, beta, other))
+    with pytest.raises(ValueError):
+        pairing_laws(h, alpha, beta, string=root_string(h, alpha, beta))
+    assert pairing_laws(h, alpha, beta, string=root_string(h, beta, alpha))
