@@ -437,6 +437,14 @@ class FiniteHandle(RootSystemHandle):
         if not self.contains_ed(highest_root):
             raise AssertionError("highest root is not a root")
 
+    def contains_ed(self, v: EpsDeltaVector) -> bool:
+        self._check_dims(v)
+        return v.null == 0 and self._contains_finite(v)
+
+    def _contains_finite(self, v: EpsDeltaVector) -> bool:
+        """The family rule on the eps and delta entries of v; no checks, null ignored."""
+        raise NotImplementedError
+
 
 def _pattern_pairs(dim: int, val_i: int, val_j: int) -> Iterator[tuple[int, ...]]:
     for i in range(dim):
@@ -451,10 +459,7 @@ def _pattern_pairs(dim: int, val_i: int, val_j: int) -> Iterator[tuple[int, ...]
 class _TypeAHandle(FiniteHandle):
     """A(m,n) = sl(m+1|n+1) with m != n; eps_1..eps_{m+1}, delta_1..delta_{n+1}."""
 
-    def contains_ed(self, v: EpsDeltaVector) -> bool:
-        self._check_dims(v)
-        if v.null != 0:
-            return False
+    def _contains_finite(self, v: EpsDeltaVector) -> bool:
         se, sd = _support(v.eps), _support(v.delta)
         if len(se) == 2 and not sd:
             return sorted(x for _, x in se) == [-1, 1]
@@ -513,10 +518,7 @@ class _OspHandle(FiniteHandle):
         self._short = ctype.family == "B"
         super().__init__(ctype, *args)
 
-    def contains_ed(self, v: EpsDeltaVector) -> bool:
-        self._check_dims(v)
-        if v.null != 0:
-            return False
+    def _contains_finite(self, v: EpsDeltaVector) -> bool:
         sup = _support(v.eps + v.delta)
         if len(sup) == 2:
             return abs(sup[0][1]) == 1 and abs(sup[1][1]) == 1
@@ -532,10 +534,7 @@ class _OspHandle(FiniteHandle):
 class _TypeD21Handle(FiniteHandle):
     """D(2,1;a): three eps coordinates, norms (-(1+a), 1, a)."""
 
-    def contains_ed(self, v: EpsDeltaVector) -> bool:
-        self._check_dims(v)
-        if v.null != 0:
-            return False
+    def _contains_finite(self, v: EpsDeltaVector) -> bool:
         se = _support(v.eps)
         if len(se) == 1:
             return abs(se[0][1]) == 2
@@ -640,10 +639,9 @@ class UntwistedAffineHandle(RootSystemHandle):
 
     def contains_ed(self, v: EpsDeltaVector) -> bool:
         self._check_dims(v)
-        fin = v.finite_part()
-        if fin.is_zero():
+        if not any(v.eps) and not any(v.delta):
             return v.null != 0
-        return self.finite.contains_ed(EpsDeltaVector(fin.eps, fin.delta))
+        return self.finite._contains_finite(v)
 
     def real_roots_ed(self, max_degree: Optional[int] = None) -> Iterator[EpsDeltaVector]:
         if max_degree is None:

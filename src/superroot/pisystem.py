@@ -128,7 +128,21 @@ class ClosureResult:
 def closure_S_infinity(
     seed: RootSet, height_bound: Optional[int] = None, max_rounds: int = 64
 ) -> ClosureResult:
-    """Iterate the reflection-and-negation closure of a set of real roots."""
+    """Iterate the reflection-and-negation closure of a set of real roots.
+
+    Round k maps S_{k-1} to S_k = W(F(S_{k-1})), where F(S) = +-{s_a(b) :
+    a, b in S} and W drops the roots above the height bound.  F contains the
+    identity (s_a(a) = -a, negated back to a) and is monotone, and every S_k
+    with k >= 1 lies in the window, so S_k <= S_{k+1}.  The images of a pair
+    inside S_k n S_{k-1} lie in F(S_{k-1}): those in the window are in S_k,
+    and the others were discarded, and flagged, in round k.  So S_{k+1} is
+    S_k together with W of the images of the pairs that involve a root of
+    S_k - S_{k-1}, and only those pairs are reflected (semi-naive
+    evaluation): the rounds, sets, status and round cap behave as if every
+    pair were reflected every round.  In round 1 every root is new, so all
+    pairs are reflected; S_0 need not lie in S_1, as the seed may hold roots
+    above the bound.
+    """
     handle = seed.handle
     if height_bound is None and not handle.is_finite:
         raise ValueError("affine closures need a height bound")
@@ -137,14 +151,14 @@ def closure_S_infinity(
         twice = rs.scale(2, r)
         if handle.is_real(twice):
             s0.add(twice)
-    current = frozenset(s0)
+    current = new = frozenset(s0)
     discarded = False
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        nxt = set()
+        nxt = set(current)
         for a in current:
-            for b in current:
+            for b in current if a in new else new:
                 r = reflect(handle, a, b)
                 nxt.add(r)
                 nxt.add(rs.neg(r))
@@ -157,6 +171,7 @@ def closure_S_infinity(
         if nxt == current:
             status = TRUNCATED if discarded else STABILIZED
             return ClosureResult(RootSet(current, handle), status, rounds)
+        new = nxt - current
         current = nxt
     return ClosureResult(RootSet(current, handle), TRUNCATED, rounds)
 
@@ -193,15 +208,6 @@ def classify_subset(psi: RootSet) -> SubsetClassification:
     return SubsetClassification(symmetric, closed, subroot)
 
 
-def _precedes(gamma: Root, alpha: Root, positives: list[Root]) -> bool:
-    # gamma <= alpha iff alpha = a*gamma + sum of nonnegative multiples of the
-    # other positives with a > 0.  Homogenized: t*alpha = gamma + nonneg combo,
-    # t >= 0.  t = 0 would express 0 as gamma plus a nonnegative combination
-    # of positive roots, impossible, so feasibility already forces t > 0.
-    others = [rs.neg(o) for o in positives if o != gamma and o != alpha]
-    return in_nonneg_cone([alpha] + others, gamma)
-
-
 def _is_positive_multiple(gamma: Root, alpha: Root) -> bool:
     # gamma in N * alpha with alpha nonzero
     ks = {g // a for g, a in zip(gamma, alpha) if a != 0}
@@ -214,22 +220,29 @@ def _is_positive_multiple(gamma: Root, alpha: Root) -> bool:
 def minimal_positive_elements(psi: RootSet) -> RootSet:
     """Preorder-minimal positive elements, with no closedness gate.
 
+    gamma precedes alpha when t alpha = gamma + a nonnegative combination of
+    the positives other than gamma and alpha, t >= 0; alpha is minimal when
+    only its own multiples k alpha (k >= 1) precede it.  One cone test per
+    alpha decides this: alpha is non-minimal exactly when it lies in the
+    cone of G, the positives other than k alpha for k >= 1 (so alpha/2 is
+    in G).  If gamma in G precedes alpha, the right side is a nonzero
+    nonnegative vector; moving its k alpha terms to the left leaves
+    c alpha = gamma + a combination of G, and c > 0 because the right side
+    is still nonzero and nonnegative, so alpha is in the cone of G.
+    Conversely, if alpha is a nonnegative combination of G, some gamma in G
+    has a coefficient c > 0, and dividing by c shows that gamma precedes
+    alpha with t = 1/c.
+
     This is also meaningful on a window-restricted closure: the witnesses
     that exclude a non-minimal element are same-sign combinations of the
     generating set, which any window containing that set retains.
     """
     positives = psi.positive()
-    out = []
-    for alpha in positives:
-        minimal = True
-        for gamma in positives:
-            if gamma == alpha:
-                continue
-            if _precedes(gamma, alpha, positives) and not _is_positive_multiple(gamma, alpha):
-                minimal = False
-                break
-        if minimal:
-            out.append(alpha)
+    out = [
+        alpha for alpha in positives
+        if not in_nonneg_cone(
+            [g for g in positives if not _is_positive_multiple(g, alpha)], alpha)
+    ]
     return RootSet(frozenset(out), psi.handle)
 
 

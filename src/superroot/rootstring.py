@@ -50,14 +50,18 @@ class RootString:
 
 
 def _scan(handle, beta, alpha, w):
+    # One membership query per slot: a member is real exactly when its
+    # finite part is nonzero.
     entries = []
     zero_slot = None
     for k in range(-w, w + 1):
         v = rs.add(beta, rs.scale(k, alpha))
         if all(c == 0 for c in v):
             zero_slot = k
-        elif handle.contains(v):
-            entries.append(StringEntry(k, v, handle.is_real(v)))
+            continue
+        ed = handle.to_ed(v)
+        if handle.contains_ed(ed):
+            entries.append(StringEntry(k, v, any(ed.eps) or any(ed.delta)))
     return entries, zero_slot
 
 

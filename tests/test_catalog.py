@@ -247,3 +247,28 @@ def test_d21_cartan_matrix():
         h = build(f"D(2,1;{a})")
         assert h.eps_norms == (-(1 + a), 1, a)
         assert h.cartan.matrix == ((0, 1, a), (-1, 2, 0), (-1, 0, 2))
+
+
+def test_affine_contains_ed_checks_dimensions_once(monkeypatch):
+    # one dimension check per affine query; the finite rule runs unchecked
+    from superroot.catalog import RootSystemHandle
+
+    checked = []
+    original = RootSystemHandle._check_dims
+
+    def counting(self, v):
+        checked.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(RootSystemHandle, "_check_dims", counting)
+    for spec in ("A(1,2)^(1)", "B(1,1)^(1)", "C(3)^(1)", "D(2,2)^(1)", "D(2,1;1/2)^(1)"):
+        h = build(spec)
+        e, d = h.eps_dim, h.delta_dim
+        queries = [ED(c[:e], c[e:], r) for c in _grid(e + d) for r in (-2, 0, 1)]
+        del checked[:]
+        verdicts = [h.contains_ed(v) for v in queries]
+        assert len(checked) == len(queries), spec
+        for v, verdict in zip(queries, verdicts):
+            fin = ED(v.eps, v.delta)
+            assert verdict == (h.finite.contains_ed(fin) if any(v.eps + v.delta)
+                               else v.null != 0), (spec, v)

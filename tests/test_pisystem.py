@@ -1,13 +1,18 @@
+import itertools
+
 import pytest
 
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
 from superroot.errors import NotARealRootError, NotClosedError, SuperrootError
+from superroot.lp import in_nonneg_cone
 from superroot.pisystem import (
+    _is_positive_multiple,
     admits_pi_system,
     classify_subset,
     closure_S_infinity,
     is_pi_system,
+    minimal_positive_elements,
     pi_of_psi,
     reflect,
     root_set,
@@ -322,3 +327,128 @@ def test_verify_dynkin_rejects_non_pi_input():
         verify_dynkin_maps(root_set(h, [(1, 0), (1, 1)]))
     with pytest.raises(ValueError):
         verify_dynkin_maps(root_set(h, [(-1, 0)]))
+
+
+def _all_pairs_closure(seed, height_bound=None, max_rounds=64):
+    # the reference round map: reflect every pair of the current set each round
+    handle = seed.handle
+    current = set(seed.elements)
+    current |= {rs.scale(2, r) for r in seed.elements if handle.is_real(rs.scale(2, r))}
+    current = frozenset(current)
+    discarded = False
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
+        nxt = set()
+        for a in current:
+            for b in current:
+                r = reflect(handle, a, b)
+                nxt.add(r)
+                nxt.add(_neg(r))
+        if height_bound is not None:
+            kept = {r for r in nxt if rs.height(r) <= height_bound}
+            discarded = discarded or len(kept) != len(nxt)
+            nxt = kept
+        nxt = frozenset(nxt)
+        if nxt == current:
+            return current, "truncated" if discarded else "stabilized", rounds
+        current = nxt
+    return current, "truncated", rounds
+
+
+def _closure_cases():
+    b11 = build("B(1,1)^(1)")
+    a12 = build("A(1,2)^(1)")
+    b22 = build("B(2,2)^(1)")
+    b21 = build("B(2,1)")
+    c3 = build("C(3)")
+    high = b11.to_alpha(ED((0,), (2,), 5))
+    return [
+        ("B(1,1)^(1) simple, height 40", root_set(b11, b11.simple_roots_alpha()), 40, 64),
+        ("A(1,2)^(1) simple, height 30", root_set(a12, a12.simple_roots_alpha()), 30, 64),
+        ("B(2,2)^(1) simple, height 20", root_set(b22, b22.simple_roots_alpha()), 20, 64),
+        ("B(2,1) simple, no bound", root_set(b21, b21.simple_roots_alpha()), None, 64),
+        # a finite type under a height bound: here the (old, new) pairs matter
+        ("C(3) mixed signs, height 3", root_set(c3, [(1, 2, 1), (-1, -1, 0), (0, -1, 0)]), 3, 64),
+        ("seed above the bound", root_set(b11, [high, b11.simple_roots_alpha()[1]]),
+         rs.height(high) - 1, 64),
+        ("round cap", root_set(b11, b11.simple_roots_alpha()), 40, 3),
+    ]
+
+
+@pytest.mark.parametrize("case", _closure_cases(), ids=lambda c: c[0])
+def test_semi_naive_closure_matches_all_pairs_rounds(case):
+    _, seed, bound, max_rounds = case
+    result = closure_S_infinity(seed, bound, max_rounds)
+    roots, status, rounds = _all_pairs_closure(seed, bound, max_rounds)
+    assert (result.roots.elements, result.status, result.rounds) == (roots, status, rounds)
+
+
+def test_closure_cases_cover_the_truncation_paths():
+    cases = {name: (seed, bound, cap) for name, seed, bound, cap in _closure_cases()}
+    seed, bound, _ = cases["seed above the bound"]
+    assert any(rs.height(r) > bound for r in seed)
+    assert closure_S_infinity(seed, bound).status == "truncated"
+    seed, bound, cap = cases["round cap"]
+    assert closure_S_infinity(seed, bound).rounds > cap
+    assert closure_S_infinity(seed, bound, cap).rounds == cap
+    seed, bound, _ = cases["B(2,1) simple, no bound"]
+    assert closure_S_infinity(seed, bound).stabilized
+
+
+def _precedes(gamma, alpha, positives):
+    # t alpha = gamma + a nonnegative combination of the other positives, t >= 0
+    others = [_neg(o) for o in positives if o != gamma and o != alpha]
+    return in_nonneg_cone([alpha] + others, gamma)
+
+
+def _pairwise_minimal(psi):
+    # the reference: alpha is minimal when only its multiples k alpha precede it
+    positives = psi.positive()
+    return frozenset(
+        alpha for alpha in positives
+        if not any(gamma != alpha and _precedes(gamma, alpha, positives)
+                   and not _is_positive_multiple(gamma, alpha) for gamma in positives)
+    )
+
+
+def _minimal_cases():
+    cases = []
+    for spec, heights in (("B(1,1)^(1)", (6, 12)), ("A(0,1)^(1)", (6, 12)),
+                          ("A(0,2)^(1)", (6, 10)), ("A(2,2)^(4)", (6, 10)),
+                          ("C(2)^(1)", (6, 10)), ("B(0,1)^(1)", (6, 12)),
+                          ("A(1,2)^(1)", (6, 8))):
+        h = build(spec)
+        for bound in heights:
+            closure = closure_S_infinity(root_set(h, h.simple_roots_alpha()), bound)
+            cases.append((f"{spec} simple, height {bound}", closure.roots))
+    h = build("B(1,1)^(1)")
+    seed = root_set(h, [h.to_alpha(ED((0,), (2,), 0)), h.to_alpha(ED((0,), (-2,), 1))])
+    clipped = closure_S_infinity(seed, height_bound=12)
+    assert clipped.status == "truncated"
+    cases.append(("B(1,1)^(1) window-clipped", clipped.roots))
+    # every subset of the positive roots of two B types: among them sets
+    # holding delta and 2 delta, and sets holding 2 delta without delta
+    for spec in ("B(1,1)", "B(0,2)"):
+        h = build(spec)
+        positives = h.positive_real_roots()
+        for size in range(1, len(positives) + 1):
+            for subset in itertools.combinations(positives, size):
+                cases.append((f"{spec} {subset}", root_set(h, subset)))
+    return cases
+
+
+def test_one_cone_test_per_root_matches_pairwise_minimality():
+    for name, psi in _minimal_cases():
+        assert minimal_positive_elements(psi).elements == _pairwise_minimal(psi), name
+
+
+def test_minimality_of_multiples():
+    # alpha with 2 alpha present stays minimal; 2 alpha is not minimal
+    # when alpha = (2 alpha)/2 is present, and is minimal otherwise
+    h = build("B(0,1)^(1)")
+    half = h.to_alpha(ED((), (1,), 1))
+    both = minimal_positive_elements(root_set(h, [half, rs.scale(2, half)]))
+    assert both.elements == {half}
+    alone = minimal_positive_elements(root_set(h, [rs.scale(2, half)]))
+    assert alone.elements == {rs.scale(2, half)}

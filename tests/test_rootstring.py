@@ -211,3 +211,23 @@ def test_pairing_laws_reject_a_foreign_string():
     with pytest.raises(ValueError):
         pairing_laws(h, alpha, beta, string=root_string(h, alpha, beta))
     assert pairing_laws(h, alpha, beta, string=root_string(h, beta, alpha))
+
+
+def test_scan_makes_one_membership_query_per_slot(monkeypatch):
+    # a member is tagged real from its finite part, not by a second query
+    from superroot.rootstring import _scan
+
+    for spec, window in (("B(2,1)^(1)", {"max_degree": 1}), ("A(1,2)", {"max_height": 3}),
+                         ("A(2,2)^(4)", {"max_degree": 2})):
+        h = build(spec)
+        queries = []
+        original = h.contains_ed
+        monkeypatch.setattr(h, "contains_ed", lambda v: queries.append(v) or original(v))
+        alphas = h.real_roots(**window)
+        for alpha in alphas[:6]:
+            for beta in h.all_roots(**window):
+                del queries[:]
+                entries, zero_slot = _scan(h, beta, alpha, 4)
+                assert len(queries) == 9 - (zero_slot is not None), (spec, alpha, beta)
+                for e in entries:
+                    assert e.real == h.is_real(e.root), (spec, alpha, beta, e)
