@@ -36,6 +36,7 @@ from .rootspace import Root, height
 FINITE = "finite"
 AFFINE = "affine"
 TWISTED4 = "twisted4"
+ROOT_COORD_BOUND = 2  # every root of every type here has |eps_i|, |delta_p| <= 2
 
 
 @dataclass(frozen=True)

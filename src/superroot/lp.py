@@ -77,7 +77,7 @@ def feasible_nonneg(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Frac
             # Unbounded direction in phase one cannot occur (costs >= 0).
             raise AssertionError("phase-one simplex became unbounded")
         pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
+        tab[leave] = [x / pv if x else x for x in tab[leave]]
         for i in range(m):
             if i != leave and tab[i][enter] != 0:
                 f = tab[i][enter]
@@ -97,7 +97,6 @@ def feasible_nonneg(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Frac
 def in_nonneg_cone(generators: Sequence[Sequence], target: Sequence) -> bool:
     """Exact test for target in the rational cone spanned by the generators."""
     if not generators:
-        return all(Fraction(x) == 0 for x in target)
-    dim = len(target)
-    rows = [[Fraction(g[i]) for g in generators] for i in range(dim)]
+        return all(x == 0 for x in target)
+    rows = [[g[i] for g in generators] for i in range(len(target))]
     return feasible_nonneg(rows, target) is not None

@@ -16,14 +16,14 @@ from fractions import Fraction
 from typing import Optional
 
 from . import rootspace as rs
-from .catalog import RootSystemHandle
+from .catalog import ROOT_COORD_BOUND, RootSystemHandle
 from .errors import (
     BrokenStringError,
     NotARootError,
     PatternViolationError,
     WindowExhaustedError,
 )
-from .rootspace import Root, height
+from .rootspace import Root
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,22 @@ class RootString:
         return sum(1 for e in self.entries if e.real)
 
 
-def _scan(handle, beta, alpha, w):
+def _box(handle, beta, alpha) -> range:
+    # The k with |b_i + k a_i| <= ROOT_COORD_BOUND on the first nonzero
+    # finite coordinate a_i of alpha, flipped so that a_i > 0.
+    a, b = handle.to_ed(alpha), handle.to_ed(beta)
+    ai, bi = next((x, y) for x, y in zip(a.eps + a.delta, b.eps + b.delta) if x)
+    if ai < 0:
+        ai, bi = -ai, -bi
+    return range(-((ROOT_COORD_BOUND + bi) // ai), (ROOT_COORD_BOUND - bi) // ai + 1)
+
+
+def _scan(handle, beta, alpha, ks):
     # One membership query per slot: a member is real exactly when its
     # finite part is nonzero.
     entries = []
     zero_slot = None
-    for k in range(-w, w + 1):
+    for k in ks:
         v = rs.add(beta, rs.scale(k, alpha))
         if all(c == 0 for c in v):
             zero_slot = k
@@ -68,42 +78,41 @@ def _scan(handle, beta, alpha, w):
 def root_string(
     handle: RootSystemHandle, beta: Root, alpha: Root, window: Optional[int] = None
 ) -> RootString:
-    """Scan the alpha-string through beta and tag each member real/imaginary."""
+    """Scan the alpha-string through beta and tag each member real/imaginary.
+
+    Every root, and the zero vector, has finite eps/delta coordinates in
+    [-2, 2] (``catalog.ROOT_COORD_BOUND``).  A real alpha has a nonzero
+    finite coordinate a_i, so beta + k alpha can be a root or zero only when
+    |b_i + k a_i| <= 2: at most five consecutive k, and 0 among them since
+    beta is a root.  The scan visits exactly those k, so it sees the whole
+    string in one pass and never truncates.
+
+    ``window`` clips an isotropic-direction string to -window <= k <= window
+    and raises ``WindowExhaustedError`` when a member sits at either end.  It
+    does not change a non-isotropic-direction string, which always comes
+    back whole.
+    """
     if not handle.is_real(alpha):
         raise NotARootError(f"direction {alpha} is not a real root")
     if not handle.contains(beta):
         raise NotARootError(f"{beta} is not a root")
     isotropic = handle.is_isotropic(alpha)
-    if isotropic:
-        w = window if window is not None else height(beta) + 2
-        entries, zero_slot = _scan(handle, beta, alpha, w)
-        if entries and (entries[0].k == -w or entries[-1].k == w):
-            raise WindowExhaustedError(
-                f"isotropic-direction string still has members at |k| = {w}"
-            )
-        pairing = None
-    else:
-        pairing = handle.pairing(beta, alpha)
-        w = window if window is not None else max(6, abs(int(pairing)) + 4)
-        while True:
-            entries, zero_slot = _scan(handle, beta, alpha, w)
-            occupied = [e.k for e in entries]
-            if zero_slot is not None:
-                occupied.append(zero_slot)
-            # Two consecutive misses must flank the string on both sides.
-            if occupied and (min(occupied) <= -w + 1 or max(occupied) >= w - 1):
-                w *= 2
-                if w > 4096:
-                    raise WindowExhaustedError("non-isotropic string did not close")
-                continue
-            break
+    ks = _box(handle, beta, alpha)
+    clip = isotropic and window is not None
+    if clip:
+        ks = range(max(ks.start, -window), min(ks.stop, window + 1))
+    entries, zero_slot = _scan(handle, beta, alpha, ks)
+    if clip and entries and (entries[0].k == -window or entries[-1].k == window):
+        raise WindowExhaustedError(
+            f"isotropic-direction string still has members at |k| = {window}"
+        )
     return RootString(
         base_root=beta,
         direction=alpha,
         entries=tuple(entries),
         zero_slot=zero_slot,
         direction_isotropic=isotropic,
-        pairing=pairing,
+        pairing=None if isotropic else handle.pairing(beta, alpha),
     )
 
 
@@ -197,7 +206,6 @@ def pairing_laws(
     handle: RootSystemHandle,
     alpha: Root,
     beta: Root,
-    k: Optional[int] = None,
     string: Optional[RootString] = None,
 ) -> list[LawVerdict]:
     """Evaluate the applicable pairing laws for one (alpha, beta) pair.
@@ -256,21 +264,17 @@ def pairing_laws(
         )
 
     if both_real and beta_iso and not alpha_iso:
-        if k is not None:
-            ks = [k]
-        else:
-            ks = [e.k for e in the_string().entries if e.k != 0 and e.real]
         ok = True
         details = []
         pb = handle.pairing(beta, alpha)
-        for kk in ks:
-            v = rs.add(beta, rs.scale(kk, alpha))
-            if not handle.is_real(v):
+        for e in the_string().entries:
+            if e.k == 0 or not e.real:
                 continue
-            allowed = {Fraction(-kk)} if handle.is_isotropic(v) else {Fraction(0), Fraction(-2 * kk)}
+            allowed = ({Fraction(-e.k)} if handle.is_isotropic(e.root)
+                       else {Fraction(0), Fraction(-2 * e.k)})
             if pb not in allowed:
                 ok = False
-                details.append(f"k={kk}: pairing {pb} outside {sorted(allowed)}")
+                details.append(f"k={e.k}: pairing {pb} outside {sorted(allowed)}")
         out.append(LawVerdict("isotropic-pairing-values", True, ok, "; ".join(details)))
 
     if both_real and alpha_iso:
@@ -301,21 +305,9 @@ def pairing_laws(
 
 
 def _proportional(x, y) -> bool:
-    # Is y a rational multiple of x (or either zero)?
-    if all(c == 0 for c in x) or all(c == 0 for c in y):
-        return True
-    ratio = None
-    for a, b in zip(x, y):
-        if a == 0 and b == 0:
-            continue
-        if a == 0 or b == 0:
-            return False
-        r = Fraction(b, a)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
+    # Is y a rational multiple of x (or either zero)?  Every 2x2 minor vanishes.
+    return all(x[i] * y[j] == x[j] * y[i]
+               for i in range(len(x)) for j in range(i + 1, len(x)))
 
 
 @dataclass

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superroot.catalog import CatalogType, EpsDeltaVector as ED, build, parse_type
+from superroot.catalog import ROOT_COORD_BOUND, CatalogType, EpsDeltaVector as ED, build, parse_type
 from superroot.errors import NotInLatticeError, UnsupportedTypeError
 
 
@@ -220,6 +220,26 @@ def test_real_roots_ed_is_the_membership_grid():
             accepted = {ED(c[:e], c[e:], r) for c in _grid(e + h.delta_dim) for r in window}
             accepted = {v for v in accepted if h.is_real_ed(v)}
             assert set(listed) == accepted, (spec, k)
+
+
+def test_real_roots_lie_in_the_coordinate_box():
+    # the bound that root strings scan by: every finite eps/delta coordinate
+    # of a real root is in [-2, 2] (imaginary roots have none nonzero)
+    specs = ["A(0,1)", "A(1,2)", "A(2,1)", "A(0,3)", "B(0,1)", "B(1,1)", "B(2,1)", "B(1,2)",
+             "C(2)", "C(3)", "D(2,1)", "D(2,2)", "D(3,1)",
+             "D(2,1;1)", "D(2,1;1/2)", "D(2,1;-5/3)", "D(2,1;3)"]
+    specs += [s + "^(1)" for s in specs] + ["A(2,2)^(4)", "A(4,2)^(4)", "A(2,4)^(4)", "A(4,4)^(4)"]
+    assert ROOT_COORD_BOUND == 2
+    largest = 0
+    for spec in specs:
+        h = build(spec)
+        for k in ((0, 1, 2) if h.has_null else (None,)):
+            listed = list(h.real_roots_ed(k))
+            assert listed, (spec, k)
+            for v in listed:
+                assert all(abs(c) <= 2 for c in v.eps + v.delta), (spec, v)
+                largest = max(largest, *(abs(c) for c in v.eps + v.delta))
+    assert largest == 2
 
 
 def test_bilinear_ed_is_the_defining_diagonal_form():

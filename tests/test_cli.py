@@ -1,9 +1,12 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
 
 import pytest
 
+import superroot
 from superroot.cli import main
 
 
@@ -192,3 +195,16 @@ def test_python_dash_m_entry_point(monkeypatch, capsys):
         runpy.run_module("superroot", run_name="__main__")
     assert exc.value.code == 0
     assert "admissible:     True" in capsys.readouterr().out
+
+
+def test_string_window_zero_returns_on_a_non_isotropic_direction():
+    # the scan range comes from the catalog's coordinate box, so a window of
+    # 0 along a non-isotropic direction returns the whole string
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(superroot.__file__)))
+    argv = [sys.executable, "-m", "superroot", "string", "--type", "B(1,1)",
+            "--alpha", "[0,1]", "--beta", "[1,0]", "--window", "0", "--format", "json"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    body = json.loads(proc.stdout)
+    assert [e["k"] for e in body["entries"]] == [0, 1, 2]
+    assert body["bounds"] == {"window": 0}

@@ -4,7 +4,7 @@ import pytest
 
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import PatternViolationError
+from superroot.errors import PatternViolationError, WindowExhaustedError
 from superroot.rootstring import (
     RootString,
     StringEntry,
@@ -227,7 +227,79 @@ def test_scan_makes_one_membership_query_per_slot(monkeypatch):
         for alpha in alphas[:6]:
             for beta in h.all_roots(**window):
                 del queries[:]
-                entries, zero_slot = _scan(h, beta, alpha, 4)
+                entries, zero_slot = _scan(h, beta, alpha, range(-4, 5))
                 assert len(queries) == 9 - (zero_slot is not None), (spec, alpha, beta)
                 for e in entries:
                     assert e.real == h.is_real(e.root), (spec, alpha, beta, e)
+
+
+def _wide_string(h, beta, alpha):
+    # the reference: a plain scan over |k| <= height(beta) + 8, far past the
+    # five-slot coordinate box that root_string scans
+    w = rs.height(beta) + 8
+    entries, zero_slot = [], None
+    for k in range(-w, w + 1):
+        v = rs.add(beta, rs.scale(k, alpha))
+        if not any(v):
+            zero_slot = k
+        elif h.contains(v):
+            entries.append(StringEntry(k, v, h.is_real(v)))
+    return entries, zero_slot
+
+
+@pytest.mark.parametrize("spec, window", [
+    ("B(1,1)^(1)", {"max_degree": 1}),
+    ("A(1,2)", {"max_height": 3}),
+    ("D(2,1;1/2)^(1)", {"max_degree": 1}),
+    ("A(2,2)^(4)", {"max_degree": 2}),
+], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3", "D(2,1;1/2)^(1)-degree-1",
+        "A(2,2)^(4)-degree-2"])
+def test_box_scan_matches_a_wide_scan(spec, window):
+    h = build(spec)
+    for alpha in h.real_roots(**window):
+        iso = h.is_isotropic(alpha)
+        for beta in h.all_roots(**window):
+            s = root_string(h, beta, alpha)
+            assert (list(s.entries), s.zero_slot) == _wide_string(h, beta, alpha), (alpha, beta)
+            assert s.direction_isotropic is iso
+            assert s.pairing == (None if iso else h.pairing(beta, alpha))
+
+
+def test_explicit_window_clips_only_isotropic_directions():
+    # a non-isotropic string comes back whole whatever the window, 0 included;
+    # an isotropic one is clipped to |k| <= window and raises when a member
+    # sits at either end
+    h = build("B(1,1)^(1)")
+    betas = h.all_roots(max_degree=1)
+    for alpha in h.real_roots(max_degree=1):
+        iso = h.is_isotropic(alpha)
+        for beta in betas:
+            whole = root_string(h, beta, alpha)
+            for w in range(8):
+                if not iso:
+                    assert root_string(h, beta, alpha, w) == whole, (alpha, beta, w)
+                    continue
+                clipped = [e for e in whole.entries if abs(e.k) <= w]
+                if clipped and (clipped[0].k == -w or clipped[-1].k == w):
+                    with pytest.raises(WindowExhaustedError):
+                        root_string(h, beta, alpha, w)
+                else:
+                    s = root_string(h, beta, alpha, w)
+                    assert list(s.entries) == clipped, (alpha, beta, w)
+                    zero = whole.zero_slot
+                    assert s.zero_slot == (zero if zero is not None and abs(zero) <= w else None)
+
+
+def test_proportional_truth_table():
+    from superroot.rootstring import _proportional
+
+    cases = [
+        ((0, 0), (0, 0), True), ((0, 0), (1, -2), True), ((1, -2), (0, 0), True),
+        ((1, 2), (2, 4), True), ((1, 2), (-3, -6), True), ((2, 0), (1, 0), True),
+        ((0, 3), (0, -1), True), ((1, 0), (1, 1), False), ((0, 1), (1, 0), False),
+        ((1, 2), (2, 3), False), ((1, 0, 2), (2, 0, 4), True), ((1, 0, 2), (2, 1, 4), False),
+        ((2, 4, 6), (3, 6, 9), True), ((1, 1, 0), (1, 1, 1), False),
+    ]
+    for x, y, expected in cases:
+        assert _proportional(x, y) is expected, (x, y)
+        assert _proportional(y, x) is expected, (y, x)
