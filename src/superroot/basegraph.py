@@ -9,12 +9,16 @@ reflection every row is rescaled (root fixed, coroot scaled) so the diagonal
 of the base Cartan matrix lies in {0,2}; rows with a vanishing diagonal keep
 the coroot verbatim.
 
+Each base carries its Cartan matrix: an even reflection keeps it, an odd
+reflection computes the new one from it.
+
 The breadth-first search over bases reachable from the standard base checks
-regularity and admissibility of every Cartan matrix it encounters, as the
-regular Kac-Moody assumption demands, and aborts with the offending matrix
-otherwise.  Frontier expansion is deterministic; results do not depend on
-visit order, so a parallel driver may split the frontier as long as
-visited-set updates stay atomic.
+regularity and admissibility of every Cartan matrix it encounters (once per
+distinct matrix and parities), as the regular Kac-Moody assumption demands,
+and aborts with the offending matrix otherwise.  It builds only the
+neighbours it has not visited.  Frontier expansion is deterministic; results
+do not depend on visit order, so a parallel driver may split the frontier as
+long as visited-set updates stay atomic.
 """
 
 from __future__ import annotations
@@ -38,12 +42,15 @@ from .rootspace import Coroot, Root, height, pair
 
 @dataclass(frozen=True)
 class Base:
+    """Roots, coroots and the base's own Cartan matrix matrix[i][j] = pair(roots[j], coroots[i])."""
+
     roots: tuple[Root, ...]
     coroots: tuple[Coroot, ...]
+    matrix: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if len(self.roots) != len(self.coroots):
-            raise ValueError("roots and coroots differ in length")
+        if not len(self.roots) == len(self.coroots) == len(self.matrix):
+            raise ValueError("roots, coroots and matrix differ in length")
 
     @property
     def size(self) -> int:
@@ -52,13 +59,8 @@ class Base:
     def root_set(self) -> frozenset[Root]:
         return frozenset(self.roots)
 
-    def max_height(self) -> int:
-        return max(height(r) for r in self.roots)
-
     def cartan_matrix(self, cd: CartanData) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(pair(b, h, cd) for b in self.roots) for h in self.coroots
-        )
+        return self.matrix
 
     def parities(self, cd: CartanData) -> tuple[int, ...]:
         return tuple(cd.root_parity(r) for r in self.roots)
@@ -70,73 +72,99 @@ def standard_base(cd: CartanData) -> Base:
     coroots = tuple(
         tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in range(n)
     )
-    return Base(roots, coroots)
+    return Base(roots, coroots, cd.matrix)
 
 
-def _renormalize(roots: list[Root], coroots: list[Coroot], cd: CartanData) -> Base:
-    out = []
-    for r, h in zip(roots, coroots):
-        d = pair(r, h, cd)
-        out.append(h if d == 0 else tuple(x * 2 / d for x in h))
-    return Base(tuple(roots), tuple(out))
+def _odd_roots(base: Base, t: int) -> tuple[Root, ...]:
+    """Roots of the odd reflection at entry t: -alpha, and beta + alpha where a_{alpha beta} != 0."""
+    alpha, a_row = base.roots[t], base.matrix[t]
+    return tuple(
+        rs.neg(alpha) if u == t else beta if a_row[u] == 0 else rs.add(beta, alpha)
+        for u, beta in enumerate(base.roots)
+    )
+
+
+def _even_roots(roots: tuple[Root, ...], alpha: Root, coeffs) -> tuple[Root, ...]:
+    """s_alpha(beta) = beta - beta(h_alpha) alpha, given the values beta(h_alpha)."""
+    return tuple(rs.sub(b, rs.scale(int(c), alpha)) for b, c in zip(roots, coeffs))
 
 
 def odd_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
-    """Reflect a base at its t-th entry, an isotropic odd root regular in the base."""
+    """Reflect a base at its t-th entry, an isotropic odd root regular in the base.
+
+    The new matrix comes from the carried one.  Entry u becomes beta_u + c_u
+    alpha (c_t = -2, c_u = 0 where a_{alpha beta_u} = 0, else 1), and a changed
+    coroot is x h_u + y h_alpha, so its row is x (a_{uj} + c_j a_{u alpha}) +
+    y a_{alpha j}.  Rows orthogonal to alpha keep their coroot and row.  Each
+    row with a diagonal d other than 0 or 2 is rescaled by 2/d with its coroot.
+    """
     alpha, h_alpha = base.roots[t], base.coroots[t]
-    a_row = [pair(b, h_alpha, cd) for b in base.roots]
-    a_col = [pair(alpha, h, cd) for h in base.coroots]
+    a_row = base.matrix[t]
+    a_col = [row[t] for row in base.matrix]
     if a_row[t] != 0 or cd.root_parity(alpha) != 1:
         raise NotIsotropicOddError(f"entry {t} is not an isotropic odd root")
     for u in range(base.size):
         if a_row[u] == 0 and a_col[u] != 0:
             raise NotRegularInBaseError(f"entry {t} is singular against entry {u}")
     p = base.parities(cd)
-    roots: list[Root] = []
+    c = [-2 if u == t else 0 if a_row[u] == 0 else 1 for u in range(base.size)]
     coroots: list[Coroot] = []
-    for u in range(base.size):
-        beta, h_beta = base.roots[u], base.coroots[u]
-        if u == t:
-            # s_alpha(alpha) = -alpha; the coroot h_alpha is kept because the
-            # bracket of the swapped root vectors reproduces it.
-            roots.append(rs.neg(alpha))
-            coroots.append(h_alpha)
-        elif a_row[u] == 0 and a_col[u] == 0:
-            roots.append(beta)
-            coroots.append(h_beta)
-        else:
-            roots.append(rs.add(beta, alpha))
+    matrix = []
+    for u, (h_beta, row) in enumerate(zip(base.coroots, base.matrix)):
+        # s_alpha(alpha) = -alpha keeps h_alpha (a_row[t] = 0) because the
+        # bracket of the swapped root vectors reproduces it.
+        if a_row[u] != 0:
             sign = -1 if p[u] else 1
-            coroots.append(
-                tuple(sign * (a_row[u] * hb + a_col[u] * ha) for hb, ha in zip(h_beta, h_alpha))
-            )
-    return _renormalize(roots, coroots, cd)
+            x, y = sign * a_row[u], sign * a_col[u]
+            h_beta = tuple(x * hb + y * ha for hb, ha in zip(h_beta, h_alpha))
+            row = tuple(x * (m + cj * a_col[u]) + y * a for m, cj, a in zip(row, c, a_row))
+        d = row[u]
+        if d not in (0, 2):
+            h_beta = tuple(v * 2 / d for v in h_beta)
+            row = tuple(v * 2 / d for v in row)
+        coroots.append(h_beta)
+        matrix.append(row)
+    return Base(_odd_roots(base, t), tuple(coroots), tuple(matrix))
 
 
 def even_reflect_base(base: Base, cd: CartanData, alpha: Root, h_alpha: Coroot) -> Base:
-    """Apply s_alpha to every root and the dual action to every coroot."""
+    """Apply s_alpha to every root and the dual action to every coroot.
+
+    The Cartan matrix is unchanged: with s(b) = b - b(h_alpha) alpha and
+    s'(h) = h - alpha(h) h_alpha, pair(s b, s' h) = b(h) - 2 alpha(h) b(h_alpha)
+    + b(h_alpha) alpha(h) alpha(h_alpha) = b(h), since alpha(h_alpha) = 2.
+    """
     if pair(alpha, h_alpha, cd) != 2:
         raise IsotropicReflectorError("reflector must pair to 2 with its coroot")
-    roots = [rs.sub(b, rs.scale(int(pair(b, h_alpha, cd)), alpha)) for b in base.roots]
-    coroots = [
+    roots = _even_roots(base.roots, alpha, [pair(b, h_alpha, cd) for b in base.roots])
+    coroots = tuple(
         tuple(hx - c * hax for hx, hax in zip(h, h_alpha))
         for h, c in ((h, pair(alpha, h, cd)) for h in base.coroots)
-    ]
-    return Base(tuple(roots), tuple(coroots))
+    )
+    return Base(roots, coroots, base.matrix)
 
 
 def even_reflect_base_at(base: Base, cd: CartanData, t: int) -> Base:
     return even_reflect_base(base, cd, base.roots[t], base.coroots[t])
 
 
-def _validated(base: Base, cd: CartanData) -> Base:
-    matrix = base.cartan_matrix(cd)
-    report = validate(CartanData(matrix, base.parities(cd)))
-    if not (report.regular and report.admissible):
-        raise NonRegularBaseError(
-            f"encountered a base whose Cartan matrix is not regular admissible: {report}",
-            matrix=matrix,
-        )
+def _validated(base: Base, cd: CartanData, checked: set) -> Base:
+    """Check a base's roots, and its matrix unless ``checked`` already holds it.
+
+    ``checked`` holds the (matrix, parities) keys that passed in this search.
+
+    The rank test runs on every base: affine matrices are singular, so an
+    equal matrix does not make the roots independent.
+    """
+    key = (base.matrix, base.parities(cd))
+    if key not in checked:
+        report = validate(CartanData(*key))
+        if not (report.regular and report.admissible):
+            raise NonRegularBaseError(
+                f"encountered a base whose Cartan matrix is not regular admissible: {report}",
+                matrix=base.matrix,
+            )
+        checked.add(key)
     if rank(base.roots) != base.size:
         raise NonRegularBaseError("encountered a base with dependent roots")
     return base
@@ -149,37 +177,37 @@ class RealRootsResult:
     bases_visited: int
 
 
-def _neighbors(base: Base, cd: CartanData, odd_only: bool) -> list[Base]:
-    out = []
-    par = base.parities(cd)
-    for t in range(base.size):
-        d = pair(base.roots[t], base.coroots[t], cd)
-        if d == 0 and par[t] == 1:
-            out.append(odd_reflect_base(base, cd, t))
-        elif d == 2 and not odd_only:
-            out.append(even_reflect_base_at(base, cd, t))
-    return out
-
-
 def _search(cd: CartanData, h_explore: int, odd_only: bool) -> tuple[list[Base], bool]:
     """Breadth-first search over the bases reachable from the standard base.
 
     Returns the visited bases in visit order and whether a neighbour holding
-    a root above ``h_explore`` was pruned.
+    a root above ``h_explore`` was pruned.  A neighbour's roots are read off
+    the carried matrix first; only a neighbour that is neither pruned nor
+    visited is built and checked.
     """
-    start = _validated(standard_base(cd), cd)
+    checked: set = set()
+    start = _validated(standard_base(cd), cd, checked)
     bases = [start]  # also the queue: the loop below reaches what it appends
     visited = {start.root_set()}
     pruned = False
     for base in bases:
-        for nb in _neighbors(base, cd, odd_only):
-            if nb.max_height() > h_explore:
+        par = base.parities(cd)
+        for t in range(base.size):
+            d = base.matrix[t][t]
+            if d == 0 and par[t] == 1:
+                roots = _odd_roots(base, t)
+            elif d == 2 and not odd_only:
+                roots = _even_roots(base.roots, base.roots[t], base.matrix[t])
+            else:
+                continue
+            if max(height(r) for r in roots) > h_explore:
                 pruned = True
                 continue
-            key = nb.root_set()
+            key = frozenset(roots)
             if key not in visited:
                 visited.add(key)
-                bases.append(_validated(nb, cd))
+                nb = odd_reflect_base(base, cd, t) if d == 0 else even_reflect_base_at(base, cd, t)
+                bases.append(_validated(nb, cd, checked))
     return bases, pruned
 
 
@@ -200,9 +228,9 @@ def enumerate_real_roots(
     bases, pruned = _search(cd, h_explore, odd_only=False)
     found: set[Root] = set()
     for base in bases:
-        for r, h in zip(base.roots, base.coroots):
+        for i, r in enumerate(base.roots):
             found.add(r)
-            if cd.root_parity(r) == 1 and pair(r, h, cd) == 2:
+            if cd.root_parity(r) == 1 and base.matrix[i][i] == 2:
                 found.add(rs.scale(2, r))
     symmetric = {r for r in found if height(r) <= h_report}
     symmetric |= {rs.neg(r) for r in symmetric}
@@ -234,10 +262,10 @@ def principal_roots(cd: CartanData, h_explore: int = 64) -> PrincipalRootsResult
     bases, pruned = _search(cd, h_explore, odd_only=True)
     found: set[Root] = set()
     for base in bases:
-        for r, h in zip(base.roots, base.coroots):
+        for i, r in enumerate(base.roots):
             if cd.root_parity(r) == 0:
                 found.add(r)
-            elif pair(r, h, cd) == 2:
+            elif base.matrix[i][i] == 2:
                 found.add(rs.scale(2, r))
     return PrincipalRootsResult(
         roots=frozenset(found), complete=not pruned, bases_visited=len(bases)

@@ -10,6 +10,7 @@ reproducible.  Output ordering is lexicographic on coordinates throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -402,7 +403,9 @@ _nonneg = _bounded_int(0)
 _positive = _bounded_int(1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="superroot",
         description="Exact root-system combinatorics for Kac-Moody superalgebras",

@@ -68,8 +68,8 @@ class InconclusiveError(SuperrootError):
     """A truncated computation cannot certify the requested statement."""
 
 
-class WindowExhaustedError(SuperrootError):
-    pass
+class WindowExhaustedError(InconclusiveError):
+    """An explicit window clipped a root string that still had members at its ends."""
 
 
 class BrokenStringError(SuperrootError):

@@ -3,8 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from superroot import basegraph
 from superroot import rootspace as rs
 from superroot.basegraph import (
+    _search,
     enumerate_real_roots,
     even_reflect_base,
     even_reflect_base_at,
@@ -12,7 +14,7 @@ from superroot.basegraph import (
     principal_roots,
     standard_base,
 )
-from superroot.cartan import normalize
+from superroot.cartan import CartanData, normalize, validate
 from superroot.catalog import build
 from superroot.errors import (
     IsotropicReflectorError,
@@ -20,7 +22,8 @@ from superroot.errors import (
     NotIsotropicOddError,
     NotRegularInBaseError,
 )
-from superroot.rootspace import pair
+from superroot.linalg import rank
+from superroot.rootspace import height, pair
 
 
 def _sl12():
@@ -284,3 +287,159 @@ def test_coroots_agree_with_bilinear_form():
                 if nb.root_set() not in seen:
                     seen.add(nb.root_set())
                     queue.append(nb)
+
+
+# -- the full-build search, kept as the reference for ``_search`` --------------
+#
+# Every neighbour of every base is built from ``pair`` alone (no carried
+# matrix), and every visited base has its matrix recomputed, validated and
+# its roots rank-checked.
+
+
+def _ref_matrix(roots, coroots, cd):
+    return tuple(tuple(pair(b, h, cd) for b in roots) for h in coroots)
+
+
+def _ref_odd(roots, coroots, cd, t):
+    alpha, h_alpha = roots[t], coroots[t]
+    a_row = [pair(b, h_alpha, cd) for b in roots]
+    a_col = [pair(alpha, h, cd) for h in coroots]
+    assert a_row[t] == 0 and cd.root_parity(alpha) == 1
+    new_roots, new_coroots = [], []
+    for u, (beta, h_beta) in enumerate(zip(roots, coroots)):
+        if u == t:
+            new_roots.append(rs.neg(alpha))
+            new_coroots.append(h_alpha)
+        elif a_row[u] == 0 and a_col[u] == 0:
+            new_roots.append(beta)
+            new_coroots.append(h_beta)
+        else:
+            new_roots.append(rs.add(beta, alpha))
+            sign = -1 if cd.root_parity(beta) else 1
+            new_coroots.append(tuple(sign * (a_row[u] * hb + a_col[u] * ha)
+                                     for hb, ha in zip(h_beta, h_alpha)))
+    out = []
+    for r, h in zip(new_roots, new_coroots):
+        d = pair(r, h, cd)
+        out.append(h if d == 0 else tuple(x * 2 / d for x in h))
+    return tuple(new_roots), tuple(out)
+
+
+def _ref_even(roots, coroots, cd, t):
+    alpha, h_alpha = roots[t], coroots[t]
+    assert pair(alpha, h_alpha, cd) == 2
+    new_roots = tuple(rs.sub(b, rs.scale(int(pair(b, h_alpha, cd)), alpha)) for b in roots)
+    new_coroots = tuple(tuple(hx - pair(alpha, h, cd) * hax for hx, hax in zip(h, h_alpha))
+                        for h in coroots)
+    return new_roots, new_coroots
+
+
+def _ref_neighbors(roots, coroots, cd, odd_only):
+    out = []
+    for t in range(len(roots)):
+        d = pair(roots[t], coroots[t], cd)
+        if d == 0 and cd.root_parity(roots[t]) == 1:
+            out.append(_ref_odd(roots, coroots, cd, t))
+        elif d == 2 and not odd_only:
+            out.append(_ref_even(roots, coroots, cd, t))
+    return out
+
+
+def _ref_validated(roots, coroots, cd):
+    matrix = _ref_matrix(roots, coroots, cd)
+    report = validate(CartanData(matrix, tuple(cd.root_parity(r) for r in roots)))
+    assert report.regular and report.admissible
+    assert rank(roots) == len(roots)
+    return roots, coroots
+
+
+def _ref_search(cd, h_explore, odd_only):
+    start = standard_base(cd)
+    bases = [_ref_validated(start.roots, start.coroots, cd)]
+    visited = {frozenset(start.roots)}
+    pruned = False
+    for roots, coroots in bases:
+        for nb in _ref_neighbors(roots, coroots, cd, odd_only):
+            if max(height(r) for r in nb[0]) > h_explore:
+                pruned = True
+                continue
+            if frozenset(nb[0]) not in visited:
+                visited.add(frozenset(nb[0]))
+                bases.append(_ref_validated(*nb, cd))
+    return bases, pruned
+
+
+# Finite types at a pruning height and at 16, where both searches close;
+# affine even searches are always pruned, and some affine odd-only ones close.
+_REFERENCE_CASES = (
+    ("A(1,2)", (2, 3, 16)),
+    ("B(2,2)", (3, 16)),
+    ("C(3)", (2, 16)),
+    ("D(2,1;1/2)", (2, 16)),
+    ("D(2,1;-5/3)", (3, 16)),
+    ("A(0,2)^(1)", (3, 5)),
+    ("B(0,1)^(1)", (4, 5)),
+    ("B(1,1)^(1)", (4, 6)),
+    ("D(2,1;1/2)^(1)", (3, 5)),
+)
+
+
+@pytest.mark.parametrize("spec,explores", _REFERENCE_CASES)
+def test_search_matches_the_full_build_reference(spec, explores):
+    cd = build(spec).cartan
+    for h_explore in explores:
+        for odd_only in (False, True):
+            bases, pruned = _search(cd, h_explore, odd_only)
+            ref, ref_pruned = _ref_search(cd, h_explore, odd_only)
+            assert pruned == ref_pruned, (spec, h_explore, odd_only)
+            assert [(b.roots, b.coroots) for b in bases] == ref, (spec, h_explore, odd_only)
+            for b in bases:
+                assert b.matrix == _ref_matrix(b.roots, b.coroots, cd)
+            if odd_only:
+                res = principal_roots(cd, h_explore)
+                assert (res.complete, res.bases_visited) == (not ref_pruned, len(ref))
+            else:
+                res = enumerate_real_roots(cd, h_explore)
+                assert res.bases_visited == len(ref)
+                assert res.complete_up_to == (None if ref_pruned else math.inf)
+
+
+def test_validate_runs_once_per_distinct_matrix(monkeypatch):
+    # and the search builds only the bases it visits
+    calls = {"validate": [], "rank": [], "built": []}
+
+    def counting(name, fn, record):
+        def wrapper(*args):
+            result = fn(*args)
+            calls[name].append(record(args, result))
+            return result
+        monkeypatch.setattr(basegraph, fn.__name__, wrapper)
+
+    counting("validate", validate, lambda args, _: (args[0].matrix, args[0].parity))
+    counting("rank", rank, lambda args, _: tuple(args[0]))
+    counting("built", odd_reflect_base, lambda args, nb: nb.roots)
+    counting("built", even_reflect_base, lambda args, nb: nb.roots)
+    cd = build("A(3,1)").cartan
+    sizes = {}
+    for odd_only in (False, True):
+        for record in calls.values():
+            record.clear()
+        bases, _ = _search(cd, 6, odd_only)
+        distinct = {(b.matrix, b.parities(cd)) for b in bases}
+        assert len(calls["validate"]) == len(set(calls["validate"])) == len(distinct)
+        assert set(calls["validate"]) == distinct
+        assert calls["rank"] == [b.roots for b in bases]
+        assert calls["built"] == [b.roots for b in bases[1:]]
+        sizes[odd_only] = (len(bases), len(distinct))
+    # the 720 bases share the 15 matrices of the odd skeleton
+    assert sizes == {False: (720, 15), True: (15, 15)}
+
+
+def test_enumerate_rejects_a_matrix_reached_only_by_reflection():
+    cd = normalize([[0, -2, 0], [-1, 0, -3], [0, -2, 0]], (1, 1, 1))
+    report = validate(cd)
+    assert report.regular and report.admissible
+    with pytest.raises(NonRegularBaseError) as exc:
+        enumerate_real_roots(cd, 4)
+    assert [list(row) for row in exc.value.matrix] == [[0, -2, 0], [-1, 2, 3], [0, -2, 0]]
+

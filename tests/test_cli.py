@@ -208,3 +208,33 @@ def test_string_window_zero_returns_on_a_non_isotropic_direction():
     body = json.loads(proc.stdout)
     assert [e["k"] for e in body["entries"]] == [0, 1, 2]
     assert body["bounds"] == {"window": 0}
+
+
+def _fresh_run(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(superroot.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "superroot", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # the parser is built once per process; each later call must behave as
+    # a fresh process would
+    for argv, expected in (
+        (["real-roots", "--type", "B(1,1)", "--height", "3", "--format", "json"], 0),
+        (["real-roots", "--type", "A(0,1)", "--height", "-1"], 2),
+        (["--version"], 0),
+        (["principal-roots", "--type", "B(1,1)^(1)", "--explore", "6", "--format", "json"], 0),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == expected, argv
+        assert (code, captured.out, captured.err) == _fresh_run(argv), argv
+
+
+def test_string_exhausted_window_exits_three(capsys):
+    # an explicit window that clips an isotropic-direction string truncates
+    # the computation: inconclusive, not a usage error
+    argv = ["string", "--type", "B(1,1)", "--alpha", "[1,0]", "--beta", "[1,2]", "--window", "0"]
+    assert main(argv) == 3
+    assert "inconclusive: isotropic-direction string still has members" in capsys.readouterr().err
