@@ -16,6 +16,7 @@ delta_p.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -37,6 +38,14 @@ FINITE = "finite"
 AFFINE = "affine"
 TWISTED4 = "twisted4"
 ROOT_COORD_BOUND = 2  # every root of every type here has |eps_i|, |delta_p| <= 2
+TABLE_LIMIT = 1 << 16  # entries per memo table of a handle; the oldest goes first
+
+
+def _remember(table: OrderedDict, key, value) -> None:
+    """Store key -> value, dropping the oldest entry when the table is full."""
+    if len(table) >= TABLE_LIMIT:
+        table.popitem(last=False)
+    table[key] = value
 
 
 @dataclass(frozen=True)
@@ -163,7 +172,11 @@ class RootSystemHandle:
     every type but D(2,1;a) with non-integral a) and ``_form`` returns D times
     the form, so isotropy and pairings never build a ``Fraction`` sum.
 
-    Immutable after construction; a handle may be shared freely.
+    Logically immutable; verdicts memoized, bounded.  ``contains_ed`` answers
+    each vector once and keeps the verdict, ``to_ed`` keeps each conversion
+    and ``is_isotropic``/``pairing`` keep D (alpha, alpha) per root; each
+    table holds at most ``TABLE_LIMIT`` entries.  A handle may be shared
+    freely.
     """
 
     def __init__(
@@ -197,7 +210,9 @@ class RootSystemHandle:
         self._simple_coords = [v.coords() for v in self.simple_ed]
         if rank(self._simple_coords) != self.rank:
             raise AssertionError("distinguished base is not linearly independent")
-        self._ed_cache: dict[tuple[int, ...], EpsDeltaVector] = {}
+        self._ed_cache: OrderedDict[tuple[int, ...], EpsDeltaVector] = OrderedDict()
+        self._verdicts: OrderedDict[tuple, bool] = OrderedDict()
+        self._norms: OrderedDict[tuple[int, ...], int] = OrderedDict()
         self._build_alpha_solver()
         self.cartan = self._build_cartan()
         self.symmetrizer = cartan_mod.symmetrizer(self.cartan)
@@ -205,14 +220,30 @@ class RootSystemHandle:
         if not report.ok():
             raise AssertionError(f"catalog base for {self.label} failed validation: {report}")
 
-    # -- family-specific ---------------------------------------------------
+    # -- membership ----------------------------------------------------------
 
     def contains_ed(self, v: EpsDeltaVector) -> bool:
+        """Is v a root?  The family rule runs once per vector; later queries hit.
+
+        Only vectors that passed the rule's dimension check are stored, so a
+        vector of the wrong shape raises on every query.
+        """
+        key = (v.eps, v.delta, v.null)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._contains(v)
+            _remember(self._verdicts, key, verdict)
+        return verdict
+
+    def _contains(self, v: EpsDeltaVector) -> bool:
+        """The family rule, after one dimension check."""
         raise NotImplementedError
 
     def is_imaginary_ed(self, v: EpsDeltaVector) -> bool:
         """Imaginary roots are the nonzero multiples of the null root."""
-        return self.contains_ed(v) and v.finite_part().is_zero()
+        return self.contains_ed(v) and not (any(v.eps) or any(v.delta))
+
+    # -- family-specific ---------------------------------------------------
 
     def real_roots_ed(self, max_degree: Optional[int] = None) -> Iterator[EpsDeltaVector]:
         raise NotImplementedError
@@ -246,16 +277,16 @@ class RootSystemHandle:
         return self._form(v, v) == 0
 
     def is_real_ed(self, v: EpsDeltaVector) -> bool:
-        return self.contains_ed(v) and not v.finite_part().is_zero()
+        return self.contains_ed(v) and (any(v.eps) or any(v.delta))
 
     def membership_classify(self, v: EpsDeltaVector) -> "MembershipReport":
-        """Bundle membership, reality, parity and isotropy for one query vector."""
-        self._check_dims(v)
+        """Bundle membership, reality, parity and isotropy from one membership query."""
         in_delta = self.contains_ed(v)
+        finite = any(v.eps) or any(v.delta)
         return MembershipReport(
             in_delta=in_delta,
-            real=in_delta and self.is_real_ed(v),
-            imaginary=in_delta and self.is_imaginary_ed(v),
+            real=in_delta and finite,
+            imaginary=in_delta and not finite,
             parity=self.parity_ed(v) if in_delta else None,
             isotropic=self.is_isotropic_ed(v) if in_delta else None,
         )
@@ -295,8 +326,18 @@ class RootSystemHandle:
                     acc[k] += c * x
         e, d = self.eps_dim, self.delta_dim
         out = EpsDeltaVector(tuple(acc[:e]), tuple(acc[e : e + d]), acc[-1])
-        self._ed_cache[key] = out
+        _remember(self._ed_cache, key, out)
         return out
+
+    def _norm(self, root: Sequence[int]) -> int:
+        """D (alpha, alpha) in integers, kept per root."""
+        key = tuple(root)
+        aa = self._norms.get(key)
+        if aa is None:
+            a = self.to_ed(key)
+            aa = self._form(a, a)
+            _remember(self._norms, key, aa)
+        return aa
 
     def to_alpha(self, v: EpsDeltaVector) -> Root:
         """Simple-root coordinates of a lattice vector; exact and unique."""
@@ -328,7 +369,7 @@ class RootSystemHandle:
         return self.parity_ed(self.to_ed(root))
 
     def is_isotropic(self, root: Sequence[int]) -> bool:
-        return self.is_isotropic_ed(self.to_ed(root))
+        return self._norm(root) == 0
 
     def is_positive(self, root: Sequence[int]) -> bool:
         return any(c != 0 for c in root) and all(c >= 0 for c in root)
@@ -338,11 +379,10 @@ class RootSystemHandle:
 
     def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> Fraction:
         """beta(h_alpha) = 2(beta,alpha)/(alpha,alpha) for non-isotropic alpha."""
-        a = self.to_ed(alpha)
-        aa = self._form(a, a)
+        aa = self._norm(alpha)
         if aa == 0:
             raise IsotropicReflectorError(f"{alpha} is isotropic; no canonical coroot pairing")
-        return Fraction(2 * self._form(self.to_ed(beta), a), aa)
+        return Fraction(2 * self._form(self.to_ed(beta), self.to_ed(alpha)), aa)
 
     def simple_roots_alpha(self) -> tuple[Root, ...]:
         return tuple(_unit(self.rank, i) for i in range(self.rank))
@@ -438,7 +478,7 @@ class FiniteHandle(RootSystemHandle):
         if not self.contains_ed(highest_root):
             raise AssertionError("highest root is not a root")
 
-    def contains_ed(self, v: EpsDeltaVector) -> bool:
+    def _contains(self, v: EpsDeltaVector) -> bool:
         self._check_dims(v)
         return v.null == 0 and self._contains_finite(v)
 
@@ -638,7 +678,7 @@ class UntwistedAffineHandle(RootSystemHandle):
             finite.parity_coeffs[:-1] + (0,), simples, parities, gauges, has_null=True,
         )
 
-    def contains_ed(self, v: EpsDeltaVector) -> bool:
+    def _contains(self, v: EpsDeltaVector) -> bool:
         self._check_dims(v)
         if not any(v.eps) and not any(v.delta):
             return v.null != 0
@@ -681,7 +721,7 @@ class TwistedA4Handle(RootSystemHandle):
             simples, parities, (Fraction(1),) * len(simples), has_null=True,
         )
 
-    def contains_ed(self, v: EpsDeltaVector) -> bool:
+    def _contains(self, v: EpsDeltaVector) -> bool:
         self._check_dims(v)
         sup = _support(v.eps + v.delta)
         r = v.null

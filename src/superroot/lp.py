@@ -1,15 +1,20 @@
 """Exact rational feasibility for small cone-membership queries.
 
-Phase-one simplex with Bland's rule over ``Fraction`` entries.  Ties cannot
-occur in exact arithmetic and Bland's rule rules out cycling, so the search
-always terminates.  Problem sizes here are tiny (a handful of roots), but an
-environment cap ``SUPERROOT_MAX_LP_VARS`` is honoured as a safety valve.
+Phase-one simplex with Bland's rule on a fraction-free integer tableau
+(Bareiss, *Math. Comp.* 1968; Edmonds, *J. Res. NBS* 1967): every entry is
+an integer, and the true tableau is the integer one divided by a common
+positive divisor d.  Ties cannot occur in exact arithmetic and Bland's rule
+rules out cycling, so the search always terminates.  Problem sizes here are
+tiny (a handful of roots), but an environment cap ``SUPERROOT_MAX_LP_VARS``
+is honoured as a safety valve.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import FeasibilitySizeError
@@ -29,10 +34,29 @@ def _max_vars() -> Optional[int]:
 def feasible_nonneg(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
     """Find x >= 0 with A x = b, or return None if the system is infeasible.
 
-    ``rows`` are the rows of A; all entries are coerced to Fraction.
+    ``rows`` are the rows of A.  Int entries are used as they are; any other
+    entry is coerced to Fraction, and then A and b are multiplied by one
+    common denominator L.  In every basis that multiplies the reduced cost
+    of each original column by L, leaves that of each artificial column
+    alone, and multiplies all the ratios of one entering column by the same
+    factor, so the pivots and the returned x are those of the rational
+    system.
+
+    The tableau is [L A | I | L b] with the phase-one objective (cost 1 on
+    the artificials, priced out) as row m, and its divisor d starts at 1.  A
+    pivot on entry pv of row r sets every other row to (pv * x - f * y) // d,
+    where f is that row's entry in the pivot column and y is the entry of
+    row r in x's column, and then sets d = pv.  The division is exact
+    (Bareiss): after any pivots, d is det B for the current basis matrix B,
+    drawn from the integer starting tableau, and by Cramer's rule each entry
+    is det B times an entry of B^-1 times that tableau, a determinant of
+    integers; row m is det B (c - c_B B^-1 [L A | I | L b]), again integral.
+    The true pivot pv / d is positive, so d stays positive, and signs and
+    cross-multiplied ratios are read off the integers.  Each basic x_j is
+    Fraction(rhs, d).
     """
-    a = [[Fraction(x) for x in r] for r in rows]
-    rhs = [Fraction(x) for x in b]
+    a = [[x if type(x) is int else Fraction(x) for x in r] for r in rows]
+    rhs = [x if type(x) is int else Fraction(x) for x in b]
     m = len(a)
     n = len(a[0]) if m else 0
     cap = _max_vars()
@@ -42,55 +66,67 @@ def feasible_nonneg(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Frac
         return []
     if n == 0:
         return [] if all(x == 0 for x in rhs) else None
+    den = lcm(*(x.denominator for x in chain(rhs, *a) if type(x) is not int))
+    if den != 1:
+        a = [[int(x * den) for x in r] for r in a]
+        rhs = [int(x * den) for x in rhs]
 
     # Orient rows so the right-hand side is nonnegative, append artificials.
+    total = n + m
     tab = []
     for i in range(m):
-        row = a[i][:] if rhs[i] >= 0 else [-x for x in a[i]]
-        r = rhs[i] if rhs[i] >= 0 else -rhs[i]
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
+        row, r = (a[i], rhs[i]) if rhs[i] >= 0 else ([-x for x in a[i]], -rhs[i])
+        art = [0] * m
+        art[i] = 1
         tab.append(row + art + [r])
+    objective = [-sum(col) for col in zip(*tab)]
+    objective[n:total] = [0] * m
+    tab.append(objective)
     basis = [n + i for i in range(m)]
-    total = n + m
-
-    def reduced_cost(j: int) -> Fraction:
-        # Cost 1 on artificial columns, 0 on the originals.
-        c = Fraction(1) if j >= n else Fraction(0)
-        return c - sum(
-            (tab[i][j] for i in range(m) if basis[i] >= n), Fraction(0)
-        )
+    d = 1
 
     while True:
-        enter = next((j for j in range(total) if j not in basis and reduced_cost(j) < 0), None)
+        # Basic columns have reduced cost 0, so the first negative one is
+        # Bland's entering column.
+        cost = tab[m]
+        enter = next((j for j in range(total) if cost[j] < 0), None)
         if enter is None:
             break
         # Ratio test, Bland tie-break on the smallest leaving basis index.
         leave = None
-        best: Optional[Fraction] = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            y = tab[i][enter]
+            if y > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tab[i][total] * tab[leave][enter]
+                best = tab[leave][total] * y
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             # Unbounded direction in phase one cannot occur (costs >= 0).
             raise AssertionError("phase-one simplex became unbounded")
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv if x else x for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        prow = tab[leave]
+        pv = prow[enter]
+        for i, row in enumerate(tab):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                tab[i] = [(pv * x - f * y) // d for x, y in zip(row, prow)]
+            elif pv != d:
+                tab[i] = [pv * x // d for x in row]
+        d = pv
         basis[leave] = enter
 
-    objective = sum((tab[i][total] for i in range(m) if basis[i] >= n), Fraction(0))
-    if objective != 0:
+    # Row m's right-hand side is -d times the sum of the artificials.
+    if tab[m][total] != 0:
         return None
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][total]
+            x[basis[i]] = Fraction(tab[i][total], d)
     return x
 
 

@@ -292,3 +292,65 @@ def test_affine_contains_ed_checks_dimensions_once(monkeypatch):
             fin = ED(v.eps, v.delta)
             assert verdict == (h.finite.contains_ed(fin) if any(v.eps + v.delta)
                                else v.null != 0), (spec, v)
+
+
+_MEMO_SPECS = ["A(0,1)", "A(1,2)", "B(0,1)", "B(1,1)", "B(2,1)", "C(3)", "D(2,1)", "D(3,1)",
+               "D(2,1;1/2)", "D(2,1;-5/3)"]
+_MEMO_SPECS += [s + "^(1)" for s in _MEMO_SPECS] + ["A(2,2)^(4)"]
+
+
+def test_memoized_verdicts_equal_the_family_rule(monkeypatch):
+    # the rule runs once per vector: misses and hits give the rule's verdict
+    from superroot.errors import DimensionMismatchError
+
+    for spec in _MEMO_SPECS:
+        h, ref = build(spec), build(spec)
+        e, d = h.eps_dim, h.delta_dim
+        queries = [ED(c[:e], c[e:], r) for c in _grid(e + d)
+                   for r in ((-2, 0, 1) if h.has_null else (0,))]
+        expected = [ref._contains(v) for v in queries]
+        rule = h._contains
+        ran = []
+        monkeypatch.setattr(h, "_contains", lambda v: ran.append(v) or rule(v))
+        assert [h.contains_ed(v) for v in queries] == expected, spec
+        # a finite handle has answered for its highest root while being built
+        assert len(queries) - 1 <= len(ran) <= len(queries), spec
+        del ran[:]
+        assert [h.contains_ed(v) for v in queries] == expected, spec
+        assert not ran, spec
+        bad = [ED((0,) * (e + 1), (0,) * d), ED((1,) * e, (0,) * (d + 1), 1)]
+        if not h.has_null:
+            bad.append(ED(queries[1].eps, queries[1].delta, 1))
+        for v in bad * 2:
+            with pytest.raises(DimensionMismatchError):
+                h.contains_ed(v)
+        assert [h.contains_ed(v) for v in queries[:50]] == expected[:50], spec
+
+
+def test_bounded_tables_keep_their_verdicts(monkeypatch):
+    # a stream over the B(1,1)^(1) degree-2 grid: with the tables capped at
+    # 8 entries, every answer is that of an unbounded handle
+    from superroot import catalog
+
+    unbounded = build("B(1,1)^(1)")
+    queries = [ED(c[:1], c[1:], r) for c in _grid(2) for r in range(-2, 3)]
+    alpha0 = unbounded.simple_roots_alpha()[0]
+
+    def stream(h):
+        out, sizes = [], []
+        for v in queries * 2:
+            alpha = h.to_alpha(v)
+            answers = [h.contains_ed(v), h.contains(alpha), h.is_real(alpha), h.is_imaginary(alpha)]
+            if h.is_real(alpha):
+                iso = h.is_isotropic(alpha)
+                answers += [iso, None if iso else h.pairing(alpha0, alpha)]
+            out.append(answers)
+            sizes.append(max(len(h._ed_cache), len(h._verdicts), len(h._norms)))
+        return out, max(sizes)
+
+    expected, largest = stream(unbounded)
+    assert largest > 100
+    monkeypatch.setattr(catalog, "TABLE_LIMIT", 8)
+    got, largest = stream(build("B(1,1)^(1)"))
+    assert got == expected
+    assert largest == 8

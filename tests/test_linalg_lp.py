@@ -69,3 +69,100 @@ def test_env_cap(monkeypatch):
             feasible_nonneg([[1, 1, 1]], [1])
     monkeypatch.delenv("SUPERROOT_MAX_LP_VARS")
     assert feasible_nonneg([[1, 1, 1]], [1]) is not None
+
+
+def _reference_feasible_nonneg(rows, b):
+    # the Fraction-tableau phase-one simplex that the integer tableau replaced:
+    # Bland's rule, reduced costs summed afresh on every iteration
+    a = [[Q(x) for x in r] for r in rows]
+    rhs = [Q(x) for x in b]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if m == 0:
+        return []
+    if n == 0:
+        return [] if all(x == 0 for x in rhs) else None
+    tab = []
+    for i in range(m):
+        row = a[i][:] if rhs[i] >= 0 else [-x for x in a[i]]
+        art = [Q(0)] * m
+        art[i] = Q(1)
+        tab.append(row + art + [abs(rhs[i])])
+    basis = [n + i for i in range(m)]
+    total = n + m
+
+    def reduced_cost(j):
+        c = Q(1) if j >= n else Q(0)
+        return c - sum((tab[i][j] for i in range(m) if basis[i] >= n), Q(0))
+
+    while True:
+        enter = next((j for j in range(total) if j not in basis and reduced_cost(j) < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][total] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        pv = tab[leave][enter]
+        tab[leave] = [x / pv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        basis[leave] = enter
+    if sum((tab[i][total] for i in range(m) if basis[i] >= n), Q(0)) != 0:
+        return None
+    x = [Q(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][total]
+    return x
+
+
+def _random_system(rng, kind):
+    m, n = rng.randint(1, 4), rng.randint(1, 7)
+    if kind == "int":
+        entry = lambda: rng.randint(-3, 3)
+    else:
+        entry = lambda: Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    shape = rng.choice(("feasible", "degenerate", "zero", "free", "free"))
+    if shape == "feasible":
+        # b = A x for a nonnegative x: feasible by construction
+        x = [rng.randint(0, 3) for _ in range(n)]
+        b = [sum(c * v for c, v in zip(r, x)) for r in rows]
+    elif shape == "degenerate":
+        # a repeated row and a point with zeros: degenerate vertices
+        rows.append(list(rows[0]))
+        x = [rng.choice((0, 0, 1)) for _ in range(n)]
+        b = [sum(c * v for c, v in zip(r, x)) for r in rows]
+    elif shape == "zero":
+        b = [0] * m
+    else:
+        b = [entry() for _ in range(m)]
+    return rows, b
+
+
+def test_integer_tableau_equals_the_fraction_tableau():
+    # seeded random systems, int and non-integral Fraction entries; the
+    # solution, not only feasibility, must match the Fraction simplex
+    import random
+
+    rng = random.Random(20240917)
+    outcomes = {"int": [0, 0], "frac": [0, 0]}
+    for _ in range(1500):
+        kind = rng.choice(("int", "frac"))
+        rows, b = _random_system(rng, kind)
+        got = feasible_nonneg(rows, b)
+        assert got == _reference_feasible_nonneg(rows, b), (rows, b)
+        outcomes[kind][got is None] += 1
+        if got is not None:
+            assert all(type(x) is Q and x >= 0 for x in got)
+            assert all(sum(Q(c) * x for c, x in zip(r, got)) == rhs for r, rhs in zip(rows, b))
+    # both kinds of input reach both verdicts
+    assert all(feasible > 100 and infeasible > 100 for feasible, infeasible in outcomes.values())
+    # infeasible with rational data, on one pivot from a divisor above 1
+    assert feasible_nonneg([[Q(1, 2), Q(1, 3)]], [Q(-1, 6)]) is None
+    assert feasible_nonneg([[Q(1, 2), Q(1, 3)], [Q(1, 4), 0]], [Q(5, 6), Q(1, 4)]) == [Q(1), Q(1)]
