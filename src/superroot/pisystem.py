@@ -125,6 +125,11 @@ class ClosureResult:
         return self.status == STABILIZED
 
 
+def _sign_class(r: Root) -> Root:
+    # the representative of {r, -r}
+    return max(r, rs.neg(r))
+
+
 def closure_S_infinity(
     seed: RootSet, height_bound: Optional[int] = None, max_rounds: int = 64
 ) -> ClosureResult:
@@ -142,6 +147,16 @@ def closure_S_infinity(
     pair were reflected every round.  In round 1 every root is new, so all
     pairs are reflected; S_0 need not lie in S_1, as the seed may hold roots
     above the bound.
+
+    From round 2 on the pairs are taken on sign classes {r, -r}.  Every S_k
+    with k >= 1 is symmetric: F(S) is, and so is the height window.  For a
+    non-isotropic a, s_{-a} = s_a and s_a(-b) = -s_a(b), so the four sign
+    choices of a class pair give only +-s_a(b): one reflection.  For an
+    isotropic a, s_{-a}(+-b) = -s_a(-+b), so they give +-s_a(b) and
+    +-s_a(-b): two reflections.  A class is new when either of its members
+    is new, which keeps every pair that the semi-naive rule keeps.  Round 1
+    reflects the ordered pairs of S_0 itself, as S_0 need not be symmetric:
+    -a or -b may be missing from it, and s_a(-b) then need not lie in F(S_0).
     """
     handle = seed.handle
     if height_bound is None and not handle.is_finite:
@@ -151,14 +166,17 @@ def closure_S_infinity(
         twice = rs.scale(2, r)
         if handle.is_real(twice):
             s0.add(twice)
-    current = new = frozenset(s0)
+    current = reps = fresh = frozenset(s0)
     discarded = False
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
         nxt = set(current)
-        for a in current:
-            for b in current if a in new else new:
+        for a in reps:
+            betas = reps if a in fresh else fresh
+            if rounds > 1 and handle.is_isotropic(a):
+                betas = [x for b in betas for x in (b, rs.neg(b))]
+            for b in betas:
                 r = reflect(handle, a, b)
                 nxt.add(r)
                 nxt.add(rs.neg(r))
@@ -171,7 +189,8 @@ def closure_S_infinity(
         if nxt == current:
             status = TRUNCATED if discarded else STABILIZED
             return ClosureResult(RootSet(current, handle), status, rounds)
-        new = nxt - current
+        reps = frozenset(map(_sign_class, nxt))
+        fresh = frozenset(map(_sign_class, nxt - current))
         current = nxt
     return ClosureResult(RootSet(current, handle), TRUNCATED, rounds)
 

@@ -443,3 +443,30 @@ def test_enumerate_rejects_a_matrix_reached_only_by_reflection():
         enumerate_real_roots(cd, 4)
     assert [list(row) for row in exc.value.matrix] == [[0, -2, 0], [-1, 2, 3], [0, -2, 0]]
 
+
+_CATALOG_TYPES = (
+    "A(0,1)", "A(0,2)", "A(0,3)", "A(1,2)", "B(0,1)", "B(0,2)", "B(0,3)", "B(1,1)",
+    "B(1,2)", "B(1,3)", "B(2,1)", "B(2,2)", "B(3,1)", "C(2)", "C(3)", "C(4)", "D(2,1)",
+    "D(2,2)", "D(3,1)", "D(2,1;2)", "D(2,1;1/2)",
+    "A(0,1)^(1)", "B(0,1)^(1)", "B(0,2)^(1)", "B(1,1)^(1)", "C(2)^(1)", "A(2,2)^(4)",
+)
+# the catalog roots of height <= 6 that a search pruned at height 6 misses:
+# every path of bases to them passes a base that holds a root above height 6
+_PRUNED_MISSES = {
+    "B(0,1)^(1)": {(2, 3), (-2, -3)},
+    "B(0,2)^(1)": {(1, 2, 3), (-1, -2, -3)},
+}
+
+
+@pytest.mark.parametrize("spec", _CATALOG_TYPES)
+def test_search_agrees_with_the_catalog_at_height_6(spec):
+    # a complete search finds every catalog root; a pruned one finds only
+    # catalog roots, and misses exactly the pinned ones
+    h = build(spec)
+    res = enumerate_real_roots(h.cartan, 6)
+    catalog = set(h.real_roots(max_height=6))
+    if res.complete_up_to == math.inf:
+        assert set(res.roots) == catalog
+    else:
+        assert set(res.roots) <= catalog
+        assert catalog - set(res.roots) == _PRUNED_MISSES.get(spec, set())

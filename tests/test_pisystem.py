@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from superroot import pisystem
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
 from superroot.errors import NotARealRootError, NotClosedError, SuperrootError
@@ -329,8 +331,9 @@ def test_verify_dynkin_rejects_non_pi_input():
         verify_dynkin_maps(root_set(h, [(-1, 0)]))
 
 
-def _all_pairs_closure(seed, height_bound=None, max_rounds=64):
-    # the reference round map: reflect every pair of the current set each round
+def _all_pairs_closure(seed, height_bound=None, max_rounds=64, trail=None):
+    # the reference round map: reflect every pair of the current set each round;
+    # ``trail`` receives the set that each round starts from
     handle = seed.handle
     current = set(seed.elements)
     current |= {rs.scale(2, r) for r in seed.elements if handle.is_real(rs.scale(2, r))}
@@ -339,6 +342,8 @@ def _all_pairs_closure(seed, height_bound=None, max_rounds=64):
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
+        if trail is not None:
+            trail.append(current)
         nxt = set()
         for a in current:
             for b in current:
@@ -373,6 +378,12 @@ def _closure_cases():
         ("seed above the bound", root_set(b11, [high, b11.simple_roots_alpha()[1]]),
          rs.height(high) - 1, 64),
         ("round cap", root_set(b11, b11.simple_roots_alpha()), 40, 3),
+        # reflecting S_0 by sign classes in round 1 changes both closures, and so
+        # does one reflection per class pair for an isotropic reflector
+        ("A(1,2)^(1) mixed signs, height 4",
+         root_set(a12, [(-1, -1, 0, -1, -1), (-1, 0, 0, -1, -1), (0, 0, -1, 0, 0)]), 4, 64),
+        ("A(1,2)^(1) mixed signs, height 6",
+         root_set(a12, [(-1, -2, -2, -2, -2), (0, 1, 1, 0, 0), (0, 1, 1, 1, 0)]), 6, 64),
     ]
 
 
@@ -382,6 +393,69 @@ def test_semi_naive_closure_matches_all_pairs_rounds(case):
     result = closure_S_infinity(seed, bound, max_rounds)
     roots, status, rounds = _all_pairs_closure(seed, bound, max_rounds)
     assert (result.roots.elements, result.status, result.rounds) == (roots, status, rounds)
+
+
+_DIFFERENTIAL_FINITE = ("A(1,2)", "B(2,1)", "B(1,2)", "C(3)", "D(2,1;2)")
+_DIFFERENTIAL_AFFINE = ("B(1,1)^(1)", "A(0,1)^(1)", "A(0,2)^(1)", "A(2,2)^(4)", "C(2)^(1)",
+                        "B(0,1)^(1)", "A(1,2)^(1)", "C(3)^(1)", "D(2,1;1/2)^(1)")
+
+
+def _random_closure_cases():
+    # seeds of 1 to 3 real roots of either sign, some of them above the bound
+    rng = random.Random(7)
+    cases = []
+    for spec in _DIFFERENTIAL_FINITE + _DIFFERENTIAL_AFFINE:
+        h = build(spec)
+        bounds = (None, 2, 3, 4, 6) if h.is_finite else (3, 4, 6, 8)
+        for bound in bounds:
+            pool = h.real_roots() if h.is_finite else h.real_roots(max_height=bound + 1)
+            for max_rounds in (64, 2):
+                for size in (1, 1, 2, 2, 3, 3):
+                    seed = root_set(h, rng.sample(pool, size))
+                    cases.append((f"{spec} {seed.sorted()} {bound} {max_rounds}",
+                                  seed, bound, max_rounds))
+    return cases
+
+
+def test_sign_class_closure_matches_all_pairs_on_random_seeds():
+    for name, seed, bound, max_rounds in _random_closure_cases():
+        result = closure_S_infinity(seed, bound, max_rounds)
+        expected = _all_pairs_closure(seed, bound, max_rounds)
+        assert (result.roots.elements, result.status, result.rounds) == expected, name
+
+
+def _class_pair_count(seed, height_bound, max_rounds=64):
+    # the reflections that the sign-class argument needs: every ordered pair
+    # of S_0 in round 1; after that, for each pair of classes of which at
+    # least one is new, one for a non-isotropic reflector, two for an
+    # isotropic one
+    handle = seed.handle
+    trail = []
+    _all_pairs_closure(seed, height_bound, max_rounds, trail)
+    count = len(trail[0]) ** 2
+    for prev, cur in zip(trail, trail[1:]):
+        classes = {max(r, _neg(r)) for r in cur}
+        fresh = {max(r, _neg(r)) for r in cur - prev}
+        for a in classes:
+            count += (2 if handle.is_isotropic(a) else 1) * len(classes if a in fresh else fresh)
+    return count
+
+
+def test_closure_reflects_once_per_class_pair(monkeypatch):
+    calls = []
+
+    def counting(handle, alpha, beta):
+        calls.append((alpha, beta))
+        return reflect(handle, alpha, beta)
+
+    monkeypatch.setattr(pisystem, "reflect", counting)
+    # reflecting every ordered pair each round takes 25 600 and 57 600 calls
+    for spec, bound, count in (("B(1,1)^(1)", 40, 8969), ("A(1,2)^(1)", 30, 23065)):
+        h = build(spec)
+        seed = root_set(h, h.simple_roots_alpha())
+        calls.clear()
+        closure_S_infinity(seed, bound)
+        assert len(calls) == _class_pair_count(seed, bound) == count, spec
 
 
 def test_closure_cases_cover_the_truncation_paths():
