@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import runpy
@@ -238,3 +239,133 @@ def test_string_exhausted_window_exits_three(capsys):
     argv = ["string", "--type", "B(1,1)", "--alpha", "[1,0]", "--beta", "[1,2]", "--window", "0"]
     assert main(argv) == 3
     assert "inconclusive: isotropic-direction string still has members" in capsys.readouterr().err
+
+
+# Every subcommand in text and JSON, with exit codes 0-3, `--version` and
+# argparse usage errors: (argv, exit code, sha256 of stdout).  The usage
+# errors pin stderr instead, since argparse lists the flags in the order
+# they were registered.
+_PINNED_STDOUT = [
+    (['--version'],
+     0, "8abd5a8637699fb169a43bda40d429aef68e443293c4d079fa1de6c077146b01"),
+    (['validate', '--type', 'A(0,1)'],
+     0, "d83d7f9603f10eac1c521f9b91d5602950e37927b2bb9c63fa573f76f39b7f99"),
+    (['validate', '--type', 'A(0,1)', '--format', 'json'],
+     0, "b74c317a685d9392017913d7fa262f4566d19c46f9469ff7761d61f544497d3d"),
+    (['validate', '--matrix-json', '{"matrix": [[2, -1], [-1, 2]], "parity": [1, 0]}'],
+     1, "5cad431ca68c5fbeb3b39eeb4ddfd64cbcb5c622e4eb73172f1f97999ce87314"),
+    (['validate', '--matrix-json', '{"matrix": [[2, -1], [-1, 2]], "parity": [1, 0]}', '--format', 'json'],
+     1, "6bd218df09de0b97359365a0075964ae9c26b0fc6be4e72c1adff766693543c7"),
+    (['real-roots', '--type', 'B(1,1)', '--height', '3'],
+     0, "f08eada9a2dca758028c1a222f2145141b9180037f9d809651c1a29a25d2d26c"),
+    (['real-roots', '--type', 'B(1,1)', '--height', '3', '--format', 'json'],
+     0, "e9620c7f30421127ee5f60b83f1fa8e93eef627012654abdc336b90383b9b5ee"),
+    (['real-roots', '--type', 'A(0,1)^(1)', '--height', '3', '--explore', '4'],
+     0, "dd66e3e7de51bfde38dab079404f61c0b0c890e58bd44d4fcb34ef6dd4a59fc2"),
+    (['real-roots', '--type', 'A(0,1)^(1)', '--height', '3', '--explore', '4', '--format', 'json'],
+     0, "a5a36af89ac2ec77a2312228000be6f24406a2d7b72e68a609fb3799d6917455"),
+    (['principal-roots', '--type', 'B(1,1)^(1)', '--explore', '6'],
+     0, "b939b998f1f54114c920706cb73116eb009cca20aabc2de0cc44b02166b216dc"),
+    (['principal-roots', '--type', 'B(1,1)^(1)', '--explore', '6', '--format', 'json'],
+     0, "f3502ba030c1b557c7184ceb926b1d28d9af4dd920f55b54246de8c1c3c74b8a"),
+    (['pi-check', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1]]'],
+     0, "a7fa4d0c842398d83e594daba753f3da50b5978905179c78f5e773a9e16de139"),
+    (['pi-check', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1]]', '--format', 'json'],
+     0, "d8c4275666faa81d6a49498fde2b71b8ef75001bebe7f8407ba3b303f60e2e56"),
+    (['pi-check', '--type', 'A(0,1)', '--roots', '[[1,0],[1,1]]'],
+     1, "74128841f20c14648aeb384132ed585d03eab933d410a47bbc535726841cbabf"),
+    (['pi-check', '--type', 'A(0,1)', '--roots', '[[1,0],[1,1]]', '--format', 'json'],
+     1, "66b94f7632f77855de1d427c83be58120c5bc8bd0562cb1f77922e9577a6c4dd"),
+    (['closure', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1]]'],
+     0, "9db80d7c217c6b822ba154e7747972edb6ddd2f86ee18b02ab90c8c7d99011cd"),
+    (['closure', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1]]', '--format', 'json'],
+     0, "215a6584c3af4d8a282dfa09a94883fca2e2736a49d1ec70db5fc98f873132ee"),
+    (['closure', '--type', 'B(1,1)^(1)', '--roots', '[[0,0,1],[1,2,1]]', '--height', '8'],
+     3, "5094ad9e11a2fd379af2c73498f803fbcee61540c130e82624a43d42c0a32f82"),
+    (['closure', '--type', 'B(1,1)^(1)', '--roots', '[[0,0,1],[1,2,1]]', '--height', '8', '--format', 'json'],
+     3, "3aac8aa0d4d201cffafa63f3511380ec273a002d36167f1d86d3e907ca57cd96"),
+    (['classify-subset', '--type', 'A(0,1)', '--roots', '[[1,0],[-1,0]]'],
+     0, "df0c057f4958e7fe01a1a2e6a2819e140aa61c4ee3eff9b185ac83bcf1d3e968"),
+    (['classify-subset', '--type', 'A(0,1)', '--roots', '[[1,0],[-1,0]]', '--format', 'json'],
+     0, "3506b6656a9ac6a3cd5880cd18110bd49d4c84cd85149bd19d1736391ad5965e"),
+    (['pi-of-psi', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1],[1,1],[-1,0],[0,-1],[-1,-1]]'],
+     0, "64a4e264d2470bbef37f5f3800d25ecfd80598d47e46566aa6f09da98f287922"),
+    (['pi-of-psi', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1],[1,1],[-1,0],[0,-1],[-1,-1]]', '--format', 'json'],
+     0, "6dfb374d1d3e125600ea2f1bc9235b5b0d8398bd3eee772bc272dfa1e352c0e2"),
+    (['real-roots', '--matrix-json', '{"matrix": [[0, 1], ["-1/2", 1]], "parity": [1, 0]}', '--height', '2'],
+     0, "e580976c9ab24e35f52668985a8531326be839c36d7957b028d5fba97461db84"),
+    (['real-roots', '--matrix-json', '{"matrix": [[0, 1], ["-1/2", 1]], "parity": [1, 0]}', '--height', '2', '--format', 'json'],
+     0, "d6141380d26dd9bff802a106b4e3f03566de438d2d0c3d6f4eb0e37e021ed6fd"),
+    (['admits-pi', '--type', 'B(1,1)^(1)', '--roots', '[[0,1,0],[0,-1,0],[1,3,2],[-1,-3,-2]]', '--height', '40'],
+     0, "d57eca0561d9cf4a9e877429a12796a5672addb6e2c85a85b2443db9832b7029"),
+    (['admits-pi', '--type', 'B(1,1)^(1)', '--roots', '[[0,1,0],[0,-1,0],[1,3,2],[-1,-3,-2]]', '--height', '40', '--format', 'json'],
+     0, "64a3b5daad1713e377802c9379ae8541b9230523e87fd6b48424c4c127c8d393"),
+    (['admits-pi', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1],[1,1],[-1,0],[0,-1],[-1,-1]]'],
+     0, "738c5c71f9c6a867898283bfb0299ccd652ba8a2b59dd31e664ea1fcb10266a4"),
+    (['admits-pi', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1],[1,1],[-1,0],[0,-1],[-1,-1]]', '--format', 'json'],
+     0, "087a65b1305b9111dfeeac56e6e3c83e95cbaaab8762b879f99c673adc75ffb1"),
+    (['verify-dynkin', '--type', 'A(0,1)', '--sigma', '[[1,0],[0,1]]'],
+     0, "693ae059d89e24bd5343ecad6e9a0599edd3fcc19b41f10135496c60b39581e3"),
+    (['verify-dynkin', '--type', 'A(0,1)', '--sigma', '[[1,0],[0,1]]', '--format', 'json'],
+     0, "433c699c2ab25bb6f31fde7c98858757096432b2a92bf756737a617722f37a5d"),
+    (['string', '--type', 'B(1,1)^(1)', '--alpha', '[0,0,1]', '--beta', '[1,2,1]'],
+     0, "51b817aed874ed3356569dded4217b9ceeb89a9b48e5b40dd62041cf2856ed38"),
+    (['string', '--type', 'B(1,1)^(1)', '--alpha', '[0,0,1]', '--beta', '[1,2,1]', '--format', 'json'],
+     0, "df1940b4e171b44000f6551990ab0811e25640f420b1db8960c72ba3455c8a18"),
+    (['string', '--type', 'B(1,1)', '--alpha', '[1,0]', '--beta', '[1,2]', '--window', '0'],
+     3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (['string', '--type', 'B(1,1)', '--alpha', '[1,0]', '--beta', '[1,2]', '--window', '0', '--format', 'json'],
+     3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (['string-sweep', '--type', 'B(1,1)', '--height', '6'],
+     0, "b35cc07a4a19b05973377adb5e6552e5a292b6391fa65ddf3374427290ebc042"),
+    (['string-sweep', '--type', 'B(1,1)', '--height', '6', '--format', 'json'],
+     0, "ffa4fb7d80bbb9c52cd653b4d0622fdfa93276dda219322f35eae6a2e1685c89"),
+    (['verify', 'main-theorem', '--type', 'B(0,1)', '--sigma', '[[1]]'],
+     0, "919db204236b9b1e37e85c866928d4093bba0952904ca4691e9a0d32d5508f2d"),
+    (['verify', 'main-theorem', '--type', 'B(0,1)', '--sigma', '[[1]]', '--format', 'json'],
+     0, "5efedf4e19e3916518830226ee459dc3448b65c44e2a180552d2e9b09d85de2e"),
+    (['verify', 'bracket-criteria', '--type', 'A(0,1)', '--sigma', '[[1,0],[0,1]]'],
+     0, "bf13029cf8ca8544687e0cc4fb9e849fcbd112bb9b01b1187dcb8e05ad7ded28"),
+    (['verify', 'bracket-criteria', '--type', 'A(0,1)', '--sigma', '[[1,0],[0,1]]', '--format', 'json'],
+     0, "f6f4f19513d7b642b0519b4b29e02cf14659a562cdaf6f8ca1ff25d250cc9202"),
+    (['replay-examples'],
+     0, "01af43fec750a4db036de706cec71f98b4d28643f6944744128521822fdd7a73"),
+    (['replay-examples', '--format', 'json'],
+     0, "2473e69faec2c87393f059c3a79a20fe0d60624484a0f8fdb7554ad50550c41f"),
+    (['pi-check', '--roots', '[[1,0]]'],
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (['pi-check', '--roots', '[[1,0]]', '--format', 'json'],
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (['real-roots', '--matrix-json', '{"matrix": [[2, 0], [0, 2]], "parity": [0, 0]}', '--height', '3'],
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (['real-roots', '--matrix-json', '{"matrix": [[2, 0], [0, 2]], "parity": [0, 0]}', '--height', '3', '--format', 'json'],
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+_PINNED_USAGE_STDERR = [
+    ([],
+     2, "c81f3cb05df9318239e425e2832425b5022c96e1e30020865ec3f2ef9ee423b8"),
+    (['bogus'],
+     2, "249c768c0c56fe1d08c9ef7c86bf670244eadc8e379f36a6ee52edd4419c57b0"),
+    (['verify'],
+     2, "ba8f9fb5ba313b4eb9a062abafadd299287c1300d015f9bbf89ac61e6a649c3e"),
+    (['verify', 'main-theorem', '--type', 'B(0,1)'],
+     2, "2efd64430df4542cfae55bd46a54b694eef47bf5c88381876f56639e3444a336"),
+    (['real-roots', '--type', 'A(0,1)'],
+     2, "5f7b4b3120e78883a9943d3a7508b6f7c4e38fe86f52588dbca3c783c240be93"),
+    (['closure', '--type', 'A(0,1)', '--roots', '[[1,0]]', '--max-rounds', '0'],
+     2, "484a839c7efb7fff58cab4a863638823f8803e7302b47b02e5ffcd00d9c83fe7"),
+    (['string-sweep', '--format', 'xml'],
+     2, "852f625f805e5d1277d9a5f3d215f69a1b30a80530814e270531d075e6dc44cb"),
+    (['replay-examples', '--type', 'A(0,1)'],
+     2, "92a7b9d53becf82b49988593a02b719969fe4ee365329d6df59501bba50311a8"),
+]
+
+
+def test_certificates_match_the_pinned_digests(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    for table, stream in ((_PINNED_STDOUT, "out"), (_PINNED_USAGE_STDERR, "err")):
+        for argv, expected_code, expected_digest in table:
+            code = main(argv)
+            text = getattr(capsys.readouterr(), stream)
+            assert (code, hashlib.sha256(text.encode()).hexdigest()) == (expected_code, expected_digest), (argv, text)
