@@ -59,9 +59,6 @@ class Base:
     def root_set(self) -> frozenset[Root]:
         return frozenset(self.roots)
 
-    def cartan_matrix(self, cd: CartanData) -> tuple[tuple[Fraction, ...], ...]:
-        return self.matrix
-
     def parities(self, cd: CartanData) -> tuple[int, ...]:
         return tuple(cd.root_parity(r) for r in self.roots)
 

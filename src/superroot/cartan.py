@@ -9,12 +9,13 @@ regularity test checks that vanishing is symmetric.  All indices are 0-based.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import DimensionMismatchError, ZeroMatrixError
-from .linalg import Mat, frac, mat
+from .errors import DimensionMismatchError, SuperrootError, ZeroMatrixError
+from .linalg import Mat, mat
 
 
 class RankOneType(enum.Enum):
@@ -179,14 +180,29 @@ def rank_one_type(cd: CartanData, i: int) -> RankOneType:
     raise ValueError("Cartan data is not normalized")
 
 
+def _json_entry(x) -> Fraction:
+    """A matrix entry: a JSON int (not a bool) or a "p/q" string."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", x):
+        return Fraction(x)
+    raise SuperrootError(f'matrix entries must be integers or "p/q" strings, got {x!r}')
+
+
 def cartan_from_json(obj: dict) -> CartanData:
-    """Parse {"matrix": [[...]], "parity": [...]} with rationals as "p/q"."""
-    if "matrix" not in obj or "parity" not in obj:
-        raise ValueError('expected keys "matrix" and "parity"')
-    return normalize(
-        [[frac(x) for x in row] for row in obj["matrix"]],
-        [int(p) for p in obj["parity"]],
-    )
+    """Parse {"matrix": [[...]], "parity": [...]} with rationals as "p/q".
+
+    Nothing is coerced: the matrix is a square list of lists of JSON
+    ints or "p/q" strings, and each parity is the int 0 or 1.
+    """
+    if not isinstance(obj, dict) or "matrix" not in obj or "parity" not in obj:
+        raise SuperrootError('expected an object with keys "matrix" and "parity"')
+    rows, parity = obj["matrix"], obj["parity"]
+    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != len(rows) for r in rows):
+        raise SuperrootError(f"the matrix must be a square list of lists, got {rows!r}")
+    if not isinstance(parity, list) or any(type(p) is not int or p not in (0, 1) for p in parity):
+        raise SuperrootError(f"parities must be a list of the integers 0 and 1, got {parity!r}")
+    return normalize([[_json_entry(x) for x in row] for row in rows], parity)
 
 
 def cartan_to_json(cd: CartanData) -> dict:

@@ -5,6 +5,10 @@ failure (witnesses are printed), 2 on usage errors, 3 when a truncated
 computation can only answer "inconclusive".  Certificates embed the tool
 version, the type spec and all bounds so that truncation-dependent output is
 reproducible.  Output ordering is lexicographic on coordinates throughout.
+
+A subcommand is added by one entry of ``_COMMANDS``: its help, its flags and
+a runner ``args -> (body, text_lines, exit_code)``; the parser, certificate
+header, output and exit-code mapping are shared.
 """
 
 from __future__ import annotations
@@ -14,20 +18,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import __version__, basegraph, oracle, pisystem as ps, replay, rootstring
-from .cartan import cartan_from_json, cartan_to_json, validate
+from .cartan import cartan_from_json, cartan_to_json, symmetrizer, validate
 from .catalog import build
-from .errors import (
-    BrokenStringError,
-    InconclusiveError,
-    NonRegularBaseError,
-    PatternViolationError,
-    SuperrootError,
-    UnsupportedTypeError,
-)
+from .errors import (BrokenStringError, InconclusiveError, NonRegularBaseError,
+                     PatternViolationError, SuperrootError)
+from .rootspace import bilinear
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,63 +32,42 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-@dataclass
-class Command:
-    """Parsed invocation: subcommand, type spec, inputs, bounds, format."""
-
-    subcommand: str
-    type_spec: Optional[str]
-    args: argparse.Namespace
-
-    @property
-    def fmt(self) -> str:
-        return self.args.format
-
-
 def _load_json_arg(raw: str):
     """Accept inline JSON or a path to a JSON file."""
     if raw is None:
         return None
     if os.path.exists(raw):
-        with open(raw) as fh:
-            return json.load(fh)
+        try:
+            with open(raw) as fh:
+                return json.load(fh)
+        except OSError as exc:
+            raise SuperrootError(f"cannot read {raw!r}: {exc}")
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SuperrootError(f"not valid JSON and not a readable file: {raw!r} ({exc})")
 
 
-def _certificate(cmd: Command, bounds: dict, body: dict) -> dict:
-    return {
-        "tool": "superroot",
-        "version": __version__,
-        "type": cmd.type_spec,
-        "bounds": bounds,
-        **body,
-    }
-
-
-def _emit(cmd: Command, payload: dict, text_lines: list[str]) -> None:
-    if cmd.fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cartan_of(cmd: Command):
-    if cmd.type_spec:
-        return build(cmd.type_spec).cartan
-    obj = _load_json_arg(cmd.args.matrix_json)
+def _cartan_of(args):
+    if args.type:
+        return build(args.type).cartan
+    obj = _load_json_arg(args.matrix_json)
     if obj is None:
         raise SuperrootError("either --type or --matrix-json is required")
     return cartan_from_json(obj)
 
 
-def _handle_of(cmd: Command):
-    if not cmd.type_spec:
+def _indecomposable_cartan(args):
+    cd = _cartan_of(args)
+    if not cd.indecomposable():
+        raise SuperrootError("the matrix is decomposable; split it into its connected blocks")
+    return cd
+
+
+def _handle_of(args):
+    if not args.type:
         raise SuperrootError("--type is required for this subcommand")
-    return build(cmd.type_spec)
+    return build(args.type)
 
 
 def _int_vector(raw, flag: str) -> tuple[int, ...]:
@@ -101,27 +77,27 @@ def _int_vector(raw, flag: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
-def _roots_of(cmd: Command, attr: str = "roots") -> ps.RootSet:
-    flag = f"--{attr.replace('_', '-')}"
-    raw = _load_json_arg(getattr(cmd.args, attr))
+def _roots_of(args, attr: str = "roots") -> ps.RootSet:
+    flag = f"--{attr}"
+    raw = _load_json_arg(getattr(args, attr))
     if raw is None:
         raise SuperrootError(f"{flag} is required")
     if not isinstance(raw, list):
         raise SuperrootError(f"{flag}: expected a list of roots, each a list of integers, got {raw!r}")
-    return ps.root_set(_handle_of(cmd), [_int_vector(r, flag) for r in raw])
+    return ps.root_set(_handle_of(args), [_int_vector(r, flag) for r in raw])
 
 
 def _root_list(roots) -> list[list[int]]:
     return [list(r) for r in sorted(roots)]
 
 
-# -- subcommand implementations ------------------------------------------------
+# -- subcommands: args -> (body, text_lines, exit_code) --------------------------
 
 
-def _run_validate(cmd: Command) -> int:
-    cd = _cartan_of(cmd)
+def _validate(args):
+    cd = _cartan_of(args)
     report = validate(cd)
-    payload = _certificate(cmd, {}, {
+    body = {
         "cartan": cartan_to_json(cd),
         "admissible": report.admissible,
         "admissibility_violations": list(report.admissibility_violations),
@@ -129,7 +105,7 @@ def _run_validate(cmd: Command) -> int:
         "irregular_pairs": list(report.irregular_pairs),
         "symmetrizable": report.symmetrizable,
         "indecomposable": report.indecomposable,
-    })
+    }
     lines = [
         f"admissible:     {report.admissible}"
         + (f"  violations {list(report.admissibility_violations)}" if not report.admissible else ""),
@@ -138,183 +114,109 @@ def _run_validate(cmd: Command) -> int:
         f"symmetrizable:  {report.symmetrizable}",
         f"indecomposable: {report.indecomposable}",
     ]
-    _emit(cmd, payload, lines)
-    return EXIT_OK if report.ok() else EXIT_FAIL
+    return body, lines, EXIT_OK if report.ok() else EXIT_FAIL
 
 
-def _reject_decomposable(cd) -> None:
-    if not cd.indecomposable():
-        raise SuperrootError(
-            "the matrix is decomposable; split it into its connected blocks"
-        )
-
-
-def _run_real_roots(cmd: Command) -> int:
-    cd = _cartan_of(cmd)
-    _reject_decomposable(cd)
-    h = cmd.args.height
-    explore = cmd.args.explore if cmd.args.explore is not None else h
-    result = basegraph.enumerate_real_roots(cd, h, explore)
-    from .cartan import symmetrizer
-    from .rootspace import bilinear
-
+def _real_roots(args):
+    cd = _indecomposable_cartan(args)
+    if args.explore is None:  # set on args, so the certificate's bounds echo it
+        args.explore = args.height
+    result = basegraph.enumerate_real_roots(cd, args.height, args.explore)
     d = symmetrizer(cd)
-    entries = []
-    for r in sorted(result.roots):
-        iso = None if d is None else bool(bilinear(r, r, cd, d) == 0)
-        entries.append({"root": list(r), "parity": cd.root_parity(r), "isotropic": iso})
+    entries = [{"root": list(r), "parity": cd.root_parity(r),
+                "isotropic": None if d is None else bool(bilinear(r, r, cd, d) == 0)}
+               for r in sorted(result.roots)]
     complete = "inf" if result.complete_up_to is not None else None
-    payload = _certificate(cmd, {"height": h, "explore": explore}, {
-        "roots": entries,
-        "count": len(entries),
-        "complete_up_to": complete,
-        "bases_visited": result.bases_visited,
-    })
+    body = {"roots": entries, "count": len(entries), "complete_up_to": complete,
+            "bases_visited": result.bases_visited}
     lines = [f"{len(entries)} real roots (complete_up_to={complete}, bases={result.bases_visited})"]
     for e in entries:
         tag = "isotropic" if e["isotropic"] else ("unknown-isotropy" if e["isotropic"] is None else "non-isotropic")
         lines.append(f"  {e['root']}  parity={e['parity']} {tag}")
-    _emit(cmd, payload, lines)
-    return EXIT_OK
+    return body, lines, EXIT_OK
 
 
-def _run_principal_roots(cmd: Command) -> int:
-    cd = _cartan_of(cmd)
-    _reject_decomposable(cd)
-    result = basegraph.principal_roots(cd, cmd.args.explore)
+def _principal_roots(args):
+    result = basegraph.principal_roots(_indecomposable_cartan(args), args.explore)
     roots = _root_list(result.roots)
-    payload = _certificate(cmd, {"explore": cmd.args.explore}, {
-        "roots": roots,
-        "complete": result.complete,
-        "bases_visited": result.bases_visited,
-    })
+    body = {"roots": roots, "complete": result.complete, "bases_visited": result.bases_visited}
     header = f"{len(roots)} principal roots" + ("" if result.complete else " (best effort)")
-    _emit(cmd, payload, [header] + [str(r) for r in roots])
-    return EXIT_OK
+    return body, [header] + [str(r) for r in roots], EXIT_OK
 
 
-def _run_pi_check(cmd: Command) -> int:
-    sigma = _roots_of(cmd)
-    report = ps.is_pi_system(sigma)
-    payload = _certificate(cmd, {}, {
-        "ok": report.ok,
-        "difference_violations": [list(map(list, v)) for v in report.difference_violations],
-        "cone_violations": _root_list(report.cone_violations),
-    })
+def _pi_check(args):
+    report = ps.is_pi_system(_roots_of(args))
+    body = {"ok": report.ok, "cone_violations": _root_list(report.cone_violations),
+            "difference_violations": [list(map(list, v)) for v in report.difference_violations]}
     lines = [f"pi-system: {report.ok}"]
-    for a, b, d in report.difference_violations:
-        lines.append(f"  difference violation: {a} - {b} = {d} is a root")
-    for a in report.cone_violations:
-        lines.append(f"  cone violation: {a} lies in the cone of the others")
-    _emit(cmd, payload, lines)
-    return EXIT_OK if report.ok else EXIT_FAIL
+    lines += [f"  difference violation: {a} - {b} = {d} is a root" for a, b, d in report.difference_violations]
+    lines += [f"  cone violation: {a} lies in the cone of the others" for a in report.cone_violations]
+    return body, lines, EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _run_closure(cmd: Command) -> int:
-    seed = _roots_of(cmd)
-    result = ps.closure_S_infinity(seed, cmd.args.height, cmd.args.max_rounds)
-    payload = _certificate(cmd, {"height": cmd.args.height, "max_rounds": cmd.args.max_rounds}, {
-        "status": result.status,
-        "rounds": result.rounds,
-        "roots": _root_list(result.roots.elements),
-    })
+def _closure(args):
+    result = ps.closure_S_infinity(_roots_of(args), args.height, args.max_rounds)
+    body = {"status": result.status, "rounds": result.rounds, "roots": _root_list(result.roots.elements)}
     lines = [f"closure {result.status} after {result.rounds} rounds, {len(result.roots)} roots"]
     lines += [str(r) for r in result.roots.sorted()]
-    _emit(cmd, payload, lines)
-    return EXIT_OK if result.stabilized else EXIT_INCONCLUSIVE
+    return body, lines, EXIT_OK if result.stabilized else EXIT_INCONCLUSIVE
 
 
-def _run_classify_subset(cmd: Command) -> int:
-    psi = _roots_of(cmd)
-    cls = ps.classify_subset(psi)
-    payload = _certificate(cmd, {}, {
-        "symmetric": cls.symmetric,
-        "closed": cls.closed,
-        "subroot_system": cls.subroot_system,
-    })
-    _emit(cmd, payload, [
+def _classify_subset(args):
+    cls = ps.classify_subset(_roots_of(args))
+    body = {"symmetric": cls.symmetric, "closed": cls.closed, "subroot_system": cls.subroot_system}
+    lines = [
         f"symmetric:      {cls.symmetric}",
         f"closed:         {cls.closed}",
         f"subroot system: {cls.subroot_system}",
-    ])
-    return EXIT_OK
+    ]
+    return body, lines, EXIT_OK
 
 
-def _run_pi_of_psi(cmd: Command) -> int:
-    psi = _roots_of(cmd)
-    pi = ps.pi_of_psi(psi)
-    payload = _certificate(cmd, {}, {"pi": _root_list(pi.elements)})
-    _emit(cmd, payload, [f"Pi(Psi) = {_root_list(pi.elements)}"])
-    return EXIT_OK
+def _pi_of_psi(args):
+    pi = _root_list(ps.pi_of_psi(_roots_of(args)).elements)
+    return {"pi": pi}, [f"Pi(Psi) = {pi}"], EXIT_OK
 
 
-def _run_admits_pi(cmd: Command) -> int:
-    psi = _roots_of(cmd)
-    sigma = ps.admits_pi_system(psi, cmd.args.height, cmd.args.max_rounds)
-    payload = _certificate(cmd, {"height": cmd.args.height, "max_rounds": cmd.args.max_rounds}, {
-        "admits": sigma is not None,
-        "pi_system": _root_list(sigma.elements) if sigma is not None else None,
-    })
-    if sigma is None:
-        _emit(cmd, payload, ["admits pi-system: none"])
-    else:
-        _emit(cmd, payload, [f"admits pi-system: {_root_list(sigma.elements)}"])
-    return EXIT_OK
+def _admits_pi(args):
+    sigma = ps.admits_pi_system(_roots_of(args), args.height, args.max_rounds)
+    pi = _root_list(sigma.elements) if sigma is not None else None
+    body = {"admits": sigma is not None, "pi_system": pi}
+    return body, [f"admits pi-system: {'none' if pi is None else pi}"], EXIT_OK
 
 
-def _run_verify_dynkin(cmd: Command) -> int:
-    sigma = _roots_of(cmd, "sigma")
-    cert = ps.verify_dynkin_maps(
-        sigma, cmd.args.height, cmd.args.max_rounds, loop_degree=cmd.args.loop_degree
-    )
-    payload = _certificate(cmd, {
-        "height": cmd.args.height,
-        "max_rounds": cmd.args.max_rounds,
-        "loop_degree": cmd.args.loop_degree,
-    }, {
-        "closure_closed_subroot": cert.closure_closed_subroot,
-        "pi_roundtrip": cert.pi_roundtrip,
-        "oracle_match": cert.oracle_match,
-        "closure": _root_list(cert.closure.elements),
-        "status": cert.status,
-    })
+def _verify_dynkin(args):
+    cert = ps.verify_dynkin_maps(_roots_of(args, "sigma"), args.height, args.max_rounds,
+                                 loop_degree=args.loop_degree)
+    body = {"closure_closed_subroot": cert.closure_closed_subroot, "pi_roundtrip": cert.pi_roundtrip,
+            "oracle_match": cert.oracle_match, "closure": _root_list(cert.closure.elements),
+            "status": cert.status}
     lines = [
         f"closure is closed subroot system: {cert.closure_closed_subroot}",
         f"Pi(closure) equals sigma:         {cert.pi_roundtrip}",
         f"oracle real roots match:          {cert.oracle_match}",
     ]
-    _emit(cmd, payload, lines)
-    return EXIT_OK if cert.ok() else EXIT_FAIL
+    return body, lines, EXIT_OK if cert.ok() else EXIT_FAIL
 
 
-def _run_string(cmd: Command) -> int:
-    handle = _handle_of(cmd)
-    alpha = _int_vector(_load_json_arg(cmd.args.alpha), "--alpha")
-    beta = _int_vector(_load_json_arg(cmd.args.beta), "--beta")
-    s = rootstring.root_string(handle, beta, alpha, cmd.args.window)
+def _string(args):
+    handle = _handle_of(args)
+    alpha = _int_vector(_load_json_arg(args.alpha), "--alpha")
+    beta = _int_vector(_load_json_arg(args.beta), "--beta")
+    s = rootstring.root_string(handle, beta, alpha, args.window)
     entries = [{"k": e.k, "root": list(e.root), "tag": "real" if e.real else "imaginary"}
                for e in s.entries]
-    payload = _certificate(cmd, {"window": cmd.args.window}, {
-        "alpha": list(alpha),
-        "beta": list(beta),
-        "entries": entries,
-        "zero_slot": s.zero_slot,
-        "pairing": str(s.pairing) if s.pairing is not None else None,
-    })
+    body = {"alpha": list(alpha), "beta": list(beta), "entries": entries, "zero_slot": s.zero_slot,
+            "pairing": str(s.pairing) if s.pairing is not None else None}
     lines = [f"string through {beta} in direction {alpha}:"]
     lines += [f"  k={e['k']:+d}  {e['root']}  [{e['tag']}]" for e in entries]
-    _emit(cmd, payload, lines)
-    return EXIT_OK
+    return body, lines, EXIT_OK
 
 
-def _run_string_sweep(cmd: Command) -> int:
-    handle = _handle_of(cmd)
-    report = rootstring.sweep_strings(handle, cmd.args.height, cmd.args.degree)
-    payload = _certificate(cmd, {"height": cmd.args.height, "degree": cmd.args.degree}, {
-        "pairs": report.pairs,
-        "law_counts": report.law_counts,
-        "failures": [list(f) for f in report.failures],
-    })
+def _string_sweep(args):
+    report = rootstring.sweep_strings(_handle_of(args), args.height, args.degree)
+    body = {"pairs": report.pairs, "law_counts": report.law_counts,
+            "failures": [list(f) for f in report.failures]}
     lines = [f"{report.pairs} (beta, alpha) pairs swept"]
     lines += [f"  {law}: {count} checks" for law, count in sorted(report.law_counts.items())]
     if report.failures:
@@ -322,66 +224,53 @@ def _run_string_sweep(cmd: Command) -> int:
         lines += [f"  {law}: {witness}" for law, witness in report.failures[:10]]
     else:
         lines.append("all string laws hold")
-    _emit(cmd, payload, lines)
-    return EXIT_OK if report.ok() else EXIT_FAIL
+    return body, lines, EXIT_OK if report.ok() else EXIT_FAIL
 
 
-def _run_verify_main_theorem(cmd: Command) -> int:
-    sigma = _roots_of(cmd, "sigma")
-    verdict = oracle.verify_theorem_main(sigma, loop_degree=cmd.args.loop_degree)
+def _verify_main_theorem(args):
+    verdict = oracle.verify_theorem_main(_roots_of(args, "sigma"), loop_degree=args.loop_degree)
     missing, extra = verdict.mismatch()
-    payload = _certificate(cmd, {"loop_degree": cmd.args.loop_degree}, {
-        "ok": verdict.ok,
-        "window_degree": verdict.window_degree,
-        "closure_status": verdict.closure_status,
-        "closure_roots": _root_list(verdict.closure_roots),
-        "subalgebra_roots": _root_list(verdict.subalgebra_roots),
-    })
+    body = {"ok": verdict.ok, "window_degree": verdict.window_degree,
+            "closure_status": verdict.closure_status, "closure_roots": _root_list(verdict.closure_roots),
+            "subalgebra_roots": _root_list(verdict.subalgebra_roots)}
     lines = [f"closure equals oracle real roots: {verdict.ok}"
              + (f" (window degree {verdict.window_degree})" if verdict.window_degree else "")]
     if not verdict.ok:
         lines.append(f"  closure only:    {_root_list(missing)}")
         lines.append(f"  subalgebra only: {_root_list(extra)}")
-    _emit(cmd, payload, lines)
-    return EXIT_OK if verdict.ok else EXIT_FAIL
+    return body, lines, EXIT_OK if verdict.ok else EXIT_FAIL
 
 
-def _run_verify_bracket_criteria(cmd: Command) -> int:
-    sigma = _roots_of(cmd, "sigma")
-    handle = sigma.handle
-    realization = oracle.realize(handle, loop_degree=cmd.args.loop_degree)
+def _verify_bracket_criteria(args):
+    sigma = _roots_of(args, "sigma")
+    realization = oracle.realize(sigma.handle, loop_degree=args.loop_degree)
     gens = [realization.root_vector(r) for r in sigma]
     gens += [realization.root_vector(tuple(-x for x in r)) for r in sigma]
     basis = oracle.generated_subalgebra(gens, realization)
-    report = oracle.bracket_criteria_sweep(basis, handle, realization)
-    payload = _certificate(cmd, {"loop_degree": cmd.args.loop_degree}, {
+    report = oracle.bracket_criteria_sweep(basis, sigma.handle, realization)
+    body = {
         "ok": report.ok(),
         "pairs_checked": report.pairs_checked,
         "bracket_counterexamples": [list(map(str, c)) for c in report.bracket_counterexamples],
         "reflection_counterexamples": [list(map(str, c)) for c in report.reflection_counterexamples],
-    })
+    }
     lines = [f"bracket criteria on g(sigma): {report.ok()} ({report.pairs_checked} pairs)"]
-    for c in report.bracket_counterexamples[:10]:
-        lines.append(f"  bracket law fails: {c}")
-    for c in report.reflection_counterexamples[:10]:
-        lines.append(f"  reflection law fails: {c}")
-    _emit(cmd, payload, lines)
-    return EXIT_OK if report.ok() else EXIT_FAIL
+    lines += [f"  bracket law fails: {c}" for c in report.bracket_counterexamples[:10]]
+    lines += [f"  reflection law fails: {c}" for c in report.reflection_counterexamples[:10]]
+    return body, lines, EXIT_OK if report.ok() else EXIT_FAIL
 
 
-def _run_replay_examples(cmd: Command) -> int:
+def _replay_examples(args):
     certs = replay.replay_all()
-    payload = {"tool": "superroot", "version": __version__, "certificates": certs}
     lines = []
     for cert in certs:
         lines.append(f"[{'PASS' if cert['passed'] else 'FAIL'}] {cert['example']} ({cert['type']})")
         for name, value in cert["checks"].items():
             lines.append(f"    {'ok ' if value else 'BAD'} {name}")
-    _emit(cmd, payload, lines)
-    return EXIT_OK if all(c["passed"] for c in certs) else EXIT_FAIL
+    return {"certificates": certs}, lines, EXIT_OK if all(c["passed"] for c in certs) else EXIT_FAIL
 
 
-# -- parser ---------------------------------------------------------------------
+# -- the command table -----------------------------------------------------------
 
 
 def _bounded_int(least: int):
@@ -403,6 +292,49 @@ _nonneg = _bounded_int(0)
 _positive = _bounded_int(1)
 
 
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+_FORMAT = _flag("--format", choices=("text", "json"), default="text")
+_TYPE = _flag("--type", help='catalog type, e.g. "B(1,1)^(1)" or "A(2,2)^(4)"')
+_TYPED = (_TYPE, _FORMAT)
+_MATRIX = (_TYPE, _flag("--matrix-json", help="inline JSON or path: {matrix, parity}"), _FORMAT)
+_ROOTS = _flag("--roots", required=True, help="JSON list of coordinate arrays, or a path")
+_SIGMA = _flag("--sigma", required=True)
+_HEIGHT = _flag("--height", type=_nonneg, default=None)
+_MAX_ROUNDS = _flag("--max-rounds", type=_positive, default=64)
+_K = _flag("--K", dest="loop_degree", type=_nonneg, default=None)
+_CLOSURE = (*_TYPED, _flag("--roots", required=True), _HEIGHT, _MAX_ROUNDS)
+
+# name -> (help, flags, runner), in the order ``--help`` lists them.  A
+# two-word name is a leaf of a subcommand group; its help stays unset.
+_COMMANDS = {
+    "validate": ("admissibility / regularity / symmetrizability", _MATRIX, _validate),
+    "real-roots": ("enumerate real roots via the base graph",
+                   (*_MATRIX, _flag("--height", type=_nonneg, required=True),
+                    _flag("--explore", type=_nonneg, default=None)), _real_roots),
+    "principal-roots": ("even roots from odd reflections only",
+                        (*_MATRIX, _flag("--explore", type=_nonneg, default=64)), _principal_roots),
+    "pi-check": ("test the two pi-system conditions", (*_TYPED, _ROOTS), _pi_check),
+    "classify-subset": ("symmetric / closed / subroot system flags", (*_TYPED, _ROOTS), _classify_subset),
+    "pi-of-psi": ("preorder-minimal positive part of a closed subset", (*_TYPED, _ROOTS), _pi_of_psi),
+    "closure": ("reflection closure S_infinity", _CLOSURE, _closure),
+    "admits-pi": ("the unique candidate pi-system, if any", _CLOSURE, _admits_pi),
+    "verify-dynkin": ("closure / Pi round trip / oracle match",
+                      (*_TYPED, _SIGMA, _HEIGHT, _MAX_ROUNDS, _K), _verify_dynkin),
+    "string": ("one tagged root string",
+               (*_TYPED, _flag("--alpha", required=True), _flag("--beta", required=True),
+                _flag("--window", type=_nonneg, default=None)), _string),
+    "string-sweep": ("every string law over a grid",
+                     (*_TYPED, _HEIGHT, _flag("--degree", type=_nonneg, default=None)), _string_sweep),
+    "verify main-theorem": (None, (*_TYPED, _SIGMA, _K), _verify_main_theorem),
+    "verify bracket-criteria": (None, (*_TYPED, _SIGMA, _K), _verify_bracket_criteria),
+    "replay-examples": ("run the three worked examples end to end", (_FORMAT,), _replay_examples),
+}
+_GROUPS = {"verify": "oracle-backed theorem checks"}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing does not change it)."""
@@ -412,121 +344,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"superroot {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, with_type=True, with_matrix=False):
-        if with_type:
-            p.add_argument("--type", help='catalog type, e.g. "B(1,1)^(1)" or "A(2,2)^(4)"')
-        if with_matrix:
-            p.add_argument("--matrix-json", help="inline JSON or path: {matrix, parity}")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("validate", help="admissibility / regularity / symmetrizability")
-    common(p, with_matrix=True)
-
-    p = sub.add_parser("real-roots", help="enumerate real roots via the base graph")
-    common(p, with_matrix=True)
-    p.add_argument("--height", type=_nonneg, required=True)
-    p.add_argument("--explore", type=_nonneg, default=None)
-
-    p = sub.add_parser("principal-roots", help="even roots from odd reflections only")
-    common(p, with_matrix=True)
-    p.add_argument("--explore", type=_nonneg, default=64)
-
-    for name, helptext in (
-        ("pi-check", "test the two pi-system conditions"),
-        ("classify-subset", "symmetric / closed / subroot system flags"),
-        ("pi-of-psi", "preorder-minimal positive part of a closed subset"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        common(p)
-        p.add_argument("--roots", required=True, help="JSON list of coordinate arrays, or a path")
-
-    p = sub.add_parser("closure", help="reflection closure S_infinity")
-    common(p)
-    p.add_argument("--roots", required=True)
-    p.add_argument("--height", type=_nonneg, default=None)
-    p.add_argument("--max-rounds", type=_positive, default=64)
-
-    p = sub.add_parser("admits-pi", help="the unique candidate pi-system, if any")
-    common(p)
-    p.add_argument("--roots", required=True)
-    p.add_argument("--height", type=_nonneg, default=None)
-    p.add_argument("--max-rounds", type=_positive, default=64)
-
-    p = sub.add_parser("verify-dynkin", help="closure / Pi round trip / oracle match")
-    common(p)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--height", type=_nonneg, default=None)
-    p.add_argument("--max-rounds", type=_positive, default=64)
-    p.add_argument("--K", dest="loop_degree", type=_nonneg, default=None)
-
-    p = sub.add_parser("string", help="one tagged root string")
-    common(p)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--window", type=_nonneg, default=None)
-
-    p = sub.add_parser("string-sweep", help="every string law over a grid")
-    common(p)
-    p.add_argument("--height", type=_nonneg, default=None)
-    p.add_argument("--degree", type=_nonneg, default=None)
-
-    p = sub.add_parser("verify", help="oracle-backed theorem checks")
-    vsub = p.add_subparsers(dest="verify_what", required=True)
-    for name in ("main-theorem", "bracket-criteria"):
-        vp = vsub.add_parser(name)
-        common(vp)
-        vp.add_argument("--sigma", required=True)
-        vp.add_argument("--K", dest="loop_degree", type=_nonneg, default=None)
-
-    p = sub.add_parser("replay-examples", help="run the three worked examples end to end")
-    common(p, with_type=False)
+    groups = {}
+    for name, (helptext, flags, runner) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if not group:
+            p = sub.add_parser(leaf, help=helptext)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                    dest=f"{group}_what", required=True)
+            p = groups[group].add_parser(leaf)
+        actions = [p.add_argument(*names, **kwargs) for names, kwargs in flags]
+        p.set_defaults(runner=runner,
+                       bounds=[a.dest for a in actions if a.type in (_nonneg, _positive)])
     return parser
 
 
-_DISPATCH = {
-    "validate": _run_validate,
-    "real-roots": _run_real_roots,
-    "principal-roots": _run_principal_roots,
-    "pi-check": _run_pi_check,
-    "closure": _run_closure,
-    "classify-subset": _run_classify_subset,
-    "pi-of-psi": _run_pi_of_psi,
-    "admits-pi": _run_admits_pi,
-    "verify-dynkin": _run_verify_dynkin,
-    "string": _run_string,
-    "string-sweep": _run_string_sweep,
-    "replay-examples": _run_replay_examples,
-}
-
-
-def run(cmd: Command) -> int:
-    """Dispatch one parsed command; exceptions map to exit codes in main."""
-    if cmd.subcommand == "verify":
-        if cmd.args.verify_what == "main-theorem":
-            return _run_verify_main_theorem(cmd)
-        return _run_verify_bracket_criteria(cmd)
-    return _DISPATCH[cmd.subcommand](cmd)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    cmd = Command(args.subcommand, getattr(args, "type", None), args)
     try:
-        return run(cmd)
+        body, lines, code = args.runner(args)
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (BrokenStringError, PatternViolationError, NonRegularBaseError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (UnsupportedTypeError, SuperrootError, ValueError) as exc:
+    except (SuperrootError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json":
+        cert = {"tool": "superroot", "version": __version__}
+        if hasattr(args, "type"):  # every subcommand but replay-examples
+            cert |= {"type": args.type, "bounds": {b: getattr(args, b) for b in args.bounds}}
+        print(json.dumps({**cert, **body}, indent=2, sort_keys=True, default=str))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

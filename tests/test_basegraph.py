@@ -65,7 +65,7 @@ def test_odd_reflection_renormalizes_diagonal():
         for t in range(cd.n):
             if cd.matrix[t][t] == 0 and cd.parity[t] == 1:
                 nb = odd_reflect_base(base, cd, t)
-                m = nb.cartan_matrix(cd)
+                m = nb.matrix
                 assert all(m[i][i] in (0, 2) for i in range(cd.n))
 
 
@@ -78,7 +78,7 @@ def test_even_reflection_basics():
     # pairing-zero roots are fixed
     cd3 = build("B(2,1)").cartan
     b3 = standard_base(cd3)
-    m = b3.cartan_matrix(cd3)
+    m = b3.matrix
     for t in range(cd3.n):
         if m[t][t] != 2:
             continue
@@ -172,7 +172,7 @@ def test_exchange_identity():
         return out
 
     base = standard_base(cd)
-    matrix = base.cartan_matrix(cd)
+    matrix = base.matrix
     for t in range(cd.n):
         if matrix[t][t] == 0 and cd.parity[t] == 1:
             nb = odd_reflect_base(base, cd, t)
@@ -190,7 +190,7 @@ def test_compatibility_even_odd():
     for spec in ("B(1,1)", "A(0,2)", "B(2,1)"):
         cd = build(spec).cartan
         base = standard_base(cd)
-        matrix = base.cartan_matrix(cd)
+        matrix = base.matrix
         odd_idx = [t for t in range(cd.n) if matrix[t][t] == 0 and cd.parity[t] == 1]
         even_idx = [t for t in range(cd.n) if matrix[t][t] == 2]
         for t in odd_idx:
@@ -251,7 +251,7 @@ def test_base_cartan_matches_catalog():
     for spec in ("A(0,2)", "B(2,1)", "A(2,2)^(4)"):
         h = build(spec)
         base = standard_base(h.cartan)
-        assert base.cartan_matrix(h.cartan) == h.cartan.matrix
+        assert base.matrix == h.cartan.matrix
 
 
 def test_coroots_agree_with_bilinear_form():
@@ -268,7 +268,7 @@ def test_coroots_agree_with_bilinear_form():
         seen = {queue[0].root_set()}
         while queue:
             base = queue.pop()
-            matrix = base.cartan_matrix(cd)
+            matrix = base.matrix
             par = base.parities(cd)
             for t in range(base.size):
                 alpha, h_alpha = base.roots[t], base.coroots[t]

@@ -13,7 +13,7 @@ from superroot.cartan import (
     validate,
 )
 from superroot.catalog import build
-from superroot.errors import ZeroMatrixError
+from superroot.errors import SuperrootError, ZeroMatrixError
 
 
 def test_normalize_row_scaling():
@@ -124,3 +124,27 @@ def test_json_round_trip():
     cd = cartan_from_json(obj)
     assert cd.matrix == ((Q(0), Q(1)), (Q(-1), Q(2)))
     assert cartan_from_json(cartan_to_json(cd)) == cd
+
+
+# Cartan JSON that used to be coerced (a float parity read as 0, true and "1"
+# read as 1) or to crash (a float entry, a ragged row, a scalar matrix).
+MALFORMED_CARTAN_JSON = [
+    {"matrix": [[2, -1], [-1, 2]], "parity": [0, 0.7]},
+    {"matrix": [[2, True], [-1, 2]], "parity": [0, 0]},
+    {"matrix": [[2, -1], [-1, 2]], "parity": [True, 0]},
+    {"matrix": [[2, -1], [-1, 2]], "parity": ["1", 0]},
+    {"matrix": [[2, 2.5], [-1, 2]], "parity": [0, 0]},
+    {"matrix": [[2, -1], [-1]], "parity": [0, 0]},
+    {"matrix": 5, "parity": [0, 0]},
+    {"matrix": [[2, "1/0"], [-1, 2]], "parity": [0, 0]},
+    {"matrix": [[2, "-0.5"], [-1, 2]], "parity": [0, 0]},
+    {"matrix": [[2, -1], [-1, 2]], "parity": [0, 2]},
+    {"matrix": [[2, -1], [-1, 2]]},
+    [[2, -1], [-1, 2]],
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_CARTAN_JSON)
+def test_cartan_from_json_coerces_nothing(obj):
+    with pytest.raises(SuperrootError):
+        cartan_from_json(obj)

@@ -168,6 +168,26 @@ def test_rejects_non_integer_coordinates(capsys):
         assert "list" in err and "integer" in err, (argv, err)
 
 
+def test_malformed_matrix_json_exits_two(capsys):
+    # these were read as parity 0 or entry 1 (exit 0/1) or crashed (exit 1)
+    for raw in (
+        '{"matrix": [[2, -1], [-1, 2]], "parity": [0, 0.7]}',
+        '{"matrix": [[2, true], [-1, 2]], "parity": [0, 0]}',
+        '{"matrix": [[2, -1], [-1, 2]], "parity": [true, 0]}',
+        '{"matrix": [[2, -1], [-1, 2]], "parity": ["1", 0]}',
+        '{"matrix": [[2, 2.5], [-1, 2]], "parity": [0, 0]}',
+        '{"matrix": [[2, -1], [-1]], "parity": [0, 0]}',
+        '{"matrix": 5, "parity": [0, 0]}',
+    ):
+        assert main(["validate", "--matrix-json", raw]) == 2, raw
+        assert capsys.readouterr().err.startswith("error: "), raw
+
+
+def test_directory_path_argument_exits_two(tmp_path, capsys):
+    assert main(["pi-check", "--type", "A(0,1)", "--roots", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {str(tmp_path)!r}")
+
+
 def test_rejects_negative_bounds(capsys):
     cases = [
         ["real-roots", "--type", "A(0,1)", "--height", "-3"],
