@@ -354,3 +354,62 @@ def test_bounded_tables_keep_their_verdicts(monkeypatch):
     got, largest = stream(build("B(1,1)^(1)"))
     assert got == expected
     assert largest == 8
+
+
+def _support(xs):
+    return [(i, x) for i, x in enumerate(xs) if x != 0]
+
+
+def _reference_finite(h, v):
+    """The A, osp (B, C, D) and D(2,1;a) rules on the eps and delta entries of v."""
+    family = h.ctype.family
+    if family == "A":
+        se, sd = _support(v.eps), _support(v.delta)
+        if len(se) == 2 and not sd:
+            return sorted(x for _, x in se) == [-1, 1]
+        if len(sd) == 2 and not se:
+            return sorted(x for _, x in sd) == [-1, 1]
+        if len(se) == 1 and len(sd) == 1:
+            return abs(se[0][1]) == 1 and sd[0][1] == -se[0][1]
+        return False
+    if family == "D21":
+        se = _support(v.eps)
+        if len(se) == 1:
+            return abs(se[0][1]) == 2
+        return len(se) == 3 and all(abs(x) == 1 for _, x in se)
+    # osp: two entries +-1, +-2 delta_p, and for B (odd M) also +-eps_i, +-delta_p
+    sup = _support(v.eps + v.delta)
+    if len(sup) == 2:
+        return abs(sup[0][1]) == 1 and abs(sup[1][1]) == 1
+    if len(sup) == 1:
+        i, x = sup[0]
+        return (abs(x) == 2 and i >= h.eps_dim) or (abs(x) == 1 and family == "B")
+    return False
+
+
+def _reference_contains(h, v):
+    """Membership by clause-by-clause family rules (Kac 1977); v has h's shape."""
+    if h.ctype.twist == "twisted4":
+        sup, r = _support(v.eps + v.delta), v.null
+        if len(sup) == 2:
+            return abs(sup[0][1]) == 1 and abs(sup[1][1]) == 1 and r % 2 == 0
+        if len(sup) == 1:
+            i, x = sup[0]
+            return abs(x) == 1 or (abs(x) == 2 and r % 4 == (2 if i < h.eps_dim else 0))
+        return not sup and r != 0
+    if not h.has_null:
+        return v.null == 0 and _reference_finite(h, v)
+    if not any(v.eps + v.delta):
+        return v.null != 0
+    return _reference_finite(h, v)
+
+
+def test_contains_ed_equals_the_reference_rules():
+    specs = _MEMO_SPECS + ["B(3,2)", "D(3,2)", "A(4,2)^(4)", "A(2,4)^(4)"]
+    for spec in specs:
+        h = build(spec)
+        e, d = h.eps_dim, h.delta_dim
+        for c in _grid(e + d):
+            for r in (range(-5, 6) if h.has_null else (0,)):
+                v = ED(c[:e], c[e:], r)
+                assert h.contains_ed(v) == _reference_contains(h, v), (spec, v)
