@@ -9,7 +9,6 @@ regularity test checks that vanishing is symmetric.  All indices are 0-based.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -48,9 +47,6 @@ class CartanData:
     def entry(self, i: int, j: int) -> Fraction:
         return self.matrix[i][j]
 
-    def is_normalized(self) -> bool:
-        return all(self.matrix[i][i] in (0, 2) for i in range(self.n))
-
     def indecomposable(self) -> bool:
         """Connectivity of the graph with an edge whenever a_ij or a_ji is nonzero."""
         n = self.n
@@ -85,7 +81,13 @@ class ValidationReport:
 
 
 def normalize(matrix: Iterable[Iterable], parity: Iterable[int]) -> CartanData:
-    """Rescale each row with a nonzero diagonal so the diagonal entry is 2."""
+    """Rescale each row with a nonzero diagonal so the diagonal entry is 2.
+
+    Entries go through ``linalg.frac``; each parity must be the int 0 or 1.
+    """
+    parity = tuple(parity)
+    if any(type(p) is not int or p not in (0, 1) for p in parity):
+        raise SuperrootError(f"parities must be the integers 0 and 1, got {list(parity)!r}")
     m = mat(matrix)
     if all(x == 0 for row in m for x in row):
         raise ZeroMatrixError("Cartan matrix is zero")
@@ -93,7 +95,7 @@ def normalize(matrix: Iterable[Iterable], parity: Iterable[int]) -> CartanData:
     for i, row in enumerate(m):
         d = row[i]
         rows.append(row if d == 0 else tuple(x * Fraction(2) / d for x in row))
-    return CartanData(tuple(rows), tuple(int(p) for p in parity))
+    return CartanData(tuple(rows), parity)
 
 
 def validate(cd: CartanData) -> ValidationReport:
@@ -180,15 +182,6 @@ def rank_one_type(cd: CartanData, i: int) -> RankOneType:
     raise ValueError("Cartan data is not normalized")
 
 
-def _json_entry(x) -> Fraction:
-    """A matrix entry: a JSON int (not a bool) or a "p/q" string."""
-    if type(x) is int:
-        return Fraction(x)
-    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", x):
-        return Fraction(x)
-    raise SuperrootError(f'matrix entries must be integers or "p/q" strings, got {x!r}')
-
-
 def cartan_from_json(obj: dict) -> CartanData:
     """Parse {"matrix": [[...]], "parity": [...]} with rationals as "p/q".
 
@@ -200,9 +193,9 @@ def cartan_from_json(obj: dict) -> CartanData:
     rows, parity = obj["matrix"], obj["parity"]
     if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != len(rows) for r in rows):
         raise SuperrootError(f"the matrix must be a square list of lists, got {rows!r}")
-    if not isinstance(parity, list) or any(type(p) is not int or p not in (0, 1) for p in parity):
+    if not isinstance(parity, list):
         raise SuperrootError(f"parities must be a list of the integers 0 and 1, got {parity!r}")
-    return normalize([[_json_entry(x) for x in row] for row in rows], parity)
+    return normalize(rows, parity)
 
 
 def cartan_to_json(cd: CartanData) -> dict:

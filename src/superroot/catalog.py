@@ -5,12 +5,15 @@ for one catalog type, exposes a distinguished base in both coordinate systems
 and converts between epsilon/delta and simple-root coordinates.
 
 Families shipped: A(m,n) with m != n, B(m,n), C(n), D(m,n), D(2,1;a), their
-untwisted affinizations, and the twisted family A(2k,2l)^(4).  B(m,n), C(n)
-and D(m,n) are all osp(M|2n) and share one handle, ``_OspHandle``; only the
-distinguished base and the presence of the short roots differ between them.
-F(4) and G(3) are staged out of this release.  The null root of an affine
-type is written ``null`` in code to keep it apart from the odd coordinates
-delta_p.
+untwisted affinizations, and the twisted family A(2k,2l)^(4).  Each family is
+one table of the finite eps/delta parts of its real roots (Kac, *Lie
+superalgebras*, Adv. Math. 26, 1977), indexed by null degree mod a period: 1
+for finite and untwisted affine types, 4 for A(2k,2l)^(4).  Membership and
+enumeration both read that table.  B(m,n), C(n) and D(m,n) are all osp(M|2n)
+and share one table rule; only the distinguished base and the presence of the
+short roots differ between them.  F(4) and G(3) are staged out of this
+release.  The null root of an affine type is written ``null`` in code to keep
+it apart from the odd coordinates delta_p.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations, product
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import cartan as cartan_mod
 from .cartan import CartanData
@@ -31,7 +34,7 @@ from .errors import (
     NotInLatticeError,
     UnsupportedTypeError,
 )
-from .linalg import rank, rref
+from .linalg import frac, rank, rref
 from .rootspace import Root, height
 
 FINITE = "finite"
@@ -88,7 +91,7 @@ def parse_type(spec: str) -> CatalogType:
     if fam == "D" and len(parts) == 2:
         if ranks != ["2", "1"]:
             raise UnsupportedTypeError(f"parametric family requires D(2,1;a), got {spec!r}")
-        return CatalogType("D21", 2, 1, twist, Fraction(parts[1]))
+        return CatalogType("D21", 2, 1, twist, frac(parts[1]))
     if len(parts) != 1:
         raise UnsupportedTypeError(f"unexpected parameter in {spec!r}")
     if fam == "C":
@@ -160,8 +163,20 @@ def _step(dim: int, i: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _support(xs: Sequence[int]) -> list[tuple[int, int]]:
-    return [(i, x) for i, x in enumerate(xs) if x != 0]
+def _pairs(n: int) -> list[tuple[int, ...]]:
+    """Each n-vector with two entries +-1 and the rest zero."""
+    out = []
+    for i, j in combinations(range(n), 2):
+        for a, b in product((1, -1), repeat=2):
+            v = [0] * n
+            v[i], v[j] = a, b
+            out.append(tuple(v))
+    return out
+
+
+def _singles(n: int, slots: Iterable[int], x: int) -> list[tuple[int, ...]]:
+    """+-x at each of the given slots of an n-vector, zero elsewhere."""
+    return [_unit(n, i, s) for i in slots for s in (x, -x)]
 
 
 class RootSystemHandle:
@@ -172,11 +187,14 @@ class RootSystemHandle:
     every type but D(2,1;a) with non-integral a) and ``_form`` returns D times
     the form, so isotropy and pairings never build a ``Fraction`` sum.
 
-    Logically immutable; verdicts memoized, bounded.  ``contains_ed`` answers
-    each vector once and keeps the verdict, ``to_ed`` keeps each conversion
-    and ``is_isotropic``/``pairing`` keep D (alpha, alpha) per root; each
-    table holds at most ``TABLE_LIMIT`` entries.  A handle may be shared
-    freely.
+    ``_table`` holds the family's real roots: entry r is the set of finite
+    parts (eps then delta coordinates) of the real roots at null degree
+    congruent to r mod ``len(_table)``.
+
+    Logically immutable; conversions memoized, bounded.  ``to_ed`` keeps each
+    conversion and ``is_isotropic``/``pairing`` keep D (alpha, alpha) per
+    root; each memo holds at most ``TABLE_LIMIT`` entries.  A handle may be
+    shared freely.
     """
 
     def __init__(
@@ -190,12 +208,14 @@ class RootSystemHandle:
         simple_parities: Sequence[int],
         iso_gauges: Sequence[Fraction],
         has_null: bool,
+        table: Sequence[frozenset[tuple[int, ...]]],
     ):
         self.ctype = ctype
         self.label = ctype.label
         self.eps_dim = eps_dim
         self.delta_dim = delta_dim
         self.has_null = has_null
+        self._table = tuple(table)
         self.eps_norms = tuple(eps_norms)
         self._denom = lcm(*(x.denominator for x in self.eps_norms))
         # D times the norm of each eps then delta coordinate
@@ -211,7 +231,6 @@ class RootSystemHandle:
         if rank(self._simple_coords) != self.rank:
             raise AssertionError("distinguished base is not linearly independent")
         self._ed_cache: OrderedDict[tuple[int, ...], EpsDeltaVector] = OrderedDict()
-        self._verdicts: OrderedDict[tuple, bool] = OrderedDict()
         self._norms: OrderedDict[tuple[int, ...], int] = OrderedDict()
         self._build_alpha_solver()
         self.cartan = self._build_cartan()
@@ -223,30 +242,29 @@ class RootSystemHandle:
     # -- membership ----------------------------------------------------------
 
     def contains_ed(self, v: EpsDeltaVector) -> bool:
-        """Is v a root?  The family rule runs once per vector; later queries hit.
-
-        Only vectors that passed the rule's dimension check are stored, so a
-        vector of the wrong shape raises on every query.
-        """
-        key = (v.eps, v.delta, v.null)
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = self._contains(v)
-            _remember(self._verdicts, key, verdict)
-        return verdict
-
-    def _contains(self, v: EpsDeltaVector) -> bool:
-        """The family rule, after one dimension check."""
-        raise NotImplementedError
+        """Is v a root?  Real when its finite part is in the table at its degree."""
+        self._check_dims(v)
+        fin = v.eps + v.delta
+        if fin in self._table[v.null % len(self._table)]:
+            return True
+        return v.null != 0 and not any(fin)
 
     def is_imaginary_ed(self, v: EpsDeltaVector) -> bool:
         """Imaginary roots are the nonzero multiples of the null root."""
         return self.contains_ed(v) and not (any(v.eps) or any(v.delta))
 
-    # -- family-specific ---------------------------------------------------
-
     def real_roots_ed(self, max_degree: Optional[int] = None) -> Iterator[EpsDeltaVector]:
-        raise NotImplementedError
+        """The real roots of null degree at most ``max_degree`` in size; all for a finite type."""
+        if not self.has_null:
+            degrees = (0,)
+        elif max_degree is None:
+            raise ValueError("affine enumeration needs a degree bound")
+        else:
+            degrees = range(-max_degree, max_degree + 1)
+        e = self.eps_dim
+        for r in degrees:
+            for c in self._table[r % len(self._table)]:
+                yield EpsDeltaVector(c[:e], c[e:], r)
 
     # -- form, parity, isotropy --------------------------------------------
 
@@ -469,132 +487,22 @@ class RootSystemHandle:
 
 class FiniteHandle(RootSystemHandle):
     def __init__(self, ctype, eps_dim, delta_dim, eps_norms, parity_coeffs,
-                 simple_ed, simple_parities, iso_gauges, highest_root: EpsDeltaVector):
+                 simple_ed, simple_parities, iso_gauges, highest_root: EpsDeltaVector,
+                 table: Iterable[tuple[int, ...]]):
         self.highest_root = highest_root
         super().__init__(
             ctype, eps_dim, delta_dim, eps_norms, parity_coeffs,
-            simple_ed, simple_parities, iso_gauges, has_null=False,
+            simple_ed, simple_parities, iso_gauges, has_null=False, table=(frozenset(table),),
         )
         if not self.contains_ed(highest_root):
             raise AssertionError("highest root is not a root")
-
-    def _contains(self, v: EpsDeltaVector) -> bool:
-        self._check_dims(v)
-        return v.null == 0 and self._contains_finite(v)
-
-    def _contains_finite(self, v: EpsDeltaVector) -> bool:
-        """The family rule on the eps and delta entries of v; no checks, null ignored."""
-        raise NotImplementedError
-
-
-def _pattern_pairs(dim: int, val_i: int, val_j: int) -> Iterator[tuple[int, ...]]:
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            v = [0] * dim
-            v[i], v[j] = val_i, val_j
-            yield tuple(v)
-
-
-class _TypeAHandle(FiniteHandle):
-    """A(m,n) = sl(m+1|n+1) with m != n; eps_1..eps_{m+1}, delta_1..delta_{n+1}."""
-
-    def _contains_finite(self, v: EpsDeltaVector) -> bool:
-        se, sd = _support(v.eps), _support(v.delta)
-        if len(se) == 2 and not sd:
-            return sorted(x for _, x in se) == [-1, 1]
-        if len(sd) == 2 and not se:
-            return sorted(x for _, x in sd) == [-1, 1]
-        if len(se) == 1 and len(sd) == 1:
-            return abs(se[0][1]) == 1 and sd[0][1] == -se[0][1]
-        return False
-
-    def real_roots_ed(self, max_degree=None) -> Iterator[EpsDeltaVector]:
-        e, d = self.eps_dim, self.delta_dim
-        zd, ze = (0,) * d, (0,) * e
-        for ev in _pattern_pairs(e, 1, -1):
-            yield EpsDeltaVector(ev, zd)
-        for dv in _pattern_pairs(d, 1, -1):
-            yield EpsDeltaVector(ze, dv)
-        for i in range(e):
-            for p in range(d):
-                for s in (1, -1):
-                    yield EpsDeltaVector(_unit(e, i, s), _unit(d, p, -s))
-
-
-def _osp_pattern(e: int, d: int, short: bool, null: int = 0) -> Iterator[EpsDeltaVector]:
-    """The real roots of osp(M|2d) with e eps coordinates, at null degree ``null``.
-
-    Each vector with two entries +-1 and each +-2 delta_p, plus each +-eps_i
-    and +-delta_p when ``short`` (M odd); every one exactly once.
-    """
-    n = e + d
-
-    def vec(entries) -> EpsDeltaVector:
-        c = [0] * n
-        for i, x in entries:
-            c[i] = x
-        return EpsDeltaVector(tuple(c[:e]), tuple(c[e:]), null)
-
-    for i, j in combinations(range(n), 2):
-        for a in (1, -1):
-            for b in (1, -1):
-                yield vec(((i, a), (j, b)))
-    for i in range(n):
-        for x in ((1, -1) if short else ()) + ((2, -2) if i >= e else ()):
-            yield vec(((i, x),))
-
-
-class _OspHandle(FiniteHandle):
-    """B(m,n) = osp(2m+1|2n), C(n) = osp(2|2n-2) and D(m,n) = osp(2m|2n).
-
-    A vector with two nonzero entries is a root when both are +-1; one with a
-    single nonzero entry when it is +-2 delta_p or, for B only, +-eps_i or
-    +-delta_p (the short roots of odd M).  C(n) has one eps, so the rule for
-    D needs no change for it.
-    """
-
-    def __init__(self, ctype: CatalogType, *args):
-        self._short = ctype.family == "B"
-        super().__init__(ctype, *args)
-
-    def _contains_finite(self, v: EpsDeltaVector) -> bool:
-        sup = _support(v.eps + v.delta)
-        if len(sup) == 2:
-            return abs(sup[0][1]) == 1 and abs(sup[1][1]) == 1
-        if len(sup) == 1:
-            i, x = sup[0]
-            return (abs(x) == 2 and i >= self.eps_dim) or (abs(x) == 1 and self._short)
-        return False
-
-    def real_roots_ed(self, max_degree=None) -> Iterator[EpsDeltaVector]:
-        return _osp_pattern(self.eps_dim, self.delta_dim, self._short)
-
-
-class _TypeD21Handle(FiniteHandle):
-    """D(2,1;a): three eps coordinates, norms (-(1+a), 1, a)."""
-
-    def _contains_finite(self, v: EpsDeltaVector) -> bool:
-        se = _support(v.eps)
-        if len(se) == 1:
-            return abs(se[0][1]) == 2
-        return len(se) == 3 and all(abs(x) == 1 for _, x in se)
-
-    def real_roots_ed(self, max_degree=None) -> Iterator[EpsDeltaVector]:
-        for i in range(3):
-            for s in (2, -2):
-                yield EpsDeltaVector(_unit(3, i, s), ())
-        for a in (1, -1):
-            for b in (1, -1):
-                for c in (1, -1):
-                    yield EpsDeltaVector((a, b, c), ())
 
 
 def _build_finite(ctype: CatalogType) -> FiniteHandle:
     fam, m, n = ctype.family, ctype.m, ctype.n
     ones = Fraction(1)
     if fam == "D21":
+        # three eps coordinates, norms (-(1+a), 1, a); roots +-2 eps_i and (+-1, +-1, +-1)
         a = ctype.param
         if a is None or a == 0 or a == -1:
             raise UnsupportedTypeError("D(2,1;a) requires a rational a outside {0,-1}")
@@ -604,18 +512,20 @@ def _build_finite(ctype: CatalogType) -> FiniteHandle:
             EpsDeltaVector((0, 0, 2), ()),
         ]
         theta = EpsDeltaVector((2, 0, 0), ())
-        return _TypeD21Handle(
-            ctype, 3, 0, (-(1 + a), Fraction(1), a), (0, 0, 1, 0),
+        return FiniteHandle(
+            ctype, 3, 0, (-(1 + a), ones, a), (0, 0, 1, 0),
             simples, (1, 0, 0), (Fraction(-1, 2), ones, ones), theta,
+            _singles(3, range(3), 2) + list(product((1, -1), repeat=3)),
         )
     if fam == "A":
+        # sl(m+1|n+1) with m != n: u_a - u_b over eps_1..eps_{m+1}, delta_1..delta_{n+1}
         if m == n:
             raise UnsupportedTypeError(
                 f"A({m},{n}) has degenerate Cartan data and is not quasisimple; unsupported"
             )
         if m < 0 or n < 0:
             raise UnsupportedTypeError("negative rank")
-        cls, e, d = _TypeAHandle, m + 1, n + 1
+        e, d = m + 1, n + 1
         simples = [EpsDeltaVector(_step(e, i), (0,) * d) for i in range(m)]
         simples.append(EpsDeltaVector(_unit(e, m), _unit(d, 0, -1)))
         simples += [EpsDeltaVector((0,) * e, _step(d, p)) for p in range(n)]
@@ -629,7 +539,7 @@ def _build_finite(ctype: CatalogType) -> FiniteHandle:
         # delta_p - delta_{p+1}, then the odd root delta_n - eps_1 (delta_n
         # alone for B(0,n)), eps_i - eps_{i+1}, and last eps_m for B or
         # eps_{m-1} + eps_m for D.
-        cls, e, d = _OspHandle, m, n
+        e, d = m, n
         simples = [EpsDeltaVector((0,) * m, _step(n, p)) for p in range(n - 1)]
         simples.append(EpsDeltaVector(_unit(m, 0, -1) if m else (), _unit(n, n - 1)))
         simples += [EpsDeltaVector(_step(m, i), (0,) * n) for i in range(m - 1)]
@@ -641,7 +551,7 @@ def _build_finite(ctype: CatalogType) -> FiniteHandle:
     elif fam == "C":
         if n < 2:
             raise UnsupportedTypeError("C(n) requires n >= 2")
-        cls, e, d = _OspHandle, 1, n - 1
+        e, d = 1, n - 1
         simples = [EpsDeltaVector((1,), _unit(d, 0, -1))]
         simples += [EpsDeltaVector((0,), _step(d, p)) for p in range(d - 1)]
         simples.append(EpsDeltaVector((0,), _unit(d, d - 1, 2)))
@@ -649,9 +559,17 @@ def _build_finite(ctype: CatalogType) -> FiniteHandle:
         theta = EpsDeltaVector((1,), _unit(d, 0))
     else:
         raise UnsupportedTypeError(f"family {ctype.family!r} is not in the catalog")
-    return cls(
+    if fam == "A":
+        table = [v for v in _pairs(e + d) if sum(v) == 0]
+    else:
+        # osp(M|2d): two entries +-1 and +-2 delta_p, plus the short roots
+        # +-eps_i and +-delta_p of odd M (B only)
+        table = _pairs(e + d) + _singles(e + d, range(e, e + d), 2)
+        if fam == "B":
+            table += _singles(e + d, range(e + d), 1)
+    return FiniteHandle(
         ctype, e, d, (ones,) * e, (0,) * e + (1,) * d + (0,),
-        simples, parities, (ones,) * len(simples), theta,
+        simples, parities, (ones,) * len(simples), theta, table,
     )
 
 
@@ -676,20 +594,8 @@ class UntwistedAffineHandle(RootSystemHandle):
         super().__init__(
             ctype, finite.eps_dim, finite.delta_dim, finite.eps_norms,
             finite.parity_coeffs[:-1] + (0,), simples, parities, gauges, has_null=True,
+            table=finite._table,
         )
-
-    def _contains(self, v: EpsDeltaVector) -> bool:
-        self._check_dims(v)
-        if not any(v.eps) and not any(v.delta):
-            return v.null != 0
-        return self.finite._contains_finite(v)
-
-    def real_roots_ed(self, max_degree: Optional[int] = None) -> Iterator[EpsDeltaVector]:
-        if max_degree is None:
-            raise ValueError("affine enumeration needs a degree bound")
-        for gamma in self.finite.real_roots_ed(None):
-            for r in range(-max_degree, max_degree + 1):
-                yield EpsDeltaVector(gamma.eps, gamma.delta, r)
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +605,11 @@ class UntwistedAffineHandle(RootSystemHandle):
 class TwistedA4Handle(RootSystemHandle):
     """A(2k,2l)^(4): eps_1..eps_k, delta_1..delta_l, null root of parity 1.
 
-    Membership is clause-by-clause: two-entry eps or delta vectors at even
-    null degree, single eps/delta entries at any degree, doubled eps entries
-    at degrees 2 mod 4, doubled delta entries at degrees 0 mod 4, mixed
-    eps+delta pairs (the isotropic roots) at even degrees, and the nonzero
-    multiples of the null root as imaginary roots.
+    The table has period 4.  Single eps/delta entries +-1 are real roots at
+    every degree; two entries +-1 (the isotropic eps+delta pairs among them)
+    at even degrees; doubled delta entries at degrees 0 mod 4 and doubled eps
+    entries at degrees 2 mod 4.  The nonzero multiples of the null root are
+    the imaginary roots.
     """
 
     def __init__(self, ctype: CatalogType):
@@ -716,35 +622,15 @@ class TwistedA4Handle(RootSystemHandle):
         simples += [EpsDeltaVector(_step(k, i), (0,) * l, 0) for i in range(k - 1)]
         simples.append(EpsDeltaVector(_unit(k, k - 1), (0,) * l, 0))
         parities = [0] * l + [1] + [0] * k
+        n = k + l
+        singles = frozenset(_singles(n, range(n), 1))
+        even = singles | frozenset(_pairs(n))
+        table = (even | frozenset(_singles(n, range(k, n), 2)), singles,
+                 even | frozenset(_singles(n, range(k), 2)), singles)
         super().__init__(
             ctype, k, l, (Fraction(1),) * k, (0,) * k + (1,) * l + (1,),
-            simples, parities, (Fraction(1),) * len(simples), has_null=True,
+            simples, parities, (Fraction(1),) * len(simples), has_null=True, table=table,
         )
-
-    def _contains(self, v: EpsDeltaVector) -> bool:
-        self._check_dims(v)
-        sup = _support(v.eps + v.delta)
-        r = v.null
-        if len(sup) == 2:
-            return abs(sup[0][1]) == 1 and abs(sup[1][1]) == 1 and r % 2 == 0
-        if len(sup) == 1:
-            i, x = sup[0]
-            if abs(x) == 1:
-                return True
-            return abs(x) == 2 and r % 4 == (2 if i < self.eps_dim else 0)
-        return not sup and r != 0
-
-    def real_roots_ed(self, max_degree: Optional[int] = None) -> Iterator[EpsDeltaVector]:
-        """The candidates osp(2k+1|2l) and +-2 eps_i at each degree that ``contains_ed`` keeps."""
-        if max_degree is None:
-            raise ValueError("affine enumeration needs a degree bound")
-        k, l = self.eps_dim, self.delta_dim
-        for r in range(-max_degree, max_degree + 1):
-            doubled_eps = (EpsDeltaVector(_unit(k, i, s), (0,) * l, r)
-                           for i in range(k) for s in (2, -2))
-            for v in chain(_osp_pattern(k, l, True, r), doubled_eps):
-                if self.contains_ed(v):
-                    yield v
 
 
 def build(ctype: CatalogType) -> RootSystemHandle:

@@ -6,22 +6,23 @@ entries are ``fractions.Fraction``.  No floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+from .errors import SuperrootError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """An exact rational from a Fraction, an int (not a bool) or a "p/q" string, q != 0."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int or (isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", x)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    raise SuperrootError(f'expected an integer, a Fraction or a "p/q" string, got {x!r}')
 
 
 def vec(xs: Iterable) -> Vec:

@@ -11,7 +11,7 @@ would signal a defect in the membership oracle, never a tolerable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -313,14 +313,8 @@ def _proportional(x, y) -> bool:
 @dataclass
 class SweepReport:
     pairs: int = 0
-    law_counts: dict = None
-    failures: list = None
-
-    def __post_init__(self):
-        if self.law_counts is None:
-            self.law_counts = {}
-        if self.failures is None:
-            self.failures = []
+    law_counts: dict = field(default_factory=dict)
+    failures: list = field(default_factory=list)
 
     def ok(self) -> bool:
         return not self.failures

@@ -14,6 +14,7 @@ from superroot.cartan import (
 )
 from superroot.catalog import build
 from superroot.errors import SuperrootError, ZeroMatrixError
+from superroot.linalg import frac
 
 
 def test_normalize_row_scaling():
@@ -148,3 +149,28 @@ MALFORMED_CARTAN_JSON = [
 def test_cartan_from_json_coerces_nothing(obj):
     with pytest.raises(SuperrootError):
         cartan_from_json(obj)
+
+
+@pytest.mark.parametrize("matrix, parity", [
+    ([[2, -1], [-1, 2]], [0.7, True]),
+    ([[2, -1], [-1, 2]], [0, True]),
+    ([[2, -1], [-1, 2]], [0, 1.0]),
+    ([[2, -1], [-1, 2]], ["1", 0]),
+    ([[2, "-0.5"], [-1, 2]], [0, 0]),
+    ([[2, "1e0"], [-1, 2]], [0, 0]),
+    ([[2, "1/0"], [-1, 2]], [0, 0]),
+    ([[2, True], [-1, 2]], [0, 0]),
+    ([[2, 2.5], [-1, 2]], [0, 0]),
+])
+def test_normalize_coerces_nothing(matrix, parity):
+    # library callers get the strictness of --matrix-json: no float or bool
+    # parity, no decimal entry, and no bare ZeroDivisionError
+    with pytest.raises(SuperrootError):
+        normalize(matrix, parity)
+
+
+def test_frac_reads_only_exact_rationals():
+    assert [frac(x) for x in (Q(3, 4), -3, "-3", "6/4", "-1/2")] == [Q(3, 4), -3, -3, Q(3, 2), Q(-1, 2)]
+    for bad in (True, 0.5, "-0.5", "1e0", "1/0", "1/00", " 1", "+1", "1/-2", None):
+        with pytest.raises(SuperrootError):
+            frac(bad)

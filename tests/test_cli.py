@@ -183,6 +183,13 @@ def test_malformed_matrix_json_exits_two(capsys):
         assert capsys.readouterr().err.startswith("error: "), raw
 
 
+def test_malformed_d21_parameter_exits_two(capsys):
+    # 1/0 crashed with a ZeroDivisionError (exit 1); 0.5 and 1e0 were read as 1/2 and 1
+    for spec in ("D(2,1;1/0)", "D(2,1;0.5)", "D(2,1;1e0)"):
+        assert main(["validate", "--type", spec]) == 2, spec
+        assert capsys.readouterr().err.startswith("error: "), spec
+
+
 def test_directory_path_argument_exits_two(tmp_path, capsys):
     assert main(["pi-check", "--type", "A(0,1)", "--roots", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {str(tmp_path)!r}")
