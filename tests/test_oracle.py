@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -264,6 +265,46 @@ def test_span_growth_truncation_flags():
     full = realize("B(1,1)^(1)", loop_degree=3).full_basis()
     assert full.dimension() == 84
     assert full.truncated is True
+
+
+def _simple_basis(spec, loop_degree=None):
+    h = build(spec)
+    r = realize(h, loop_degree=loop_degree)
+    simples = h.simple_roots_alpha()
+    gens = [r.root_vector(x) for x in simples] + [r.root_vector(_neg(x)) for x in simples]
+    return generated_subalgebra(gens, r)
+
+
+# sha256 of (dimension, truncated, sorted span_signature items): pins every
+# span the growth reaches, weight by weight, in exact echelon form
+SPAN_DIGESTS = {
+    "A(0,1)": "af239f1cb6842ba066a88d0bbc8ea542c988385a3c0b56a74db8c164fc564f06",
+    "B(0,1)": "bdd79d3cb0313196a29e3326e443c0f44e656e5634bd8c3a86f60f88df2f4883",
+    "B(1,1)": "09a6ff306696e3f68f19893697f157588a560d2832fc7b0787f37612daa78873",
+    "A(1,2)": "b31003f2da30e9c49cc66ed89bb544852ab6792caa55ea23255f2ac1ceb1cca2",
+    "B(0,1)^(1) K=1": "4ad1a229dcb414af432635f9bd89899341c4bbca691a910038fdd02c0d8e7317",
+    "A(0,1)^(1) K=2": "c00c27d5fb47d8186e4e3611cc7d5004375e439cd0a0e8ce6528b87e96e84a7d",
+    "B(1,1)^(1) full K=3": "fdf2f2f1e663e9aa060a96442f2985aa02e19a21d7daff35d387e194d83e8943",
+}
+
+
+def test_spans_match_the_pinned_digests():
+    from superroot.oracle import span_signature
+
+    bases = {
+        "A(0,1)": _simple_basis("A(0,1)"),
+        "B(0,1)": _simple_basis("B(0,1)"),
+        "B(1,1)": _simple_basis("B(1,1)"),
+        "A(1,2)": _simple_basis("A(1,2)"),
+        "B(0,1)^(1) K=1": _simple_basis("B(0,1)^(1)", 1),
+        "A(0,1)^(1) K=2": _simple_basis("A(0,1)^(1)", 2),
+        "B(1,1)^(1) full K=3": realize("B(1,1)^(1)", loop_degree=3).full_basis(),
+    }
+    assert bases["B(0,1)^(1) K=1"].truncated
+    for name, basis in bases.items():
+        pinned = (basis.dimension(), basis.truncated, sorted(span_signature(basis).items()))
+        digest = hashlib.sha256(repr(pinned).encode()).hexdigest()
+        assert digest == SPAN_DIGESTS[name], name
 
 
 def test_generated_subalgebra_empty():
