@@ -4,7 +4,6 @@ from .cartan import CartanData, RankOneType, ValidationReport, normalize, rank_o
 from .catalog import CatalogType, EpsDeltaVector, MembershipReport, RootSystemHandle, build, parse_type
 from .basegraph import (
     Base,
-    PrincipalRootsResult,
     RealRootsResult,
     enumerate_real_roots,
     even_reflect_base,
@@ -27,7 +26,6 @@ from .pisystem import (
 from .rootstring import check_unbroken, pairing_laws, root_string, string_pattern, sweep_strings
 from .oracle import (
     GradedMatrix,
-    LoopElement,
     bracket_criteria_sweep,
     generated_subalgebra,
     osp12_module_table,
@@ -53,7 +51,6 @@ __all__ = [
     "build",
     "parse_type",
     "Base",
-    "PrincipalRootsResult",
     "RealRootsResult",
     "standard_base",
     "odd_reflect_base",
@@ -76,7 +73,6 @@ __all__ = [
     "pairing_laws",
     "sweep_strings",
     "GradedMatrix",
-    "LoopElement",
     "realize",
     "generated_subalgebra",
     "subalgebra_real_roots",

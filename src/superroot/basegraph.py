@@ -23,7 +23,6 @@ long as visited-set updates stay atomic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -169,8 +168,10 @@ def _validated(base: Base, cd: CartanData, checked: set) -> Base:
 
 @dataclass(frozen=True)
 class RealRootsResult:
+    """Roots found by a base-graph search; ``complete`` when nothing was pruned."""
+
     roots: frozenset[Root]
-    complete_up_to: Optional[float]  # math.inf when fully enumerated, else None
+    complete: bool
     bases_visited: int
 
 
@@ -215,7 +216,7 @@ def enumerate_real_roots(
 
     Bases containing a root of height above ``h_explore`` are pruned and the
     result is then only best-effort; a run that terminates without pruning
-    has enumerated every real root and reports ``complete_up_to = inf``.
+    has enumerated every real root and reports ``complete``.
     The real roots are closed under negation, so the output is symmetrized.
     """
     if h_explore is None:
@@ -231,21 +232,10 @@ def enumerate_real_roots(
                 found.add(rs.scale(2, r))
     symmetric = {r for r in found if height(r) <= h_report}
     symmetric |= {rs.neg(r) for r in symmetric}
-    return RealRootsResult(
-        roots=frozenset(symmetric),
-        complete_up_to=None if pruned else math.inf,
-        bases_visited=len(bases),
-    )
+    return RealRootsResult(frozenset(symmetric), not pruned, len(bases))
 
 
-@dataclass(frozen=True)
-class PrincipalRootsResult:
-    roots: frozenset[Root]
-    complete: bool
-    bases_visited: int
-
-
-def principal_roots(cd: CartanData, h_explore: int = 64) -> PrincipalRootsResult:
+def principal_roots(cd: CartanData, h_explore: int = 64) -> RealRootsResult:
     """Even roots alpha with alpha or alpha/2 in a base reachable by odd reflections.
 
     The set of principal roots is finite, but the odd-reflection base graph
@@ -264,6 +254,4 @@ def principal_roots(cd: CartanData, h_explore: int = 64) -> PrincipalRootsResult
                 found.add(r)
             elif base.matrix[i][i] == 2:
                 found.add(rs.scale(2, r))
-    return PrincipalRootsResult(
-        roots=frozenset(found), complete=not pruned, bases_visited=len(bases)
-    )
+    return RealRootsResult(frozenset(found), not pruned, len(bases))

@@ -75,6 +75,7 @@ class CatalogType:
 
 
 _TYPE_RE = re.compile(r"^([ABCD])\(([^()]*)\)(?:\^\((\d)\))?$")
+_RANK_RE = re.compile(r"[0-9]+")
 
 
 def parse_type(spec: str) -> CatalogType:
@@ -88,6 +89,8 @@ def parse_type(spec: str) -> CatalogType:
         raise UnsupportedTypeError(f"unknown twist in {spec!r}")
     parts = [p.strip() for p in args.split(";")]
     ranks = [p.strip() for p in parts[0].split(",")]
+    if not all(_RANK_RE.fullmatch(r) for r in ranks):
+        raise UnsupportedTypeError(f"ranks must be written in the digits 0-9, got {spec!r}")
     if fam == "D" and len(parts) == 2:
         if ranks != ["2", "1"]:
             raise UnsupportedTypeError(f"parametric family requires D(2,1;a), got {spec!r}")

@@ -126,7 +126,7 @@ def _real_roots(args):
     entries = [{"root": list(r), "parity": cd.root_parity(r),
                 "isotropic": None if d is None else bool(bilinear(r, r, cd, d) == 0)}
                for r in sorted(result.roots)]
-    complete = "inf" if result.complete_up_to is not None else None
+    complete = "inf" if result.complete else None
     body = {"roots": entries, "count": len(entries), "complete_up_to": complete,
             "bases_visited": result.bases_visited}
     lines = [f"{len(entries)} real roots (complete_up_to={complete}, bases={result.bases_visited})"]

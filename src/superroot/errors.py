@@ -82,7 +82,3 @@ class PatternViolationError(SuperrootError):
 
 class TruncationHitError(SuperrootError):
     pass
-
-
-class FeasibilitySizeError(SuperrootError):
-    pass

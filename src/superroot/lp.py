@@ -5,30 +5,15 @@ Phase-one simplex with Bland's rule on a fraction-free integer tableau
 an integer, and the true tableau is the integer one divided by a common
 positive divisor d.  Ties cannot occur in exact arithmetic and Bland's rule
 rules out cycling, so the search always terminates.  Problem sizes here are
-tiny (a handful of roots), but an environment cap ``SUPERROOT_MAX_LP_VARS``
-is honoured as a safety valve.
+tiny (a handful of roots).
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
-
-from .errors import FeasibilitySizeError
-
-_ENV_CAP = "SUPERROOT_MAX_LP_VARS"
-
-
-def _max_vars() -> Optional[int]:
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None or raw == "":
-        return None
-    if not raw.strip().isdecimal():
-        raise FeasibilitySizeError(f"{_ENV_CAP} must be a nonnegative integer, got {raw!r}")
-    return int(raw)
 
 
 def feasible_nonneg(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
@@ -59,9 +44,6 @@ def feasible_nonneg(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Frac
     rhs = [x if type(x) is int else Fraction(x) for x in b]
     m = len(a)
     n = len(a[0]) if m else 0
-    cap = _max_vars()
-    if cap is not None and n > cap:
-        raise FeasibilitySizeError(f"{n} variables exceeds {_ENV_CAP}={cap}")
     if m == 0:
         return []
     if n == 0:

@@ -15,9 +15,10 @@ otherwise; brackets multiply sparse by sparse and span reduction runs on
 sparse vectors.  Nothing is ever rounded.  Dense views remain for callers
 that want them, such as the independent echelon check ``span_signature``.
 
-Loop elements carry a truncation degree K fixed per session.  A bracket whose
-result would leave the window raises; the span growth records the event and
-reports a truncated status instead of silently dropping anything.
+An element is a (weight, matrix) pair; the last weight coordinate is its
+loop degree.  A realization fixes a truncation window K, and a nonzero
+bracket whose degree would leave it raises; the span growth records the
+event and reports a truncated status instead of silently dropping anything.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .linalg import rref, solve
 from .rootspace import Root, height
 
 # ---------------------------------------------------------------------------
-# graded matrices and loop elements
+# graded matrices and weighted elements
 
 
 Entry = tuple[int, int]  # (row, column)
@@ -168,65 +169,28 @@ def gm_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 
 
 @dataclass(frozen=True)
-class LoopElement:
-    """Finite sum of matrix-times-t^degree terms, all of one parity."""
+class WeightedElement:
+    """A Cartan-homogeneous element: ``matrix`` times t to the loop degree.
 
-    terms: tuple[tuple[int, GradedMatrix], ...]  # sorted by degree, no zeros
+    ``weight`` holds the ambient handle's eps, delta and null coordinates;
+    its last entry is the loop degree, 0 for a finite type.
+    """
 
-    @property
-    def parity(self) -> int:
-        return self.terms[0][1].parity if self.terms else 0
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> list[int]:
-        return [d for d, _ in self.terms]
-
-    def scaled(self, c: Fraction) -> "LoopElement":
-        if c == 0:
-            return LoopElement(())
-        return LoopElement(tuple((d, m.scaled(c)) for d, m in self.terms))
+    weight: tuple[int, ...]
+    matrix: GradedMatrix
 
 
-def loop(matrix: GradedMatrix, degree: int = 0) -> LoopElement:
-    if matrix.is_zero():
-        return LoopElement(())
-    return LoopElement(((degree, matrix),))
-
-
-def loop_add(a: LoopElement, b: LoopElement) -> LoopElement:
-    acc: dict[int, GradedMatrix] = {d: m for d, m in a.terms}
-    for d, m in b.terms:
-        acc[d] = acc[d].plus(m) if d in acc else m
-    return LoopElement(tuple((d, acc[d]) for d in sorted(acc) if not acc[d].is_zero()))
-
-
-def loop_bracket(a: LoopElement, b: LoopElement, truncation: int) -> LoopElement:
-    """Bracket of loop elements; degrees add, results beyond the window raise."""
-    acc: dict[int, GradedMatrix] = {}
-    for da, ma in a.terms:
-        for db, mb in b.terms:
-            d = da + db
-            br = gm_bracket(ma, mb)
-            if br.is_zero():
-                continue
-            if abs(d) > truncation:
-                raise TruncationHitError(f"bracket degree {d} exceeds the window {truncation}")
-            acc[d] = acc[d].plus(br) if d in acc else br
-    return LoopElement(tuple((d, acc[d]) for d in sorted(acc) if not acc[d].is_zero()))
+def loop_bracket(x: WeightedElement, y: WeightedElement, truncation: int) -> WeightedElement:
+    """[x, y]: weights add and matrices bracket; a nonzero result beyond the window raises."""
+    br = gm_bracket(x.matrix, y.matrix)
+    w = tuple(p + q for p, q in zip(x.weight, y.weight))
+    if abs(w[-1]) > truncation and not br.is_zero():
+        raise TruncationHitError(f"bracket degree {w[-1]} exceeds the window {truncation}")
+    return WeightedElement(w, br)
 
 
 # ---------------------------------------------------------------------------
 # realizations
-
-
-@dataclass(frozen=True)
-class WeightedElement:
-    """A Cartan-homogeneous element with its ambient-handle weight coordinates."""
-
-    weight: tuple[int, ...]  # eps + delta + null coords of the ambient handle
-    value: LoopElement
 
 
 class Realization:
@@ -261,12 +225,11 @@ class Realization:
         return self._root_spaces[key]
 
     def root_vector(self, root: Sequence[int]) -> WeightedElement:
-        """The root vector x_beta as a weighted loop element."""
+        """The root vector x_beta as a weighted element."""
         ed = self.handle.to_ed(tuple(root))
         if abs(ed.null) > self.truncation:
             raise TruncationHitError(f"degree {ed.null} exceeds the window {self.truncation}")
-        m = self.finite_root_matrix(ed)
-        return WeightedElement(ed.coords(), loop(m, ed.null))
+        return WeightedElement(ed.coords(), self.finite_root_matrix(ed))
 
     # -- generator construction ------------------------------------------------
 
@@ -276,14 +239,12 @@ class Realization:
         simples_alpha = self.handle.simple_roots_alpha()
         for i, alpha in enumerate(self.handle.simple_ed):
             xplus = self.root_vector(simples_alpha[i])
-            ed_minus = -alpha
-            m_minus = self.finite_root_matrix(ed_minus)
-            xminus_raw = WeightedElement(ed_minus.coords(), loop(m_minus, ed_minus.null))
-            h_raw = loop_bracket(xplus.value, xminus_raw.value, self.truncation)
-            if h_raw.is_zero():
+            minus = -alpha
+            xminus_raw = WeightedElement(minus.coords(), self.finite_root_matrix(minus))
+            h_raw = loop_bracket(xplus, xminus_raw, self.truncation)
+            if h_raw.matrix.is_zero():
                 raise AssertionError("vanishing coroot bracket in the realization")
-            h_mat = h_raw.terms[0][1]
-            row_raw = [self.weight_eval(aj, h_mat) for aj in self.handle.simple_ed]
+            row_raw = [self.weight_eval(aj, h_raw.matrix) for aj in self.handle.simple_ed]
             j = next(j for j in range(len(cat)) if cat[i][j] != 0)
             if row_raw[j] == 0:
                 raise AssertionError("realized Cartan row is not proportional to the catalog row")
@@ -295,17 +256,14 @@ class Realization:
                         f"{[c * x for x in row_raw]} vs {list(cat[i])}"
                     )
             # the bracket is bilinear, so [x+, c x-] is c h_raw
-            xminus = WeightedElement(xminus_raw.weight, xminus_raw.value.scaled(c))
-            h = WeightedElement(tuple(0 for _ in xplus.weight), h_raw.scaled(c))
+            xminus = WeightedElement(xminus_raw.weight, xminus_raw.matrix.scaled(c))
+            h = WeightedElement(h_raw.weight, h_raw.matrix.scaled(c))
             out.append((xplus, xminus, h))
         return out
 
     def recomputed_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
-        rows = []
-        for _, _, h in self.generators:
-            h_mat = h.value.terms[0][1]
-            rows.append(tuple(self.weight_eval(aj, h_mat) for aj in self.handle.simple_ed))
-        return tuple(rows)
+        return tuple(tuple(self.weight_eval(aj, h.matrix) for aj in self.handle.simple_ed)
+                     for _, _, h in self.generators)
 
     def full_basis(self) -> "SubalgebraBasis":
         gens = []
@@ -402,20 +360,13 @@ class SubalgebraBasis:
         return len(self.elements)
 
 
-def _flatten(e: WeightedElement) -> tuple[Fraction, ...]:
-    # Homogeneous elements at one weight share a single degree.
-    if not e.value.terms:
-        return ()
-    return e.value.terms[0][1].flat()
-
-
 def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realization) -> SubalgebraBasis:
     """Grow the span of iterated superbrackets until it stabilizes.
 
-    Elements must be Cartan-homogeneous; brackets of homogeneous elements are
-    homogeneous, so reduction happens weight by weight, on sparse vectors
-    keyed by matrix entry (row, column).  The pivot of a vector is its
-    smallest key, which is its first nonzero in row-major order.
+    Weighted elements are Cartan-homogeneous and so are their brackets, so
+    reduction happens weight by weight, on sparse vectors keyed by matrix
+    entry (row, column).  The pivot of a vector is its smallest key, which
+    is its first nonzero in row-major order.
 
     Each pair is bracketed in one order only.  For homogeneous x and y,
     [y,x] = -(-1)^{p(x)p(y)} [x,y] term by term, so [y,x] lies in the span
@@ -431,11 +382,9 @@ def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realizati
     truncated = False
 
     def insert(e: WeightedElement) -> bool:
-        if e.value.is_zero():
+        if e.matrix.is_zero():
             return False
-        if len(e.value.terms) != 1:
-            raise ValueError("span growth expects Cartan-homogeneous elements")
-        vec = dict(e.value.terms[0][1].nz)
+        vec = dict(e.matrix.nz)
         rows = spans.setdefault(e.weight, [])
         for pivot, rvec in rows:
             f = vec.get(pivot)
@@ -463,16 +412,12 @@ def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realizati
         x = queue.pop()
         for y in list(basis):
             try:
-                br = loop_bracket(x.value, y.value, K)
+                br = loop_bracket(x, y, K)
             except TruncationHitError:
                 truncated = True
                 continue
-            if br.is_zero():
-                continue
-            w = tuple(p + q for p, q in zip(x.weight, y.weight))
-            e = WeightedElement(w, br)
-            if insert(e):
-                queue.append(e)
+            if insert(br):
+                queue.append(br)
     return SubalgebraBasis(basis, truncated, K)
 
 
@@ -482,7 +427,7 @@ def span_signature(basis: SubalgebraBasis, window: Optional[int] = None) -> dict
     for e in basis.elements:
         if window is not None and abs(e.weight[-1]) > window:
             continue
-        table.setdefault(e.weight, []).append(list(_flatten(e)))
+        table.setdefault(e.weight, []).append(list(e.matrix.flat()))
     return {w: tuple(tuple(row) for row in rref(vecs)[0] if any(row))
             for w, vecs in table.items()}
 
@@ -603,11 +548,11 @@ def bracket_criteria_sweep(
             if not any(s):
                 continue
             try:
-                br = loop_bracket(real_elems[a].value, real_elems[b].value, basis.truncation)
+                br = loop_bracket(real_elems[a], real_elems[b], basis.truncation)
             except TruncationHitError:
                 continue
             checked += 1
-            nonzero = not br.is_zero()
+            nonzero = not br.matrix.is_zero()
             in_delta = handle.contains(s)
             if nonzero != in_delta:
                 bracket_bad.append((a, b, nonzero, in_delta))
@@ -647,20 +592,14 @@ def osp12_module_table(k: int) -> ModuleTable:
         raise ValueError("k must be nonnegative")
     d = 2 * k + 1
     space = tuple(j % 2 for j in range(d))
-    emat = [[Fraction(0)] * d for _ in range(d)]
-    fmat = [[Fraction(0)] * d for _ in range(d)]
-    hmat = [[Fraction(0)] * d for _ in range(d)]
-    for j in range(d):
-        hmat[j][j] = Fraction(2 * k - 2 * j)
-        if j + 1 < d:
-            fmat[j + 1][j] = Fraction(1)
-        if j > 0:
-            emat[j - 1][j] = Fraction(-j if j % 2 == 0 else 2 * k + 1 - j)
+    e = {(j - 1, j): -j if j % 2 == 0 else d - j for j in range(1, d)}
+    f = {(j + 1, j): 1 for j in range(d - 1)}
+    h = {(j, j): 2 * k - 2 * j for j in range(d)}
     return ModuleTable(
         k,
-        GradedMatrix(tuple(tuple(r) for r in emat), 1, space),
-        GradedMatrix(tuple(tuple(r) for r in fmat), 1, space),
-        GradedMatrix(tuple(tuple(r) for r in hmat), 0, space),
+        GradedMatrix.sparse(e, 1, space),
+        GradedMatrix.sparse(f, 1, space),
+        GradedMatrix.sparse(h, 0, space),
     )
 
 
@@ -672,12 +611,11 @@ def verify_osp12_module(k: int, realization: Optional[Realization] = None) -> bo
     """
     real = realization if realization is not None else realize("B(0,1)")
     e, f, _ = real.generators[0]
-    em, fm = e.value.terms[0][1], f.value.terms[0][1]
+    em, fm = e.matrix, f.matrix
     hm = gm_bracket(em, fm)
     basis_r = [em, fm, hm, gm_bracket(em, em), gm_bracket(fm, fm)]
     table = osp12_module_table(k)
-    hmod = gm_bracket(table.e, table.f)
-    if hmod.entries != table.h.entries:
+    if gm_bracket(table.e, table.f) != table.h:
         return False
     basis_m = [table.e, table.f, table.h,
                gm_bracket(table.e, table.e), gm_bracket(table.f, table.f)]
@@ -689,15 +627,11 @@ def verify_osp12_module(k: int, realization: Optional[Realization] = None) -> bo
             coeffs = solve(rows, list(target.flat()))
             if coeffs is None:
                 return False
-            lhs = gm_bracket(basis_m[i], basis_m[j])
-            acc = [[Fraction(0)] * table.e.dim for _ in range(table.e.dim)]
+            rhs: dict[Entry, object] = {}
             for c, bm in zip(coeffs, basis_m):
-                if c:
-                    dense = bm.entries
-                    for r in range(table.e.dim):
-                        for s in range(table.e.dim):
-                            acc[r][s] += c * dense[r][s]
-            if tuple(tuple(r) for r in acc) != lhs.entries:
+                for key, x in bm.nz.items():
+                    rhs[key] = rhs.get(key, 0) + c * x
+            if {key: x for key, x in rhs.items() if x} != gm_bracket(basis_m[i], basis_m[j]).nz:
                 return False
     return True
 

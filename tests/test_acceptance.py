@@ -214,9 +214,9 @@ def test_criterion_7_structural_suites():
         dim = basis.dimension()
         for e, f, _ in realization.generators:
             for gen in (e, f):
-                g = gen.value.terms[0][1]
+                g = gen.matrix
                 for elem in basis.elements:
-                    cur = elem.value.terms[0][1]
+                    cur = elem.matrix
                     steps = 0
                     while not cur.is_zero() and steps <= dim:
                         cur = oracle.gm_bracket(g, cur)

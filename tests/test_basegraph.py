@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as Q
 
 import pytest
@@ -106,7 +105,7 @@ def test_enumerate_sl12():
     cd = _sl12()
     res = enumerate_real_roots(cd, 4)
     assert set(res.roots) == {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
-    assert res.complete_up_to == math.inf
+    assert res.complete
 
 
 def test_enumerate_osp12_doubling():
@@ -129,7 +128,7 @@ def test_enumerate_matches_catalog_finite():
                  "D(2,1;1/2)", "B(0,2)", "B(1,2)", "C(3)", "D(2,2)"):
         h = build(spec)
         res = enumerate_real_roots(h.cartan, 16)
-        assert res.complete_up_to == math.inf, spec
+        assert res.complete, spec
         assert set(res.roots) == set(h.real_roots()), spec
 
 
@@ -137,7 +136,7 @@ def test_enumerate_matches_catalog_affine_slice():
     for spec in ("A(0,1)^(1)", "B(1,1)^(1)", "A(2,2)^(4)", "C(2)^(1)", "D(2,1;2)^(1)"):
         h = build(spec)
         res = enumerate_real_roots(h.cartan, 8, 13)
-        assert res.complete_up_to is None  # affine runs are best-effort
+        assert not res.complete  # affine runs are best-effort
         catalog = {r for r in h.real_roots(max_height=8)}
         assert set(res.roots) == catalog, spec
 
@@ -395,13 +394,9 @@ def test_search_matches_the_full_build_reference(spec, explores):
             assert [(b.roots, b.coroots) for b in bases] == ref, (spec, h_explore, odd_only)
             for b in bases:
                 assert b.matrix == _ref_matrix(b.roots, b.coroots, cd)
-            if odd_only:
-                res = principal_roots(cd, h_explore)
-                assert (res.complete, res.bases_visited) == (not ref_pruned, len(ref))
-            else:
-                res = enumerate_real_roots(cd, h_explore)
-                assert res.bases_visited == len(ref)
-                assert res.complete_up_to == (None if ref_pruned else math.inf)
+            search = principal_roots if odd_only else enumerate_real_roots
+            res = search(cd, h_explore)
+            assert (res.complete, res.bases_visited) == (not ref_pruned, len(ref))
 
 
 def test_validate_runs_once_per_distinct_matrix(monkeypatch):
@@ -465,7 +460,7 @@ def test_search_agrees_with_the_catalog_at_height_6(spec):
     h = build(spec)
     res = enumerate_real_roots(h.cartan, 6)
     catalog = set(h.real_roots(max_height=6))
-    if res.complete_up_to == math.inf:
+    if res.complete:
         assert set(res.roots) == catalog
     else:
         assert set(res.roots) <= catalog

@@ -20,6 +20,15 @@ def test_parse_type_grammar():
         parse_type("B(1,1)^(2)")
 
 
+def test_parse_type_accepts_only_decimal_digit_ranks():
+    # int() read "+1" as 1 and "1_0" as 10, and raised a bare ValueError on "x"
+    assert parse_type(" B( 1 , 10 ) ") == CatalogType("B", 1, 10)
+    for bad in ("B(+1,1_0)", "B(x,1)", "B(1,-1)", "C(3.0)", "A(,1)", "C()",
+                "B(1,\u0661)", "D(+2,1;1)"):
+        with pytest.raises(UnsupportedTypeError):
+            parse_type(bad)
+
+
 def test_unsupported_types():
     for bad in ("A(1,1)", "A(2,2)", "B(2,0)", "C(1)", "D(1,1)", "D(2,1;0)",
                 "B(2,2)^(4)", "A(1,2)^(4)", "A(2,1)^(4)"):

@@ -190,6 +190,12 @@ def test_malformed_d21_parameter_exits_two(capsys):
         assert capsys.readouterr().err.startswith("error: "), spec
 
 
+def test_malformed_rank_exits_two(capsys):
+    # int() read "+1" as 1 and "1_0" as 10, so this validated B(1,10)
+    assert main(["validate", "--type", "B(+1,1_0)"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_directory_path_argument_exits_two(tmp_path, capsys):
     assert main(["pi-check", "--type", "A(0,1)", "--roots", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {str(tmp_path)!r}")

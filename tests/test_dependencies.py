@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library and itself, and
-its arithmetic is exact: no float literal appears in its source."""
+"""The package imports nothing outside the standard library and itself, its
+arithmetic is exact (no float literal appears in its source), and every
+exported name resolves."""
 
 import ast
 import sys
@@ -34,3 +35,9 @@ def test_no_float_literals():
             if isinstance(node, ast.Constant):
                 assert not isinstance(node.value, (float, complex)), (
                     path.name, node.lineno, node.value)
+
+
+def test_every_exported_name_resolves():
+    assert len(superroot.__all__) == len(set(superroot.__all__))
+    for name in superroot.__all__:
+        assert hasattr(superroot, name), name

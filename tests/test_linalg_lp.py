@@ -1,8 +1,5 @@
 from fractions import Fraction as Q
 
-import pytest
-
-from superroot.errors import FeasibilitySizeError
 from superroot.linalg import mat, nullspace, rank, rref, solve
 from superroot.lp import feasible_nonneg, in_nonneg_cone
 
@@ -57,18 +54,6 @@ def test_degenerate_pivoting_terminates():
     for row, rhs in zip(rows, b):
         assert sum(Q(c) * x for c, x in zip(row, sol)) == rhs
     assert all(x >= 0 for x in sol)
-
-
-def test_env_cap(monkeypatch):
-    monkeypatch.setenv("SUPERROOT_MAX_LP_VARS", "2")
-    with pytest.raises(FeasibilitySizeError):
-        feasible_nonneg([[1, 1, 1]], [1])
-    for malformed in ("two", "-1", "2.5"):
-        monkeypatch.setenv("SUPERROOT_MAX_LP_VARS", malformed)
-        with pytest.raises(FeasibilitySizeError, match="SUPERROOT_MAX_LP_VARS"):
-            feasible_nonneg([[1, 1, 1]], [1])
-    monkeypatch.delenv("SUPERROOT_MAX_LP_VARS")
-    assert feasible_nonneg([[1, 1, 1]], [1]) is not None
 
 
 def _reference_feasible_nonneg(rows, b):

@@ -13,7 +13,6 @@ from superroot.oracle import (
     bracket_criteria_sweep,
     generated_subalgebra,
     gm_bracket,
-    loop,
     loop_bracket,
     osp12_module_table,
     realize,
@@ -97,23 +96,6 @@ def test_sparse_arithmetic_matches_dense_reference():
     assert cancelled > 0
 
 
-def test_loop_element_sums():
-    from superroot.oracle import loop_add
-
-    m = GradedMatrix(((Q(1), Q(0)), (Q(0), Q(-1))), 0, (0, 1))
-    a = loop_add(loop(m, 0), loop(m, 2))
-    assert a.degrees() == [0, 2]
-    cancel = loop_add(loop(m, 1), loop(m.scaled(Q(-1)), 1))
-    assert cancel.is_zero()
-    assert loop_add(a, loop(m.scaled(Q(3)), 0)).terms[0][1].entries[0][0] == 4
-
-
-def _loops_equal(a, b):
-    da = {d: m.entries for d, m in a.terms}
-    db = {d: m.entries for d, m in b.terms}
-    return da == db
-
-
 def test_defining_relations():
     for spec in ("A(0,1)", "A(0,2)", "B(0,1)", "B(1,1)", "B(2,1)", "C(2)", "D(2,1)"):
         r = realize(spec)
@@ -123,11 +105,11 @@ def test_defining_relations():
             for j in range(n):
                 ej, fj, _ = r.generators[j]
                 if i != j:
-                    assert loop_bracket(ei.value, fj.value, 0).is_zero(), (spec, i, j)
+                    assert loop_bracket(ei, fj, 0).matrix.is_zero(), (spec, i, j)
                 # [h_i, e_j] = a_ij e_j
-                lhs = loop_bracket(hi.value, ej.value, 0)
-                rhs = ej.value.scaled(r.handle.cartan.matrix[i][j])
-                assert _loops_equal(lhs, rhs), (spec, i, j)
+                lhs = loop_bracket(hi, ej, 0)
+                rhs = ej.matrix.scaled(r.handle.cartan.matrix[i][j])
+                assert (lhs.weight, lhs.matrix) == (ej.weight, rhs), (spec, i, j)
 
 
 def test_recomputed_cartan_matches_catalog():
@@ -319,7 +301,18 @@ def test_loop_truncation_rejected_not_dropped():
     # vector at degree two, outside the window
     x = r.root_vector(h.to_alpha(ED((0,), (1,), 1)))
     with pytest.raises(TruncationHitError):
-        loop_bracket(x.value, x.value, 1)
+        loop_bracket(x, x, 1)
+
+
+def test_zero_bracket_outside_the_window_is_not_a_hit():
+    # an even root vector at degree one commutes with itself: the bracket
+    # lands at degree two, outside the window, but is zero, so nothing is lost
+    r = realize("B(1,1)^(1)", loop_degree=1)
+    x = r.root_vector(r.handle.to_alpha(ED((1,), (0,), 1)))
+    br = loop_bracket(x, x, 1)
+    assert br.matrix.is_zero() and br.weight[-1] == 2
+    basis = generated_subalgebra([x], r)
+    assert (basis.dimension(), basis.truncated) == (1, False)
 
 
 def test_affine_pair_subalgebra():
@@ -452,11 +445,23 @@ def test_osp12_module_vs_realization():
         assert verify_osp12_module(k, r), k
 
 
+def test_osp12_module_check_rejects_a_wrong_table(monkeypatch):
+    # f doubled with h = [e, f] kept consistent: only the structure constants
+    # tell this table from the module
+    from superroot import oracle
+
+    good = osp12_module_table(1)
+    f = good.f.scaled(Q(2))
+    bad = oracle.ModuleTable(1, good.e, f, gm_bracket(good.e, f))
+    monkeypatch.setattr(oracle, "osp12_module_table", lambda k: bad)
+    assert not verify_osp12_module(1, realize("B(0,1)"))
+
+
 def test_super_jacobi_random_triples():
     rng = random.Random(7)
     for spec in ("A(0,2)", "B(1,1)", "B(2,1)"):
         r = realize(spec)
-        elems = [e.value.terms[0][1] for e in r.full_basis().elements]
+        elems = [e.matrix for e in r.full_basis().elements]
         for _ in range(40):
             x, y, z = (rng.choice(elems) for _ in range(3))
             assert super_jacobi_defect(x, y, z).is_zero(), spec
@@ -471,10 +476,10 @@ def test_ad_nilpotency():
         for e, f, _ in r.generators:
             for gen in (e, f):
                 for elem in basis.elements:
-                    current = elem.value.terms[0][1]
+                    current = elem.matrix
                     steps = 0
                     while not current.is_zero() and steps <= dim:
-                        current = gm_bracket(gen.value.terms[0][1], current)
+                        current = gm_bracket(gen.matrix, current)
                         steps += 1
                     assert current.is_zero(), spec
 
@@ -486,7 +491,7 @@ def test_weight_parity_matches_block_parity():
         h = r.handle
         for elem in r.full_basis().elements:
             if not any(elem.weight):
-                assert elem.value.terms[0][1].parity == 0
+                assert elem.matrix.parity == 0
                 continue
             ed = ED(elem.weight[: h.eps_dim], elem.weight[h.eps_dim:-1], elem.weight[-1])
-            assert h.parity_ed(ed) == elem.value.terms[0][1].parity, (spec, elem.weight)
+            assert h.parity_ed(ed) == elem.matrix.parity, (spec, elem.weight)
