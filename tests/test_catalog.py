@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction as Q
 
@@ -416,3 +417,79 @@ def test_contains_ed_equals_the_reference_rules():
             for r in (range(-5, 6) if h.has_null else (0,)):
                 v = ED(c[:e], c[e:], r)
                 assert h.contains_ed(v) == _reference_contains(h, v), (spec, v)
+
+
+_PINNED_FINITE = ["A(0,1)", "A(1,0)", "A(0,2)", "A(1,2)", "A(2,1)", "A(0,3)", "A(1,3)",
+                  "B(0,1)", "B(0,2)", "B(1,1)", "B(2,1)", "B(1,2)", "B(2,2)",
+                  "C(2)", "C(3)", "C(4)", "D(2,1)", "D(3,1)", "D(2,2)", "D(3,2)",
+                  "D(2,1;1/2)", "D(2,1;-5/3)", "D(2,1;2)"]
+_PINNED_SPECS = (_PINNED_FINITE + [s + "^(1)" for s in _PINNED_FINITE]
+                 + ["A(2,2)^(4)", "A(4,2)^(4)", "A(2,4)^(4)"])
+
+HANDLE_DIGESTS = {
+    "A(0,1)": "f02f83105c6398cb068830612ea3a7fc02c753d2441c399ace368e3bea85fb97",
+    "A(1,0)": "e2a492b303962615113a79de3385ee9bb7cad2fd588d2b41dfa4755713f8029e",
+    "A(0,2)": "3ffd62ac56fc5bbbf2de7a39b20ff9cacbc8b66c3b298aa4814b0af8742cb805",
+    "A(1,2)": "5e7938a95f3dd3bcb302d00ee407c63c372b6b01dc9219a5f963da337283b97c",
+    "A(2,1)": "488823e62e4d2b85ef4c04439f3a29c7b57bd695f9a05824e494443df9f0150d",
+    "A(0,3)": "fdf7cda34eb515b1921f6503f9bbd7451e275f5e1ec8a2e3f35b9d2cdac7d7ca",
+    "A(1,3)": "9506dd01a1fadb3203ff821670a96e6cc413eb3dc492f9ad8b7d120f2ac2c8a7",
+    "B(0,1)": "8787e2fa10e3845fc304d48f77a0d2a456dd03a4188d113274cbed2fb3ae428d",
+    "B(0,2)": "ad4d3cfde4290e1e870e0aeada4a771213ade1ee996dbf0cd75ff0db9ccddca4",
+    "B(1,1)": "6f41ab9c073fd6e0a301dcfb110b6f7202c6fa8454f1f68a3e247666bcf51297",
+    "B(2,1)": "cb54b9cc66ee02350fa18402c88f8e8e5e09223a623d3cfc650571a76cb555b2",
+    "B(1,2)": "f13ff02d23417be02b93d485db68d25da7aef0d174142b865435e149af9449b5",
+    "B(2,2)": "a4420acd9715d08583c45af9aaff76cdb378dfb1fb9776c817b1fdfbefa07c77",
+    "C(2)": "30979fab0d8303c52d0883477dfb4b7c592465c14bda617e64991ff2b50d3056",
+    "C(3)": "02f4194dd92dd4d111825539860024ce30e9262a5fbaf4566a45292d55f60403",
+    "C(4)": "9aabab5e12ec373ffd0b763e232fcfa44b033f8507c921a3abd88e13d1d9eea1",
+    "D(2,1)": "3afff247d2e701af686351b4162957ec7f5781184a60adce1cef2c9f4b425a5c",
+    "D(3,1)": "6735a0de3675557ef02c9bb1f85082674db62c929dc5f9e5cfdea1024467d38d",
+    "D(2,2)": "413a25458b41e00096b01184f3da1c9b5ca5b2518a764178efce3baa53d0b9be",
+    "D(3,2)": "e2faa43045ac48053a195a928399db5dbd37c5cf1ffb006691d5ff59121e4877",
+    "D(2,1;1/2)": "95517e984029d1c4519910d6ff3841b92ca11c8e1edca5c481f1de63cba657f8",
+    "D(2,1;-5/3)": "d2217e428a8fc7a841d359e17f840fbc268632ec394eff49215314c4c2bd54d5",
+    "D(2,1;2)": "1d81f14fdb7c9c7c7ef0ef9aae4e19ce5f00f5bcc7112e1e66f8d8aa048aa856",
+    "A(0,1)^(1)": "642790642e14e24f029e97f810a2739dcc990a5767b83096965b1f7a043412b8",
+    "A(1,0)^(1)": "e119159c411ea8888e7b21005805aadde8198bc0d1e57f5c07385b4a1e6468ee",
+    "A(0,2)^(1)": "13f08e656b7fc976e47c1cbf184800068a7ba2da1efa689ee4d35923b92715d1",
+    "A(1,2)^(1)": "d010e36ba3d4182be9c100267ff668bc3cbd73a93ff7559cf4d6fcfa8716b86d",
+    "A(2,1)^(1)": "adc6aa864bb9796f939826e1fff19b98a6fae9330c0e290b4f18a9678c06020f",
+    "A(0,3)^(1)": "f007bb6277f813fc52feb11777654201a0917f6e6212bd911da3b5f29d7f1021",
+    "A(1,3)^(1)": "4365c6b57a244bb0ef46ac7d14bc2ae27e466c2e2c148fcf15c02c420f3d6cc4",
+    "B(0,1)^(1)": "8458a682cdd92f821e28415c5d07f63a120f5616f20fefc8b7a3c417b8768779",
+    "B(0,2)^(1)": "badaa86bef58396ed5737311250d494d826b8b84e508a9bec3534d4efa0c1204",
+    "B(1,1)^(1)": "57a077b861214a4d45dbee525d0556ad1330ab0dc43c84da913984414aac22eb",
+    "B(2,1)^(1)": "e6f9de9c6ac7e4d52f2b3538bc3857c82da2c60f1100e2f383263412d1a2bd73",
+    "B(1,2)^(1)": "fde68efa2698659752106135c8a1de4b0d4b90a8752aeea1f39fadb24fd61592",
+    "B(2,2)^(1)": "2cb5751ccad1907af6c9db71bad559b357a9f7471b3b2ae548310f4672c904ac",
+    "C(2)^(1)": "d3220928b915f5763bd001f2c23f570e2595b700040fdba72ce1eb117efebf75",
+    "C(3)^(1)": "4c09f4e7a011e5ad6674dde4e66362bbe3aca073fe82b1cdbaac2caf890b6ada",
+    "C(4)^(1)": "188cbdc52078bbc569a8c664dcf02b3940189365a60f85a1677777ed55c7630f",
+    "D(2,1)^(1)": "0f88e4e47aa6133b16dbaed5b1048a62cf917bf9afc1dbc18f29f1fa2975e984",
+    "D(3,1)^(1)": "37d1261bb89b818052d5bc53cdb89fbfabf54c0cbde892aae4cc3003eb8351e5",
+    "D(2,2)^(1)": "09c7ad081d01b1d568f7bd757bc8f5b9dd60b2766f9e03d21956fe4dba55339a",
+    "D(3,2)^(1)": "360414ffd7c3acdfd80fada3c0d13c7378f0574b819fd7417df891a0cb2a0461",
+    "D(2,1;1/2)^(1)": "852f1782c5eeee7278169191d5d27da07f61b0cf352ade930eab7018a4f3b5d3",
+    "D(2,1;-5/3)^(1)": "039e5a92a30a613260db73dd0dabe11d4ba631621be271970ac8ceb669eb1c6c",
+    "D(2,1;2)^(1)": "17fbbe1898567df9a1ee25d21e0ba11bac607b2b6f80bac408ff9d67ff0219ef",
+    "A(2,2)^(4)": "dc3c79fcebd9b9c0187e78e08e906a7cb0c01acb87d058500adf2e27f3c2434d",
+    "A(4,2)^(4)": "dc1ecd20af2b482a6b764a26d6574441cc5e9b669754cdfdbe0e520a5ac7deb2",
+    "A(2,4)^(4)": "7ae085f910977c9c6743f5707452e4d14c323e32e01be220566b38bd3a561858",
+}
+
+
+def _handle_digest(h):
+    pinned = (
+        h.label, h.eps_dim, h.delta_dim, h.cartan.matrix, h.cartan.parity,
+        h.simple_ed, h.eps_norms, h.parity_coeffs, h.null_root(),
+        h.real_roots(max_height=6), h.all_roots(max_height=4),
+    )
+    return hashlib.sha256(repr(pinned).encode()).hexdigest()
+
+
+def test_handles_match_the_pinned_digests():
+    # the public data of every handle, pinned so that a rebuild of the
+    # catalog cannot move a root, a sign or a parity unnoticed
+    for spec in _PINNED_SPECS:
+        assert _handle_digest(build(spec)) == HANDLE_DIGESTS[spec], spec
