@@ -14,6 +14,11 @@ and share one table rule; only the distinguished base and the presence of the
 short roots differ between them.  F(4) and G(3) are staged out of this
 release.  The null root of an affine type is written ``null`` in code to keep
 it apart from the odd coordinates delta_p.
+
+Every type is one ``RootSystemHandle`` built from plain data.  An untwisted
+affine type is the data of its finite type with alpha_0 = null - theta, theta
+the highest root, prepended to the simple roots (Kac, *Infinite-dimensional
+Lie algebras*, ch. 7).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import (
     NotInLatticeError,
     UnsupportedTypeError,
 )
-from .linalg import frac, rank, rref
+from .linalg import frac, rref
 from .rootspace import Root, height
 
 FINITE = "finite"
@@ -203,41 +208,36 @@ class RootSystemHandle:
     def __init__(
         self,
         ctype: CatalogType,
-        eps_dim: int,
-        delta_dim: int,
         eps_norms: Sequence[Fraction],
         parity_coeffs: Sequence[int],
         simple_ed: Sequence[EpsDeltaVector],
         simple_parities: Sequence[int],
         iso_gauges: Sequence[Fraction],
-        has_null: bool,
         table: Sequence[frozenset[tuple[int, ...]]],
     ):
         self.ctype = ctype
         self.label = ctype.label
-        self.eps_dim = eps_dim
-        self.delta_dim = delta_dim
-        self.has_null = has_null
+        self.eps_dim = len(eps_norms)
+        self.delta_dim = len(simple_ed[0].delta)
+        self.has_null = ctype.twist != FINITE
         self._table = tuple(table)
         self.eps_norms = tuple(eps_norms)
         self._denom = lcm(*(x.denominator for x in self.eps_norms))
         # D times the norm of each eps then delta coordinate
         self._int_norms = (tuple(int(x * self._denom) for x in self.eps_norms)
-                           + (-self._denom,) * delta_dim)
+                           + (-self._denom,) * self.delta_dim)
         self.parity_coeffs = tuple(parity_coeffs)
         self.simple_ed = tuple(simple_ed)
         self.simple_parities = tuple(simple_parities)
         self.rank = len(self.simple_ed)
-        self._iso_gauges = tuple(iso_gauges)
-        self._coord_dim = eps_dim + delta_dim + 1
+        self._coord_dim = self.eps_dim + self.delta_dim + 1
         self._simple_coords = [v.coords() for v in self.simple_ed]
-        if rank(self._simple_coords) != self.rank:
-            raise AssertionError("distinguished base is not linearly independent")
         self._ed_cache: OrderedDict[tuple[int, ...], EpsDeltaVector] = OrderedDict()
         self._norms: OrderedDict[tuple[int, ...], int] = OrderedDict()
         self._build_alpha_solver()
-        self.cartan = self._build_cartan()
-        self.symmetrizer = cartan_mod.symmetrizer(self.cartan)
+        if len(self._alpha_solution_rows) != self.rank:
+            raise AssertionError("distinguished base is not linearly independent")
+        self.cartan = self._build_cartan(iso_gauges)
         report = cartan_mod.validate(self.cartan)
         if not report.ok():
             raise AssertionError(f"catalog base for {self.label} failed validation: {report}")
@@ -316,7 +316,8 @@ class RootSystemHandle:
 
     def _build_alpha_solver(self) -> None:
         # One RREF of [M | I] up front; afterwards every to_alpha query is a
-        # handful of dot products plus consistency checks.
+        # handful of dot products plus consistency checks.  The simple roots
+        # are independent exactly when every column of M holds a pivot.
         n, d = self.rank, self._coord_dim
         aug = [
             [Fraction(self._simple_coords[i][k]) for i in range(n)]
@@ -466,7 +467,7 @@ class RootSystemHandle:
 
     # -- Cartan data ----------------------------------------------------------
 
-    def _build_cartan(self) -> CartanData:
+    def _build_cartan(self, iso_gauges: Sequence[Fraction]) -> CartanData:
         n = self.rank
         rows = []
         for i in range(n):
@@ -475,7 +476,7 @@ class RootSystemHandle:
             row = []
             for j in range(n):
                 val = self.bilinear_ed(ai, self.simple_ed[j])
-                row.append(2 * val / norm if norm != 0 else self._iso_gauges[i] * val)
+                row.append(2 * val / norm if norm != 0 else iso_gauges[i] * val)
             rows.append(tuple(row))
         cd = CartanData(tuple(rows), tuple(self.simple_parities))
         for i in range(n):
@@ -485,23 +486,16 @@ class RootSystemHandle:
 
 
 # ---------------------------------------------------------------------------
-# finite families
+# family data
 
 
-class FiniteHandle(RootSystemHandle):
-    def __init__(self, ctype, eps_dim, delta_dim, eps_norms, parity_coeffs,
-                 simple_ed, simple_parities, iso_gauges, highest_root: EpsDeltaVector,
-                 table: Iterable[tuple[int, ...]]):
-        self.highest_root = highest_root
-        super().__init__(
-            ctype, eps_dim, delta_dim, eps_norms, parity_coeffs,
-            simple_ed, simple_parities, iso_gauges, has_null=False, table=(frozenset(table),),
-        )
-        if not self.contains_ed(highest_root):
-            raise AssertionError("highest root is not a root")
+def _finite_data(ctype: CatalogType):
+    """The data of the finite type with ``ctype``'s family and ranks.
 
-
-def _build_finite(ctype: CatalogType) -> FiniteHandle:
+    Returns the eps norms, parity coefficients, simple roots, their parities,
+    the row gauges of the isotropic simple roots, the highest root theta and
+    the one-entry table.
+    """
     fam, m, n = ctype.family, ctype.m, ctype.n
     ones = Fraction(1)
     if fam == "D21":
@@ -515,11 +509,9 @@ def _build_finite(ctype: CatalogType) -> FiniteHandle:
             EpsDeltaVector((0, 0, 2), ()),
         ]
         theta = EpsDeltaVector((2, 0, 0), ())
-        return FiniteHandle(
-            ctype, 3, 0, (-(1 + a), ones, a), (0, 0, 1, 0),
-            simples, (1, 0, 0), (Fraction(-1, 2), ones, ones), theta,
-            _singles(3, range(3), 2) + list(product((1, -1), repeat=3)),
-        )
+        table = _singles(3, range(3), 2) + list(product((1, -1), repeat=3))
+        return ((-(1 + a), ones, a), (0, 0, 1, 0), simples, (1, 0, 0),
+                (Fraction(-1, 2), ones, ones), theta, (frozenset(table),))
     if fam == "A":
         # sl(m+1|n+1) with m != n: u_a - u_b over eps_1..eps_{m+1}, delta_1..delta_{n+1}
         if m == n:
@@ -570,42 +562,11 @@ def _build_finite(ctype: CatalogType) -> FiniteHandle:
         table = _pairs(e + d) + _singles(e + d, range(e, e + d), 2)
         if fam == "B":
             table += _singles(e + d, range(e + d), 1)
-    return FiniteHandle(
-        ctype, e, d, (ones,) * e, (0,) * e + (1,) * d + (0,),
-        simples, parities, (ones,) * len(simples), theta, table,
-    )
+    return ((ones,) * e, (0,) * e + (1,) * d + (0,), simples, parities,
+            (ones,) * len(simples), theta, (frozenset(table),))
 
 
-# ---------------------------------------------------------------------------
-# untwisted affinization
-
-
-class UntwistedAffineHandle(RootSystemHandle):
-    """Loop-type root system over a finite handle: real roots gamma + r*null."""
-
-    def __init__(self, ctype: CatalogType, finite: FiniteHandle):
-        self.finite = finite
-        theta = finite.highest_root
-        alpha0 = EpsDeltaVector(
-            tuple(-x for x in theta.eps), tuple(-x for x in theta.delta), 1
-        )
-        simples = [alpha0] + [
-            EpsDeltaVector(s.eps, s.delta, 0) for s in finite.simple_ed
-        ]
-        parities = [finite.parity_ed(theta)] + list(finite.simple_parities)
-        gauges = [Fraction(1)] + list(finite._iso_gauges)
-        super().__init__(
-            ctype, finite.eps_dim, finite.delta_dim, finite.eps_norms,
-            finite.parity_coeffs[:-1] + (0,), simples, parities, gauges, has_null=True,
-            table=finite._table,
-        )
-
-
-# ---------------------------------------------------------------------------
-# the twisted family A(2k,2l)^(4)
-
-
-class TwistedA4Handle(RootSystemHandle):
+def _build_twisted4(ctype: CatalogType) -> RootSystemHandle:
     """A(2k,2l)^(4): eps_1..eps_k, delta_1..delta_l, null root of parity 1.
 
     The table has period 4.  Single eps/delta entries +-1 are real roots at
@@ -614,39 +575,48 @@ class TwistedA4Handle(RootSystemHandle):
     entries at degrees 2 mod 4.  The nonzero multiples of the null root are
     the imaginary roots.
     """
-
-    def __init__(self, ctype: CatalogType):
-        if ctype.m < 2 or ctype.n < 2 or ctype.m % 2 or ctype.n % 2:
-            raise UnsupportedTypeError("the order-4 twist needs even superranks >= 2")
-        k, l = ctype.m // 2, ctype.n // 2
-        simples = [EpsDeltaVector((0,) * k, _unit(l, 0, -1), 1)]
-        simples += [EpsDeltaVector((0,) * k, _step(l, p), 0) for p in range(l - 1)]
-        simples.append(EpsDeltaVector(_unit(k, 0, -1), _unit(l, l - 1), 0))
-        simples += [EpsDeltaVector(_step(k, i), (0,) * l, 0) for i in range(k - 1)]
-        simples.append(EpsDeltaVector(_unit(k, k - 1), (0,) * l, 0))
-        parities = [0] * l + [1] + [0] * k
-        n = k + l
-        singles = frozenset(_singles(n, range(n), 1))
-        even = singles | frozenset(_pairs(n))
-        table = (even | frozenset(_singles(n, range(k, n), 2)), singles,
-                 even | frozenset(_singles(n, range(k), 2)), singles)
-        super().__init__(
-            ctype, k, l, (Fraction(1),) * k, (0,) * k + (1,) * l + (1,),
-            simples, parities, (Fraction(1),) * len(simples), has_null=True, table=table,
-        )
+    if ctype.family != "A":
+        raise UnsupportedTypeError("the order-4 twist exists only for family A")
+    if ctype.m < 2 or ctype.n < 2 or ctype.m % 2 or ctype.n % 2:
+        raise UnsupportedTypeError("the order-4 twist needs even superranks >= 2")
+    k, l = ctype.m // 2, ctype.n // 2
+    simples = [EpsDeltaVector((0,) * k, _unit(l, 0, -1), 1)]
+    simples += [EpsDeltaVector((0,) * k, _step(l, p), 0) for p in range(l - 1)]
+    simples.append(EpsDeltaVector(_unit(k, 0, -1), _unit(l, l - 1), 0))
+    simples += [EpsDeltaVector(_step(k, i), (0,) * l, 0) for i in range(k - 1)]
+    simples.append(EpsDeltaVector(_unit(k, k - 1), (0,) * l, 0))
+    parities = [0] * l + [1] + [0] * k
+    n = k + l
+    singles = frozenset(_singles(n, range(n), 1))
+    even = singles | frozenset(_pairs(n))
+    table = (even | frozenset(_singles(n, range(k, n), 2)), singles,
+             even | frozenset(_singles(n, range(k), 2)), singles)
+    return RootSystemHandle(ctype, (Fraction(1),) * k, (0,) * k + (1,) * l + (1,),
+                            simples, parities, (Fraction(1),) * len(simples), table)
 
 
-def build(ctype: CatalogType) -> RootSystemHandle:
-    """Construct the root-system handle for a catalog type."""
+def build(ctype: CatalogType | str) -> RootSystemHandle:
+    """Construct the root-system handle for a catalog type.
+
+    A finite type reads its family data.  Its untwisted affinization
+    prepends alpha_0 = null - theta, theta the highest root, to the finite
+    simple roots and reads the finite table at every null degree.
+    A(2k,2l)^(4) has a base and a period-4 table of its own.
+    """
     if isinstance(ctype, str):
         ctype = parse_type(ctype)
     if ctype.twist == TWISTED4:
-        if ctype.family != "A":
-            raise UnsupportedTypeError("the order-4 twist exists only for family A")
-        return TwistedA4Handle(ctype)
-    finite = _build_finite(CatalogType(ctype.family, ctype.m, ctype.n, FINITE, ctype.param))
-    if ctype.twist == FINITE:
-        return finite
+        return _build_twisted4(ctype)
+    norms, coeffs, simples, parities, gauges, theta, table = _finite_data(ctype)
     if ctype.twist == AFFINE:
-        return UntwistedAffineHandle(ctype, finite)
-    raise UnsupportedTypeError(f"unknown twist {ctype.twist!r}")
+        neg = -theta
+        simples = [EpsDeltaVector(neg.eps, neg.delta, 1), *simples]
+        # alpha_0 has the parity of theta, as the null root is even
+        parities = [sum(c * x for c, x in zip(coeffs, theta.coords())) % 2, *parities]
+        gauges = [Fraction(1), *gauges]
+    elif ctype.twist != FINITE:
+        raise UnsupportedTypeError(f"unknown twist {ctype.twist!r}")
+    handle = RootSystemHandle(ctype, norms, coeffs, simples, parities, gauges, table)
+    if not handle.contains_ed(theta):
+        raise AssertionError("highest root is not a root")
+    return handle

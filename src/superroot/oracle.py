@@ -29,13 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import pisystem as ps
 from . import rootspace as rs
-from .catalog import (
-    EpsDeltaVector,
-    FiniteHandle,
-    RootSystemHandle,
-    UntwistedAffineHandle,
-    build,
-)
+from .catalog import AFFINE, FINITE, EpsDeltaVector, RootSystemHandle, build
 from .errors import (
     InconclusiveError,
     NotARootError,
@@ -196,11 +190,10 @@ def loop_bracket(x: WeightedElement, y: WeightedElement, truncation: int) -> Wei
 class Realization:
     """Chevalley generators and root spaces of one catalog type as matrices."""
 
-    def __init__(self, handle: RootSystemHandle, finite: FiniteHandle,
-                 space: tuple[int, ...], index_weights: list[tuple[int, ...]],
+    def __init__(self, handle: RootSystemHandle, space: tuple[int, ...],
+                 index_weights: list[tuple[int, ...]],
                  root_spaces: dict[tuple[int, ...], GradedMatrix], truncation: int):
         self.handle = handle
-        self.finite = finite
         self.space = space
         self.index_weights = index_weights  # finite eps+delta coords per basis index
         # index weights are +-unit vectors or zero; weight_eval reads the
@@ -272,7 +265,7 @@ class Realization:
         return generated_subalgebra(gens, self)
 
 
-def _realization(finite: FiniteHandle, ambient: RootSystemHandle, K: int) -> Realization:
+def _realization(handle: RootSystemHandle, K: int) -> Realization:
     """Root vectors of sl(m+1|n+1) or osp(M|2n) in closed form (Kac 1977).
 
     The index basis is eps_i then delta_p for sl; for osp it is +-eps_i, the
@@ -286,16 +279,20 @@ def _realization(finite: FiniteHandle, ambient: RootSystemHandle, K: int) -> Rea
     of the two pairs of an odd vector has the odd index, which comes last, as
     its row.  The result is the invariance nullspace with its last free
     entry set to 1.
+
+    The weights w are the degree-0 real roots of ``handle``: the roots of
+    its finite type, which an affine type's loop elements reuse at every
+    degree.
     """
-    m, n = finite.eps_dim, finite.delta_dim
-    osp = finite.ctype.family != "A"
+    m, n = handle.eps_dim, handle.delta_dim
+    osp = handle.ctype.family != "A"
     signs = (1, -1) if osp else (1,)
 
     def unit(slot: int, val: int) -> tuple[int, ...]:
         return tuple(val if k == slot else 0 for k in range(m + n))
 
     index_weights = [unit(i, s) for s in signs for i in range(m)]
-    if finite.ctype.family == "B":
+    if handle.ctype.family == "B":
         index_weights.append((0,) * (m + n))
     index_weights += [unit(m + p, s) for s in signs for p in range(n)]
     space = tuple(int(any(w[m:])) for w in index_weights)
@@ -308,7 +305,7 @@ def _realization(finite: FiniteHandle, ambient: RootSystemHandle, K: int) -> Rea
             largest[rs.sub(wr, wc)] = (r, c)
 
     root_spaces: dict[tuple[int, ...], GradedMatrix] = {}
-    for v in finite.real_roots_ed(None):
+    for v in handle.real_roots_ed(0):
         key = v.eps + v.delta
         r, c = largest[key]
         nz = {}
@@ -317,27 +314,27 @@ def _realization(finite: FiniteHandle, ambient: RootSystemHandle, K: int) -> Rea
             nz[dual[c], dual[r]] = -g[r] * g[c]
         nz[r, c] = 1
         root_spaces[key] = GradedMatrix.sparse(nz, space[r] ^ space[c], space)
-    return Realization(ambient, finite, space, index_weights, root_spaces, K)
+    return Realization(handle, space, index_weights, root_spaces, K)
 
 
 def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
     """Generators and root vectors for a supported catalog type.
 
     Finite A, B, C and D families are realized directly; their untwisted
-    affinizations as loop algebras truncated at ``loop_degree``.  The twisted
-    family and the exceptional families are combinatorial-only here.
+    affinizations as loop algebras truncated at ``loop_degree`` (6 when
+    None), which must not be negative.  The twisted family and the
+    exceptional families are combinatorial-only here.
     """
+    if loop_degree is not None and loop_degree < 0:
+        raise ValueError(f"loop_degree must be >= 0, got {loop_degree}")
     handle = build(handle_or_type) if isinstance(handle_or_type, str) else handle_or_type
-    if isinstance(handle, FiniteHandle):
-        finite, ambient, K = handle, handle, 0
-    elif isinstance(handle, UntwistedAffineHandle):
-        finite, ambient = handle.finite, handle
-        K = loop_degree if loop_degree is not None else 6
-    else:
+    twist, family = handle.ctype.twist, handle.ctype.family
+    if twist not in (FINITE, AFFINE):
         raise UnsupportedTypeError(f"no matrix realization for {handle.label}")
-    if finite.ctype.family not in ("A", "B", "C", "D"):
-        raise UnsupportedTypeError(f"no matrix realization for family {finite.ctype.family}")
-    return _realization(finite, ambient, K)
+    if family not in ("A", "B", "C", "D"):
+        raise UnsupportedTypeError(f"no matrix realization for family {family}")
+    K = 0 if twist == FINITE else (loop_degree if loop_degree is not None else 6)
+    return _realization(handle, K)
 
 
 # ---------------------------------------------------------------------------

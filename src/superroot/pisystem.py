@@ -285,7 +285,7 @@ def admits_pi_system(
     cls = classify_subset(psi)
     if not (cls.closed and cls.subroot_system):
         raise NotClosedError("admits_pi_system requires a closed subroot system")
-    sigma = pi_of_psi(psi)
+    sigma = minimal_positive_elements(psi)
     if not is_pi_system(sigma).ok:
         return None
     closure = closure_S_infinity(sigma, height_bound, max_rounds)
@@ -327,7 +327,9 @@ def verify_dynkin_maps(
     if not closure.stabilized:
         raise InconclusiveError("closure did not stabilize; cannot certify")
     cls = classify_subset(closure.roots)
-    roundtrip = pi_of_psi(closure.roots).elements == sigma.elements
+    if not cls.closed:
+        raise NotClosedError("Pi(Psi) is defined for closed subsets only")
+    roundtrip = minimal_positive_elements(closure.roots).elements == sigma.elements
     oracle_match: Optional[bool] = None
     if with_oracle:
         from . import oracle  # deferred to avoid an import cycle

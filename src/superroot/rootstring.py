@@ -90,8 +90,10 @@ def root_string(
     ``window`` clips an isotropic-direction string to -window <= k <= window
     and raises ``WindowExhaustedError`` when a member sits at either end.  It
     does not change a non-isotropic-direction string, which always comes
-    back whole.
+    back whole.  A negative ``window`` raises ``ValueError``.
     """
+    if window is not None and window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     if not handle.is_real(alpha):
         raise NotARootError(f"direction {alpha} is not a real root")
     if not handle.contains(beta):

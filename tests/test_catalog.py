@@ -292,7 +292,7 @@ def test_affine_contains_ed_checks_dimensions_once(monkeypatch):
 
     monkeypatch.setattr(RootSystemHandle, "_check_dims", counting)
     for spec in ("A(1,2)^(1)", "B(1,1)^(1)", "C(3)^(1)", "D(2,2)^(1)", "D(2,1;1/2)^(1)"):
-        h = build(spec)
+        h, finite = build(spec), build(spec.removesuffix("^(1)"))
         e, d = h.eps_dim, h.delta_dim
         queries = [ED(c[:e], c[e:], r) for c in _grid(e + d) for r in (-2, 0, 1)]
         del checked[:]
@@ -300,7 +300,7 @@ def test_affine_contains_ed_checks_dimensions_once(monkeypatch):
         assert len(checked) == len(queries), spec
         for v, verdict in zip(queries, verdicts):
             fin = ED(v.eps, v.delta)
-            assert verdict == (h.finite.contains_ed(fin) if any(v.eps + v.delta)
+            assert verdict == (finite.contains_ed(fin) if any(v.eps + v.delta)
                                else v.null != 0), (spec, v)
 
 
@@ -493,3 +493,29 @@ def test_handles_match_the_pinned_digests():
     # catalog cannot move a root, a sign or a parity unnoticed
     for spec in _PINNED_SPECS:
         assert _handle_digest(build(spec)) == HANDLE_DIGESTS[spec], spec
+
+
+def test_each_build_constructs_one_handle(monkeypatch):
+    # an ^(1) build used to build and keep a whole finite handle first, and
+    # each handle ran a second RREF for its rank check and a second symmetrizer
+    from collections import Counter
+
+    from superroot import cartan, catalog, linalg
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    handle_init = catalog.RootSystemHandle.__init__
+    monkeypatch.setattr(catalog.RootSystemHandle, "__init__", counted("handle", handle_init))
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(catalog, "rref", counted("rref", catalog.rref))
+    monkeypatch.setattr(cartan, "symmetrizer", counted("symmetrizer", cartan.symmetrizer))
+    for spec in ("B(1,1)", "B(1,1)^(1)", "A(2,2)^(4)"):
+        calls.clear()
+        build(spec)
+        assert calls == {"handle": 1, "rref": 1, "symmetrizer": 1}, spec

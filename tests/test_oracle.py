@@ -186,11 +186,11 @@ def test_osp_root_vectors_solve_the_invariance_equations():
     for spec in ("B(0,1)", "B(1,1)", "B(0,2)", "B(2,1)", "B(1,2)", "B(2,2)", "B(3,1)",
                  "C(2)", "C(3)", "C(4)", "D(2,1)", "D(2,2)", "D(3,1)", "D(3,2)"):
         r = realize(spec)
-        weights, space, J = _osp_form(r.finite)
+        weights, space, J = _osp_form(r.handle)
         assert (r.index_weights, r.space) == (weights, space), spec
         d = len(space)
-        for v in r.finite.real_roots_ed(None):
-            key, parity = v.eps + v.delta, r.finite.parity_ed(v)
+        for v in r.handle.real_roots_ed(None):
+            key, parity = v.eps + v.delta, r.handle.parity_ed(v)
             pairs = [(x, c) for x in range(d) for c in range(d)
                      if space[x] ^ space[c] == parity and rs.sub(weights[x], weights[c]) == key]
             rows = []
@@ -495,3 +495,21 @@ def test_weight_parity_matches_block_parity():
                 continue
             ed = ED(elem.weight[: h.eps_dim], elem.weight[h.eps_dim:-1], elem.weight[-1])
             assert h.parity_ed(ed) == elem.matrix.parity, (spec, elem.weight)
+
+
+def test_negative_loop_degree_is_rejected():
+    from superroot.pisystem import verify_dynkin_maps
+
+    with pytest.raises(ValueError):
+        realize("A(0,1)^(1)", loop_degree=-1)
+    with pytest.raises(ValueError):
+        realize("A(0,1)", loop_degree=-1)
+    # a zero window cannot hold the root vector of alpha_0 = null - theta:
+    # that stays a truncation, which the Dynkin certificate reports as no verdict
+    with pytest.raises(TruncationHitError):
+        realize("A(0,1)^(1)", loop_degree=0)
+    h = build("A(0,1)^(1)")
+    sigma = root_set(h, [(0, 1, 0)])
+    assert h.is_isotropic((0, 1, 0))
+    cert = verify_dynkin_maps(sigma, height_bound=4, loop_degree=0)
+    assert cert.pi_roundtrip and cert.oracle_match is None

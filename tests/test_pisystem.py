@@ -526,3 +526,30 @@ def test_minimality_of_multiples():
     assert both.elements == {half}
     alone = minimal_positive_elements(root_set(h, [rs.scale(2, half)]))
     assert alone.elements == {rs.scale(2, half)}
+
+
+def test_dynkin_checks_classify_each_set_once(monkeypatch):
+    # verify_dynkin_maps and admits_pi_system classified a set and then let
+    # pi_of_psi classify the same set again
+    from superroot import replay
+
+    calls = []
+    original = pisystem.classify_subset
+
+    def counting(psi):
+        calls.append(psi)
+        return original(psi)
+
+    monkeypatch.setattr(pisystem, "classify_subset", counting)
+    h = build("B(1,1)")
+    sigma = root_set(h, h.simple_roots_alpha())
+    assert verify_dynkin_maps(sigma, with_oracle=False).ok()
+    assert len(calls) == 1
+    del calls[:]
+    assert replay.replay_broken_closure()["passed"]
+    assert len(calls) == 3  # the replay's own check, its pi_of_psi and admits_pi_system
+    # a closure that does not classify as closed is still refused
+    monkeypatch.setattr(pisystem, "classify_subset",
+                        lambda psi: pisystem.SubsetClassification(True, False, True))
+    with pytest.raises(NotClosedError):
+        verify_dynkin_maps(sigma, with_oracle=False)

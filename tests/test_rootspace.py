@@ -56,7 +56,7 @@ def test_bilinear_matches_catalog_form_up_to_scalar():
     # pairings, in exact Fractions
     for spec in _SMALL_CATALOG:
         handle = build(spec)
-        cd, d = handle.cartan, handle.symmetrizer
+        cd, d = handle.cartan, symmetrizer(handle.cartan)
         roots = handle.real_roots(max_height=4)
         assert roots, spec
         ratios = set()

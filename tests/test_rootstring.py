@@ -303,3 +303,13 @@ def test_proportional_truth_table():
     for x, y, expected in cases:
         assert _proportional(x, y) is expected, (x, y)
         assert _proportional(y, x) is expected, (y, x)
+
+
+def test_negative_window_is_rejected():
+    # a window of -1 used to clip the isotropic string to nothing, beta
+    # included, and return it empty without a WindowExhaustedError
+    h = build("B(1,1)")
+    assert h.is_isotropic((1, 0)) and h.contains((1, 2))
+    assert root_string(h, (1, 2), (1, 0)).entries
+    with pytest.raises(ValueError):
+        root_string(h, (1, 2), (1, 0), window=-1)
