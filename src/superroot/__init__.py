@@ -1,7 +1,7 @@
 """Exact root-system combinatorics for quasisimple regular Kac-Moody superalgebras."""
 
 from .cartan import CartanData, RankOneType, ValidationReport, normalize, rank_one_type, symmetrizer, validate
-from .catalog import CatalogType, EpsDeltaVector, MembershipReport, RootSystemHandle, build, parse_type
+from .catalog import CatalogType, EpsDeltaVector, RootSystemHandle, build, parse_type
 from .basegraph import (
     Base,
     RealRootsResult,
@@ -46,7 +46,6 @@ __all__ = [
     "rank_one_type",
     "CatalogType",
     "EpsDeltaVector",
-    "MembershipReport",
     "RootSystemHandle",
     "build",
     "parse_type",

@@ -18,7 +18,9 @@ it apart from the odd coordinates delta_p.
 Every type is one ``RootSystemHandle`` built from plain data.  An untwisted
 affine type is the data of its finite type with alpha_0 = null - theta, theta
 the highest root, prepended to the simple roots (Kac, *Infinite-dimensional
-Lie algebras*, ch. 7).
+Lie algebras*, ch. 7).  The type data (base, table, coordinate solver, Cartan
+matrix) is built and validated once per type and shared by every handle of
+that type; the memo tables are per handle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import cartan as cartan_mod
 from .cartan import CartanData
@@ -46,7 +49,7 @@ FINITE = "finite"
 AFFINE = "affine"
 TWISTED4 = "twisted4"
 ROOT_COORD_BOUND = 2  # every root of every type here has |eps_i|, |delta_p| <= 2
-TABLE_LIMIT = 1 << 16  # entries per memo table of a handle; the oldest goes first
+TABLE_LIMIT = 1 << 16  # entries per memo table and in the type table; the oldest goes first
 
 
 def _remember(table: OrderedDict, key, value) -> None:
@@ -149,15 +152,6 @@ class EpsDeltaVector:
         return self.eps + self.delta + (self.null,)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    in_delta: bool
-    real: bool
-    imaginary: bool
-    parity: Optional[int]
-    isotropic: Optional[bool]
-
-
 def _unit(dim: int, i: int, val: int = 1) -> tuple[int, ...]:
     v = [0] * dim
     v[i] = val
@@ -199,48 +193,19 @@ class RootSystemHandle:
     parts (eps then delta coordinates) of the real roots at null degree
     congruent to r mod ``len(_table)``.
 
-    Logically immutable; conversions memoized, bounded.  ``to_ed`` keeps each
-    conversion and ``is_isotropic``/``pairing`` keep D (alpha, alpha) per
-    root; each memo holds at most ``TABLE_LIMIT`` entries.  A handle may be
-    shared freely.
+    A handle copies the fields of its type's read-only record (``_type_data``),
+    which is built and validated once per type and shared by every handle of
+    that type.  Its memo tables are its own: ``to_ed`` keeps each conversion
+    and ``is_isotropic``/``pairing`` keep D (alpha, alpha) per root, each
+    holding at most ``TABLE_LIMIT`` entries.  Logically immutable; a handle
+    may be shared freely.
     """
 
-    def __init__(
-        self,
-        ctype: CatalogType,
-        eps_norms: Sequence[Fraction],
-        parity_coeffs: Sequence[int],
-        simple_ed: Sequence[EpsDeltaVector],
-        simple_parities: Sequence[int],
-        iso_gauges: Sequence[Fraction],
-        table: Sequence[frozenset[tuple[int, ...]]],
-    ):
-        self.ctype = ctype
-        self.label = ctype.label
-        self.eps_dim = len(eps_norms)
-        self.delta_dim = len(simple_ed[0].delta)
-        self.has_null = ctype.twist != FINITE
-        self._table = tuple(table)
-        self.eps_norms = tuple(eps_norms)
-        self._denom = lcm(*(x.denominator for x in self.eps_norms))
-        # D times the norm of each eps then delta coordinate
-        self._int_norms = (tuple(int(x * self._denom) for x in self.eps_norms)
-                           + (-self._denom,) * self.delta_dim)
-        self.parity_coeffs = tuple(parity_coeffs)
-        self.simple_ed = tuple(simple_ed)
-        self.simple_parities = tuple(simple_parities)
-        self.rank = len(self.simple_ed)
-        self._coord_dim = self.eps_dim + self.delta_dim + 1
-        self._simple_coords = [v.coords() for v in self.simple_ed]
+    def __init__(self, data: Mapping[str, object]):
+        for name, value in data.items():
+            setattr(self, name, value)  # not vars(self).update: that slows every attribute read
         self._ed_cache: OrderedDict[tuple[int, ...], EpsDeltaVector] = OrderedDict()
         self._norms: OrderedDict[tuple[int, ...], int] = OrderedDict()
-        self._build_alpha_solver()
-        if len(self._alpha_solution_rows) != self.rank:
-            raise AssertionError("distinguished base is not linearly independent")
-        self.cartan = self._build_cartan(iso_gauges)
-        report = cartan_mod.validate(self.cartan)
-        if not report.ok():
-            raise AssertionError(f"catalog base for {self.label} failed validation: {report}")
 
     # -- membership ----------------------------------------------------------
 
@@ -300,39 +265,7 @@ class RootSystemHandle:
     def is_real_ed(self, v: EpsDeltaVector) -> bool:
         return self.contains_ed(v) and (any(v.eps) or any(v.delta))
 
-    def membership_classify(self, v: EpsDeltaVector) -> "MembershipReport":
-        """Bundle membership, reality, parity and isotropy from one membership query."""
-        in_delta = self.contains_ed(v)
-        finite = any(v.eps) or any(v.delta)
-        return MembershipReport(
-            in_delta=in_delta,
-            real=in_delta and finite,
-            imaginary=in_delta and not finite,
-            parity=self.parity_ed(v) if in_delta else None,
-            isotropic=self.is_isotropic_ed(v) if in_delta else None,
-        )
-
     # -- coordinate conversion ----------------------------------------------
-
-    def _build_alpha_solver(self) -> None:
-        # One RREF of [M | I] up front; afterwards every to_alpha query is a
-        # handful of dot products plus consistency checks.  The simple roots
-        # are independent exactly when every column of M holds a pivot.
-        n, d = self.rank, self._coord_dim
-        aug = [
-            [Fraction(self._simple_coords[i][k]) for i in range(n)]
-            + [Fraction(1) if j == k else Fraction(0) for j in range(d)]
-            for k in range(d)
-        ]
-        red, pivots = rref(aug)
-        self._alpha_solution_rows: list[tuple[int, list[Fraction]]] = []
-        self._alpha_consistency_rows: list[list[Fraction]] = []
-        for row_idx, pivot in enumerate(pivots):
-            tail = red[row_idx][n:]
-            if pivot < n:
-                self._alpha_solution_rows.append((pivot, tail))
-            else:
-                self._alpha_consistency_rows.append(tail)
 
     def to_ed(self, root: Sequence[int]) -> EpsDeltaVector:
         key = tuple(root)
@@ -465,25 +398,6 @@ class RootSystemHandle:
                     out.append(r)
         return sorted(out)
 
-    # -- Cartan data ----------------------------------------------------------
-
-    def _build_cartan(self, iso_gauges: Sequence[Fraction]) -> CartanData:
-        n = self.rank
-        rows = []
-        for i in range(n):
-            ai = self.simple_ed[i]
-            norm = self.bilinear_ed(ai, ai)
-            row = []
-            for j in range(n):
-                val = self.bilinear_ed(ai, self.simple_ed[j])
-                row.append(2 * val / norm if norm != 0 else iso_gauges[i] * val)
-            rows.append(tuple(row))
-        cd = CartanData(tuple(rows), tuple(self.simple_parities))
-        for i in range(n):
-            if cd.root_parity(_unit(n, i)) != self.simple_parities[i]:
-                raise AssertionError("parity functional disagrees with simple parities")
-        return cd
-
 
 # ---------------------------------------------------------------------------
 # family data
@@ -500,9 +414,9 @@ def _finite_data(ctype: CatalogType):
     ones = Fraction(1)
     if fam == "D21":
         # three eps coordinates, norms (-(1+a), 1, a); roots +-2 eps_i and (+-1, +-1, +-1)
-        a = ctype.param
-        if a is None or a == 0 or a == -1:
+        if ctype.param is None or ctype.param == 0 or ctype.param == -1:
             raise UnsupportedTypeError("D(2,1;a) requires a rational a outside {0,-1}")
+        a = Fraction(ctype.param)  # an int a keys the same record as the equal Fraction
         simples = [
             EpsDeltaVector((1, -1, -1), ()),
             EpsDeltaVector((0, 2, 0), ()),
@@ -566,10 +480,11 @@ def _finite_data(ctype: CatalogType):
             (ones,) * len(simples), theta, (frozenset(table),))
 
 
-def _build_twisted4(ctype: CatalogType) -> RootSystemHandle:
+def _twisted4_data(ctype: CatalogType):
     """A(2k,2l)^(4): eps_1..eps_k, delta_1..delta_l, null root of parity 1.
 
-    The table has period 4.  Single eps/delta entries +-1 are real roots at
+    Returns the same fields as ``_finite_data``, with no highest root.  The
+    table has period 4.  Single eps/delta entries +-1 are real roots at
     every degree; two entries +-1 (the isotropic eps+delta pairs among them)
     at even degrees; doubled delta entries at degrees 0 mod 4 and doubled eps
     entries at degrees 2 mod 4.  The nonzero multiples of the null root are
@@ -591,32 +506,86 @@ def _build_twisted4(ctype: CatalogType) -> RootSystemHandle:
     even = singles | frozenset(_pairs(n))
     table = (even | frozenset(_singles(n, range(k, n), 2)), singles,
              even | frozenset(_singles(n, range(k), 2)), singles)
-    return RootSystemHandle(ctype, (Fraction(1),) * k, (0,) * k + (1,) * l + (1,),
-                            simples, parities, (Fraction(1),) * len(simples), table)
+    return ((Fraction(1),) * k, (0,) * k + (1,) * l + (1,), simples, parities,
+            (Fraction(1),) * len(simples), None, table)
+
+
+_TYPES: OrderedDict[CatalogType, MappingProxyType] = OrderedDict()  # one record per type built
+
+
+def _type_data(ctype: CatalogType) -> MappingProxyType:
+    """The type's shared, read-only record, built, checked and validated once.
+
+    Its keys are the attributes that a handle copies.  A finite type reads
+    its family data.  Its untwisted affinization prepends alpha_0 = null -
+    theta, theta the highest root, to the finite simple roots and reads the
+    finite table at every null degree.  A(2k,2l)^(4) has a base and a
+    period-4 table of its own.  A type that fails a check raises on every
+    call and is never stored.
+    """
+    data = _TYPES.get(ctype)
+    if data is not None:
+        return data
+    if ctype.twist == TWISTED4:
+        norms, coeffs, simples, parities, gauges, theta, table = _twisted4_data(ctype)
+    else:
+        norms, coeffs, simples, parities, gauges, theta, table = _finite_data(ctype)
+        if ctype.twist == AFFINE:
+            neg = -theta
+            simples = [EpsDeltaVector(neg.eps, neg.delta, 1), *simples]
+            # alpha_0 has the parity of theta, as the null root is even
+            parities = [sum(c * x for c, x in zip(coeffs, theta.coords())) % 2, *parities]
+            gauges = [Fraction(1), *gauges]
+        elif ctype.twist != FINITE:
+            raise UnsupportedTypeError(f"unknown twist {ctype.twist!r}")
+    n, e, d = len(simples), len(norms), len(simples[0].delta)
+    denom = lcm(*(x.denominator for x in norms))
+    int_norms = tuple(int(x * denom) for x in norms) + (-denom,) * d  # D times each norm
+    coords = tuple(v.coords() for v in simples)
+
+    # One RREF of [M | I]; afterwards every to_alpha query is a handful of
+    # dot products plus consistency checks.  The simple roots are
+    # independent exactly when every column of M holds a pivot.
+    red, pivots = rref([[Fraction(c[k]) for c in coords]
+                        + [Fraction(1) if j == k else Fraction(0) for j in range(e + d + 1)]
+                        for k in range(e + d + 1)])
+    solution = tuple((p, tuple(red[i][n:])) for i, p in enumerate(pivots) if p < n)
+    if len(solution) != n:
+        raise AssertionError("distinguished base is not linearly independent")
+
+    def form(i: int, j: int) -> Fraction:
+        # zip stops before the null coordinate, which is isotropic
+        return Fraction(sum(s * a * b for s, a, b in zip(int_norms, coords[i], coords[j])), denom)
+
+    rows = []
+    for i in range(n):
+        norm = form(i, i)
+        rows.append(tuple(2 * form(i, j) / norm if norm else gauges[i] * form(i, j)
+                          for j in range(n)))
+    cartan = CartanData(tuple(rows), tuple(parities))
+    if any(cartan.root_parity(_unit(n, i)) != parities[i] for i in range(n)):
+        raise AssertionError("parity functional disagrees with simple parities")
+    report = cartan_mod.validate(cartan)
+    if not report.ok():
+        raise AssertionError(f"catalog base for {ctype.label} failed validation: {report}")
+    if theta is not None and theta.eps + theta.delta not in table[0]:
+        raise AssertionError("highest root is not a root")
+    data = MappingProxyType(dict(
+        ctype=ctype, label=ctype.label, eps_dim=e, delta_dim=d, has_null=ctype.twist != FINITE,
+        rank=n, eps_norms=tuple(norms), parity_coeffs=tuple(coeffs), simple_ed=tuple(simples),
+        simple_parities=tuple(parities), cartan=cartan, _table=tuple(table), _denom=denom,
+        _int_norms=int_norms, _coord_dim=e + d + 1, _simple_coords=coords,
+        # (pivot, row) pairs that solve for alpha coordinates, and the rows
+        # that every vector of the root lattice annihilates
+        _alpha_solution_rows=solution,
+        _alpha_consistency_rows=tuple(tuple(red[i][n:]) for i, p in enumerate(pivots) if p >= n),
+    ))
+    _remember(_TYPES, ctype, data)
+    return data
 
 
 def build(ctype: CatalogType | str) -> RootSystemHandle:
-    """Construct the root-system handle for a catalog type.
-
-    A finite type reads its family data.  Its untwisted affinization
-    prepends alpha_0 = null - theta, theta the highest root, to the finite
-    simple roots and reads the finite table at every null degree.
-    A(2k,2l)^(4) has a base and a period-4 table of its own.
-    """
+    """A new handle on the type's shared data, with empty memo tables."""
     if isinstance(ctype, str):
         ctype = parse_type(ctype)
-    if ctype.twist == TWISTED4:
-        return _build_twisted4(ctype)
-    norms, coeffs, simples, parities, gauges, theta, table = _finite_data(ctype)
-    if ctype.twist == AFFINE:
-        neg = -theta
-        simples = [EpsDeltaVector(neg.eps, neg.delta, 1), *simples]
-        # alpha_0 has the parity of theta, as the null root is even
-        parities = [sum(c * x for c, x in zip(coeffs, theta.coords())) % 2, *parities]
-        gauges = [Fraction(1), *gauges]
-    elif ctype.twist != FINITE:
-        raise UnsupportedTypeError(f"unknown twist {ctype.twist!r}")
-    handle = RootSystemHandle(ctype, norms, coeffs, simples, parities, gauges, table)
-    if not handle.contains_ed(theta):
-        raise AssertionError("highest root is not a root")
-    return handle
+    return RootSystemHandle(_type_data(ctype))

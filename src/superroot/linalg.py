@@ -84,19 +84,3 @@ def solve(rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional
         sol[c] = red[i][-1]
     return sol
 
-
-def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Basis of the right nullspace of A."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
-        basis.append(tuple(v))
-    return basis

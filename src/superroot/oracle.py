@@ -471,7 +471,12 @@ def verify_theorem_main(
     loop_degree: Optional[int] = None,
     max_rounds: int = 64,
 ) -> TheoremVerdict:
-    """Compare the reflection closure of a pi-system with the oracle's real roots."""
+    """Compare the reflection closure of a pi-system with the oracle's real roots.
+
+    A negative ``loop_degree`` is rejected on every type before any work.
+    """
+    if loop_degree is not None and loop_degree < 0:
+        raise ValueError(f"loop_degree must be >= 0, got {loop_degree}")
     handle = sigma.handle
     report = ps.is_pi_system(sigma)
     if not report.ok:
@@ -632,11 +637,3 @@ def verify_osp12_module(k: int, realization: Optional[Realization] = None) -> bo
                 return False
     return True
 
-
-def super_jacobi_defect(x: GradedMatrix, y: GradedMatrix, z: GradedMatrix) -> GradedMatrix:
-    """[x,[y,z]] - [[x,y],z] - (-1)^{p(x)p(y)} [y,[x,z]]; zero iff Jacobi holds."""
-    lhs = gm_bracket(x, gm_bracket(y, z))
-    r1 = gm_bracket(gm_bracket(x, y), z)
-    r2 = gm_bracket(y, gm_bracket(x, z))
-    sign = Fraction(-1 if (x.parity and y.parity) else 1)
-    return lhs.plus(r1.scaled(Fraction(-1))).plus(r2.scaled(-sign))

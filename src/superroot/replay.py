@@ -55,7 +55,7 @@ def replay_affine_pair(type_spec: str = "B(1,1)^(1)", height_bound: int = 40) ->
     alpha_shift = handle.to_alpha(EpsDeltaVector((-1,), (1,), 1))
     psi = ps.root_set(handle, [alpha, _neg(alpha), alpha_shift, _neg(alpha_shift)])
     cls = ps.classify_subset(psi)
-    pi = ps.pi_of_psi(psi)
+    pi = ps.minimal_positive_elements(psi)  # Pi(Psi); cls above says whether psi is closed
     admitted = ps.admits_pi_system(psi, height_bound=height_bound)
     realization = oracle.realize(handle, loop_degree=3)
     gens = [realization.root_vector(r) for r in psi]
@@ -95,7 +95,7 @@ def replay_broken_closure(type_spec: str = "B(2,2)^(1)", height_bound: Optional[
     if height_bound is None:
         height_bound = 2 * max(height(r) for r in psi.elements) + 4
     cls = ps.classify_subset(psi)
-    pi = ps.pi_of_psi(psi)
+    pi = ps.minimal_positive_elements(psi)  # Pi(Psi); cls above says whether psi is closed
     expected_pi = {near, mid, rev}
     pi_report = ps.is_pi_system(pi)
     closure = ps.closure_S_infinity(pi, height_bound=height_bound)

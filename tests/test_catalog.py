@@ -6,6 +6,7 @@ import pytest
 
 from superroot.catalog import ROOT_COORD_BOUND, CatalogType, EpsDeltaVector as ED, build, parse_type
 from superroot.errors import NotInLatticeError, UnsupportedTypeError
+from support import membership_classify
 
 
 def test_parse_type_grammar():
@@ -67,15 +68,15 @@ def test_twisted_membership_paper_cases():
 
 def test_membership_classify_bundle():
     t = build("A(2,2)^(4)")
-    rep = t.membership_classify(ED((1,), (1,), 2))
+    rep = membership_classify(t, ED((1,), (1,), 2))
     assert rep.in_delta and rep.real and not rep.imaginary
     assert rep.parity == 1 and rep.isotropic
-    rep2 = t.membership_classify(ED((0,), (0,), 3))
+    rep2 = membership_classify(t, ED((0,), (0,), 3))
     assert rep2.in_delta and rep2.imaginary and not rep2.real
-    rep3 = t.membership_classify(ED((2,), (0,), 4))
+    rep3 = membership_classify(t, ED((2,), (0,), 4))
     assert not rep3.in_delta and rep3.parity is None
     b = build("B(1,1)")
-    rep4 = b.membership_classify(ED((1,), (0,)))
+    rep4 = membership_classify(b, ED((1,), (0,)))
     assert rep4.real and rep4.parity == 0 and rep4.isotropic is False
 
 
@@ -111,7 +112,7 @@ def test_twisted_doubling_rule():
 
 def test_even_real_and_zero_vector():
     h = build("A(2,1)")
-    rep = h.membership_classify(ED((1, -1, 0), (0, 0)))
+    rep = membership_classify(h, ED((1, -1, 0), (0, 0)))
     assert rep.in_delta and rep.real and rep.parity == 0 and rep.isotropic is False
     zero = ED((0, 0, 0), (0, 0))
     assert not h.contains_ed(zero)
@@ -497,8 +498,10 @@ def test_handles_match_the_pinned_digests():
 
 def test_each_build_constructs_one_handle(monkeypatch):
     # an ^(1) build used to build and keep a whole finite handle first, and
-    # each handle ran a second RREF for its rank check and a second symmetrizer
-    from collections import Counter
+    # each handle ran a second RREF for its rank check and a second
+    # symmetrizer; now the RREF, the symmetrizer and the validation run once
+    # per type, and a second build of a type only makes its handle
+    from collections import Counter, OrderedDict
 
     from superroot import cartan, catalog, linalg
 
@@ -510,12 +513,78 @@ def test_each_build_constructs_one_handle(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
     handle_init = catalog.RootSystemHandle.__init__
     monkeypatch.setattr(catalog.RootSystemHandle, "__init__", counted("handle", handle_init))
     monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
     monkeypatch.setattr(catalog, "rref", counted("rref", catalog.rref))
     monkeypatch.setattr(cartan, "symmetrizer", counted("symmetrizer", cartan.symmetrizer))
+    monkeypatch.setattr(cartan, "validate", counted("validate", cartan.validate))
     for spec in ("B(1,1)", "B(1,1)^(1)", "A(2,2)^(4)"):
         calls.clear()
         build(spec)
-        assert calls == {"handle": 1, "rref": 1, "symmetrizer": 1}, spec
+        assert calls == {"handle": 1, "rref": 1, "symmetrizer": 1, "validate": 1}, spec
+        calls.clear()
+        build(spec)
+        assert calls == {"handle": 1}, spec
+
+
+def test_a_warm_build_equals_a_cold_build(monkeypatch):
+    # a handle on a stored type record has the public data of one built
+    # from scratch
+    from collections import OrderedDict
+
+    from superroot import catalog
+
+    for spec in _PINNED_SPECS:
+        monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+        cold = _handle_digest(build(spec))
+        assert parse_type(spec) in catalog._TYPES, spec
+        assert _handle_digest(build(spec)) == cold, spec
+    # an int parameter is the same type as the equal Fraction and shares its record
+    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+    build(CatalogType("D21", 2, 1, "finite", 2))
+    assert _handle_digest(build("D(2,1;2)")) == HANDLE_DIGESTS["D(2,1;2)"]
+
+
+def test_handles_of_one_type_share_no_memo_state():
+    h1, h2 = build("B(1,1)^(1)"), build("B(1,1)^(1)")
+    alpha0 = h1.simple_roots_alpha()[0]
+    h1.to_ed(alpha0)
+    h1.is_isotropic(alpha0)
+    assert len(h1._ed_cache) == 1 and len(h1._norms) == 1
+    assert not h2._ed_cache and not h2._norms
+
+
+def test_the_type_table_drops_its_oldest_type(monkeypatch):
+    from collections import OrderedDict
+
+    from superroot import catalog
+
+    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+    monkeypatch.setattr(catalog, "TABLE_LIMIT", 2)
+    first = _handle_digest(build("B(1,1)"))
+    build("A(0,1)^(1)")
+    build("A(2,2)^(4)")
+    assert list(catalog._TYPES) == [parse_type("A(0,1)^(1)"), parse_type("A(2,2)^(4)")]
+    assert _handle_digest(build("B(1,1)")) == first == HANDLE_DIGESTS["B(1,1)"]
+    assert list(catalog._TYPES) == [parse_type("A(2,2)^(4)"), parse_type("B(1,1)")]
+
+
+def test_a_failing_type_raises_on_every_build(monkeypatch):
+    from collections import OrderedDict
+    from dataclasses import replace
+
+    from superroot import cartan, catalog
+
+    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+    for _ in range(2):
+        with pytest.raises(UnsupportedTypeError):
+            build("A(1,1)")
+    # a base that fails validation is not stored either
+    validate = cartan.validate
+    monkeypatch.setattr(cartan, "validate", lambda cd: replace(validate(cd), regular=False))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="failed validation"):
+            build("B(1,1)")
+    assert not catalog._TYPES

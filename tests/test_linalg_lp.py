@@ -1,7 +1,8 @@
 from fractions import Fraction as Q
 
-from superroot.linalg import mat, nullspace, rank, rref, solve
+from superroot.linalg import mat, rank, rref, solve
 from superroot.lp import feasible_nonneg, in_nonneg_cone
+from support import nullspace
 
 
 def test_rref_identity():

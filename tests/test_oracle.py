@@ -7,7 +7,7 @@ import pytest
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
 from superroot.errors import TruncationHitError, UnsupportedTypeError
-from superroot.linalg import nullspace, rank
+from superroot.linalg import rank
 from superroot.oracle import (
     GradedMatrix,
     bracket_criteria_sweep,
@@ -17,11 +17,11 @@ from superroot.oracle import (
     osp12_module_table,
     realize,
     subalgebra_real_roots,
-    super_jacobi_defect,
     verify_osp12_module,
     verify_theorem_main,
 )
 from superroot.pisystem import root_set
+from support import nullspace, super_jacobi_defect
 
 
 def _neg(r):
@@ -398,6 +398,27 @@ def test_verify_theorem_rejects_non_pi_system():
     h = build("A(0,1)")
     with pytest.raises(ValueError):
         verify_theorem_main(root_set(h, [(1, 0), (1, 1)]))
+
+
+def test_verify_theorem_main_rejects_a_negative_loop_degree_first(monkeypatch):
+    # the window used to be read only by realize, after the closure: the
+    # affine case closed at height 11 before it raised, the finite one
+    # ignored the value
+    from superroot import pisystem
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(pisystem, "closure_S_infinity", refuse)
+    monkeypatch.setattr(pisystem, "is_pi_system", refuse)
+    for spec, k in (("B(1,1)^(1)", -1), ("B(1,1)", -5)):
+        h = build(spec)
+        with pytest.raises(ValueError, match="loop_degree"):
+            verify_theorem_main(root_set(h, h.simple_roots_alpha()), loop_degree=k)
+    monkeypatch.undo()
+    h = build("B(1,1)^(1)")
+    with pytest.raises(TruncationHitError):
+        verify_theorem_main(root_set(h, h.simple_roots_alpha()), loop_degree=0)
 
 
 def test_unsupported_realizations():

@@ -547,7 +547,10 @@ def test_dynkin_checks_classify_each_set_once(monkeypatch):
     assert len(calls) == 1
     del calls[:]
     assert replay.replay_broken_closure()["passed"]
-    assert len(calls) == 3  # the replay's own check, its pi_of_psi and admits_pi_system
+    assert len(calls) == 2  # the replay's own check and admits_pi_system
+    del calls[:]
+    assert replay.replay_affine_pair()["passed"]
+    assert len(calls) == 2  # the replay's own check and admits_pi_system
     # a closure that does not classify as closed is still refused
     monkeypatch.setattr(pisystem, "classify_subset",
                         lambda psi: pisystem.SubsetClassification(True, False, True))
