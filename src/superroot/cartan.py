@@ -44,9 +44,6 @@ class CartanData:
     def n(self) -> int:
         return len(self.matrix)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.matrix[i][j]
-
     def indecomposable(self) -> bool:
         """Connectivity of the graph with an edge whenever a_ij or a_ji is nonzero."""
         n = self.n

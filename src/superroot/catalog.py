@@ -122,16 +122,6 @@ class EpsDeltaVector:
     delta: tuple[int, ...] = ()
     null: int = 0
 
-    def __add__(self, other: "EpsDeltaVector") -> "EpsDeltaVector":
-        return EpsDeltaVector(
-            tuple(a + b for a, b in zip(self.eps, other.eps)),
-            tuple(a + b for a, b in zip(self.delta, other.delta)),
-            self.null + other.null,
-        )
-
-    def __sub__(self, other: "EpsDeltaVector") -> "EpsDeltaVector":
-        return self + (-other)
-
     def __neg__(self) -> "EpsDeltaVector":
         return EpsDeltaVector(
             tuple(-a for a in self.eps), tuple(-a for a in self.delta), -self.null
@@ -217,10 +207,6 @@ class RootSystemHandle:
             return True
         return v.null != 0 and not any(fin)
 
-    def is_imaginary_ed(self, v: EpsDeltaVector) -> bool:
-        """Imaginary roots are the nonzero multiples of the null root."""
-        return self.contains_ed(v) and not (any(v.eps) or any(v.delta))
-
     def real_roots_ed(self, max_degree: Optional[int] = None) -> Iterator[EpsDeltaVector]:
         """The real roots of null degree at most ``max_degree`` in size; all for a finite type."""
         if not self.has_null:
@@ -258,9 +244,6 @@ class RootSystemHandle:
 
     def parity_ed(self, v: EpsDeltaVector) -> int:
         return sum(c * x for c, x in zip(self.parity_coeffs, v.coords())) % 2
-
-    def is_isotropic_ed(self, v: EpsDeltaVector) -> bool:
-        return self._form(v, v) == 0
 
     def is_real_ed(self, v: EpsDeltaVector) -> bool:
         return self.contains_ed(v) and (any(v.eps) or any(v.delta))
@@ -317,9 +300,6 @@ class RootSystemHandle:
     def is_real(self, root: Sequence[int]) -> bool:
         return self.is_real_ed(self.to_ed(root))
 
-    def is_imaginary(self, root: Sequence[int]) -> bool:
-        return self.is_imaginary_ed(self.to_ed(root))
-
     def parity(self, root: Sequence[int]) -> int:
         return self.parity_ed(self.to_ed(root))
 
@@ -371,11 +351,6 @@ class RootSystemHandle:
             if max_height is None or height(r) <= max_height:
                 out.append(r)
         return sorted(out)
-
-    def positive_real_roots(
-        self, max_height: Optional[int] = None, max_degree: Optional[int] = None
-    ) -> list[Root]:
-        return [r for r in self.real_roots(max_height, max_degree) if self.is_positive(r)]
 
     def imaginary_roots(self, max_degree: int) -> list[Root]:
         if not self.has_null:
@@ -573,7 +548,7 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
     data = MappingProxyType(dict(
         ctype=ctype, label=ctype.label, eps_dim=e, delta_dim=d, has_null=ctype.twist != FINITE,
         rank=n, eps_norms=tuple(norms), parity_coeffs=tuple(coeffs), simple_ed=tuple(simples),
-        simple_parities=tuple(parities), cartan=cartan, _table=tuple(table), _denom=denom,
+        cartan=cartan, _table=tuple(table), _denom=denom,
         _int_norms=int_norms, _coord_dim=e + d + 1, _simple_coords=coords,
         # (pivot, row) pairs that solve for alpha coordinates, and the rows
         # that every vector of the root lattice annihilates

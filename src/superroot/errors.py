@@ -80,5 +80,5 @@ class PatternViolationError(SuperrootError):
     pass
 
 
-class TruncationHitError(SuperrootError):
-    pass
+class TruncationHitError(InconclusiveError):
+    """A nonzero loop element or root vector left the degree window of a realization."""

@@ -188,19 +188,61 @@ def loop_bracket(x: WeightedElement, y: WeightedElement, truncation: int) -> Wei
 
 
 class Realization:
-    """Chevalley generators and root spaces of one catalog type as matrices."""
+    """Root vectors of sl(m+1|n+1) or osp(M|2n) in closed form (Kac 1977).
 
-    def __init__(self, handle: RootSystemHandle, space: tuple[int, ...],
-                 index_weights: list[tuple[int, ...]],
-                 root_spaces: dict[tuple[int, ...], GradedMatrix], truncation: int):
-        self.handle = handle
-        self.space = space
+    The index basis is eps_i then delta_p for sl; for osp it is +-eps_i, the
+    middle index for B only, then +-delta_p, and the even supersymmetric form
+    J pairs each index i with the index i' of opposite weight, J[i][i'] = g_i:
+    -1 on -delta_p and 1 on the others.  The root vector at w is E_rc for the
+    largest index pair (r, c) of weight w.  For osp it is completed to the
+    J-invariant E_rc + s E_c'r', or is E_rc alone when (c', r') = (r, c).
+    Invariance, X^T J + sigma J X = 0 with sigma = -1 on the odd rows of an
+    odd X, gives s = -g_r sigma_c g_c; sigma_c = 1 always, because the larger
+    of the two pairs of an odd vector has the odd index, which comes last, as
+    its row.  The result is the invariance nullspace with its last free
+    entry set to 1.
+
+    The weights w are the degree-0 real roots of ``handle``: the roots of
+    its finite type, which an affine type's loop elements reuse at every
+    degree.  ``realize`` checks that the type is one of these families.
+    """
+
+    def __init__(self, handle: RootSystemHandle, truncation: int):
+        self.handle, self.truncation = handle, truncation
+        m, n = handle.eps_dim, handle.delta_dim
+        osp = handle.ctype.family != "A"
+        signs = (1, -1) if osp else (1,)
+
+        def unit(slot: int, val: int) -> tuple[int, ...]:
+            return tuple(val if k == slot else 0 for k in range(m + n))
+
+        index_weights = [unit(i, s) for s in signs for i in range(m)]
+        if handle.ctype.family == "B":
+            index_weights.append((0,) * (m + n))
+        index_weights += [unit(m + p, s) for s in signs for p in range(n)]
         self.index_weights = index_weights  # finite eps+delta coords per basis index
         # index weights are +-unit vectors or zero; weight_eval reads the
         # indices of weight +eps_i or +delta_p, at that coordinate
         self._plus_coord = {idx: wt.index(1) for idx, wt in enumerate(index_weights) if 1 in wt}
-        self._root_spaces = root_spaces  # finite eps+delta coords -> matrix
-        self.truncation = truncation
+        self.space = space = tuple(int(any(w[m:])) for w in index_weights)
+        dual = [index_weights.index(rs.neg(w)) for w in index_weights] if osp else None
+        g = [-1 if space[i] and min(w) < 0 else 1 for i, w in enumerate(index_weights)]
+        # weight -> its largest index pair; pairs come in increasing order
+        largest: dict[tuple[int, ...], tuple[int, int]] = {}
+        for r, wr in enumerate(index_weights):
+            for c, wc in enumerate(index_weights):
+                largest[rs.sub(wr, wc)] = (r, c)
+
+        self._root_spaces = {}  # finite eps+delta coords -> matrix
+        for v in handle.real_roots_ed(0):
+            key = v.eps + v.delta
+            r, c = largest[key]
+            nz = {}
+            if osp and (dual[c], dual[r]) != (r, c):
+                # (c', r') precedes (r, c), so the entries stay in row-major order
+                nz[dual[c], dual[r]] = -g[r] * g[c]
+            nz[r, c] = 1
+            self._root_spaces[key] = GradedMatrix.sparse(nz, space[r] ^ space[c], space)
         self.generators = self._chevalley_generators()
 
     # -- basic helpers -------------------------------------------------------
@@ -254,67 +296,11 @@ class Realization:
             out.append((xplus, xminus, h))
         return out
 
-    def recomputed_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(self.weight_eval(aj, h.matrix) for aj in self.handle.simple_ed)
-                     for _, _, h in self.generators)
-
     def full_basis(self) -> "SubalgebraBasis":
         gens = []
         for e, f, _ in self.generators:
             gens.extend([e, f])
         return generated_subalgebra(gens, self)
-
-
-def _realization(handle: RootSystemHandle, K: int) -> Realization:
-    """Root vectors of sl(m+1|n+1) or osp(M|2n) in closed form (Kac 1977).
-
-    The index basis is eps_i then delta_p for sl; for osp it is +-eps_i, the
-    middle index for B only, then +-delta_p, and the even supersymmetric form
-    J pairs each index i with the index i' of opposite weight, J[i][i'] = g_i:
-    -1 on -delta_p and 1 on the others.  The root vector at w is E_rc for the
-    largest index pair (r, c) of weight w.  For osp it is completed to the
-    J-invariant E_rc + s E_c'r', or is E_rc alone when (c', r') = (r, c).
-    Invariance, X^T J + sigma J X = 0 with sigma = -1 on the odd rows of an
-    odd X, gives s = -g_r sigma_c g_c; sigma_c = 1 always, because the larger
-    of the two pairs of an odd vector has the odd index, which comes last, as
-    its row.  The result is the invariance nullspace with its last free
-    entry set to 1.
-
-    The weights w are the degree-0 real roots of ``handle``: the roots of
-    its finite type, which an affine type's loop elements reuse at every
-    degree.
-    """
-    m, n = handle.eps_dim, handle.delta_dim
-    osp = handle.ctype.family != "A"
-    signs = (1, -1) if osp else (1,)
-
-    def unit(slot: int, val: int) -> tuple[int, ...]:
-        return tuple(val if k == slot else 0 for k in range(m + n))
-
-    index_weights = [unit(i, s) for s in signs for i in range(m)]
-    if handle.ctype.family == "B":
-        index_weights.append((0,) * (m + n))
-    index_weights += [unit(m + p, s) for s in signs for p in range(n)]
-    space = tuple(int(any(w[m:])) for w in index_weights)
-    dual = [index_weights.index(rs.neg(w)) for w in index_weights] if osp else None
-    g = [-1 if space[i] and min(w) < 0 else 1 for i, w in enumerate(index_weights)]
-    # weight -> its largest index pair; pairs come in increasing order
-    largest: dict[tuple[int, ...], tuple[int, int]] = {}
-    for r, wr in enumerate(index_weights):
-        for c, wc in enumerate(index_weights):
-            largest[rs.sub(wr, wc)] = (r, c)
-
-    root_spaces: dict[tuple[int, ...], GradedMatrix] = {}
-    for v in handle.real_roots_ed(0):
-        key = v.eps + v.delta
-        r, c = largest[key]
-        nz = {}
-        if osp and (dual[c], dual[r]) != (r, c):
-            # (c', r') precedes (r, c), so the entries stay in row-major order
-            nz[dual[c], dual[r]] = -g[r] * g[c]
-        nz[r, c] = 1
-        root_spaces[key] = GradedMatrix.sparse(nz, space[r] ^ space[c], space)
-    return Realization(handle, space, index_weights, root_spaces, K)
 
 
 def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
@@ -334,7 +320,7 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
     if family not in ("A", "B", "C", "D"):
         raise UnsupportedTypeError(f"no matrix realization for family {family}")
     K = 0 if twist == FINITE else (loop_degree if loop_degree is not None else 6)
-    return _realization(handle, K)
+    return Realization(handle, K)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +335,6 @@ class SubalgebraBasis:
 
     def weights(self) -> set[tuple[int, ...]]:
         return {e.weight for e in self.elements}
-
-    def by_weight(self, weight: tuple[int, ...]) -> list[WeightedElement]:
-        return [e for e in self.elements if e.weight == weight]
 
     def dimension(self) -> int:
         return len(self.elements)
@@ -429,17 +412,21 @@ def span_signature(basis: SubalgebraBasis, window: Optional[int] = None) -> dict
             for w, vecs in table.items()}
 
 
+def _real_elements(basis: SubalgebraBasis, handle: RootSystemHandle) -> dict[Root, WeightedElement]:
+    """Each real root with a nonzero space in the span, mapped to its first element."""
+    e, d = handle.eps_dim, handle.delta_dim
+    out: dict[Root, WeightedElement] = {}
+    for x in basis.elements:
+        w = x.weight
+        ed = EpsDeltaVector(w[:e], w[e : e + d], w[-1])
+        if handle.is_real_ed(ed):
+            out.setdefault(handle.to_alpha(ed), x)
+    return out
+
+
 def subalgebra_real_roots(basis: SubalgebraBasis, handle: RootSystemHandle) -> ps.RootSet:
     """Real weights with a nonzero space in the spanned subalgebra."""
-    roots = []
-    for w in basis.weights():
-        e, d = handle.eps_dim, handle.delta_dim
-        ed = EpsDeltaVector(w[:e], w[e : e + d], w[-1])
-        if ed.is_zero():
-            continue
-        if handle.is_real_ed(ed):
-            roots.append(handle.to_alpha(ed))
-    return ps.RootSet(frozenset(roots), handle)
+    return ps.RootSet(frozenset(_real_elements(basis, handle)), handle)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +446,6 @@ class TheoremVerdict:
         return a - b, b - a
 
 
-def _closure_height_bound(handle: RootSystemHandle, K: int) -> int:
-    null = handle.null_root()
-    ht_null = height(null) if null else 0
-    finite_max = max(height(r) for r in handle.real_roots(max_degree=0))
-    return (K + 2) * ht_null + finite_max + 2
-
-
 def verify_theorem_main(
     sigma: ps.RootSet,
     loop_degree: Optional[int] = None,
@@ -473,7 +453,8 @@ def verify_theorem_main(
 ) -> TheoremVerdict:
     """Compare the reflection closure of a pi-system with the oracle's real roots.
 
-    A negative ``loop_degree`` is rejected on every type before any work.
+    A negative ``loop_degree`` is rejected on every type before any work, and
+    a type without a realization before the closure runs.
     """
     if loop_degree is not None and loop_degree < 0:
         raise ValueError(f"loop_degree must be >= 0, got {loop_degree}")
@@ -481,18 +462,16 @@ def verify_theorem_main(
     report = ps.is_pi_system(sigma)
     if not report.ok:
         raise ValueError(f"input is not a pi-system: {report}")
-    if handle.is_finite:
-        closure = ps.closure_S_infinity(sigma, None, max_rounds)
-        if not closure.stabilized:
-            raise InconclusiveError("finite-type closure did not stabilize")
-        window = None
-    else:
-        K = loop_degree if loop_degree is not None else (
-            max(abs(handle.degree_of(r)) for r in sigma) + 3
-        )
-        closure = ps.closure_S_infinity(sigma, _closure_height_bound(handle, K), max_rounds)
-        window = K
+    window = bound = None
+    if not handle.is_finite:
+        window = loop_degree if loop_degree is not None else (
+            max(abs(handle.degree_of(r)) for r in sigma) + 3)
+        # (K + 2) ht(null) + ht(theta) + 2, as theta = null - alpha_0 is the top degree-0 root
+        bound = (window + 3) * height(handle.null_root()) + 1
     realization = realize(handle, loop_degree=window)
+    closure = ps.closure_S_infinity(sigma, bound, max_rounds)
+    if handle.is_finite and not closure.stabilized:
+        raise InconclusiveError("finite-type closure did not stabilize")
     gens = [realization.root_vector(r) for r in sigma]
     gens += [realization.root_vector(rs.neg(r)) for r in sigma]
     basis = generated_subalgebra(gens, realization)
@@ -531,16 +510,7 @@ def bracket_criteria_sweep(
     also appears maps real subalgebra roots to real subalgebra roots.  Pairs
     whose bracket would leave the loop window are skipped.
     """
-    real_elems: dict[Root, WeightedElement] = {}
-    all_weights = set()
-    for e in basis.elements:
-        w = e.weight
-        eps, dlt = handle.eps_dim, handle.delta_dim
-        ed = EpsDeltaVector(w[:eps], w[eps : eps + dlt], w[-1])
-        all_weights.add(w)
-        if not ed.is_zero() and handle.is_real_ed(ed):
-            real_elems.setdefault(handle.to_alpha(ed), e)
-
+    real_elems = _real_elements(basis, handle)
     bracket_bad = []
     checked = 0
     roots = sorted(real_elems)

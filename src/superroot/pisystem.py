@@ -22,6 +22,7 @@ from .errors import (
     NotClosedError,
     NotInLatticeError,
     PairingNotIntegralError,
+    UnsupportedTypeError,
 )
 from .lp import in_nonneg_cone
 from .rootspace import Root, height
@@ -333,12 +334,11 @@ def verify_dynkin_maps(
     oracle_match: Optional[bool] = None
     if with_oracle:
         from . import oracle  # deferred to avoid an import cycle
-        from .errors import TruncationHitError, UnsupportedTypeError
 
         try:
             verdict = oracle.verify_theorem_main(sigma, loop_degree=loop_degree)
             oracle_match = verdict.ok
-        except (UnsupportedTypeError, InconclusiveError, TruncationHitError):
+        except (UnsupportedTypeError, InconclusiveError):
             oracle_match = None
     return DynkinCertificate(
         closure_closed_subroot=cls.closed and cls.subroot_system and cls.symmetric,

@@ -16,17 +16,13 @@ from .catalog import EpsDeltaVector, build
 from .rootspace import height
 
 
-def _neg(r):
-    return tuple(-x for x in r)
-
-
 def replay_isotropic_pair(type_spec: str = "B(1,1)") -> dict:
     """Two isotropic roots with a real sum span a six-root subroot system."""
     handle = build(type_spec)
     alpha = handle.to_alpha(EpsDeltaVector((-1,), (1,)))
     beta = handle.to_alpha(EpsDeltaVector((1,), (1,)))
     total = rs.add(alpha, beta)
-    psi = ps.root_set(handle, [alpha, beta, total, _neg(alpha), _neg(beta), _neg(total)])
+    psi = ps.root_set(handle, [alpha, beta, total, rs.neg(alpha), rs.neg(beta), rs.neg(total)])
     cls = ps.classify_subset(psi)
     checks = {
         "alpha_isotropic": handle.is_isotropic(alpha),
@@ -35,8 +31,8 @@ def replay_isotropic_pair(type_spec: str = "B(1,1)") -> dict:
         "subroot_system": cls.subroot_system,
         "symmetric": cls.symmetric,
         "closed": cls.closed,
-        "reflection_swaps": ps.reflect(handle, total, alpha) == _neg(beta)
-        and ps.reflect(handle, total, beta) == _neg(alpha),
+        "reflection_swaps": ps.reflect(handle, total, alpha) == rs.neg(beta)
+        and ps.reflect(handle, total, beta) == rs.neg(alpha),
         "pairing_one": handle.pairing(alpha, total) == 1 and handle.pairing(beta, total) == 1,
     }
     return {
@@ -53,7 +49,7 @@ def replay_affine_pair(type_spec: str = "B(1,1)^(1)", height_bound: int = 40) ->
     handle = build(type_spec)
     alpha = handle.to_alpha(EpsDeltaVector((-1,), (1,), 0))
     alpha_shift = handle.to_alpha(EpsDeltaVector((-1,), (1,), 1))
-    psi = ps.root_set(handle, [alpha, _neg(alpha), alpha_shift, _neg(alpha_shift)])
+    psi = ps.root_set(handle, [alpha, rs.neg(alpha), alpha_shift, rs.neg(alpha_shift)])
     cls = ps.classify_subset(psi)
     pi = ps.minimal_positive_elements(psi)  # Pi(Psi); cls above says whether psi is closed
     admitted = ps.admits_pi_system(psi, height_bound=height_bound)
@@ -91,7 +87,7 @@ def replay_broken_closure(type_spec: str = "B(2,2)^(1)", height_bound: Optional[
     mid = ed((0, 1), (-1, 0), 2)
     rev = ed((0, -1), (1, 0), 3)
     members = [far, near, mid, rev]
-    psi = ps.root_set(handle, members + [_neg(r) for r in members])
+    psi = ps.root_set(handle, members + [rs.neg(r) for r in members])
     if height_bound is None:
         height_bound = 2 * max(height(r) for r in psi.elements) + 4
     cls = ps.classify_subset(psi)
@@ -99,7 +95,7 @@ def replay_broken_closure(type_spec: str = "B(2,2)^(1)", height_bound: Optional[
     expected_pi = {near, mid, rev}
     pi_report = ps.is_pi_system(pi)
     closure = ps.closure_S_infinity(pi, height_bound=height_bound)
-    expected_closure = expected_pi | {_neg(r) for r in expected_pi}
+    expected_closure = expected_pi | {rs.neg(r) for r in expected_pi}
     admitted = ps.admits_pi_system(psi, height_bound=height_bound)
     checks = {
         "psi_has_8_roots": len(psi) == 8,

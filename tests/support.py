@@ -8,7 +8,8 @@ from typing import Optional, Sequence
 
 from superroot.catalog import EpsDeltaVector, RootSystemHandle
 from superroot.linalg import Vec, rref
-from superroot.oracle import GradedMatrix, gm_bracket
+from superroot.oracle import GradedMatrix, Realization, SubalgebraBasis, WeightedElement, gm_bracket
+from superroot.rootspace import Root
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
@@ -55,5 +56,34 @@ def membership_classify(handle: RootSystemHandle, v: EpsDeltaVector) -> Membersh
         real=in_delta and finite,
         imaginary=in_delta and not finite,
         parity=handle.parity_ed(v) if in_delta else None,
-        isotropic=handle.is_isotropic_ed(v) if in_delta else None,
+        isotropic=is_isotropic_ed(handle, v) if in_delta else None,
     )
+
+
+def positive_real_roots(
+    handle: RootSystemHandle, max_height: Optional[int] = None, max_degree: Optional[int] = None
+) -> list[Root]:
+    return [r for r in handle.real_roots(max_height, max_degree) if handle.is_positive(r)]
+
+
+def is_imaginary_ed(handle: RootSystemHandle, v: EpsDeltaVector) -> bool:
+    """Imaginary roots are the nonzero multiples of the null root."""
+    return handle.contains_ed(v) and not (any(v.eps) or any(v.delta))
+
+
+def is_imaginary(handle: RootSystemHandle, root: Sequence[int]) -> bool:
+    return is_imaginary_ed(handle, handle.to_ed(root))
+
+
+def is_isotropic_ed(handle: RootSystemHandle, v: EpsDeltaVector) -> bool:
+    return handle.bilinear_ed(v, v) == 0
+
+
+def recomputed_cartan(realization: Realization) -> tuple[tuple[Fraction, ...], ...]:
+    """The Cartan matrix read back from the realized coroots h_i."""
+    return tuple(tuple(realization.weight_eval(aj, h.matrix) for aj in realization.handle.simple_ed)
+                 for _, _, h in realization.generators)
+
+
+def by_weight(basis: SubalgebraBasis, weight: tuple[int, ...]) -> list[WeightedElement]:
+    return [e for e in basis.elements if e.weight == weight]

@@ -15,6 +15,7 @@ from superroot import oracle, pisystem as ps, replay, rootstring
 from superroot import rootspace as rsp
 from superroot.cartan import validate
 from superroot.catalog import EpsDeltaVector as ED, build
+from support import is_isotropic_ed, positive_real_roots
 
 
 def _report(name: str, budget: float, started: float, ok: bool, detail: str = ""):
@@ -40,7 +41,7 @@ def test_criterion_2_broken_closure_replay():
 
 
 def _finite_pi_systems(handle, max_size=2):
-    positives = handle.positive_real_roots()
+    positives = positive_real_roots(handle)
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(positives, size):
             sigma = ps.root_set(handle, combo)
@@ -49,7 +50,7 @@ def _finite_pi_systems(handle, max_size=2):
 
 
 def _sampled_affine_pi_systems(handle, count, rng, max_degree=2):
-    positives = [r for r in handle.positive_real_roots(max_degree=max_degree)
+    positives = [r for r in positive_real_roots(handle, max_degree=max_degree)
                  if abs(handle.degree_of(r)) <= max_degree]
     found = []
     seen = set()
@@ -155,7 +156,7 @@ def test_criterion_5_twisted_conformance():
     assert handle.contains_ed(ED((2,), (0,), 2))
     assert not handle.contains_ed(ED((2,), (0,), 4))
     v = ED((1,), (1,), 2)
-    assert handle.contains_ed(v) and handle.is_isotropic_ed(v) and handle.parity_ed(v) == 1
+    assert handle.contains_ed(v) and is_isotropic_ed(handle, v) and handle.parity_ed(v) == 1
     for w in (ED((2,), (0,), 2), ED((2,), (0,), 4), v):
         check(w)
     # clause-generated positives and systematic near-misses
@@ -234,11 +235,11 @@ def test_criterion_7_structural_suites():
         attempts += 1
         if rng.random() < 0.7:
             handle = rng.choice(finite_handles)
-            positives = handle.positive_real_roots()
+            positives = positive_real_roots(handle)
             bound = None
         else:
             handle = rng.choice(affine_handles)
-            positives = handle.positive_real_roots(max_degree=2)
+            positives = positive_real_roots(handle, max_degree=2)
             bound = 60
         seed = rng.sample(positives, rng.randint(1, 2))
         sigma = ps.root_set(handle, seed)

@@ -274,6 +274,15 @@ def test_string_exhausted_window_exits_three(capsys):
     assert "inconclusive: isotropic-direction string still has members" in capsys.readouterr().err
 
 
+def test_a_root_outside_the_loop_window_exits_three(capsys):
+    # alpha_0 of B(1,1)^(1) has loop degree 1, outside --K 0: the realization
+    # is truncated, so the verdict is inconclusive, not a usage error
+    for command in ("main-theorem", "bracket-criteria"):
+        argv = ["verify", command, "--type", "B(1,1)^(1)", "--sigma", "[[1,0,0]]", "--K", "0"]
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err.startswith("inconclusive:"), argv
+
+
 # Every subcommand in text and JSON, with exit codes 0-3, `--version` and
 # argparse usage errors: (argv, exit code, sha256 of stdout).  The usage
 # errors pin stderr instead, since argparse lists the flags in the order

@@ -21,7 +21,7 @@ from superroot.oracle import (
     verify_theorem_main,
 )
 from superroot.pisystem import root_set
-from support import nullspace, super_jacobi_defect
+from support import by_weight, nullspace, positive_real_roots, recomputed_cartan, super_jacobi_defect
 
 
 def _neg(r):
@@ -118,7 +118,7 @@ def test_recomputed_cartan_matches_catalog():
     for spec in ("A(0,1)", "A(1,2)", "B(1,1)", "B(2,2)", "C(3)", "D(2,2)",
                  "A(0,1)^(1)", "B(1,1)^(1)", "C(2)^(1)", "D(2,1)^(1)"):
         r = realize(spec, loop_degree=2)
-        assert r.recomputed_cartan() == r.handle.cartan.matrix, spec
+        assert recomputed_cartan(r) == r.handle.cartan.matrix, spec
 
 
 def test_affine_c_family_slice():
@@ -149,7 +149,7 @@ def test_full_algebra_roots_match_catalog():
         # every real root space is one-dimensional
         for w in basis.weights():
             if any(w):
-                assert len(basis.by_weight(w)) == 1, (spec, w)
+                assert len(by_weight(basis, w)) == 1, (spec, w)
 
 
 def _osp_form(handle):
@@ -362,7 +362,7 @@ def test_dynkin_round_trip_size_three():
     for spec in ("A(0,2)", "B(1,1)"):
         h = build(spec)
         r = realize(spec)
-        positives = h.positive_real_roots()
+        positives = positive_real_roots(h)
         count = 0
         for combo in itertools.combinations(positives, 3):
             sigma = root_set(h, combo)
@@ -419,6 +419,37 @@ def test_verify_theorem_main_rejects_a_negative_loop_degree_first(monkeypatch):
     h = build("B(1,1)^(1)")
     with pytest.raises(TruncationHitError):
         verify_theorem_main(root_set(h, h.simple_roots_alpha()), loop_degree=0)
+
+
+def test_the_closure_bound_premise_holds_on_every_untwisted_affine_type():
+    # verify_theorem_main bounds an affine closure at (K + 3) ht(null) + 1,
+    # which is (K + 2) ht(null) + ht(theta) + 2 because the highest degree-0
+    # root theta = null - alpha_0 has height ht(null) - 1
+    from test_catalog import _PINNED_SPECS
+
+    specs = [s for s in _PINNED_SPECS if s.endswith("^(1)")]
+    assert len(specs) == 23
+    for spec in specs:
+        h = build(spec)
+        top = max(rs.height(r) for r in h.real_roots(max_degree=0))
+        assert top == rs.height(h.null_root()) - 1, spec
+
+
+def test_verify_theorem_main_refuses_an_unrealized_type_before_the_closure(monkeypatch):
+    from superroot import pisystem
+
+    closure, calls = pisystem.closure_S_infinity, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(pisystem, "closure_S_infinity", counted)
+    for spec in ("A(2,2)^(4)", "D(2,1;2)^(1)"):
+        h = build(spec)
+        with pytest.raises(UnsupportedTypeError):
+            verify_theorem_main(root_set(h, h.simple_roots_alpha()))
+    assert not calls
 
 
 def test_unsupported_realizations():

@@ -20,6 +20,7 @@ from superroot.pisystem import (
     root_set,
     verify_dynkin_maps,
 )
+from support import positive_real_roots
 
 
 def _neg(r):
@@ -252,7 +253,7 @@ def test_admits_pi_system_positive_case():
 def test_closure_roundtrip_for_pi_systems():
     # Pi(closure(Sigma)) = Sigma for pi-systems inside the positive roots
     h = build("B(1,1)")
-    positives = h.positive_real_roots()
+    positives = positive_real_roots(h)
     import itertools
 
     for size in (1, 2):
@@ -505,7 +506,7 @@ def _minimal_cases():
     # holding delta and 2 delta, and sets holding 2 delta without delta
     for spec in ("B(1,1)", "B(0,2)"):
         h = build(spec)
-        positives = h.positive_real_roots()
+        positives = positive_real_roots(h)
         for size in range(1, len(positives) + 1):
             for subset in itertools.combinations(positives, size):
                 cases.append((f"{spec} {subset}", root_set(h, subset)))

@@ -11,6 +11,7 @@ from superroot.cartan import normalize, symmetrizer
 from superroot.catalog import EpsDeltaVector as ED, build
 from superroot.pisystem import classify_subset, closure_S_infinity, is_pi_system, root_set
 from superroot.rootspace import bilinear, pair
+from support import positive_real_roots
 
 coeff = st.integers(min_value=-4, max_value=4)
 
@@ -95,7 +96,7 @@ def test_odd_reflection_is_base_involution(data):
 def test_pi_systems_random_subsets_have_stable_reports():
     rng = random.Random(11)
     h = build("B(2,1)")
-    positives = h.positive_real_roots()
+    positives = positive_real_roots(h)
     for _ in range(50):
         seed = rng.sample(positives, rng.randint(1, 3))
         report = is_pi_system(root_set(h, seed))
