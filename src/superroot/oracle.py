@@ -331,10 +331,6 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
 class SubalgebraBasis:
     elements: list[WeightedElement]
     truncated: bool
-    truncation: int
-
-    def weights(self) -> set[tuple[int, ...]]:
-        return {e.weight for e in self.elements}
 
     def dimension(self) -> int:
         return len(self.elements)
@@ -348,22 +344,24 @@ def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realizati
     entry (row, column).  The pivot of a vector is its smallest key, which
     is its first nonzero in row-major order.
 
-    Each pair is bracketed in one order only.  For homogeneous x and y,
-    [y,x] = -(-1)^{p(x)p(y)} [x,y] term by term, so [y,x] lies in the span
-    once [x,y] has been offered; it is zero exactly when [x,y] is, and it
-    leaves the degree window exactly when [x,y] does.  Bracketing one order
-    therefore admits the same elements in the same order, and marks the
-    result truncated in the same cases, as bracketing both.  In the loop
-    case a bracket leaving the degree window marks the result truncated.
+    ``basis`` is also the worklist: the loop reaches what it appends, and
+    each element x is bracketed with itself and every element before it, so
+    every unordered pair is bracketed exactly once, when the later of the
+    two is reached, and a final basis of n elements costs n(n+1)/2
+    brackets.  A bracket that is not inserted lies in the span already.
+    The other order is never needed: for homogeneous x and y,
+    [y,x] = -(-1)^{p(x)p(y)} [x,y] term by term, so the two brackets span
+    the same line, are zero together and leave the degree window together.
+    A bracket leaving the window marks the result truncated.
     """
     K = realization.truncation
     spans: dict[tuple[int, ...], list[tuple[Entry, dict[Entry, object]]]] = {}
     basis: list[WeightedElement] = []
     truncated = False
 
-    def insert(e: WeightedElement) -> bool:
+    def insert(e: WeightedElement) -> None:
         if e.matrix.is_zero():
-            return False
+            return
         vec = dict(e.matrix.nz)
         rows = spans.setdefault(e.weight, [])
         for pivot, rvec in rows:
@@ -376,29 +374,22 @@ def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realizati
                     else:
                         del vec[k]
         if not vec:
-            return False
+            return
         pivot = min(vec)
         inv = 1 / Fraction(vec[pivot])
         rows.append((pivot, {k: _exact(x * inv) for k, x in vec.items()}))
         rows.sort(key=lambda t: t[0])
         basis.append(e)
-        return True
 
-    queue: list[WeightedElement] = []
     for g in gens:
-        if insert(g):
-            queue.append(g)
-    while queue:
-        x = queue.pop()
-        for y in list(basis):
+        insert(g)
+    for i, x in enumerate(basis):
+        for y in basis[: i + 1]:
             try:
-                br = loop_bracket(x, y, K)
+                insert(loop_bracket(x, y, K))
             except TruncationHitError:
                 truncated = True
-                continue
-            if insert(br):
-                queue.append(br)
-    return SubalgebraBasis(basis, truncated, K)
+    return SubalgebraBasis(basis, truncated)
 
 
 def span_signature(basis: SubalgebraBasis, window: Optional[int] = None) -> dict:
@@ -507,9 +498,11 @@ def bracket_criteria_sweep(
     For real roots alpha, beta of the subalgebra with alpha + beta nonzero the
     bracket of their root spaces is nonzero exactly when alpha + beta is a
     root; and the even reflection by any non-isotropic alpha whose negative
-    also appears maps real subalgebra roots to real subalgebra roots.  Pairs
-    whose bracket would leave the loop window are skipped.
+    also appears maps real subalgebra roots to real subalgebra roots.  The
+    loop window is the realization's; pairs whose bracket or reflection
+    would leave it are skipped.
     """
+    K = realization.truncation
     real_elems = _real_elements(basis, handle)
     bracket_bad = []
     checked = 0
@@ -520,7 +513,7 @@ def bracket_criteria_sweep(
             if not any(s):
                 continue
             try:
-                br = loop_bracket(real_elems[a], real_elems[b], basis.truncation)
+                br = loop_bracket(real_elems[a], real_elems[b], K)
             except TruncationHitError:
                 continue
             checked += 1
@@ -535,7 +528,7 @@ def bracket_criteria_sweep(
             continue
         for b in roots:
             img = ps.reflect(handle, a, b)
-            if not handle.is_finite and abs(handle.degree_of(img)) > basis.truncation:
+            if not handle.is_finite and abs(handle.degree_of(img)) > K:
                 continue
             if img not in real_elems:
                 reflection_bad.append((a, b, img))

@@ -87,3 +87,7 @@ def recomputed_cartan(realization: Realization) -> tuple[tuple[Fraction, ...], .
 
 def by_weight(basis: SubalgebraBasis, weight: tuple[int, ...]) -> list[WeightedElement]:
     return [e for e in basis.elements if e.weight == weight]
+
+
+def weights(basis: SubalgebraBasis) -> set[tuple[int, ...]]:
+    return {e.weight for e in basis.elements}

@@ -21,7 +21,8 @@ from superroot.oracle import (
     verify_theorem_main,
 )
 from superroot.pisystem import root_set
-from support import by_weight, nullspace, positive_real_roots, recomputed_cartan, super_jacobi_defect
+from support import (by_weight, nullspace, positive_real_roots, recomputed_cartan, super_jacobi_defect,
+                     weights)
 
 
 def _neg(r):
@@ -147,7 +148,7 @@ def test_full_algebra_roots_match_catalog():
         assert not basis.truncated
         assert set(subalgebra_real_roots(basis, h).elements) == set(h.real_roots()), spec
         # every real root space is one-dimensional
-        for w in basis.weights():
+        for w in weights(basis):
             if any(w):
                 assert len(by_weight(basis, w)) == 1, (spec, w)
 
@@ -247,6 +248,63 @@ def test_span_growth_truncation_flags():
     full = realize("B(1,1)^(1)", loop_degree=3).full_basis()
     assert full.dimension() == 84
     assert full.truncated is True
+
+
+def _counted_span_growth(monkeypatch):
+    """Record the arguments of each loop_bracket call made inside span growth.
+
+    Returns the list of (x, y) arguments and the list of bases grown.
+    """
+    from superroot import oracle
+
+    bracket, growth = oracle.loop_bracket, oracle.generated_subalgebra
+    calls, bases, growing = [], [], []
+
+    def counted_bracket(x, y, truncation):
+        if growing:
+            calls.append((x, y))
+        return bracket(x, y, truncation)
+
+    def counted_growth(gens, realization):
+        growing.append(True)
+        try:
+            basis = growth(gens, realization)
+        finally:
+            growing.pop()
+        bases.append(basis)
+        return basis
+
+    monkeypatch.setattr(oracle, "loop_bracket", counted_bracket)
+    monkeypatch.setattr(oracle, "generated_subalgebra", counted_growth)
+    return calls, bases
+
+
+def _assert_each_pair_bracketed_once(calls, basis):
+    index = {id(e): i for i, e in enumerate(basis.elements)}
+    pairs = {frozenset((index[id(x)], index[id(y)])) for x, y in calls}
+    n = basis.dimension()
+    assert len(calls) == len(pairs) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("spec, dim, brackets", [
+    ("B(1,1)^(1)", 84, 3570),
+    ("B(2,1)^(1)", 161, 13041),
+])
+def test_span_growth_brackets_each_unordered_pair_once(monkeypatch, spec, dim, brackets):
+    r = realize(spec, loop_degree=3)
+    calls, _ = _counted_span_growth(monkeypatch)
+    basis = r.full_basis()
+    assert (basis.dimension(), basis.truncated, len(calls)) == (dim, True, brackets)
+    _assert_each_pair_bracketed_once(calls, basis)
+
+
+def test_span_growth_brackets_each_pair_once_in_the_main_theorem(monkeypatch):
+    h = build("A(1,2)")
+    calls, bases = _counted_span_growth(monkeypatch)
+    assert verify_theorem_main(root_set(h, h.simple_roots_alpha())).ok
+    [basis] = bases
+    assert (basis.dimension(), basis.truncated) == (24, False)  # sl(2|3)
+    _assert_each_pair_bracketed_once(calls, basis)
 
 
 def _simple_basis(spec, loop_degree=None):
@@ -450,6 +508,26 @@ def test_verify_theorem_main_refuses_an_unrealized_type_before_the_closure(monke
         with pytest.raises(UnsupportedTypeError):
             verify_theorem_main(root_set(h, h.simple_roots_alpha()))
     assert not calls
+
+
+def test_full_basis_real_weights_match_the_catalog_on_every_realizable_type():
+    # the realization's real weights against the catalog's real roots, at
+    # every degree of the window K = 1 on the untwisted affine types
+    from test_catalog import _PINNED_SPECS
+
+    realized = []
+    for spec in _PINNED_SPECS:
+        try:
+            r = realize(spec, loop_degree=1)
+        except UnsupportedTypeError:
+            continue
+        realized.append(spec)
+        K = r.truncation
+        # a weight with a nonzero finite part is real; the others are k null
+        real = {w for w in weights(r.full_basis()) if abs(w[-1]) <= K and any(w[:-1])}
+        assert real == {v.coords() for v in r.handle.real_roots_ed(K)}, spec
+    assert sum("^" not in s for s in realized) == 20
+    assert len(realized) == 40
 
 
 def test_unsupported_realizations():
