@@ -132,9 +132,6 @@ class EpsDeltaVector:
             tuple(k * a for a in self.eps), tuple(k * a for a in self.delta), k * self.null
         )
 
-    def is_zero(self) -> bool:
-        return self.null == 0 and not any(self.eps) and not any(self.delta)
-
     def finite_part(self) -> "EpsDeltaVector":
         return EpsDeltaVector(self.eps, self.delta, 0)
 

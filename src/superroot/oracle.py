@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from . import pisystem as ps
 from . import rootspace as rs
@@ -64,29 +64,14 @@ class GradedMatrix:
     ``int`` when integral and a ``Fraction`` otherwise, so arithmetic stays
     exact and mostly in integers.  Every construction checks, over the
     nonzero entries, that each lies in the matrix and in the block of the
-    matrix's parity.  ``GradedMatrix(rows, parity, space)`` builds from dense
-    rows and ``GradedMatrix.sparse`` from a map; ``entries`` and ``flat()``
+    matrix's parity; zero values are dropped.  ``entries`` and ``flat()``
     are dense read-only views with ``Fraction`` values.  Instances are
     immutable.
     """
 
     __slots__ = ("nz", "parity", "space")
 
-    def __init__(self, rows: Sequence[Sequence], parity: int, space: Sequence[int]):
-        d = len(space)
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise ValueError("matrix shape does not match the space")
-        self._init({(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)},
-                   parity, space)
-
-    @classmethod
-    def sparse(cls, nz: dict[Entry, object], parity: int, space: Sequence[int]) -> "GradedMatrix":
-        """The matrix with entries ``nz``; zero values are dropped."""
-        m = object.__new__(cls)
-        m._init(nz, parity, space)
-        return m
-
-    def _init(self, nz: dict[Entry, object], parity: int, space: Sequence[int]) -> None:
+    def __init__(self, nz: dict[Entry, object], parity: int, space: Sequence[int]):
         space = tuple(space)
         d = len(space)
         kept = {}
@@ -114,7 +99,7 @@ class GradedMatrix:
         return hash((self.parity, self.space, frozenset(self.nz.items())))
 
     def __repr__(self) -> str:
-        return f"GradedMatrix.sparse({self.nz!r}, {self.parity}, {self.space})"
+        return f"GradedMatrix({self.nz!r}, {self.parity}, {self.space})"
 
     @property
     def dim(self) -> int:
@@ -132,15 +117,7 @@ class GradedMatrix:
         return not self.nz
 
     def scaled(self, c: Fraction) -> "GradedMatrix":
-        return GradedMatrix.sparse({k: c * x for k, x in self.nz.items()}, self.parity, self.space)
-
-    def plus(self, other: "GradedMatrix") -> "GradedMatrix":
-        if other.parity != self.parity:
-            raise ValueError("cannot add matrices of different parity")
-        acc = dict(self.nz)
-        for k, x in other.nz.items():
-            acc[k] = acc.get(k, 0) + x
-        return GradedMatrix.sparse(acc, self.parity, self.space)
+        return GradedMatrix({k: c * x for k, x in self.nz.items()}, self.parity, self.space)
 
 
 def _add_product(acc: dict[Entry, object], a: GradedMatrix, b: GradedMatrix, s: int) -> None:
@@ -159,7 +136,7 @@ def gm_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     acc: dict[Entry, object] = {}
     _add_product(acc, a, b, 1)
     _add_product(acc, b, a, -sign)
-    return GradedMatrix.sparse(acc, a.parity ^ b.parity, a.space)
+    return GradedMatrix(acc, a.parity ^ b.parity, a.space)
 
 
 @dataclass(frozen=True)
@@ -242,7 +219,7 @@ class Realization:
                 # (c', r') precedes (r, c), so the entries stay in row-major order
                 nz[dual[c], dual[r]] = -g[r] * g[c]
             nz[r, c] = 1
-            self._root_spaces[key] = GradedMatrix.sparse(nz, space[r] ^ space[c], space)
+            self._root_spaces[key] = GradedMatrix(nz, space[r] ^ space[c], space)
         self.generators = self._chevalley_generators()
 
     # -- basic helpers -------------------------------------------------------
@@ -296,20 +273,27 @@ class Realization:
             out.append((xplus, xminus, h))
         return out
 
-    def full_basis(self) -> "SubalgebraBasis":
-        gens = []
-        for e, f, _ in self.generators:
-            gens.extend([e, f])
+    def subalgebra(self, roots: Collection[Root]) -> "SubalgebraBasis":
+        """g(roots): the subalgebra generated by the root vectors of +-roots.
+
+        The generators are x_r for each r, then x_-r for each r; a root
+        beyond the window raises ``TruncationHitError`` before any growth.
+        """
+        gens = [self.root_vector(r) for r in roots] + [self.root_vector(rs.neg(r)) for r in roots]
         return generated_subalgebra(gens, self)
+
+    def full_basis(self) -> "SubalgebraBasis":
+        """The whole windowed algebra: the subalgebra of the simple roots."""
+        return self.subalgebra(self.handle.simple_roots_alpha())
 
 
 def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
     """Generators and root vectors for a supported catalog type.
 
     Finite A, B, C and D families are realized directly; their untwisted
-    affinizations as loop algebras truncated at ``loop_degree`` (6 when
-    None), which must not be negative.  The twisted family and the
-    exceptional families are combinatorial-only here.
+    affinizations as loop algebras truncated at ``loop_degree``, which an
+    affine type needs and which must not be negative on any type.  The
+    twisted family and the exceptional families are combinatorial-only here.
     """
     if loop_degree is not None and loop_degree < 0:
         raise ValueError(f"loop_degree must be >= 0, got {loop_degree}")
@@ -319,8 +303,17 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
         raise UnsupportedTypeError(f"no matrix realization for {handle.label}")
     if family not in ("A", "B", "C", "D"):
         raise UnsupportedTypeError(f"no matrix realization for family {family}")
-    K = 0 if twist == FINITE else (loop_degree if loop_degree is not None else 6)
-    return Realization(handle, K)
+    if twist == AFFINE and loop_degree is None:
+        raise ValueError(f"an affine realization of {handle.label} needs a loop_degree")
+    return Realization(handle, 0 if twist == FINITE else loop_degree)
+
+
+def loop_window(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> Optional[int]:
+    """The ``loop_degree`` to realize g(sigma) at: the given one, else, on an
+    affine type, three beyond the largest loop degree in sigma."""
+    if loop_degree is not None or sigma.handle.is_finite:
+        return loop_degree
+    return max(abs(sigma.handle.degree_of(r)) for r in sigma) + 3
 
 
 # ---------------------------------------------------------------------------
@@ -437,36 +430,25 @@ class TheoremVerdict:
         return a - b, b - a
 
 
-def verify_theorem_main(
-    sigma: ps.RootSet,
-    loop_degree: Optional[int] = None,
-    max_rounds: int = 64,
-) -> TheoremVerdict:
+def verify_theorem_main(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> TheoremVerdict:
     """Compare the reflection closure of a pi-system with the oracle's real roots.
 
-    A negative ``loop_degree`` is rejected on every type before any work, and
-    a type without a realization before the closure runs.
+    The type is realized first, at ``loop_window(sigma, loop_degree)``, so a
+    negative ``loop_degree`` or a type without a realization is rejected
+    before the pi-system check and the closure run.
     """
-    if loop_degree is not None and loop_degree < 0:
-        raise ValueError(f"loop_degree must be >= 0, got {loop_degree}")
     handle = sigma.handle
+    realization = realize(handle, loop_degree=loop_window(sigma, loop_degree))
     report = ps.is_pi_system(sigma)
     if not report.ok:
         raise ValueError(f"input is not a pi-system: {report}")
-    window = bound = None
-    if not handle.is_finite:
-        window = loop_degree if loop_degree is not None else (
-            max(abs(handle.degree_of(r)) for r in sigma) + 3)
-        # (K + 2) ht(null) + ht(theta) + 2, as theta = null - alpha_0 is the top degree-0 root
-        bound = (window + 3) * height(handle.null_root()) + 1
-    realization = realize(handle, loop_degree=window)
-    closure = ps.closure_S_infinity(sigma, bound, max_rounds)
+    window = None if handle.is_finite else realization.truncation
+    # (K + 2) ht(null) + ht(theta) + 2, as theta = null - alpha_0 is the top degree-0 root
+    bound = None if window is None else (window + 3) * height(handle.null_root()) + 1
+    closure = ps.closure_S_infinity(sigma, bound)
     if handle.is_finite and not closure.stabilized:
         raise InconclusiveError("finite-type closure did not stabilize")
-    gens = [realization.root_vector(r) for r in sigma]
-    gens += [realization.root_vector(rs.neg(r)) for r in sigma]
-    basis = generated_subalgebra(gens, realization)
-    sub_roots = subalgebra_real_roots(basis, handle).elements
+    sub_roots = subalgebra_real_roots(realization.subalgebra(sigma), handle).elements
     clo_roots = closure.roots.elements
     if window is not None:
         sub_roots = frozenset(r for r in sub_roots if abs(handle.degree_of(r)) <= window)
@@ -507,8 +489,11 @@ def bracket_criteria_sweep(
     bracket_bad = []
     checked = 0
     roots = sorted(real_elems)
-    for a in roots:
-        for b in roots:
+    # [b,a] = -(-1)^{p(a)p(b)} [a,b]: the two orders are zero together and
+    # leave the window together, so each unordered pair is bracketed once
+    # and counted, and reported, in both orders
+    for i, a in enumerate(roots):
+        for b in roots[i:]:
             s = rs.add(a, b)
             if not any(s):
                 continue
@@ -516,11 +501,13 @@ def bracket_criteria_sweep(
                 br = loop_bracket(real_elems[a], real_elems[b], K)
             except TruncationHitError:
                 continue
-            checked += 1
+            orders = [(a, b)] if a == b else [(a, b), (b, a)]
+            checked += len(orders)
             nonzero = not br.matrix.is_zero()
             in_delta = handle.contains(s)
             if nonzero != in_delta:
-                bracket_bad.append((a, b, nonzero, in_delta))
+                bracket_bad += [(x, y, nonzero, in_delta) for x, y in orders]
+    bracket_bad.sort()
 
     reflection_bad = []
     for a in roots:
@@ -562,9 +549,9 @@ def osp12_module_table(k: int) -> ModuleTable:
     h = {(j, j): 2 * k - 2 * j for j in range(d)}
     return ModuleTable(
         k,
-        GradedMatrix.sparse(e, 1, space),
-        GradedMatrix.sparse(f, 1, space),
-        GradedMatrix.sparse(h, 0, space),
+        GradedMatrix(e, 1, space),
+        GradedMatrix(f, 1, space),
+        GradedMatrix(h, 0, space),
     )
 
 

@@ -54,8 +54,7 @@ def replay_affine_pair(type_spec: str = "B(1,1)^(1)", height_bound: int = 40) ->
     pi = ps.minimal_positive_elements(psi)  # Pi(Psi); cls above says whether psi is closed
     admitted = ps.admits_pi_system(psi, height_bound=height_bound)
     realization = oracle.realize(handle, loop_degree=3)
-    gens = [realization.root_vector(r) for r in psi]
-    basis = oracle.generated_subalgebra(gens, realization)
+    basis = realization.subalgebra([alpha, alpha_shift])  # psi is +-{alpha, alpha_shift}
     real_roots = oracle.subalgebra_real_roots(basis, handle)
     checks = {
         "alpha_isotropic": handle.is_isotropic(alpha),

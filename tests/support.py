@@ -12,6 +12,19 @@ from superroot.oracle import GradedMatrix, Realization, SubalgebraBasis, Weighte
 from superroot.rootspace import Root
 
 
+def claim_a_root(monkeypatch, label: str, finite: tuple[int, ...]) -> None:
+    """Make every handle of type ``label`` call the degree-0 vector with eps+delta
+    coordinates ``finite`` a root: a lie that the law checkers must report."""
+    contains = RootSystemHandle.contains_ed
+
+    def lying(self, v: EpsDeltaVector) -> bool:
+        if self.label == label and v.eps + v.delta == finite and v.null == 0:
+            return True
+        return contains(self, v)
+
+    monkeypatch.setattr(RootSystemHandle, "contains_ed", lying)
+
+
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
     """Basis of the right nullspace of A."""
     if not rows:
@@ -35,7 +48,17 @@ def super_jacobi_defect(x: GradedMatrix, y: GradedMatrix, z: GradedMatrix) -> Gr
     r1 = gm_bracket(gm_bracket(x, y), z)
     r2 = gm_bracket(y, gm_bracket(x, z))
     sign = Fraction(-1 if (x.parity and y.parity) else 1)
-    return lhs.plus(r1.scaled(Fraction(-1))).plus(r2.scaled(-sign))
+    return plus(plus(lhs, r1.scaled(Fraction(-1))), r2.scaled(-sign))
+
+
+def plus(x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
+    """x + y, for matrices of one parity."""
+    if x.parity != y.parity:
+        raise ValueError("cannot add matrices of different parity")
+    acc = dict(x.nz)
+    for k, v in y.nz.items():
+        acc[k] = acc.get(k, 0) + v
+    return GradedMatrix(acc, x.parity, x.space)
 
 
 @dataclass(frozen=True)

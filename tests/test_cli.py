@@ -9,6 +9,7 @@ import pytest
 
 import superroot
 from superroot.cli import main
+from support import claim_a_root
 
 
 def _capture(capsys, argv):
@@ -281,6 +282,66 @@ def test_a_root_outside_the_loop_window_exits_three(capsys):
         argv = ["verify", command, "--type", "B(1,1)^(1)", "--sigma", "[[1,0,0]]", "--K", "0"]
         assert main(argv) == 3, argv
         assert capsys.readouterr().err.startswith("inconclusive:"), argv
+
+
+def test_affine_verify_commands_share_the_default_window(capsys):
+    # sigma's root has loop degree 7, so without --K both commands work at
+    # window 7 + 3 = 10, not a fixed window
+    from superroot import oracle
+    from superroot.pisystem import root_set
+
+    base = ["--type", "B(1,1)^(1)", "--sigma", "[[7,15,14]]", "--format", "json"]
+    assert main(["verify", "main-theorem", *base]) == 0
+    assert json.loads(capsys.readouterr().out)["window_degree"] == 10
+    assert main(["verify", "bracket-criteria", *base]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs_checked"]
+    r = oracle.realize("B(1,1)^(1)", loop_degree=10)
+    sigma = root_set(r.handle, [(7, 15, 14)])
+    assert oracle.loop_window(sigma) == 10
+    assert pairs == oracle.bracket_criteria_sweep(r.subalgebra(sigma), r.handle, r).pairs_checked
+
+
+def test_a_failed_law_exits_one(monkeypatch, capsys):
+    # 2 eps_1 = (0, 2) is not a root of B(1,1): calling it one must fail the
+    # string sweep and the bracket criteria, with the witnesses printed
+    claim_a_root(monkeypatch, "B(1,1)", (2, 0))
+    assert main(["string-sweep", "--type", "B(1,1)", "--height", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "failures:" in out and "unbroken: beta=(0, 1) alpha=(0, 1)" in out
+    assert main(["verify", "bracket-criteria", "--type", "B(1,1)", "--sigma", "[[1,0],[0,1]]"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "bracket criteria on g(sigma): False (90 pairs)",
+        "  bracket law fails: ((-1, 0), (1, 2), False, True)",
+        "  bracket law fails: ((0, 1), (0, 1), False, True)",
+        "  bracket law fails: ((1, 2), (-1, 0), False, True)",
+    ]
+
+
+def test_a_main_theorem_mismatch_exits_one(monkeypatch, capsys):
+    # an oracle that loses the root (1, 1) disagrees with the closure
+    from superroot import oracle
+    from superroot.pisystem import RootSet
+
+    real_roots = oracle.subalgebra_real_roots
+
+    def lossy(basis, handle):
+        found = real_roots(basis, handle)
+        return RootSet(found.elements - {(1, 1)}, handle)
+
+    monkeypatch.setattr(oracle, "subalgebra_real_roots", lossy)
+    assert main(["verify", "main-theorem", "--type", "A(0,1)", "--sigma", "[[1,0],[0,1]]"]) == 1
+    out = capsys.readouterr().out
+    assert "closure equals oracle real roots: False" in out
+    assert "  closure only:    [[1, 1]]" in out and "  subalgebra only: []" in out
+
+
+def test_a_non_regular_base_exits_one(capsys):
+    # this base is regular admissible, but the base-graph search reaches one
+    # that is not: the search stops with a failed check
+    argv = ["real-roots", "--matrix-json", '{"matrix": [[2,-3],[-1,0]], "parity": [0,1]}',
+            "--height", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("check failed: encountered a base whose Cartan matrix")
 
 
 # Every subcommand in text and JSON, with exit codes 0-3, `--version` and

@@ -1,6 +1,6 @@
 """The package imports nothing outside the standard library and itself, its
-arithmetic is exact (no float literal appears in its source), and every
-exported name resolves."""
+arithmetic is exact (no float literal appears in its source), every
+exported name resolves and every definition is used."""
 
 import ast
 import sys
@@ -41,3 +41,32 @@ def test_every_exported_name_resolves():
     assert len(superroot.__all__) == len(set(superroot.__all__))
     for name in superroot.__all__:
         assert hasattr(superroot, name), name
+
+
+def test_every_definition_is_referenced():
+    # each non-dunder function, method or class of the package occurs as a
+    # name, an attribute or an ``__all__`` string outside its own definition,
+    # somewhere in the package, its tests or its benchmark
+    repo = Path(__file__).resolve().parents[1]
+    files = [p for d in (SRC, repo / "tests", repo / "perfbench") for p in sorted(d.glob("*.py"))]
+    uses, defs = {}, []  # name -> [(path, line)]; (path, first line, last line, name)
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((path, node.lineno))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                for c in ast.walk(node.value):
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                        uses.setdefault(c.value, []).append((path, c.lineno))
+            elif (path.parent == SRC
+                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defs.append((path, node.lineno, node.end_lineno, node.name))
+    assert defs
+    unused = [f"{path.name}:{first} {name}" for path, first, last, name in defs
+              if all(p == path and first <= line <= last for p, line in uses.get(name, ()))]
+    assert not unused, unused

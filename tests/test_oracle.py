@@ -21,8 +21,8 @@ from superroot.oracle import (
     verify_theorem_main,
 )
 from superroot.pisystem import root_set
-from support import (by_weight, nullspace, positive_real_roots, recomputed_cartan, super_jacobi_defect,
-                     weights)
+from support import (by_weight, claim_a_root, nullspace, plus, positive_real_roots, recomputed_cartan,
+                     super_jacobi_defect, weights)
 
 
 def _neg(r):
@@ -31,13 +31,13 @@ def _neg(r):
 
 def test_graded_matrix_homogeneity_enforced():
     with pytest.raises(ValueError):
-        GradedMatrix(((Q(0), Q(1)), (Q(0), Q(0))), 0, (0, 1))
+        GradedMatrix({(-1, 0): 1}, 0, (0, 1))
     with pytest.raises(ValueError):
-        GradedMatrix.sparse({(0, 1): Q(1, 2)}, 0, (0, 1))
+        GradedMatrix({(0, 1): Q(1, 2)}, 0, (0, 1))
     with pytest.raises(ValueError):
-        GradedMatrix.sparse({(0, 2): 1}, 1, (0, 1))
+        GradedMatrix({(0, 2): 1}, 1, (0, 1))
     with pytest.raises(TypeError):
-        GradedMatrix(((1.5, 0), (0, 1)), 0, (0, 1))
+        GradedMatrix({(0, 0): 1.5, (1, 1): 1}, 0, (0, 1))
 
 
 # Reference: the dense O(d^3) bracket that the sparse one replaced.
@@ -58,9 +58,9 @@ def _dense_bracket(a, b):
 def _random_graded(rng, space, parity):
     values = (Q(1), Q(-1), Q(2), Q(1, 2), Q(-2, 3), Q(5, 4))
     d = len(space)
-    rows = [[rng.choice(values) if (space[r] ^ space[c]) == parity and rng.random() < 0.4
-             else Q(0) for c in range(d)] for r in range(d)]
-    return GradedMatrix(rows, parity, space)
+    nz = {(r, c): rng.choice(values) for r in range(d) for c in range(d)
+          if (space[r] ^ space[c]) == parity and rng.random() < 0.4}
+    return GradedMatrix(nz, parity, space)
 
 
 def test_sparse_arithmetic_matches_dense_reference():
@@ -81,16 +81,15 @@ def test_sparse_arithmetic_matches_dense_reference():
         c = rng.choice((Q(0), Q(3), Q(-1, 2)))
         assert x.scaled(c).entries == tuple(tuple(c * v for v in row) for row in x.entries)
         if x.parity == y.parity:
-            assert x.plus(y).entries == tuple(
+            assert plus(x, y).entries == tuple(
                 tuple(u + v for u, v in zip(r1, r2)) for r1, r2 in zip(x.entries, y.entries))
         else:
             with pytest.raises(ValueError):
-                x.plus(y)
-        assert x.plus(x.scaled(Q(-1))).is_zero()
+                plus(x, y)
+        assert plus(x, x.scaled(Q(-1))).is_zero()
         # dense and sparse views round-trip, and integral values are ints
-        assert GradedMatrix(x.entries, x.parity, x.space) == x
         assert x.flat() == tuple(v for row in x.entries for v in row)
-        assert GradedMatrix.sparse(
+        assert GradedMatrix(
             {(i // x.dim, i % x.dim): v for i, v in enumerate(x.flat())}, x.parity, x.space) == x
         for m in (x, br):
             assert all(type(v) is int or v.denominator != 1 for v in m.nz.values())
@@ -557,6 +556,58 @@ def test_bracket_criteria_affine_pattern():
     assert report.ok(), report
 
 
+def test_bracket_sweep_brackets_each_unordered_pair_once(monkeypatch):
+    # the sweep brackets a pair of real roots once, whatever its order, and
+    # counts it in both orders: a sweep over ordered pairs is the reference
+    from superroot import oracle
+
+    r = realize("B(1,1)^(1)", loop_degree=2)
+    basis = r.full_basis()
+    elems = oracle._real_elements(basis, r.handle)
+    roots = sorted(elems)
+    ordered = 0
+    for a in roots:
+        for b in roots:
+            if any(rs.add(a, b)):
+                try:
+                    loop_bracket(elems[a], elems[b], 2)
+                except TruncationHitError:
+                    continue
+                ordered += 1
+    bracket, calls = oracle.loop_bracket, []
+
+    def counted(x, y, truncation):
+        calls.append(frozenset((x.weight, y.weight)))
+        return bracket(x, y, truncation)
+
+    monkeypatch.setattr(oracle, "loop_bracket", counted)
+    report = bracket_criteria_sweep(basis, r.handle, r)
+    unordered = sum(1 for i, a in enumerate(roots) for b in roots[i:] if any(rs.add(a, b)))
+    assert report.ok() and report.pairs_checked == ordered == 2138
+    assert len(calls) == len(set(calls)) == unordered == 1250
+
+
+def test_bracket_sweep_reports_a_counterexample_in_both_orders(monkeypatch):
+    # calling 2 eps_1 = (0, 2) a root of B(1,1) makes the zero brackets of
+    # eps_1 with itself and of eps_1 +- delta with each other counterexamples
+    r = realize("B(1,1)")
+    claim_a_root(monkeypatch, "B(1,1)", (2, 0))
+    report = bracket_criteria_sweep(r.full_basis(), r.handle, r)
+    assert report.pairs_checked == 90
+    assert report.bracket_counterexamples == (
+        ((-1, 0), (1, 2), False, True), ((0, 1), (0, 1), False, True), ((1, 2), (-1, 0), False, True))
+    assert not report.reflection_counterexamples
+
+    # a span that lost its 2 delta element: the reflections by +-delta
+    # send -2 delta to 2 delta, which is no longer there
+    monkeypatch.undo()
+    basis = r.full_basis()
+    basis.elements = [e for e in basis.elements if e.weight != (0, 2, 0)]
+    report = bracket_criteria_sweep(basis, r.handle, r)
+    assert not report.bracket_counterexamples
+    assert report.reflection_counterexamples == (((-1, -1), (-2, -2), (2, 2)), ((1, 1), (-2, -2), (2, 2)))
+
+
 def test_osp12_module_table_values():
     t0 = osp12_module_table(0)
     assert t0.e.is_zero() and t0.f.is_zero() and t0.h.is_zero()
@@ -625,6 +676,12 @@ def test_weight_parity_matches_block_parity():
                 continue
             ed = ED(elem.weight[: h.eps_dim], elem.weight[h.eps_dim:-1], elem.weight[-1])
             assert h.parity_ed(ed) == elem.matrix.parity, (spec, elem.weight)
+
+
+def test_an_affine_realization_needs_a_loop_degree():
+    with pytest.raises(ValueError, match="needs a loop_degree"):
+        realize("A(0,1)^(1)")
+    assert realize("A(0,1)").truncation == 0
 
 
 def test_negative_loop_degree_is_rejected():

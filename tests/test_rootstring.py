@@ -4,7 +4,7 @@ import pytest
 
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import PatternViolationError, WindowExhaustedError
+from superroot.errors import BrokenStringError, PatternViolationError, WindowExhaustedError
 from superroot.rootstring import (
     RootString,
     StringEntry,
@@ -14,6 +14,7 @@ from superroot.rootstring import (
     string_pattern,
     sweep_strings,
 )
+from support import claim_a_root
 
 
 def test_string_through_multiples():
@@ -107,6 +108,47 @@ def test_pattern_unequal_wings_detected():
     )
     with pytest.raises(PatternViolationError):
         string_pattern(fake)
+
+
+@pytest.mark.parametrize("ks, reals, pairing, message", [
+    ((1, 2), (True, True), Q(-1), "base root is missing"),
+    ((0, 2), (True, True), Q(0), "has a gap"),
+    ((0, 1), (True, True), Q(0), "differs from the pairing"),
+    ((0, 1), (True, False), Q(-1), "does not reverse"),
+])
+def test_check_unbroken_rejects_each_broken_string(ks, reals, pairing, message):
+    # each string breaks exactly one law: the base slot, contiguity,
+    # p - q = pairing, reversal by s_alpha
+    fake = RootString(
+        base_root=(1, 0), direction=(0, 1),
+        entries=tuple(StringEntry(k, (1, k), real) for k, real in zip(ks, reals)),
+        zero_slot=None, direction_isotropic=False, pairing=pairing,
+    )
+    with pytest.raises(BrokenStringError, match=message):
+        check_unbroken(fake)
+
+
+def test_sweep_records_the_failures_of_a_membership_lie(monkeypatch):
+    # 2 eps_1 is not a root of B(1,1); calling it one breaks the eps_1-strings
+    # through +-eps_1, which the sweep must record rather than drop
+    import superroot.rootstring as rstr
+
+    claim_a_root(monkeypatch, "B(1,1)", (2, 0))
+    report = sweep_strings(build("B(1,1)"), max_height=6)
+    broken = [w for law, w in report.failures if law == "unbroken"]
+    assert not report.ok() and report.pairs == 100
+    assert len(broken) == 4 and all("differs from the pairing" in w for w in broken)
+
+    # no membership lie breaks the pattern law while unbrokenness holds, so
+    # lie about the pattern itself
+    def violated(s):
+        raise PatternViolationError("imaginary middle with unequal real wings")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(rstr, "string_pattern", violated)
+    report = sweep_strings(build("B(1,1)"), max_height=6)
+    assert report.law_counts["pattern"] == 60
+    assert [law for law, _ in report.failures] == ["pattern"] * 60
 
 
 def test_remark_isotropic_pairing_values():
