@@ -9,8 +9,8 @@ reflection every row is rescaled (root fixed, coroot scaled) so the diagonal
 of the base Cartan matrix lies in {0,2}; rows with a vanishing diagonal keep
 the coroot verbatim.
 
-Each base carries its Cartan matrix: an even reflection keeps it, an odd
-reflection computes the new one from it.
+Each base carries its Cartan matrix: an even reflection keeps it and reads
+its pairings from it, an odd reflection computes the new one from it.
 
 The breadth-first search over bases reachable from the standard base checks
 regularity and admissibility of every Cartan matrix it encounters (once per
@@ -80,9 +80,10 @@ def _odd_roots(base: Base, t: int) -> tuple[Root, ...]:
     )
 
 
-def _even_roots(roots: tuple[Root, ...], alpha: Root, coeffs) -> tuple[Root, ...]:
-    """s_alpha(beta) = beta - beta(h_alpha) alpha, given the values beta(h_alpha)."""
-    return tuple(rs.sub(b, rs.scale(int(c), alpha)) for b, c in zip(roots, coeffs))
+def _even_roots(base: Base, t: int) -> tuple[Root, ...]:
+    """Roots of the even reflection at entry t: s_alpha(beta) = beta - a_{alpha beta} alpha."""
+    alpha = base.roots[t]
+    return tuple(rs.sub(b, rs.scale(int(c), alpha)) for b, c in zip(base.roots, base.matrix[t]))
 
 
 def odd_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
@@ -123,25 +124,21 @@ def odd_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
     return Base(_odd_roots(base, t), tuple(coroots), tuple(matrix))
 
 
-def even_reflect_base(base: Base, cd: CartanData, alpha: Root, h_alpha: Coroot) -> Base:
-    """Apply s_alpha to every root and the dual action to every coroot.
+def even_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
+    """Reflect a base at its t-th entry alpha, which must pair to 2 with its coroot.
 
-    The Cartan matrix is unchanged: with s(b) = b - b(h_alpha) alpha and
-    s'(h) = h - alpha(h) h_alpha, pair(s b, s' h) = b(h) - 2 alpha(h) b(h_alpha)
-    + b(h_alpha) alpha(h) alpha(h_alpha) = b(h), since alpha(h_alpha) = 2.
+    s(b) = b - b(h_alpha) alpha and s'(h) = h - alpha(h) h_alpha read b_u(h_alpha) = a_{tu}
+    and alpha(h_u) = a_{ut} from the carried matrix, which they keep: pair(s b, s' h) =
+    b(h) - 2 alpha(h) b(h_alpha) + b(h_alpha) alpha(h) alpha(h_alpha) = b(h).
     """
+    alpha, h_alpha = base.roots[t], base.coroots[t]
     if pair(alpha, h_alpha, cd) != 2:
         raise IsotropicReflectorError("reflector must pair to 2 with its coroot")
-    roots = _even_roots(base.roots, alpha, [pair(b, h_alpha, cd) for b in base.roots])
     coroots = tuple(
-        tuple(hx - c * hax for hx, hax in zip(h, h_alpha))
-        for h, c in ((h, pair(alpha, h, cd)) for h in base.coroots)
+        h if row[t] == 0 else tuple(hx - row[t] * hax for hx, hax in zip(h, h_alpha))
+        for h, row in zip(base.coroots, base.matrix)
     )
-    return Base(roots, coroots, base.matrix)
-
-
-def even_reflect_base_at(base: Base, cd: CartanData, t: int) -> Base:
-    return even_reflect_base(base, cd, base.roots[t], base.coroots[t])
+    return Base(_even_roots(base, t), coroots, base.matrix)
 
 
 def _validated(base: Base, cd: CartanData, checked: set) -> Base:
@@ -195,7 +192,7 @@ def _search(cd: CartanData, h_explore: int, odd_only: bool) -> tuple[list[Base],
             if d == 0 and par[t] == 1:
                 roots = _odd_roots(base, t)
             elif d == 2 and not odd_only:
-                roots = _even_roots(base.roots, base.roots[t], base.matrix[t])
+                roots = _even_roots(base, t)
             else:
                 continue
             if max(height(r) for r in roots) > h_explore:
@@ -204,7 +201,7 @@ def _search(cd: CartanData, h_explore: int, odd_only: bool) -> tuple[list[Base],
             key = frozenset(roots)
             if key not in visited:
                 visited.add(key)
-                nb = odd_reflect_base(base, cd, t) if d == 0 else even_reflect_base_at(base, cd, t)
+                nb = odd_reflect_base(base, cd, t) if d == 0 else even_reflect_base(base, cd, t)
                 bases.append(_validated(nb, cd, checked))
     return bases, pruned
 
@@ -218,11 +215,12 @@ def enumerate_real_roots(
     result is then only best-effort; a run that terminates without pruning
     has enumerated every real root and reports ``complete``.
     The real roots are closed under negation, so the output is symmetrized.
+    A negative bound raises ``ValueError``.
     """
     if h_explore is None:
         h_explore = h_report
-    if h_explore < h_report:
-        raise ValueError("h_explore must be at least h_report")
+    if not 0 <= h_report <= h_explore:
+        raise ValueError(f"need 0 <= h_report <= h_explore, got {h_report} and {h_explore}")
     bases, pruned = _search(cd, h_explore, odd_only=False)
     found: set[Root] = set()
     for base in bases:
@@ -244,8 +242,11 @@ def principal_roots(cd: CartanData, h_explore: int = 64) -> RealRootsResult:
     entries cycle through the same finite set.  The search therefore prunes
     bases above ``h_explore`` and reports whether it closed without pruning;
     a pruned run is best-effort (in practice the root set stabilizes at tiny
-    heights long before any reasonable bound).
+    heights long before any reasonable bound).  A negative ``h_explore``
+    raises ``ValueError``.
     """
+    if h_explore < 0:
+        raise ValueError(f"h_explore must be >= 0, got {h_explore}")
     bases, pruned = _search(cd, h_explore, odd_only=True)
     found: set[Root] = set()
     for base in bases:

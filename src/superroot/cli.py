@@ -212,6 +212,12 @@ def _string(args):
     return body, lines, EXIT_OK
 
 
+def _first_ten(lines: list[str]) -> list[str]:
+    """The text output's first ten witness lines, and a count of the rest."""
+    rest = [f"  ... and {len(lines) - 10} more (--format json lists all)"] if len(lines) > 10 else []
+    return lines[:10] + rest
+
+
 def _string_sweep(args):
     report = rootstring.sweep_strings(_handle_of(args), args.height, args.degree)
     body = {"pairs": report.pairs, "law_counts": report.law_counts,
@@ -220,7 +226,7 @@ def _string_sweep(args):
     lines += [f"  {law}: {count} checks" for law, count in sorted(report.law_counts.items())]
     if report.failures:
         lines.append("failures:")
-        lines += [f"  {law}: {witness}" for law, witness in report.failures[:10]]
+        lines += _first_ten([f"  {law}: {witness}" for law, witness in report.failures])
     else:
         lines.append("all string laws hold")
     return body, lines, EXIT_OK if report.ok() else EXIT_FAIL
@@ -251,8 +257,8 @@ def _verify_bracket_criteria(args):
         "reflection_counterexamples": [list(map(str, c)) for c in report.reflection_counterexamples],
     }
     lines = [f"bracket criteria on g(sigma): {report.ok()} ({report.pairs_checked} pairs)"]
-    lines += [f"  bracket law fails: {c}" for c in report.bracket_counterexamples[:10]]
-    lines += [f"  reflection law fails: {c}" for c in report.reflection_counterexamples[:10]]
+    lines += _first_ten([f"  bracket law fails: {c}" for c in report.bracket_counterexamples])
+    lines += _first_ten([f"  reflection law fails: {c}" for c in report.reflection_counterexamples])
     return body, lines, EXIT_OK if report.ok() else EXIT_FAIL
 
 

@@ -8,7 +8,6 @@ from superroot.basegraph import (
     _search,
     enumerate_real_roots,
     even_reflect_base,
-    even_reflect_base_at,
     odd_reflect_base,
     principal_roots,
     standard_base,
@@ -71,7 +70,7 @@ def test_odd_reflection_renormalizes_diagonal():
 def test_even_reflection_basics():
     cd = normalize([[2, -1], [-1, 2]], (0, 0))
     base = standard_base(cd)
-    nb = even_reflect_base_at(base, cd, 0)
+    nb = even_reflect_base(base, cd, 0)
     # s_1(alpha_1) = -alpha_1 and s_1(alpha_2) = alpha_1 + alpha_2
     assert set(nb.roots) == {(-1, 0), (1, 1)}
     # pairing-zero roots are fixed
@@ -81,7 +80,7 @@ def test_even_reflection_basics():
     for t in range(cd3.n):
         if m[t][t] != 2:
             continue
-        nb3 = even_reflect_base_at(b3, cd3, t)
+        nb3 = even_reflect_base(b3, cd3, t)
         for u in range(cd3.n):
             if m[t][u] == 0:
                 assert nb3.roots[u] == b3.roots[u]
@@ -91,13 +90,13 @@ def test_even_reflection_rejects_isotropic():
     cd = _sl12()
     base = standard_base(cd)
     with pytest.raises(IsotropicReflectorError):
-        even_reflect_base(base, cd, base.roots[0], base.coroots[0])
+        even_reflect_base(base, cd, 0)
 
 
 def test_even_reflection_is_involutive():
     cd = build("B(1,1)").cartan
     base = standard_base(cd)
-    twice = even_reflect_base_at(even_reflect_base_at(base, cd, 1), cd, 1)
+    twice = even_reflect_base(even_reflect_base(base, cd, 1), cd, 1)
     assert twice.roots == base.roots and twice.coroots == base.coroots
 
 
@@ -176,7 +175,7 @@ def test_exchange_identity():
         if matrix[t][t] == 0 and cd.parity[t] == 1:
             nb = odd_reflect_base(base, cd, t)
         else:
-            nb = even_reflect_base_at(base, cd, t)
+            nb = even_reflect_base(base, cd, t)
         alpha = base.roots[t]
         orbit = {alpha, rs.scale(2, alpha)}
         neg_orbit = {rs.neg(a) for a in orbit}
@@ -194,12 +193,13 @@ def test_compatibility_even_odd():
         even_idx = [t for t in range(cd.n) if matrix[t][t] == 2]
         for t in odd_idx:
             for u in even_idx:
+                # gamma need not be an entry of s_alpha(Sigma): reflect there by the reference
                 gamma, h_gamma = base.roots[u], base.coroots[u]
-                lhs = even_reflect_base(odd_reflect_base(base, cd, t), cd, gamma, h_gamma)
-                w_sigma = even_reflect_base(base, cd, gamma, h_gamma)
+                odd = odd_reflect_base(base, cd, t)
+                lhs, _ = _ref_even(odd.roots, odd.coroots, cd, gamma, h_gamma)
                 # the even reflection acts entrywise, so w(alpha) sits at index t
-                rhs = odd_reflect_base(w_sigma, cd, t)
-                assert set(lhs.roots) == set(rhs.roots), (spec, t, u)
+                rhs = odd_reflect_base(even_reflect_base(base, cd, u), cd, t)
+                assert set(lhs) == set(rhs.roots), (spec, t, u)
 
 
 def test_principal_roots_no_isotropic_simples():
@@ -280,7 +280,7 @@ def test_coroots_agree_with_bilinear_form():
                 if matrix[t][t] == 0 and par[t] == 1:
                     nb = odd_reflect_base(base, cd, t)
                 elif matrix[t][t] == 2:
-                    nb = even_reflect_base_at(base, cd, t)
+                    nb = even_reflect_base(base, cd, t)
                 else:
                     continue
                 if nb.root_set() not in seen:
@@ -324,8 +324,7 @@ def _ref_odd(roots, coroots, cd, t):
     return tuple(new_roots), tuple(out)
 
 
-def _ref_even(roots, coroots, cd, t):
-    alpha, h_alpha = roots[t], coroots[t]
+def _ref_even(roots, coroots, cd, alpha, h_alpha):
     assert pair(alpha, h_alpha, cd) == 2
     new_roots = tuple(rs.sub(b, rs.scale(int(pair(b, h_alpha, cd)), alpha)) for b in roots)
     new_coroots = tuple(tuple(hx - pair(alpha, h, cd) * hax for hx, hax in zip(h, h_alpha))
@@ -340,7 +339,7 @@ def _ref_neighbors(roots, coroots, cd, odd_only):
         if d == 0 and cd.root_parity(roots[t]) == 1:
             out.append(_ref_odd(roots, coroots, cd, t))
         elif d == 2 and not odd_only:
-            out.append(_ref_even(roots, coroots, cd, t))
+            out.append(_ref_even(roots, coroots, cd, roots[t], coroots[t]))
     return out
 
 
@@ -428,6 +427,44 @@ def test_validate_runs_once_per_distinct_matrix(monkeypatch):
         sizes[odd_only] = (len(bases), len(distinct))
     # the 720 bases share the 15 matrices of the odd skeleton
     assert sizes == {False: (720, 15), True: (15, 15)}
+
+
+def test_even_reflections_read_the_carried_matrix(monkeypatch):
+    # an even base costs one pair call (its reflector check), an odd base none
+    pairs = []
+    builds = {"odd": [], "even": []}
+
+    def counting_pair(*args):
+        pairs.append(args)
+        return pair(*args)
+
+    def counting(kind, fn):
+        def wrapper(*args):
+            before = len(pairs)
+            nb = fn(*args)
+            builds[kind].append(len(pairs) - before)
+            return nb
+        monkeypatch.setattr(basegraph, fn.__name__, wrapper)
+
+    monkeypatch.setattr(basegraph, "pair", counting_pair)
+    counting("odd", odd_reflect_base)
+    counting("even", even_reflect_base)
+    for spec, h_explore in (("A(3,1)", 6), ("B(2,2)^(1)", 6)):
+        pairs.clear()
+        builds["odd"].clear()
+        builds["even"].clear()
+        bases, _ = _search(build(spec).cartan, h_explore, odd_only=False)
+        assert len(bases) == 1 + len(builds["odd"]) + len(builds["even"]), spec
+        assert set(builds["odd"]) == {0} and set(builds["even"]) == {1}, spec
+        assert len(pairs) == len(builds["even"]), spec
+
+
+def test_negative_bounds_are_refused():
+    cd = build("A(0,1)").cartan
+    for call in (lambda: enumerate_real_roots(cd, -1), lambda: enumerate_real_roots(cd, -1, 4),
+                 lambda: enumerate_real_roots(cd, 3, -1), lambda: principal_roots(cd, -3)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_enumerate_rejects_a_matrix_reached_only_by_reflection():

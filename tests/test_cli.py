@@ -317,6 +317,18 @@ def test_a_failed_law_exits_one(monkeypatch, capsys):
     ]
 
 
+def test_text_output_counts_the_witnesses_it_leaves_out(monkeypatch, capsys):
+    # the sweep finds 16 failures under the lie; text lists 10 and counts the rest
+    claim_a_root(monkeypatch, "B(1,1)", (2, 0))
+    argv = ["string-sweep", "--type", "B(1,1)", "--height", "6"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failures = lines[lines.index("failures:") + 1:]
+    assert len(failures) == 11 and failures[-1] == "  ... and 6 more (--format json lists all)"
+    assert main(argv + ["--format", "json"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["failures"]) == 16
+
+
 def test_a_main_theorem_mismatch_exits_one(monkeypatch, capsys):
     # an oracle that loses the root (1, 1) disagrees with the closure
     from superroot import oracle
