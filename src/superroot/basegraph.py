@@ -1,16 +1,16 @@
-"""Bases, even/odd reflections with coroot bookkeeping, base-graph search.
+"""Bases, even/odd reflections, base-graph search.
 
-A base is an ordered list of (root, coroot) pairs together with the ambient
-Cartan data; its own Cartan matrix is a_{alpha beta} = beta(h_alpha).  Odd
-reflections follow the case split for isotropic odd simple roots, with the
-reflected coroot (-1)^{p(beta)} (a_{alpha beta} h_beta + a_{beta alpha} h_alpha)
-and the convention that the coroot of -alpha is h_alpha itself.  After an odd
-reflection every row is rescaled (root fixed, coroot scaled) so the diagonal
-of the base Cartan matrix lies in {0,2}; rows with a vanishing diagonal keep
-the coroot verbatim.
+A base is an ordered list of roots together with its own Cartan matrix
+a_{ij} = b_j(h_i), the pairing of entry j against the coroot h_i of entry i.
+The roots and the matrix fix every reflection, so a base records nothing
+else; the standard base carries the ambient Cartan matrix.
 
-Each base carries its Cartan matrix: an even reflection keeps it and reads
-its pairings from it, an odd reflection computes the new one from it.
+An odd reflection at an isotropic odd entry alpha follows the case split for
+isotropic odd simple roots: -alpha keeps its row, and an entry beta with
+a_{alpha beta} != 0 becomes beta + alpha with the row of the coroot
+(-1)^{p(beta)} (a_{alpha beta} h_beta + a_{beta alpha} h_alpha).  Every row
+is then rescaled so the diagonal lies in {0,2}; rows with a vanishing
+diagonal stay as they are.  An even reflection keeps the matrix.
 
 The breadth-first search over bases reachable from the standard base checks
 regularity and admissibility of every Cartan matrix it encounters (once per
@@ -36,20 +36,19 @@ from .errors import (
     NotRegularInBaseError,
 )
 from .linalg import rank
-from .rootspace import Coroot, Root, height, pair
+from .rootspace import Root, height
 
 
 @dataclass(frozen=True)
 class Base:
-    """Roots, coroots and the base's own Cartan matrix matrix[i][j] = pair(roots[j], coroots[i])."""
+    """Roots and the base's own Cartan matrix matrix[i][j] = roots[j](h_i), h_i the coroot of roots[i]."""
 
     roots: tuple[Root, ...]
-    coroots: tuple[Coroot, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if not len(self.roots) == len(self.coroots) == len(self.matrix):
-            raise ValueError("roots, coroots and matrix differ in length")
+        if len(self.roots) != len(self.matrix):
+            raise ValueError("roots and matrix differ in length")
 
     @property
     def size(self) -> int:
@@ -64,11 +63,7 @@ class Base:
 
 def standard_base(cd: CartanData) -> Base:
     n = cd.n
-    roots = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    coroots = tuple(
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in range(n)
-    )
-    return Base(roots, coroots, cd.matrix)
+    return Base(tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)), cd.matrix)
 
 
 def _odd_roots(base: Base, t: int) -> tuple[Root, ...]:
@@ -91,11 +86,11 @@ def odd_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
 
     The new matrix comes from the carried one.  Entry u becomes beta_u + c_u
     alpha (c_t = -2, c_u = 0 where a_{alpha beta_u} = 0, else 1), and a changed
-    coroot is x h_u + y h_alpha, so its row is x (a_{uj} + c_j a_{u alpha}) +
-    y a_{alpha j}.  Rows orthogonal to alpha keep their coroot and row.  Each
-    row with a diagonal d other than 0 or 2 is rescaled by 2/d with its coroot.
+    row is that of the coroot x h_u + y h_alpha, x (a_{uj} + c_j a_{u alpha}) +
+    y a_{alpha j}.  Rows orthogonal to alpha stay as they are.  Each row with a
+    diagonal d other than 0 or 2 is rescaled by 2/d.
     """
-    alpha, h_alpha = base.roots[t], base.coroots[t]
+    alpha = base.roots[t]
     a_row = base.matrix[t]
     a_col = [row[t] for row in base.matrix]
     if a_row[t] != 0 or cd.root_parity(alpha) != 1:
@@ -105,40 +100,33 @@ def odd_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
             raise NotRegularInBaseError(f"entry {t} is singular against entry {u}")
     p = base.parities(cd)
     c = [-2 if u == t else 0 if a_row[u] == 0 else 1 for u in range(base.size)]
-    coroots: list[Coroot] = []
     matrix = []
-    for u, (h_beta, row) in enumerate(zip(base.coroots, base.matrix)):
-        # s_alpha(alpha) = -alpha keeps h_alpha (a_row[t] = 0) because the
-        # bracket of the swapped root vectors reproduces it.
+    for u, row in enumerate(base.matrix):
+        # s_alpha(alpha) = -alpha keeps the row of alpha (a_row[t] = 0) because
+        # the bracket of the swapped root vectors reproduces h_alpha.
         if a_row[u] != 0:
             sign = -1 if p[u] else 1
             x, y = sign * a_row[u], sign * a_col[u]
-            h_beta = tuple(x * hb + y * ha for hb, ha in zip(h_beta, h_alpha))
             row = tuple(x * (m + cj * a_col[u]) + y * a for m, cj, a in zip(row, c, a_row))
         d = row[u]
         if d not in (0, 2):
-            h_beta = tuple(v * 2 / d for v in h_beta)
             row = tuple(v * 2 / d for v in row)
-        coroots.append(h_beta)
         matrix.append(row)
-    return Base(_odd_roots(base, t), tuple(coroots), tuple(matrix))
+    return Base(_odd_roots(base, t), tuple(matrix))
 
 
 def even_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
-    """Reflect a base at its t-th entry alpha, which must pair to 2 with its coroot.
+    """Reflect a base at its t-th entry alpha, whose diagonal entry must be 2.
 
-    s(b) = b - b(h_alpha) alpha and s'(h) = h - alpha(h) h_alpha read b_u(h_alpha) = a_{tu}
-    and alpha(h_u) = a_{ut} from the carried matrix, which they keep: pair(s b, s' h) =
-    b(h) - 2 alpha(h) b(h_alpha) + b(h_alpha) alpha(h) alpha(h_alpha) = b(h).
+    s(b) = b - b(h_alpha) alpha reads b_u(h_alpha) = a_{tu} from the carried
+    matrix.  The matrix is kept: with s'(h) = h - alpha(h) h_alpha on the
+    coroots, pair(s b, s' h) = b(h) - 2 alpha(h) b(h_alpha) + b(h_alpha)
+    alpha(h) alpha(h_alpha) = b(h).  ``cd`` is unused; the signature is that
+    of ``odd_reflect_base``.
     """
-    alpha, h_alpha = base.roots[t], base.coroots[t]
-    if pair(alpha, h_alpha, cd) != 2:
+    if base.matrix[t][t] != 2:
         raise IsotropicReflectorError("reflector must pair to 2 with its coroot")
-    coroots = tuple(
-        h if row[t] == 0 else tuple(hx - row[t] * hax for hx, hax in zip(h, h_alpha))
-        for h, row in zip(base.coroots, base.matrix)
-    )
-    return Base(_even_roots(base, t), coroots, base.matrix)
+    return Base(_even_roots(base, t), base.matrix)
 
 
 def _validated(base: Base, cd: CartanData, checked: set) -> Base:
@@ -206,6 +194,17 @@ def _search(cd: CartanData, h_explore: int, odd_only: bool) -> tuple[list[Base],
     return bases, pruned
 
 
+def _base_roots_and_doubles(cd: CartanData, bases: list[Base]) -> set[Root]:
+    """Every base root, and 2r for each odd base root r with diagonal entry 2."""
+    found: set[Root] = set()
+    for base in bases:
+        for i, r in enumerate(base.roots):
+            found.add(r)
+            if cd.root_parity(r) == 1 and base.matrix[i][i] == 2:
+                found.add(rs.scale(2, r))
+    return found
+
+
 def enumerate_real_roots(
     cd: CartanData, h_report: int, h_explore: Optional[int] = None
 ) -> RealRootsResult:
@@ -222,13 +221,7 @@ def enumerate_real_roots(
     if not 0 <= h_report <= h_explore:
         raise ValueError(f"need 0 <= h_report <= h_explore, got {h_report} and {h_explore}")
     bases, pruned = _search(cd, h_explore, odd_only=False)
-    found: set[Root] = set()
-    for base in bases:
-        for i, r in enumerate(base.roots):
-            found.add(r)
-            if cd.root_parity(r) == 1 and base.matrix[i][i] == 2:
-                found.add(rs.scale(2, r))
-    symmetric = {r for r in found if height(r) <= h_report}
+    symmetric = {r for r in _base_roots_and_doubles(cd, bases) if height(r) <= h_report}
     symmetric |= {rs.neg(r) for r in symmetric}
     return RealRootsResult(frozenset(symmetric), not pruned, len(bases))
 
@@ -236,23 +229,18 @@ def enumerate_real_roots(
 def principal_roots(cd: CartanData, h_explore: int = 64) -> RealRootsResult:
     """Even roots alpha with alpha or alpha/2 in a base reachable by odd reflections.
 
-    The set of principal roots is finite, but the odd-reflection base graph
-    itself need not be: affine types with two or more isotropic simple roots
-    keep producing new bases shifted along the null root while their even
-    entries cycle through the same finite set.  The search therefore prunes
-    bases above ``h_explore`` and reports whether it closed without pruning;
-    a pruned run is best-effort (in practice the root set stabilizes at tiny
-    heights long before any reasonable bound).  A negative ``h_explore``
-    raises ``ValueError``.
+    These are the even members of the base roots and doubles of the
+    odd-reflection search.  The set of principal roots is finite, but the
+    odd-reflection base graph itself need not be: affine types with two or
+    more isotropic simple roots keep producing new bases shifted along the
+    null root while their even entries cycle through the same finite set.
+    The search therefore prunes bases above ``h_explore`` and reports whether
+    it closed without pruning; a pruned run is best-effort (in practice the
+    root set stabilizes at tiny heights long before any reasonable bound).
+    A negative ``h_explore`` raises ``ValueError``.
     """
     if h_explore < 0:
         raise ValueError(f"h_explore must be >= 0, got {h_explore}")
     bases, pruned = _search(cd, h_explore, odd_only=True)
-    found: set[Root] = set()
-    for base in bases:
-        for i, r in enumerate(base.roots):
-            if cd.root_parity(r) == 0:
-                found.add(r)
-            elif base.matrix[i][i] == 2:
-                found.add(rs.scale(2, r))
+    found = {r for r in _base_roots_and_doubles(cd, bases) if cd.root_parity(r) == 0}
     return RealRootsResult(frozenset(found), not pruned, len(bases))

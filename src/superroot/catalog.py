@@ -40,6 +40,7 @@ from .errors import (
     DimensionMismatchError,
     IsotropicReflectorError,
     NotInLatticeError,
+    PairingNotIntegralError,
     UnsupportedTypeError,
 )
 from .linalg import frac, rref
@@ -309,12 +310,18 @@ class RootSystemHandle:
     def bilinear(self, beta: Sequence[int], gamma: Sequence[int]) -> Fraction:
         return self.bilinear_ed(self.to_ed(beta), self.to_ed(gamma))
 
-    def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> Fraction:
-        """beta(h_alpha) = 2(beta,alpha)/(alpha,alpha) for non-isotropic alpha."""
+    def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> int:
+        """beta(h_alpha) = 2(beta,alpha)/(alpha,alpha) for non-isotropic alpha, an integer."""
         aa = self._norm(alpha)
         if aa == 0:
             raise IsotropicReflectorError(f"{alpha} is isotropic; no canonical coroot pairing")
-        return Fraction(2 * self._form(self.to_ed(beta), self.to_ed(alpha)), aa)
+        twice = 2 * self._form(self.to_ed(beta), self.to_ed(alpha))
+        c, rem = divmod(twice, aa)
+        if rem:
+            raise PairingNotIntegralError(
+                f"pairing of {beta} against {alpha} is {Fraction(twice, aa)}, not an integer"
+            )
+        return c
 
     def simple_roots_alpha(self) -> tuple[Root, ...]:
         return tuple(_unit(self.rank, i) for i in range(self.rank))

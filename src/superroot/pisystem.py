@@ -21,7 +21,6 @@ from .errors import (
     NotARealRootError,
     NotClosedError,
     NotInLatticeError,
-    PairingNotIntegralError,
     UnsupportedTypeError,
 )
 from .lp import in_nonneg_cone
@@ -76,12 +75,7 @@ def reflect(handle: RootSystemHandle, alpha: Root, beta: Root) -> Root:
         if handle.is_real(rs.add(alpha, beta)):
             return rs.add(beta, alpha)
         return beta
-    c = handle.pairing(beta, alpha)
-    if c.denominator != 1:
-        raise PairingNotIntegralError(
-            f"pairing of {beta} against {alpha} is {c}, not an integer"
-        )
-    return rs.sub(beta, rs.scale(int(c), alpha))
+    return rs.sub(beta, rs.scale(handle.pairing(beta, alpha), alpha))
 
 
 @dataclass(frozen=True)

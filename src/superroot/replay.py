@@ -9,16 +9,14 @@ stabilize strictly inside the closed subroot system it came from.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import oracle, pisystem as ps, rootspace as rs
 from .catalog import EpsDeltaVector, build
 from .rootspace import height
 
 
-def replay_isotropic_pair(type_spec: str = "B(1,1)") -> dict:
-    """Two isotropic roots with a real sum span a six-root subroot system."""
-    handle = build(type_spec)
+def replay_isotropic_pair() -> dict:
+    """Two isotropic roots of B(1,1) with a real sum span a six-root subroot system."""
+    handle = build("B(1,1)")
     alpha = handle.to_alpha(EpsDeltaVector((-1,), (1,)))
     beta = handle.to_alpha(EpsDeltaVector((1,), (1,)))
     total = rs.add(alpha, beta)
@@ -44,9 +42,10 @@ def replay_isotropic_pair(type_spec: str = "B(1,1)") -> dict:
     }
 
 
-def replay_affine_pair(type_spec: str = "B(1,1)^(1)", height_bound: int = 40) -> dict:
-    """An isotropic root and its null-shift: closed but admitting no pi-system."""
-    handle = build(type_spec)
+def replay_affine_pair() -> dict:
+    """An isotropic root of B(1,1)^(1) and its null-shift: closed but admitting no pi-system."""
+    handle = build("B(1,1)^(1)")
+    height_bound = 40
     alpha = handle.to_alpha(EpsDeltaVector((-1,), (1,), 0))
     alpha_shift = handle.to_alpha(EpsDeltaVector((-1,), (1,), 1))
     psi = ps.root_set(handle, [alpha, rs.neg(alpha), alpha_shift, rs.neg(alpha_shift)])
@@ -74,9 +73,9 @@ def replay_affine_pair(type_spec: str = "B(1,1)^(1)", height_bound: int = 40) ->
     }
 
 
-def replay_broken_closure(type_spec: str = "B(2,2)^(1)", height_bound: Optional[int] = None) -> dict:
-    """Eight isotropic roots whose Pi(Psi) closes up to only six of them."""
-    handle = build(type_spec)
+def replay_broken_closure() -> dict:
+    """Eight isotropic roots of B(2,2)^(1) whose Pi(Psi) closes up to only six of them."""
+    handle = build("B(2,2)^(1)")
 
     def ed(eps, delta, null):
         return handle.to_alpha(EpsDeltaVector(eps, delta, null))
@@ -87,8 +86,7 @@ def replay_broken_closure(type_spec: str = "B(2,2)^(1)", height_bound: Optional[
     rev = ed((0, -1), (1, 0), 3)
     members = [far, near, mid, rev]
     psi = ps.root_set(handle, members + [rs.neg(r) for r in members])
-    if height_bound is None:
-        height_bound = 2 * max(height(r) for r in psi.elements) + 4
+    height_bound = 2 * max(height(r) for r in psi.elements) + 4
     cls = ps.classify_subset(psi)
     pi = ps.minimal_positive_elements(psi)  # Pi(Psi); cls above says whether psi is closed
     expected_pi = {near, mid, rev}

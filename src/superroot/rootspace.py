@@ -1,10 +1,10 @@
-"""Exact coordinate arithmetic for roots and coroots.
+"""Exact coordinate arithmetic for roots.
 
-Roots are integer tuples over the simple roots; coroots are rational tuples
-over the simple coroots.  ``pair`` is the bilinear extension of the defining
-pairing of simple roots against simple coroots, ``bilinear`` the symmetrized
-form attached to a symmetrizer.  Root height is the sum of absolute values of
-the coordinates and is the truncation parameter used throughout the package.
+Roots are integer tuples over the simple roots.  ``pair`` evaluates a root on
+a rational combination of the simple coroots, the bilinear extension of the
+defining pairing a_ij; ``bilinear`` is the symmetrized form attached to a
+symmetrizer.  Root height is the sum of absolute values of the coordinates
+and is the truncation parameter used throughout the package.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .cartan import CartanData
 from .errors import DimensionMismatchError, NotSymmetrizableError
 
 Root = tuple[int, ...]
-Coroot = tuple[Fraction, ...]
 
 
 def height(beta: Sequence[int]) -> int:

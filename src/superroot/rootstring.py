@@ -12,7 +12,6 @@ would signal a defect in the membership oracle, never a tolerable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import rootspace as rs
@@ -40,7 +39,7 @@ class RootString:
     entries: tuple[StringEntry, ...]  # sorted by k
     zero_slot: Optional[int]  # k with beta + k alpha = 0, if any
     direction_isotropic: bool
-    pairing: Optional[Fraction]  # beta(h_alpha) for non-isotropic directions
+    pairing: Optional[int]  # beta(h_alpha) for non-isotropic directions
 
     def ks(self) -> list[int]:
         return [e.k for e in self.entries]
@@ -147,7 +146,7 @@ def check_unbroken(s: RootString) -> UnbrokenReport:
         raise BrokenStringError(
             f"string through {s.base_root} along {s.direction} has a gap: {sorted(occupied)}"
         )
-    if Fraction(p - q) != s.pairing:
+    if p - q != s.pairing:
         raise BrokenStringError(
             f"p - q = {p - q} differs from the pairing {s.pairing}"
         )
@@ -272,8 +271,7 @@ def pairing_laws(
         for e in the_string().entries:
             if e.k == 0 or not e.real:
                 continue
-            allowed = ({Fraction(-e.k)} if handle.is_isotropic(e.root)
-                       else {Fraction(0), Fraction(-2 * e.k)})
+            allowed = {-e.k} if handle.is_isotropic(e.root) else {0, -2 * e.k}
             if pb not in allowed:
                 ok = False
                 details.append(f"k={e.k}: pairing {pb} outside {sorted(allowed)}")

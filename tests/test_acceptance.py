@@ -35,7 +35,7 @@ def test_criterion_1_affine_pair_replay():
 
 def test_criterion_2_broken_closure_replay():
     t0 = time.time()
-    cert = replay.replay_broken_closure("B(2,2)^(1)")
+    cert = replay.replay_broken_closure()
     bad = [k for k, v in cert["checks"].items() if not v]
     _report("criterion-2 broken-closure replay", 30, t0, not bad, str(bad))
 

@@ -63,6 +63,18 @@ def test_real_roots_rejects_decomposable(capsys):
     assert code == 2
 
 
+def test_real_roots_do_not_depend_on_the_row_gauge(capsys):
+    # B(1,1) with its isotropic row scaled by 3/2 lists the catalog B(1,1) roots
+    raw = json.dumps({"matrix": [[0, "-3/2"], [-2, 2]], "parity": [1, 0]})
+    scaled = ["real-roots", "--matrix-json", raw, "--height", "4"]
+    catalog = ["real-roots", "--type", "B(1,1)", "--height", "4"]
+    texts = [_capture(capsys, argv) for argv in (scaled, catalog)]
+    assert texts[0] == texts[1] and texts[0][0] == 0
+    payloads = [json.loads(_capture(capsys, argv + ["--format", "json"])[1]) for argv in (scaled, catalog)]
+    assert (payloads[0].pop("type"), payloads[1].pop("type")) == (None, "B(1,1)")
+    assert payloads[0] == payloads[1] and payloads[0]["count"] == 10
+
+
 def test_closure_inconclusive_exit_three(capsys):
     # a seed whose closure keeps growing under a tight height bound
     code = main([

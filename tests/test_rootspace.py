@@ -5,7 +5,7 @@ import pytest
 from superroot.catalog import EpsDeltaVector as ED, build
 from superroot.rootspace import bilinear, height, pair
 from superroot.cartan import normalize, symmetrizer
-from superroot.errors import IsotropicReflectorError
+from superroot.errors import IsotropicReflectorError, PairingNotIntegralError
 from support import membership_classify
 
 
@@ -54,7 +54,7 @@ _SMALL_CATALOG = _SMALL_FINITE + tuple(f + "^(1)" for f in _SMALL_FINITE) + ("A(
 def test_bilinear_matches_catalog_form_up_to_scalar():
     # both are invariant forms of an indecomposable type, hence proportional;
     # the catalog's integer form must also give the Cartan form's isotropy and
-    # pairings, in exact Fractions
+    # pairings, the form in exact Fractions and the pairings in ints
     for spec in _SMALL_CATALOG:
         handle = build(spec)
         cd, d = handle.cartan, symmetrizer(handle.cartan)
@@ -77,9 +77,16 @@ def test_bilinear_matches_catalog_form_up_to_scalar():
                     assert lhs == 0, (spec, a, b)
                 if aa != 0:
                     p = handle.pairing(b, a)
-                    assert type(p) is Q, (spec, a, b, p)
+                    assert type(p) is int, (spec, a, b, p)
                     assert p == 2 * lhs / aa, (spec, a, b)
         assert len(ratios) == 1 and 0 not in ratios, (spec, ratios)
+
+
+def test_a_non_integral_pairing_raises():
+    # 3 alpha_2 is no root of B(1,1), and alpha_2 pairs to 2/3 against it
+    handle = build("B(1,1)")
+    with pytest.raises(PairingNotIntegralError, match="2/3"):
+        handle.pairing((0, 1), (0, 3))
 
 
 def test_classify_isotropic_odd_real():
