@@ -175,7 +175,10 @@ class RootSystemHandle:
     The symmetric form is diagonal in eps/delta coordinates.  It is kept in
     integers: ``_denom`` is the common denominator D of the eps norms (1 for
     every type but D(2,1;a) with non-integral a) and ``_form`` returns D times
-    the form, so isotropy and pairings never build a ``Fraction`` sum.
+    the form, so isotropy and pairings never build a ``Fraction`` sum.  The
+    solver of ``to_alpha`` is kept in integers too: its rows give
+    ``_alpha_denom`` times each simple-root coordinate, and a remainder on
+    division by ``_alpha_denom`` means the vector is not in the lattice.
 
     ``_table`` holds the family's real roots: entry r is the set of finite
     parts (eps then delta coordinates) of the real roots at null degree
@@ -284,10 +287,10 @@ class RootSystemHandle:
                 raise NotInLatticeError(f"{v} is not in the root lattice of {self.label}")
         sol = [0] * self.rank
         for pivot, tail in self._alpha_solution_rows:
-            val = sum((t * x for t, x in zip(tail, coords) if x), Fraction(0))
-            if val.denominator != 1:
+            c, rem = divmod(sum(t * x for t, x in zip(tail, coords) if x), self._alpha_denom)
+            if rem:
                 raise NotInLatticeError(f"{v} has non-integer simple-root coordinates")
-            sol[pivot] = int(val)
+            sol[pivot] = c
         return tuple(sol)
 
     # -- alpha-coordinate interface ------------------------------------------
@@ -528,9 +531,13 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
     red, pivots = rref([[Fraction(c[k]) for c in coords]
                         + [Fraction(1) if j == k else Fraction(0) for j in range(e + d + 1)]
                         for k in range(e + d + 1)])
-    solution = tuple((p, tuple(red[i][n:])) for i, p in enumerate(pivots) if p < n)
+    solution = [(p, red[i][n:]) for i, p in enumerate(pivots) if p < n]
     if len(solution) != n:
         raise AssertionError("distinguished base is not linearly independent")
+    consistency = [red[i][n:] for i, p in enumerate(pivots) if p >= n]
+    # each kind of row over its common denominator, so to_alpha sums integers only
+    alpha_denom = lcm(*(x.denominator for _, row in solution for x in row))
+    check_denom = lcm(*(x.denominator for row in consistency for x in row))
 
     def form(i: int, j: int) -> Fraction:
         # zip stops before the null coordinate, which is isotropic
@@ -554,10 +561,11 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
         rank=n, eps_norms=tuple(norms), parity_coeffs=tuple(coeffs), simple_ed=tuple(simples),
         cartan=cartan, _table=tuple(table), _denom=denom,
         _int_norms=int_norms, _coord_dim=e + d + 1, _simple_coords=coords,
-        # (pivot, row) pairs that solve for alpha coordinates, and the rows
-        # that every vector of the root lattice annihilates
-        _alpha_solution_rows=solution,
-        _alpha_consistency_rows=tuple(tuple(red[i][n:]) for i, p in enumerate(pivots) if p >= n),
+        # (pivot, row) pairs that solve for _alpha_denom times the alpha
+        # coordinates, and the rows that every vector of the root lattice annihilates
+        _alpha_solution_rows=tuple((p, tuple(int(x * alpha_denom) for x in row)) for p, row in solution),
+        _alpha_denom=alpha_denom,
+        _alpha_consistency_rows=tuple(tuple(int(x * check_denom) for x in row) for row in consistency),
     ))
     _remember(_TYPES, ctype, data)
     return data

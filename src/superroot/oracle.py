@@ -19,17 +19,25 @@ An element is a (weight, matrix) pair; the last weight coordinate is its
 loop degree.  A realization fixes a truncation window K, and a nonzero
 bracket whose degree would leave it raises; the span growth records the
 event and reports a truncated status instead of silently dropping anything.
+
+The root spaces and the Chevalley generators, with their Cartan-row
+checks, are built once per type and window into a read-only record that
+every realization of that type and window shares; the module table holding
+the records keeps no handle and at most ``TABLE_LIMIT`` of them.  The
+caller's handle, with its memo tables, stays with each realization.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from . import pisystem as ps
 from . import rootspace as rs
-from .catalog import AFFINE, FINITE, EpsDeltaVector, RootSystemHandle, build
+from .catalog import AFFINE, FINITE, CatalogType, EpsDeltaVector, RootSystemHandle, _remember, build
 from .errors import (
     InconclusiveError,
     NotARootError,
@@ -66,7 +74,8 @@ class GradedMatrix:
     nonzero entries, that each lies in the matrix and in the block of the
     matrix's parity; zero values are dropped.  ``entries`` and ``flat()``
     are dense read-only views with ``Fraction`` values.  Instances are
-    immutable.
+    immutable; the matrices of a shared realization record also hold ``nz``
+    as a read-only view.
     """
 
     __slots__ = ("nz", "parity", "space")
@@ -99,7 +108,7 @@ class GradedMatrix:
         return hash((self.parity, self.space, frozenset(self.nz.items())))
 
     def __repr__(self) -> str:
-        return f"GradedMatrix({self.nz!r}, {self.parity}, {self.space})"
+        return f"GradedMatrix({dict(self.nz)!r}, {self.parity}, {self.space})"
 
     @property
     def dim(self) -> int:
@@ -182,53 +191,26 @@ class Realization:
     The weights w are the degree-0 real roots of ``handle``: the roots of
     its finite type, which an affine type's loop elements reuse at every
     degree.  ``realize`` checks that the type is one of these families.
+
+    A realization is the caller's ``handle``, its window ``truncation`` and
+    the fields of a read-only record (``_realization_data``) that is built
+    and checked once per type and window and shared by every realization of
+    that type and window: the index weights, ``space``, the root spaces and
+    the Chevalley ``generators``.  ``root_vector`` reads the handle's own
+    ``to_ed`` memo; ``index_weights`` is a list of the realization's own.
     """
 
-    def __init__(self, handle: RootSystemHandle, truncation: int):
+    def __init__(self, handle: RootSystemHandle, truncation: int, data: Mapping[str, object]):
         self.handle, self.truncation = handle, truncation
-        m, n = handle.eps_dim, handle.delta_dim
-        osp = handle.ctype.family != "A"
-        signs = (1, -1) if osp else (1,)
-
-        def unit(slot: int, val: int) -> tuple[int, ...]:
-            return tuple(val if k == slot else 0 for k in range(m + n))
-
-        index_weights = [unit(i, s) for s in signs for i in range(m)]
-        if handle.ctype.family == "B":
-            index_weights.append((0,) * (m + n))
-        index_weights += [unit(m + p, s) for s in signs for p in range(n)]
-        self.index_weights = index_weights  # finite eps+delta coords per basis index
-        # index weights are +-unit vectors or zero; weight_eval reads the
-        # indices of weight +eps_i or +delta_p, at that coordinate
-        self._plus_coord = {idx: wt.index(1) for idx, wt in enumerate(index_weights) if 1 in wt}
-        self.space = space = tuple(int(any(w[m:])) for w in index_weights)
-        dual = [index_weights.index(rs.neg(w)) for w in index_weights] if osp else None
-        g = [-1 if space[i] and min(w) < 0 else 1 for i, w in enumerate(index_weights)]
-        # weight -> its largest index pair; pairs come in increasing order
-        largest: dict[tuple[int, ...], tuple[int, int]] = {}
-        for r, wr in enumerate(index_weights):
-            for c, wc in enumerate(index_weights):
-                largest[rs.sub(wr, wc)] = (r, c)
-
-        self._root_spaces = {}  # finite eps+delta coords -> matrix
-        for v in handle.real_roots_ed(0):
-            key = v.eps + v.delta
-            r, c = largest[key]
-            nz = {}
-            if osp and (dual[c], dual[r]) != (r, c):
-                # (c', r') precedes (r, c), so the entries stay in row-major order
-                nz[dual[c], dual[r]] = -g[r] * g[c]
-            nz[r, c] = 1
-            self._root_spaces[key] = GradedMatrix(nz, space[r] ^ space[c], space)
-        self.generators = self._chevalley_generators()
+        for name, value in data.items():
+            setattr(self, name, value)
+        self.index_weights = list(data["index_weights"])  # finite eps+delta coords per basis index
 
     # -- basic helpers -------------------------------------------------------
 
     def weight_eval(self, functional: EpsDeltaVector, diag: GradedMatrix) -> Fraction:
         """Evaluate an eps/delta functional on a diagonal matrix; null gives 0."""
-        coords, plus = functional.eps + functional.delta, self._plus_coord
-        return Fraction(sum(coords[plus[r]] * x for (r, c), x in diag.nz.items()
-                            if r == c and r in plus))
+        return _weight_eval(self._plus_coord, functional, diag)
 
     def finite_root_matrix(self, v: EpsDeltaVector) -> GradedMatrix:
         key = v.eps + v.delta
@@ -242,36 +224,6 @@ class Realization:
         if abs(ed.null) > self.truncation:
             raise TruncationHitError(f"degree {ed.null} exceeds the window {self.truncation}")
         return WeightedElement(ed.coords(), self.finite_root_matrix(ed))
-
-    # -- generator construction ------------------------------------------------
-
-    def _chevalley_generators(self) -> list[tuple[WeightedElement, WeightedElement, WeightedElement]]:
-        out = []
-        cat = self.handle.cartan.matrix
-        simples_alpha = self.handle.simple_roots_alpha()
-        for i, alpha in enumerate(self.handle.simple_ed):
-            xplus = self.root_vector(simples_alpha[i])
-            minus = -alpha
-            xminus_raw = WeightedElement(minus.coords(), self.finite_root_matrix(minus))
-            h_raw = loop_bracket(xplus, xminus_raw, self.truncation)
-            if h_raw.matrix.is_zero():
-                raise AssertionError("vanishing coroot bracket in the realization")
-            row_raw = [self.weight_eval(aj, h_raw.matrix) for aj in self.handle.simple_ed]
-            j = next(j for j in range(len(cat)) if cat[i][j] != 0)
-            if row_raw[j] == 0:
-                raise AssertionError("realized Cartan row is not proportional to the catalog row")
-            c = cat[i][j] / row_raw[j]
-            for jj in range(len(cat)):
-                if c * row_raw[jj] != cat[i][jj]:
-                    raise AssertionError(
-                        f"realized Cartan row {i} mismatches the catalog: "
-                        f"{[c * x for x in row_raw]} vs {list(cat[i])}"
-                    )
-            # the bracket is bilinear, so [x+, c x-] is c h_raw
-            xminus = WeightedElement(xminus_raw.weight, xminus_raw.matrix.scaled(c))
-            h = WeightedElement(h_raw.weight, h_raw.matrix.scaled(c))
-            out.append((xplus, xminus, h))
-        return out
 
     def subalgebra(self, roots: Collection[Root]) -> "SubalgebraBasis":
         """g(roots): the subalgebra generated by the root vectors of +-roots.
@@ -287,6 +239,105 @@ class Realization:
         return self.subalgebra(self.handle.simple_roots_alpha())
 
 
+def _weight_eval(plus: Mapping[int, int], functional: EpsDeltaVector, diag: GradedMatrix) -> Fraction:
+    """The functional on a diagonal matrix; ``plus`` maps each index of weight
+    +eps_i or +delta_p to that coordinate, and the other indices count 0."""
+    coords = functional.eps + functional.delta
+    return Fraction(sum(coords[plus[r]] * x for (r, c), x in diag.nz.items()
+                        if r == c and r in plus))
+
+
+def _read_only(m: GradedMatrix) -> GradedMatrix:
+    """m, not yet shared, with its entries made read-only."""
+    object.__setattr__(m, "nz", MappingProxyType(m.nz))
+    return m
+
+
+_REALIZATIONS: OrderedDict[tuple[CatalogType, int], MappingProxyType] = OrderedDict()
+
+
+def _realization_data(handle: RootSystemHandle, truncation: int) -> MappingProxyType:
+    """The shared, read-only record of the type's realization at the window.
+
+    Its keys are the attributes a ``Realization`` copies.  A type that fails
+    a check, or whose alpha_0 = null - theta lies beyond the window, raises
+    on every call and is never stored.
+    """
+    key = (handle.ctype, truncation)
+    data = _REALIZATIONS.get(key)
+    if data is not None:
+        return data
+    m, n = handle.eps_dim, handle.delta_dim
+    osp = handle.ctype.family != "A"
+    signs = (1, -1) if osp else (1,)
+
+    def unit(slot: int, val: int) -> tuple[int, ...]:
+        return tuple(val if k == slot else 0 for k in range(m + n))
+
+    index_weights = [unit(i, s) for s in signs for i in range(m)]
+    if handle.ctype.family == "B":
+        index_weights.append((0,) * (m + n))
+    index_weights += [unit(m + p, s) for s in signs for p in range(n)]
+    # index weights are +-unit vectors or zero; weight_eval reads the
+    # indices of weight +eps_i or +delta_p, at that coordinate
+    plus = {idx: wt.index(1) for idx, wt in enumerate(index_weights) if 1 in wt}
+    space = tuple(int(any(w[m:])) for w in index_weights)
+    dual = [index_weights.index(rs.neg(w)) for w in index_weights] if osp else None
+    g = [-1 if space[i] and min(w) < 0 else 1 for i, w in enumerate(index_weights)]
+    # weight -> its largest index pair; pairs come in increasing order
+    largest: dict[tuple[int, ...], tuple[int, int]] = {}
+    for r, wr in enumerate(index_weights):
+        for c, wc in enumerate(index_weights):
+            largest[rs.sub(wr, wc)] = (r, c)
+
+    root_spaces = {}  # finite eps+delta coords -> matrix
+    for v in handle.real_roots_ed(0):
+        fin = v.eps + v.delta
+        r, c = largest[fin]
+        nz = {}
+        if osp and (dual[c], dual[r]) != (r, c):
+            # (c', r') precedes (r, c), so the entries stay in row-major order
+            nz[dual[c], dual[r]] = -g[r] * g[c]
+        nz[r, c] = 1
+        root_spaces[fin] = _read_only(GradedMatrix(nz, space[r] ^ space[c], space))
+
+    # Chevalley generators (x+_i, x-_i, h_i), x-_i scaled so that the
+    # realized Cartan row of h_i is the catalog's
+    generators = []
+    cat = handle.cartan.matrix
+    for i, alpha in enumerate(handle.simple_ed):
+        if abs(alpha.null) > truncation:
+            raise TruncationHitError(f"degree {alpha.null} exceeds the window {truncation}")
+        minus = -alpha
+        xplus = WeightedElement(alpha.coords(), root_spaces[alpha.eps + alpha.delta])
+        xminus_raw = WeightedElement(minus.coords(), root_spaces[minus.eps + minus.delta])
+        h_raw = loop_bracket(xplus, xminus_raw, truncation)
+        if h_raw.matrix.is_zero():
+            raise AssertionError("vanishing coroot bracket in the realization")
+        row_raw = [_weight_eval(plus, aj, h_raw.matrix) for aj in handle.simple_ed]
+        j = next(j for j in range(len(cat)) if cat[i][j] != 0)
+        if row_raw[j] == 0:
+            raise AssertionError("realized Cartan row is not proportional to the catalog row")
+        c = cat[i][j] / row_raw[j]
+        for jj in range(len(cat)):
+            if c * row_raw[jj] != cat[i][jj]:
+                raise AssertionError(
+                    f"realized Cartan row {i} mismatches the catalog: "
+                    f"{[c * x for x in row_raw]} vs {list(cat[i])}"
+                )
+        # the bracket is bilinear, so [x+, c x-] is c h_raw
+        xminus = WeightedElement(xminus_raw.weight, _read_only(xminus_raw.matrix.scaled(c)))
+        h = WeightedElement(h_raw.weight, _read_only(h_raw.matrix.scaled(c)))
+        generators.append((xplus, xminus, h))
+
+    data = MappingProxyType(dict(
+        index_weights=tuple(index_weights), _plus_coord=MappingProxyType(plus), space=space,
+        _root_spaces=MappingProxyType(root_spaces), generators=tuple(generators),
+    ))
+    _remember(_REALIZATIONS, key, data)
+    return data
+
+
 def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
     """Generators and root vectors for a supported catalog type.
 
@@ -294,6 +345,8 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
     affinizations as loop algebras truncated at ``loop_degree``, which an
     affine type needs and which must not be negative on any type.  The
     twisted family and the exceptional families are combinatorial-only here.
+    Each call returns a new realization on the record shared by its type
+    and window.
     """
     if loop_degree is not None and loop_degree < 0:
         raise ValueError(f"loop_degree must be >= 0, got {loop_degree}")
@@ -305,7 +358,8 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
         raise UnsupportedTypeError(f"no matrix realization for family {family}")
     if twist == AFFINE and loop_degree is None:
         raise ValueError(f"an affine realization of {handle.label} needs a loop_degree")
-    return Realization(handle, 0 if twist == FINITE else loop_degree)
+    truncation = 0 if twist == FINITE else loop_degree
+    return Realization(handle, truncation, _realization_data(handle, truncation))
 
 
 def loop_window(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> Optional[int]:

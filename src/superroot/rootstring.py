@@ -344,10 +344,11 @@ def sweep_strings(
     report = SweepReport()
     if handle.is_finite:
         betas = handle.all_roots(max_height=max_height)
-        alphas = handle.real_roots(max_height=max_height)
     else:
         betas = handle.all_roots(max_degree=max_degree)
-        alphas = handle.real_roots(max_degree=max_degree)
+    # the real roots within the same bounds, in the same order, each
+    # converted to alpha coordinates once
+    alphas = [b for b in betas if handle.is_real(b)]
     for alpha in alphas:
         iso = handle.is_isotropic(alpha)
         for beta in betas:

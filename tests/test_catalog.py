@@ -164,6 +164,25 @@ def test_convert_rejects_non_lattice():
         h.to_alpha(ED((1,), (0, 0)))
 
 
+def test_to_alpha_round_trips_in_integers_on_every_type():
+    # the solver rows are integers over one denominator, so every coordinate
+    # comes back an int, never a Fraction
+    for spec in _PINNED_SPECS:
+        h = build(spec)
+        for r in h.all_roots(max_height=5):
+            back = h.to_alpha(h.to_ed(r))
+            assert back == r, (spec, r)
+            assert all(type(c) is int for c in back), (spec, r)
+
+
+def test_to_alpha_rejects_non_integer_coordinates():
+    # eps_1 of D(2,1) lies in the span of the simple roots, so it passes the
+    # consistency rows, but it is (alpha_2 + alpha_3) / 2
+    h = build("D(2,1)")
+    with pytest.raises(NotInLatticeError, match="non-integer simple-root coordinates"):
+        h.to_alpha(ED((1, 0), (0,)))
+
+
 def test_null_root_is_positive_combination():
     for spec in ("A(0,1)^(1)", "B(1,1)^(1)", "B(2,2)^(1)", "A(2,2)^(4)", "C(2)^(1)"):
         h = build(spec)

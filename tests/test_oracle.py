@@ -700,3 +700,110 @@ def test_negative_loop_degree_is_rejected():
     assert h.is_isotropic((0, 1, 0))
     cert = verify_dynkin_maps(sigma, height_bound=4, loop_degree=0)
     assert cert.pi_roundtrip and cert.oracle_match is None
+
+
+def test_realizations_of_one_type_and_window_share_one_record():
+    r1 = realize("B(1,1)^(1)", loop_degree=2)
+    r2 = realize(build("B(1,1)^(1)"), loop_degree=2)
+    assert r1.handle is not r2.handle
+    assert r1.generators is r2.generators and r1._root_spaces is r2._root_spaces
+    assert all(x is y for g1, g2 in zip(r1.generators, r2.generators) for x, y in zip(g1, g2))
+    # another window is another record, with equal generators
+    r3 = realize("B(1,1)^(1)", loop_degree=3)
+    assert r3.generators is not r1.generators and r3.generators == r1.generators
+    # root vectors read the caller's handle memo, not a shared one
+    alpha0 = r1.handle.simple_roots_alpha()[0]
+    r1.handle._ed_cache.clear()
+    r2.handle._ed_cache.clear()
+    r1.root_vector(alpha0)
+    assert len(r1.handle._ed_cache) == 1 and not r2.handle._ed_cache
+
+
+def _reachable(obj):
+    """Every object that obj refers to, transitively; classes and modules stop the walk."""
+    import gc
+    import types
+
+    seen, todo = set(), [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType)):
+            continue
+        seen.add(id(x))
+        yield x
+        todo += gc.get_referents(x)
+
+
+def test_the_realization_table_holds_no_handle():
+    from superroot import oracle
+    from superroot.catalog import RootSystemHandle
+
+    for spec, k in (("A(0,1)", None), ("B(1,1)^(1)", 1), ("D(2,1)^(1)", 2)):
+        realize(build(spec), loop_degree=k).full_basis()
+    assert oracle._REALIZATIONS
+    held = list(_reachable(oracle._REALIZATIONS))
+    assert any(isinstance(x, GradedMatrix) for x in held)
+    assert not any(isinstance(x, RootSystemHandle) for x in held)
+
+
+def test_the_shared_record_cannot_be_mutated():
+    from dataclasses import FrozenInstanceError
+
+    r, other = realize("B(1,1)"), realize("B(1,1)")
+    x_plus = r.generators[0][0]
+    key = x_plus.weight[:-1]
+    with pytest.raises(TypeError):
+        r.generators[0] = r.generators[1]
+    with pytest.raises(TypeError):
+        r.generators[0][0] = x_plus
+    with pytest.raises(TypeError):
+        r._root_spaces[key] = x_plus.matrix
+    with pytest.raises(TypeError):
+        r._plus_coord[0] = 1
+    with pytest.raises(FrozenInstanceError):
+        x_plus.matrix = x_plus.matrix.scaled(2)
+    with pytest.raises(AttributeError):
+        x_plus.matrix.nz = {}
+    shared = [x.matrix for triple in r.generators for x in triple] + list(r._root_spaces.values())
+    for m in shared:
+        with pytest.raises(TypeError):
+            m.nz[next(iter(m.nz))] = 7
+    # index_weights is a list of the realization's own
+    r.index_weights.append((0, 0))
+    assert other.index_weights == realize("B(1,1)").index_weights == r.index_weights[:-1]
+
+
+def test_the_realization_table_drops_its_oldest_record(monkeypatch):
+    from collections import OrderedDict
+
+    from superroot import catalog, oracle
+    from superroot.catalog import parse_type
+
+    monkeypatch.setattr(oracle, "_REALIZATIONS", OrderedDict())
+    monkeypatch.setattr(catalog, "TABLE_LIMIT", 2)
+    first = realize("B(1,1)").generators
+    realize("A(0,1)^(1)", loop_degree=1)
+    realize("A(0,1)^(1)", loop_degree=2)
+    assert list(oracle._REALIZATIONS) == [(parse_type("A(0,1)^(1)"), 1), (parse_type("A(0,1)^(1)"), 2)]
+    again = realize("B(1,1)").generators
+    assert again is not first and again == first
+    assert list(oracle._REALIZATIONS) == [(parse_type("A(0,1)^(1)"), 2), (parse_type("B(1,1)"), 0)]
+
+
+def test_a_failing_realization_raises_on_every_call(monkeypatch):
+    from collections import OrderedDict
+
+    from superroot import oracle
+
+    monkeypatch.setattr(oracle, "_REALIZATIONS", OrderedDict())
+    # alpha_0 = null - theta has loop degree 1, outside a zero window
+    for _ in range(2):
+        with pytest.raises(TruncationHitError):
+            realize("A(0,1)^(1)", loop_degree=0)
+    assert not oracle._REALIZATIONS
+    # a realized Cartan row of zeros fails its check and is not stored either
+    monkeypatch.setattr(oracle, "_weight_eval", lambda plus, functional, diag: Q(0))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="not proportional"):
+            realize("B(1,1)")
+    assert not oracle._REALIZATIONS

@@ -48,6 +48,20 @@ def test_twisted_convert_round_trip(a, b, r):
 
 
 @given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_to_alpha_inverts_to_ed_on_integer_combinations(data):
+    # the integer solver on any point of the root lattice, including the
+    # types whose solver rows share a denominator above 1
+    spec = data.draw(st.sampled_from(["A(1,2)", "B(2,1)^(1)", "C(3)", "D(2,1)", "D(2,1;1/2)",
+                                      "D(2,1;-5/3)^(1)", "A(2,4)^(4)"]))
+    h = build(spec)
+    root = tuple(data.draw(st.lists(coeff, min_size=h.rank, max_size=h.rank)))
+    back = h.to_alpha(h.to_ed(root))
+    assert back == root
+    assert all(type(c) is int for c in back)
+
+
+@given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_closure_output_symmetric_subroot(data):
     # any stabilized closure is a symmetric subroot system; closedness needs
