@@ -115,14 +115,13 @@ def odd_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
     return Base(_odd_roots(base, t), tuple(matrix))
 
 
-def even_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
+def even_reflect_base(base: Base, t: int) -> Base:
     """Reflect a base at its t-th entry alpha, whose diagonal entry must be 2.
 
     s(b) = b - b(h_alpha) alpha reads b_u(h_alpha) = a_{tu} from the carried
     matrix.  The matrix is kept: with s'(h) = h - alpha(h) h_alpha on the
-    coroots, pair(s b, s' h) = b(h) - 2 alpha(h) b(h_alpha) + b(h_alpha)
-    alpha(h) alpha(h_alpha) = b(h).  ``cd`` is unused; the signature is that
-    of ``odd_reflect_base``.
+    coroots, (s b)(s' h) = b(h) - 2 alpha(h) b(h_alpha) + b(h_alpha)
+    alpha(h) alpha(h_alpha) = b(h).
     """
     if base.matrix[t][t] != 2:
         raise IsotropicReflectorError("reflector must pair to 2 with its coroot")
@@ -153,9 +152,10 @@ def _validated(base: Base, cd: CartanData, checked: set) -> Base:
 
 @dataclass(frozen=True)
 class RealRootsResult:
-    """Roots found by a base-graph search; ``complete`` when nothing was pruned."""
+    """Roots found by a base-graph search and their isotropic subset; ``complete`` when nothing was pruned."""
 
     roots: frozenset[Root]
+    isotropic: frozenset[Root]
     complete: bool
     bases_visited: int
 
@@ -189,20 +189,22 @@ def _search(cd: CartanData, h_explore: int, odd_only: bool) -> tuple[list[Base],
             key = frozenset(roots)
             if key not in visited:
                 visited.add(key)
-                nb = odd_reflect_base(base, cd, t) if d == 0 else even_reflect_base(base, cd, t)
+                nb = odd_reflect_base(base, cd, t) if d == 0 else even_reflect_base(base, t)
                 bases.append(_validated(nb, cd, checked))
     return bases, pruned
 
 
-def _base_roots_and_doubles(cd: CartanData, bases: list[Base]) -> set[Root]:
-    """Every base root, and 2r for each odd base root r with diagonal entry 2."""
-    found: set[Root] = set()
+def _base_roots_and_doubles(cd: CartanData, bases: list[Base]) -> tuple[set[Root], set[Root]]:
+    """Base roots, 2r for each odd base root r of diagonal 2, and the isotropic roots: those of diagonal 0."""
+    found, isotropic = set(), set()
     for base in bases:
         for i, r in enumerate(base.roots):
             found.add(r)
-            if cd.root_parity(r) == 1 and base.matrix[i][i] == 2:
+            if base.matrix[i][i] == 0:
+                isotropic.add(r)
+            elif cd.root_parity(r) == 1 and base.matrix[i][i] == 2:
                 found.add(rs.scale(2, r))
-    return found
+    return found, isotropic
 
 
 def enumerate_real_roots(
@@ -221,9 +223,10 @@ def enumerate_real_roots(
     if not 0 <= h_report <= h_explore:
         raise ValueError(f"need 0 <= h_report <= h_explore, got {h_report} and {h_explore}")
     bases, pruned = _search(cd, h_explore, odd_only=False)
-    symmetric = {r for r in _base_roots_and_doubles(cd, bases) if height(r) <= h_report}
-    symmetric |= {rs.neg(r) for r in symmetric}
-    return RealRootsResult(frozenset(symmetric), not pruned, len(bases))
+    found, isotropic = _base_roots_and_doubles(cd, bases)
+    symmetric = {s for r in found if height(r) <= h_report for s in (r, rs.neg(r))}
+    isotropic = {r for r in symmetric if r in isotropic or rs.neg(r) in isotropic}
+    return RealRootsResult(frozenset(symmetric), frozenset(isotropic), not pruned, len(bases))
 
 
 def principal_roots(cd: CartanData, h_explore: int = 64) -> RealRootsResult:
@@ -242,5 +245,6 @@ def principal_roots(cd: CartanData, h_explore: int = 64) -> RealRootsResult:
     if h_explore < 0:
         raise ValueError(f"h_explore must be >= 0, got {h_explore}")
     bases, pruned = _search(cd, h_explore, odd_only=True)
-    found = {r for r in _base_roots_and_doubles(cd, bases) if cd.root_parity(r) == 0}
-    return RealRootsResult(frozenset(found), not pruned, len(bases))
+    found, isotropic = _base_roots_and_doubles(cd, bases)
+    found = {r for r in found if cd.root_parity(r) == 0}
+    return RealRootsResult(frozenset(found), frozenset(found & isotropic), not pruned, len(bases))

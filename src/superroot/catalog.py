@@ -310,9 +310,6 @@ class RootSystemHandle:
     def is_positive(self, root: Sequence[int]) -> bool:
         return any(c != 0 for c in root) and all(c >= 0 for c in root)
 
-    def bilinear(self, beta: Sequence[int], gamma: Sequence[int]) -> Fraction:
-        return self.bilinear_ed(self.to_ed(beta), self.to_ed(gamma))
-
     def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> int:
         """beta(h_alpha) = 2(beta,alpha)/(alpha,alpha) for non-isotropic alpha, an integer."""
         aa = self._norm(alpha)

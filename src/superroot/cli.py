@@ -23,7 +23,6 @@ from . import __version__, basegraph, oracle, pisystem as ps, replay, rootstring
 from .cartan import cartan_from_json, cartan_to_json, symmetrizer, validate
 from .catalog import build
 from .errors import InconclusiveError, NonRegularBaseError, SuperrootError
-from .rootspace import bilinear
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -121,9 +120,9 @@ def _real_roots(args):
     if args.explore is None:  # set on args, so the certificate's bounds echo it
         args.explore = args.height
     result = basegraph.enumerate_real_roots(cd, args.height, args.explore)
-    d = symmetrizer(cd)
+    known = symmetrizer(cd) is not None  # without a symmetrizer, isotropy is printed as unknown
     entries = [{"root": list(r), "parity": cd.root_parity(r),
-                "isotropic": None if d is None else bool(bilinear(r, r, cd, d) == 0)}
+                "isotropic": r in result.isotropic if known else None}
                for r in sorted(result.roots)]
     complete = "inf" if result.complete else None
     body = {"roots": entries, "count": len(entries), "complete_up_to": complete,

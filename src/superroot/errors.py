@@ -13,10 +13,6 @@ class ZeroMatrixError(SuperrootError):
     pass
 
 
-class NotSymmetrizableError(SuperrootError):
-    pass
-
-
 class NotARootError(SuperrootError):
     pass
 

@@ -73,9 +73,9 @@ class GradedMatrix:
     exact and mostly in integers.  Every construction checks, over the
     nonzero entries, that each lies in the matrix and in the block of the
     matrix's parity; zero values are dropped.  ``entries`` and ``flat()``
-    are dense read-only views with ``Fraction`` values.  Instances are
-    immutable; the matrices of a shared realization record also hold ``nz``
-    as a read-only view.
+    are dense read-only views with ``Fraction`` values.  Attributes cannot be
+    rebound.  ``nz`` is a plain dict, except on the matrices of a shared
+    realization record, where it is a read-only view; nothing writes to it.
     """
 
     __slots__ = ("nz", "parity", "space")
@@ -365,6 +365,8 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
 def loop_window(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> Optional[int]:
     """The ``loop_degree`` to realize g(sigma) at: the given one, else, on an
     affine type, three beyond the largest loop degree in sigma."""
+    if not sigma:
+        raise ValueError("sigma is empty; give at least one root")
     if loop_degree is not None or sigma.handle.is_finite:
         return loop_degree
     return max(abs(sigma.handle.degree_of(r)) for r in sigma) + 3

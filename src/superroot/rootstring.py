@@ -340,6 +340,11 @@ def sweep_strings(
     (beta, alpha) string is scanned once: the sweep hands the string it built
     for a non-isotropic alpha to ``pairing_laws``, and leaves isotropic ones
     to it, since no law needs the string through an imaginary beta.
+    ``string_pattern`` cannot fail once ``check_unbroken`` has passed: beta +
+    k alpha has a zero finite part for at most one k, so a string has at most
+    one imaginary member, and reversal by s_alpha makes the real wings equal.
+    It runs anyway: its ``pattern`` count is part of the ``string-sweep``
+    certificate and of the ``strings`` benchmark digest.
     """
     report = SweepReport()
     if handle.is_finite:

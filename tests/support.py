@@ -6,10 +6,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from superroot.cartan import CartanData
 from superroot.catalog import EpsDeltaVector, RootSystemHandle
 from superroot.linalg import Vec, rref
 from superroot.oracle import GradedMatrix, Realization, SubalgebraBasis, WeightedElement, gm_bracket
 from superroot.rootspace import Root
+
+
+_SMALL_FINITE = (
+    "A(0,1)", "A(1,0)", "A(0,2)", "A(2,0)",
+    "B(0,1)", "B(1,1)", "B(0,2)", "B(2,1)", "B(1,2)", "B(0,3)",
+    "C(2)", "C(3)", "D(2,1)",
+    "D(2,1;1)", "D(2,1;1/2)", "D(2,1;-5/3)", "D(2,1;3)",
+)
+# small finite types, their untwisted affinizations and one twisted type
+SMALL_CATALOG = _SMALL_FINITE + tuple(f + "^(1)" for f in _SMALL_FINITE) + ("A(2,2)^(4)",)
+
+
+def pair(beta: Sequence, h: Sequence, cd: CartanData) -> Fraction:
+    """Reference: beta on the coroot combination h, sum over i,j of h_i beta_j a_ij."""
+    assert len(beta) == len(h) == cd.n
+    return sum((hi * beta[j] * cd.matrix[i][j] for i, hi in enumerate(h) for j in range(cd.n)), Fraction(0))
+
+
+def bilinear(beta: Sequence, gamma: Sequence, cd: CartanData, d: Sequence[Fraction]) -> Fraction:
+    """Reference: the symmetrized form (alpha_i, alpha_j) = d_i a_ij, extended bilinearly."""
+    assert len(beta) == len(gamma) == cd.n
+    return sum((d[i] * bi * gamma[j] * cd.matrix[i][j] for i, bi in enumerate(beta) for j in range(cd.n)),
+               Fraction(0))
 
 
 def claim_a_root(monkeypatch, label: str, finite: tuple[int, ...]) -> None:

@@ -12,7 +12,7 @@ from superroot.basegraph import (
     principal_roots,
     standard_base,
 )
-from superroot.cartan import CartanData, normalize, validate
+from superroot.cartan import CartanData, normalize, symmetrizer, validate
 from superroot.catalog import build
 from superroot.errors import (
     IsotropicReflectorError,
@@ -21,7 +21,8 @@ from superroot.errors import (
     NotRegularInBaseError,
 )
 from superroot.linalg import rank
-from superroot.rootspace import height, pair
+from superroot.rootspace import height
+from support import SMALL_CATALOG, bilinear, pair
 
 
 def _sl12():
@@ -71,7 +72,7 @@ def test_odd_reflection_renormalizes_diagonal():
 def test_even_reflection_basics():
     cd = normalize([[2, -1], [-1, 2]], (0, 0))
     base = standard_base(cd)
-    nb = even_reflect_base(base, cd, 0)
+    nb = even_reflect_base(base, 0)
     # s_1(alpha_1) = -alpha_1 and s_1(alpha_2) = alpha_1 + alpha_2
     assert set(nb.roots) == {(-1, 0), (1, 1)}
     # pairing-zero roots are fixed
@@ -81,7 +82,7 @@ def test_even_reflection_basics():
     for t in range(cd3.n):
         if m[t][t] != 2:
             continue
-        nb3 = even_reflect_base(b3, cd3, t)
+        nb3 = even_reflect_base(b3, t)
         for u in range(cd3.n):
             if m[t][u] == 0:
                 assert nb3.roots[u] == b3.roots[u]
@@ -91,13 +92,13 @@ def test_even_reflection_rejects_isotropic():
     cd = _sl12()
     base = standard_base(cd)
     with pytest.raises(IsotropicReflectorError):
-        even_reflect_base(base, cd, 0)
+        even_reflect_base(base, 0)
 
 
 def test_even_reflection_is_involutive():
     cd = build("B(1,1)").cartan
     base = standard_base(cd)
-    twice = even_reflect_base(even_reflect_base(base, cd, 1), cd, 1)
+    twice = even_reflect_base(even_reflect_base(base, 1), 1)
     assert twice.roots == base.roots and twice.matrix == base.matrix
 
 
@@ -176,7 +177,7 @@ def test_exchange_identity():
         if matrix[t][t] == 0 and cd.parity[t] == 1:
             nb = odd_reflect_base(base, cd, t)
         else:
-            nb = even_reflect_base(base, cd, t)
+            nb = even_reflect_base(base, t)
         alpha = base.roots[t]
         orbit = {alpha, rs.scale(2, alpha)}
         neg_orbit = {rs.neg(a) for a in orbit}
@@ -202,7 +203,7 @@ def test_compatibility_even_odd():
                 odd = odd_reflect_base(base, cd, t)
                 lhs = tuple(rs.sub(b, rs.scale(int(pair(b, h_gamma, cd)), gamma)) for b in odd.roots)
                 # the even reflection acts entrywise, so w(alpha) sits at index t
-                rhs = odd_reflect_base(even_reflect_base(base, cd, u), cd, t)
+                rhs = odd_reflect_base(even_reflect_base(base, u), cd, t)
                 assert (lhs, odd.matrix) == (rhs.roots, rhs.matrix), (spec, t, u)
 
 
@@ -261,9 +262,6 @@ def test_coroots_agree_with_bilinear_form():
     # every non-isotropic entry alpha of every reachable base has the row
     # matrix[t][u] = 2 (b_u, alpha) / (alpha, alpha); the base roots span the
     # lattice, so pair(beta, h_alpha) = 2 (beta, alpha) / (alpha, alpha) for all beta
-    from superroot.cartan import symmetrizer
-    from superroot.rootspace import bilinear
-
     for spec in ("B(1,1)", "A(0,2)"):
         h = build(spec)
         cd = h.cartan
@@ -285,7 +283,7 @@ def test_coroots_agree_with_bilinear_form():
                 if matrix[t][t] == 0 and par[t] == 1:
                     nb = odd_reflect_base(base, cd, t)
                 elif matrix[t][t] == 2:
-                    nb = even_reflect_base(base, cd, t)
+                    nb = even_reflect_base(base, t)
                 else:
                     continue
                 if nb.root_set() not in seen:
@@ -457,7 +455,8 @@ def test_even_reflections_read_the_carried_matrix(monkeypatch):
         monkeypatch.setattr(basegraph, fn.__name__, wrapper)
 
     assert not hasattr(basegraph, "pair")  # so every call would go through rs.pair
-    monkeypatch.setattr(rs, "pair", counting_pair)
+    # rootspace defines no pair; a pair brought back there would be counted
+    monkeypatch.setattr(rs, "pair", counting_pair, raising=False)
     counting("odd", odd_reflect_base)
     counting("even", even_reflect_base)
     for spec, h_explore in (("A(3,1)", 6), ("B(2,2)^(1)", 6)):
@@ -513,3 +512,22 @@ def test_search_agrees_with_the_catalog_at_height_6(spec):
     else:
         assert set(res.roots) <= catalog
         assert catalog - set(res.roots) == _PRUNED_MISSES.get(spec, set())
+
+
+def test_the_search_reports_isotropy_as_the_base_diagonal():
+    # a reported root is isotropic exactly when its diagonal entry is 0 in a
+    # base that holds it; that agrees with the catalog form and with the
+    # symmetrizer form, on every reported root
+    isotropic_types = set()
+    for spec in SMALL_CATALOG:
+        h = build(spec)
+        cd, d = h.cartan, symmetrizer(h.cartan)
+        res = enumerate_real_roots(cd, 4)
+        assert res.isotropic <= res.roots, spec
+        assert {rs.neg(r) for r in res.isotropic} == res.isotropic, spec
+        assert res.isotropic == {r for r in res.roots if h.is_isotropic(r)}, spec
+        assert res.isotropic == {r for r in res.roots if bilinear(r, r, cd, d) == 0}, spec
+        assert not principal_roots(cd, 6).isotropic, spec
+        if res.isotropic:
+            isotropic_types.add(spec)
+    assert {"A(0,1)", "D(2,1;3)^(1)", "A(2,2)^(4)"} <= isotropic_types

@@ -368,6 +368,33 @@ def test_a_non_regular_base_exits_one(capsys):
     assert capsys.readouterr().err.startswith("check failed: encountered a base whose Cartan matrix")
 
 
+def test_an_empty_sigma_exits_two(capsys):
+    # on the affine type, the default loop window read max() of no degrees
+    # and printed its message; on the finite one, bracket-criteria exited 0
+    for spec in ("B(1,1)", "B(1,1)^(1)"):
+        for command in ("main-theorem", "bracket-criteria"):
+            assert main(["verify", command, "--type", spec, "--sigma", "[]"]) == 2, (spec, command)
+            assert capsys.readouterr().err == "error: sigma is empty; give at least one root\n"
+
+
+def test_a_non_symmetrizable_matrix_reports_unknown_isotropy(capsys):
+    # regular and admissible, but with no symmetrizer: the roots are found,
+    # and their isotropy is left open
+    raw = '{"matrix": [[2,-1,-1],[-2,2,-1],[-1,-1,2]], "parity": [0,0,0]}'
+    argv = ["real-roots", "--matrix-json", raw, "--height", "3"]
+    code, out = _capture(capsys, argv)
+    lines = out.splitlines()
+    assert code == 0 and lines[0].startswith("14 real roots")
+    assert len(lines) == 15 and all(line.endswith(" unknown-isotropy") for line in lines[1:])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5c5e2293f6cf3c89c9390c516e77ff3e7ae3b8d75d247ea19b71b28dc384d028")
+    code, out = _capture(capsys, argv + ["--format", "json"])
+    payload = json.loads(out)
+    assert payload["count"] == 14 and all(e["isotropic"] is None for e in payload["roots"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "97ac87b5dc503530c2cfeca13966ba1429c0ed910be0e93c50257ddf918bdc26")
+
+
 # Every subcommand in text and JSON, with exit codes 0-3, `--version` and
 # argparse usage errors: (argv, exit code, sha256 of stdout).  The usage
 # errors pin stderr instead, since argparse lists the flags in the order

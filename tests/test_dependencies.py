@@ -27,6 +27,16 @@ def test_only_stdlib_imports():
                 assert name.split(".")[0] in allowed, (path.name, name)
 
 
+def test_rootspace_imports_nothing_from_the_package():
+    # rootspace is lattice arithmetic only: no form, and no Cartan data to build one
+    tree = ast.parse((SRC / "rootspace.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "superroot", ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "superroot" for a in node.names), ast.dump(node)
+
+
 def test_no_float_literals():
     files = sorted(SRC.glob("*.py"))
     assert files

@@ -14,6 +14,7 @@ from superroot.oracle import (
     generated_subalgebra,
     gm_bracket,
     loop_bracket,
+    loop_window,
     osp12_module_table,
     realize,
     subalgebra_real_roots,
@@ -349,6 +350,15 @@ def test_spans_match_the_pinned_digests():
 def test_generated_subalgebra_empty():
     r = realize("A(0,1)")
     assert generated_subalgebra([], r).dimension() == 0
+
+
+def test_an_empty_sigma_has_no_loop_window():
+    # refused on either kind of type, whether or not a window is given
+    for spec in ("B(1,1)", "B(1,1)^(1)"):
+        empty = root_set(build(spec), [])
+        for loop_degree in (None, 2):
+            with pytest.raises(ValueError, match="sigma is empty"):
+                loop_window(empty, loop_degree)
 
 
 def test_loop_truncation_rejected_not_dropped():

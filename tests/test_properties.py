@@ -10,8 +10,7 @@ from superroot.basegraph import odd_reflect_base, standard_base
 from superroot.cartan import normalize, symmetrizer
 from superroot.catalog import EpsDeltaVector as ED, build
 from superroot.pisystem import classify_subset, closure_S_infinity, is_pi_system, root_set
-from superroot.rootspace import bilinear, pair
-from support import positive_real_roots
+from support import bilinear, pair, positive_real_roots
 
 coeff = st.integers(min_value=-4, max_value=4)
 

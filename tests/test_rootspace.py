@@ -3,10 +3,10 @@ from fractions import Fraction as Q
 import pytest
 
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.rootspace import bilinear, height, pair
+from superroot.rootspace import height
 from superroot.cartan import normalize, symmetrizer
 from superroot.errors import IsotropicReflectorError, PairingNotIntegralError
-from support import membership_classify
+from support import SMALL_CATALOG, bilinear, membership_classify, pair
 
 
 def _sl12():
@@ -42,20 +42,11 @@ def test_bilinear_isotropy_of_odd_simple():
     assert bilinear((1, 0), (0, 1), cd, d) == bilinear((0, 1), (1, 0), cd, d)
 
 
-_SMALL_FINITE = (
-    "A(0,1)", "A(1,0)", "A(0,2)", "A(2,0)",
-    "B(0,1)", "B(1,1)", "B(0,2)", "B(2,1)", "B(1,2)", "B(0,3)",
-    "C(2)", "C(3)", "D(2,1)",
-    "D(2,1;1)", "D(2,1;1/2)", "D(2,1;-5/3)", "D(2,1;3)",
-)
-_SMALL_CATALOG = _SMALL_FINITE + tuple(f + "^(1)" for f in _SMALL_FINITE) + ("A(2,2)^(4)",)
-
-
 def test_bilinear_matches_catalog_form_up_to_scalar():
     # both are invariant forms of an indecomposable type, hence proportional;
     # the catalog's integer form must also give the Cartan form's isotropy and
     # pairings, the form in exact Fractions and the pairings in ints
-    for spec in _SMALL_CATALOG:
+    for spec in SMALL_CATALOG:
         handle = build(spec)
         cd, d = handle.cartan, symmetrizer(handle.cartan)
         roots = handle.real_roots(max_height=4)
@@ -69,7 +60,7 @@ def test_bilinear_matches_catalog_form_up_to_scalar():
                     handle.pairing(a, a)
             for b in roots:
                 lhs = bilinear(b, a, cd, d)
-                rhs = handle.bilinear(b, a)
+                rhs = handle.bilinear_ed(handle.to_ed(b), handle.to_ed(a))
                 assert type(rhs) is Q, (spec, a, b, rhs)
                 if rhs != 0:
                     ratios.add(lhs / rhs)
