@@ -35,7 +35,7 @@ from .errors import (
     NotIsotropicOddError,
     NotRegularInBaseError,
 )
-from .linalg import rank
+from .linalg import exact
 from .rootspace import Root, height
 
 
@@ -44,7 +44,7 @@ class Base:
     """Roots and the base's own Cartan matrix matrix[i][j] = roots[j](h_i), h_i the coroot of roots[i]."""
 
     roots: tuple[Root, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int | Fraction, ...], ...]  # each entry in the form linalg.exact picks
 
     def __post_init__(self):
         if len(self.roots) != len(self.matrix):
@@ -62,8 +62,8 @@ class Base:
 
 
 def standard_base(cd: CartanData) -> Base:
-    n = cd.n
-    return Base(tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)), cd.matrix)
+    units = tuple(tuple(int(j == i) for j in range(cd.n)) for i in range(cd.n))
+    return Base(units, tuple(tuple(map(exact, row)) for row in cd.matrix))
 
 
 def _odd_roots(base: Base, t: int) -> tuple[Root, ...]:
@@ -78,7 +78,7 @@ def _odd_roots(base: Base, t: int) -> tuple[Root, ...]:
 def _even_roots(base: Base, t: int) -> tuple[Root, ...]:
     """Roots of the even reflection at entry t: s_alpha(beta) = beta - a_{alpha beta} alpha."""
     alpha = base.roots[t]
-    return tuple(rs.sub(b, rs.scale(int(c), alpha)) for b, c in zip(base.roots, base.matrix[t]))
+    return tuple(rs.sub(b, rs.scale(c, alpha)) for b, c in zip(base.roots, base.matrix[t]))
 
 
 def odd_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
@@ -87,8 +87,8 @@ def odd_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
     The new matrix comes from the carried one.  Entry u becomes beta_u + c_u
     alpha (c_t = -2, c_u = 0 where a_{alpha beta_u} = 0, else 1), and a changed
     row is that of the coroot x h_u + y h_alpha, x (a_{uj} + c_j a_{u alpha}) +
-    y a_{alpha j}.  Rows orthogonal to alpha stay as they are.  Each row with a
-    diagonal d other than 0 or 2 is rescaled by 2/d.
+    y a_{alpha j}.  Rows orthogonal to alpha stay as they are.  A changed row
+    with a diagonal d other than 0 or 2 is rescaled by 2/d.
     """
     alpha = base.roots[t]
     a_row = base.matrix[t]
@@ -107,10 +107,9 @@ def odd_reflect_base(base: Base, cd: CartanData, t: int) -> Base:
         if a_row[u] != 0:
             sign = -1 if p[u] else 1
             x, y = sign * a_row[u], sign * a_col[u]
-            row = tuple(x * (m + cj * a_col[u]) + y * a for m, cj, a in zip(row, c, a_row))
-        d = row[u]
-        if d not in (0, 2):
-            row = tuple(v * 2 / d for v in row)
+            row = [x * (m + cj * a_col[u]) + y * a for m, cj, a in zip(row, c, a_row)]
+            s = 1 if row[u] in (0, 2) else 2 / Fraction(row[u])
+            row = tuple(exact(v * s) for v in row)
         matrix.append(row)
     return Base(_odd_roots(base, t), tuple(matrix))
 
@@ -129,12 +128,15 @@ def even_reflect_base(base: Base, t: int) -> Base:
 
 
 def _validated(base: Base, cd: CartanData, checked: set) -> Base:
-    """Check a base's roots, and its matrix unless ``checked`` already holds it.
+    """Check a base's matrix unless ``checked`` already holds it.
 
     ``checked`` holds the (matrix, parities) keys that passed in this search.
 
-    The rank test runs on every base: affine matrices are singular, so an
-    equal matrix does not make the roots independent.
+    The roots need no check: the start base is the unit vectors, an odd
+    reflection sends alpha to -alpha and each other beta to beta or beta +
+    alpha, and an even one sends beta_u to beta_u - a_{tu} alpha (a_{tt} = 2,
+    a_{tu} integral).  Both are integer maps of determinant -1, so every
+    base's roots have determinant +-1, affine types included.
     """
     key = (base.matrix, base.parities(cd))
     if key not in checked:
@@ -145,8 +147,6 @@ def _validated(base: Base, cd: CartanData, checked: set) -> Base:
                 matrix=base.matrix,
             )
         checked.add(key)
-    if rank(base.roots) != base.size:
-        raise NonRegularBaseError("encountered a base with dependent roots")
     return base
 
 

@@ -525,8 +525,7 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
     # One RREF of [M | I]; afterwards every to_alpha query is a handful of
     # dot products plus consistency checks.  The simple roots are
     # independent exactly when every column of M holds a pivot.
-    red, pivots = rref([[Fraction(c[k]) for c in coords]
-                        + [Fraction(1) if j == k else Fraction(0) for j in range(e + d + 1)]
+    red, pivots = rref([[c[k] for c in coords] + [int(j == k) for j in range(e + d + 1)]
                         for k in range(e + d + 1)])
     solution = [(p, red[i][n:]) for i, p in enumerate(pivots) if p < n]
     if len(solution) != n:

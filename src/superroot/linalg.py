@@ -1,7 +1,8 @@
-"""Exact rational linear algebra on tuples of Fractions.
+"""Exact rational linear algebra, and the one form of an exact scalar.
 
-Everything here is small and dense: matrices are lists (or tuples) of rows,
-entries are ``fractions.Fraction``.  No floating point anywhere.
+``exact`` picks the one stored form of a scalar: an int when integral, else
+the Fraction.  Matrices are small dense lists of rows; ``rref``, ``rank`` and
+``solve`` take ints or Fractions and compute in Fractions, never in floats.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ def frac(x) -> Fraction:
     raise SuperrootError(f'expected an integer, a Fraction or a "p/q" string, got {x!r}')
 
 
+def exact(x):
+    """An exact scalar in its one stored form: an int when integral, else the Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # bool and other int subclasses
+        return int(x)
+    raise TypeError(f"exact scalars are int or Fraction, not {x!r}")
+
+
 def vec(xs: Iterable) -> Vec:
     return tuple(frac(x) for x in xs)
 
@@ -37,9 +49,9 @@ def is_zero_vec(x: Sequence) -> bool:
     return all(a == 0 for a in x)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form, in Fractions; returns (rows, pivot column indices)."""
+    m = [[Fraction(x) for x in r] for r in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
@@ -63,23 +75,20 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return m, pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
 
 
-def solve(rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
     """One exact solution of A x = b (free variables set to 0), or None."""
     if not rows:
         return [] if is_zero_vec(b) else None
     ncols = len(rows[0])
     aug = [list(r) + [bi] for r, bi in zip(rows, b)]
     red, pivots = rref(aug)
-    for row in red:
-        if is_zero_vec(row[:-1]) and row[-1] != 0:
-            return None
     sol = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        if c == ncols:
+        if c == ncols:  # a row 0 = b_i with b_i != 0
             return None
         sol[c] = red[i][-1]
     return sol

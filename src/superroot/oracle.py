@@ -10,10 +10,10 @@ Cartan-homogeneous by seeding every computation with root vectors, so spans
 can be reduced weight by weight.
 
 The realizations are almost elementary matrices, so a matrix keeps only its
-nonzero entries, as integers where they are integral and as Fractions
-otherwise; brackets multiply sparse by sparse and span reduction runs on
-sparse vectors.  Nothing is ever rounded.  Dense views remain for callers
-that want them, such as the independent echelon check ``span_signature``.
+nonzero entries, each in the form ``linalg.exact`` picks (an int where
+integral, else a Fraction); brackets multiply sparse by sparse and span
+reduction runs on sparse vectors.  Nothing is ever rounded.  Dense views
+remain for callers that want them, such as the independent echelon check ``span_signature``.
 
 An element is a (weight, matrix) pair; the last weight coordinate is its
 loop degree.  A realization fixes a truncation window K, and a nonzero
@@ -44,7 +44,7 @@ from .errors import (
     TruncationHitError,
     UnsupportedTypeError,
 )
-from .linalg import rref, solve
+from .linalg import exact, rref, solve
 from .rootspace import Root, height
 
 # ---------------------------------------------------------------------------
@@ -54,23 +54,12 @@ from .rootspace import Root, height
 Entry = tuple[int, int]  # (row, column)
 
 
-def _exact(x):
-    """An exact matrix value: an int when integral, else the Fraction."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):  # bool and other int subclasses
-        return int(x)
-    raise TypeError(f"matrix entries must be int or Fraction, not {x!r}")
-
-
 class GradedMatrix:
     """A parity-homogeneous matrix on a Z/2-graded space, stored sparsely.
 
-    ``nz`` maps (row, column) to the nonzero entries only; a value is an
-    ``int`` when integral and a ``Fraction`` otherwise, so arithmetic stays
-    exact and mostly in integers.  Every construction checks, over the
+    ``nz`` maps (row, column) to the nonzero entries only, each in the form
+    ``linalg.exact`` picks, so arithmetic stays exact and mostly in integers.
+    Every construction checks, over the
     nonzero entries, that each lies in the matrix and in the block of the
     matrix's parity; zero values are dropped.  ``entries`` and ``flat()``
     are dense read-only views with ``Fraction`` values.  Attributes cannot be
@@ -91,7 +80,7 @@ class GradedMatrix:
                 raise ValueError(f"entry {(r, c)} lies outside a {d}x{d} matrix")
             if space[r] ^ space[c] != parity:
                 raise ValueError("matrix is not parity-homogeneous")
-            kept[r, c] = _exact(x)
+            kept[r, c] = exact(x)
         object.__setattr__(self, "nz", kept)
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "space", space)
@@ -426,7 +415,7 @@ def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realizati
             return
         pivot = min(vec)
         inv = 1 / Fraction(vec[pivot])
-        rows.append((pivot, {k: _exact(x * inv) for k, x in vec.items()}))
+        rows.append((pivot, {k: exact(x * inv) for k, x in vec.items()}))
         rows.sort(key=lambda t: t[0])
         basis.append(e)
 

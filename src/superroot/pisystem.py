@@ -90,10 +90,12 @@ def is_pi_system(sigma: RootSet) -> PiSystemReport:
 
     Condition one: no pairwise difference is a root.  Condition two: no
     element lies in the nonnegative rational cone of the others, decided by
-    exact feasibility.
+    exact feasibility.  An empty set raises ``ValueError``.
     """
     handle = sigma.handle
     elems = sigma.sorted()
+    if not elems:
+        raise ValueError("the set is empty; give at least one root")
     diffs = []
     for a in elems:
         for b in elems:
@@ -103,7 +105,7 @@ def is_pi_system(sigma: RootSet) -> PiSystemReport:
                     diffs.append((a, b, d))
     cone = [a for a in elems if in_nonneg_cone([b for b in elems if b != a], a)]
     return PiSystemReport(
-        ok=not diffs and not cone and len(elems) > 0,
+        ok=not diffs and not cone,
         difference_violations=tuple(diffs),
         cone_violations=tuple(cone),
     )

@@ -49,6 +49,25 @@ def claim_a_root(monkeypatch, label: str, finite: tuple[int, ...]) -> None:
     monkeypatch.setattr(RootSystemHandle, "contains_ed", lying)
 
 
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix, by fraction-free (Bareiss) elimination."""
+    assert all(type(x) is int for row in rows for x in row)
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
     """Basis of the right nullspace of A."""
     if not rows:

@@ -22,7 +22,7 @@ from superroot.errors import (
 )
 from superroot.linalg import rank
 from superroot.rootspace import height
-from support import SMALL_CATALOG, bilinear, pair
+from support import SMALL_CATALOG, bilinear, det, pair
 
 
 def _sl12():
@@ -408,7 +408,7 @@ def test_search_matches_the_full_build_reference(spec, explores):
 
 def test_validate_runs_once_per_distinct_matrix(monkeypatch):
     # and the search builds only the bases it visits
-    calls = {"validate": [], "rank": [], "built": []}
+    calls = {"validate": [], "built": []}
 
     def counting(name, fn, record):
         def wrapper(*args):
@@ -418,7 +418,6 @@ def test_validate_runs_once_per_distinct_matrix(monkeypatch):
         monkeypatch.setattr(basegraph, fn.__name__, wrapper)
 
     counting("validate", validate, lambda args, _: (args[0].matrix, args[0].parity))
-    counting("rank", rank, lambda args, _: tuple(args[0]))
     counting("built", odd_reflect_base, lambda args, nb: nb.roots)
     counting("built", even_reflect_base, lambda args, nb: nb.roots)
     cd = build("A(3,1)").cartan
@@ -430,11 +429,25 @@ def test_validate_runs_once_per_distinct_matrix(monkeypatch):
         distinct = {(b.matrix, b.parities(cd)) for b in bases}
         assert len(calls["validate"]) == len(set(calls["validate"])) == len(distinct)
         assert set(calls["validate"]) == distinct
-        assert calls["rank"] == [b.roots for b in bases]
         assert calls["built"] == [b.roots for b in bases[1:]]
         sizes[odd_only] = (len(bases), len(distinct))
     # the 720 bases share the 15 matrices of the odd skeleton
     assert sizes == {False: (720, 15), True: (15, 15)}
+
+
+def test_every_base_is_unimodular_and_holds_exact_entries():
+    # the search runs no rank test: every base it visits has roots of
+    # determinant +-1, and each matrix entry is in linalg.exact's form
+    from test_catalog import _PINNED_SPECS
+
+    for spec in _PINNED_SPECS:
+        cd = build(spec).cartan
+        for odd_only in (False, True):
+            bases, _ = _search(cd, 6, odd_only)
+            for b in bases:
+                assert det(b.roots) in (1, -1), (spec, odd_only, b.roots)
+                assert all(type(x) is int or (type(x) is Q and x.denominator > 1)
+                           for row in b.matrix for x in row), (spec, odd_only, b.matrix)
 
 
 def test_even_reflections_read_the_carried_matrix(monkeypatch):

@@ -148,6 +148,13 @@ def test_replay_examples_exit(capsys):
     assert out.count("[PASS]") == 3
 
 
+def test_an_empty_root_set_exits_two(capsys):
+    for argv in (["pi-check", "--roots", "[]"], ["verify-dynkin", "--sigma", "[]"],
+                 ["admits-pi", "--roots", "[]"]):
+        assert main([*argv, "--type", "B(1,1)"]) == 2, argv
+        assert "the set is empty; give at least one root" in capsys.readouterr().err, argv
+
+
 def test_verify_dynkin(capsys):
     code, out = _capture(capsys, [
         "verify-dynkin", "--type", "A(0,1)", "--sigma", "[[1,0],[0,1]]",

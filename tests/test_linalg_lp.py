@@ -18,6 +18,16 @@ def test_solve_consistent_and_inconsistent():
     assert solve(a2, [Q(1), Q(3)]) is None
 
 
+def test_rank_and_solve_stay_exact_on_int_input():
+    # in floats the first matrix reads rank 3 and the solution [-1.0, 1.0]
+    assert rank([(-3, -1, 1), (-2, 3, 1), (-10, 4, 4)]) == 2
+    sol = solve([(1, 2), (3, 4)], [1, 1])
+    assert sol == [Q(-1), Q(1)]
+    assert all(type(x) is Q for x in sol)
+    rows, _ = rref([(2, 4), (1, 3)])
+    assert all(type(x) is Q for row in rows for x in row)
+
+
 def test_nullspace_dimension():
     a = mat([[1, 2, 3]])
     ns = nullspace(a)

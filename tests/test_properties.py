@@ -9,6 +9,7 @@ from superroot import rootspace as rs
 from superroot.basegraph import odd_reflect_base, standard_base
 from superroot.cartan import normalize, symmetrizer
 from superroot.catalog import EpsDeltaVector as ED, build
+from superroot.linalg import rank
 from superroot.pisystem import classify_subset, closure_S_infinity, is_pi_system, root_set
 from support import bilinear, pair, positive_real_roots
 
@@ -116,3 +117,14 @@ def test_pi_systems_random_subsets_have_stable_reports():
         # condition two alone never fires for purely non-isotropic seeds
         if all(not h.is_isotropic(r) for r in seed) and not report.difference_violations:
             assert report.ok
+
+
+_ROW = st.lists(st.integers(min_value=-12, max_value=12), min_size=3, max_size=3)
+
+
+@given(_ROW, _ROW, st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_rank_of_int_rows_is_the_rank_of_their_fractions(a, b, p, q):
+    # a third row dependent on the first two: the case a float elimination misreads
+    rows = [a, b, [p * x + q * y for x, y in zip(a, b)]]
+    assert rank(rows) == rank([[Q(x) for x in row] for row in rows])
