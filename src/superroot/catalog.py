@@ -545,7 +545,7 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
         rows.append(tuple(2 * form(i, j) / norm if norm else gauges[i] * form(i, j)
                           for j in range(n)))
     cartan = CartanData(tuple(rows), tuple(parities))
-    if any(cartan.root_parity(_unit(n, i)) != parities[i] for i in range(n)):
+    if any(sum(c * x for c, x in zip(coeffs, coords[i])) % 2 != parities[i] for i in range(n)):
         raise AssertionError("parity functional disagrees with simple parities")
     report = cartan_mod.validate(cartan)
     if not report.ok():

@@ -153,7 +153,7 @@ def _pi_check(args):
 
 
 def _closure(args):
-    result = ps.closure_S_infinity(_roots_of(args), args.height, args.max_rounds)
+    result = ps.closure_S_infinity(_roots_of(args), args.height)
     body = {"status": result.status, "rounds": result.rounds, "roots": _root_list(result.roots.elements)}
     lines = [f"closure {result.status} after {result.rounds} rounds, {len(result.roots)} roots"]
     lines += [str(r) for r in result.roots.sorted()]
@@ -177,15 +177,14 @@ def _pi_of_psi(args):
 
 
 def _admits_pi(args):
-    sigma = ps.admits_pi_system(_roots_of(args), args.height, args.max_rounds)
+    sigma = ps.admits_pi_system(_roots_of(args), args.height)
     pi = _root_list(sigma.elements) if sigma is not None else None
     body = {"admits": sigma is not None, "pi_system": pi}
     return body, [f"admits pi-system: {'none' if pi is None else pi}"], EXIT_OK
 
 
 def _verify_dynkin(args):
-    cert = ps.verify_dynkin_maps(_roots_of(args, "sigma"), args.height, args.max_rounds,
-                                 loop_degree=args.loop_degree)
+    cert = ps.verify_dynkin_maps(_roots_of(args, "sigma"), args.height, args.loop_degree)
     body = {"closure_closed_subroot": cert.closure_closed_subroot, "pi_roundtrip": cert.pi_roundtrip,
             "oracle_match": cert.oracle_match, "closure": _root_list(cert.closure.elements),
             "status": cert.status}
@@ -201,7 +200,7 @@ def _string(args):
     handle = _handle_of(args)
     alpha = _int_vector(_load_json_arg(args.alpha), "--alpha")
     beta = _int_vector(_load_json_arg(args.beta), "--beta")
-    s = rootstring.root_string(handle, beta, alpha, args.window)
+    s = rootstring.root_string(handle, beta, alpha)
     entries = [{"k": e.k, "root": list(e.root), "tag": "real" if e.real else "imaginary"}
                for e in s.entries]
     body = {"alpha": list(alpha), "beta": list(beta), "entries": entries, "zero_slot": s.zero_slot,
@@ -274,23 +273,15 @@ def _replay_examples(args):
 # -- the command table -----------------------------------------------------------
 
 
-def _bounded_int(least: int):
-    """An argparse type: an integer no smaller than ``least``."""
-
-    def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-
-    return parse
-
-
-_nonneg = _bounded_int(0)
-_positive = _bounded_int(1)
+def _nonneg(raw: str) -> int:
+    """An argparse type for every bound: a nonnegative integer."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _flag(*names, **kwargs):
@@ -304,9 +295,8 @@ _MATRIX = (_TYPE, _flag("--matrix-json", help="inline JSON or path: {matrix, par
 _ROOTS = _flag("--roots", required=True, help="JSON list of coordinate arrays, or a path")
 _SIGMA = _flag("--sigma", required=True)
 _HEIGHT = _flag("--height", type=_nonneg, default=None)
-_MAX_ROUNDS = _flag("--max-rounds", type=_positive, default=64)
 _K = _flag("--K", dest="loop_degree", type=_nonneg, default=None)
-_CLOSURE = (*_TYPED, _flag("--roots", required=True), _HEIGHT, _MAX_ROUNDS)
+_CLOSURE = (*_TYPED, _flag("--roots", required=True), _HEIGHT)
 
 # name -> (help, flags, runner), in the order ``--help`` lists them.  A
 # two-word name is a leaf of a subcommand group; its help stays unset.
@@ -323,10 +313,9 @@ _COMMANDS = {
     "closure": ("reflection closure S_infinity", _CLOSURE, _closure),
     "admits-pi": ("the unique candidate pi-system, if any", _CLOSURE, _admits_pi),
     "verify-dynkin": ("closure / Pi round trip / oracle match",
-                      (*_TYPED, _SIGMA, _HEIGHT, _MAX_ROUNDS, _K), _verify_dynkin),
+                      (*_TYPED, _SIGMA, _HEIGHT, _K), _verify_dynkin),
     "string": ("one tagged root string",
-               (*_TYPED, _flag("--alpha", required=True), _flag("--beta", required=True),
-                _flag("--window", type=_nonneg, default=None)), _string),
+               (*_TYPED, _flag("--alpha", required=True), _flag("--beta", required=True)), _string),
     "string-sweep": ("every string law over a grid",
                      (*_TYPED, _HEIGHT, _flag("--degree", type=_nonneg, default=None)), _string_sweep),
     "verify main-theorem": (None, (*_TYPED, _SIGMA, _K), _verify_main_theorem),
@@ -357,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p = groups[group].add_parser(leaf)
         actions = [p.add_argument(*names, **kwargs) for names, kwargs in flags]
         p.set_defaults(runner=runner,
-                       bounds=[a.dest for a in actions if a.type in (_nonneg, _positive)])
+                       bounds=[a.dest for a in actions if a.type is _nonneg])
     return parser
 
 

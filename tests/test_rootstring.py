@@ -4,7 +4,7 @@ import pytest
 
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import BrokenStringError, PatternViolationError, WindowExhaustedError
+from superroot.errors import BrokenStringError, PatternViolationError
 from superroot.rootstring import (
     RootString,
     StringEntry,
@@ -307,31 +307,6 @@ def test_box_scan_matches_a_wide_scan(spec, window):
             assert s.pairing == (None if iso else h.pairing(beta, alpha))
 
 
-def test_explicit_window_clips_only_isotropic_directions():
-    # a non-isotropic string comes back whole whatever the window, 0 included;
-    # an isotropic one is clipped to |k| <= window and raises when a member
-    # sits at either end
-    h = build("B(1,1)^(1)")
-    betas = h.all_roots(max_degree=1)
-    for alpha in h.real_roots(max_degree=1):
-        iso = h.is_isotropic(alpha)
-        for beta in betas:
-            whole = root_string(h, beta, alpha)
-            for w in range(8):
-                if not iso:
-                    assert root_string(h, beta, alpha, w) == whole, (alpha, beta, w)
-                    continue
-                clipped = [e for e in whole.entries if abs(e.k) <= w]
-                if clipped and (clipped[0].k == -w or clipped[-1].k == w):
-                    with pytest.raises(WindowExhaustedError):
-                        root_string(h, beta, alpha, w)
-                else:
-                    s = root_string(h, beta, alpha, w)
-                    assert list(s.entries) == clipped, (alpha, beta, w)
-                    zero = whole.zero_slot
-                    assert s.zero_slot == (zero if zero is not None and abs(zero) <= w else None)
-
-
 def test_proportional_truth_table():
     from superroot.rootstring import _proportional
 
@@ -345,13 +320,3 @@ def test_proportional_truth_table():
     for x, y, expected in cases:
         assert _proportional(x, y) is expected, (x, y)
         assert _proportional(y, x) is expected, (y, x)
-
-
-def test_negative_window_is_rejected():
-    # a window of -1 used to clip the isotropic string to nothing, beta
-    # included, and return it empty without a WindowExhaustedError
-    h = build("B(1,1)")
-    assert h.is_isotropic((1, 0)) and h.contains((1, 2))
-    assert root_string(h, (1, 2), (1, 0)).entries
-    with pytest.raises(ValueError):
-        root_string(h, (1, 2), (1, 0), window=-1)
