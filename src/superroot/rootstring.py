@@ -61,7 +61,7 @@ def _scan(handle, beta, alpha, ks):
     entries = []
     zero_slot = None
     for k in ks:
-        v = rs.add(beta, rs.scale(k, alpha))
+        v = tuple(b + k * a for b, a in zip(beta, alpha))
         if all(c == 0 for c in v):
             zero_slot = k
             continue
@@ -198,10 +198,12 @@ def pairing_laws(
     alpha+beta real => alpha-beta not a root for isotropic alpha; and the
     two-real-roots bound for isotropic directions.
 
-    ``string`` is the alpha-string through beta, for a caller that has
-    already built it; otherwise it is built at most once, and only when a
-    law needs it.  A string through another root or along another direction
-    raises ``ValueError``.
+    ``string`` is the alpha-string through beta from ``root_string``, or
+    the sweep's shift of one along its line.  alpha's reality, beta's
+    membership and reality (its k = 0 entry) and beta(h_alpha) (its
+    ``pairing``) are read from it, not asked of the handle again.  Without it
+    the string is built at most once, and only when a law needs it.  A string
+    through another root or along another direction raises ``ValueError``.
     """
     if string is not None and (
         tuple(string.base_root) != tuple(beta) or tuple(string.direction) != tuple(alpha)
@@ -220,11 +222,18 @@ def pairing_laws(
     out: list[LawVerdict] = []
     alpha_iso = handle.is_isotropic(alpha)
     beta_iso = handle.is_isotropic(beta)
-    both_real = handle.is_real(alpha) and handle.is_real(beta)
+    if string is None:
+        alpha_real, beta_real = handle.is_real(alpha), handle.is_real(beta)
+        beta_in = beta_real or handle.contains(beta)
+    else:
+        at_beta = next((e for e in string.entries if e.k == 0), None)
+        alpha_real, beta_in = True, at_beta is not None
+        beta_real = beta_in and at_beta.real
+    both_real = alpha_real and beta_real
 
     if both_real and not alpha_iso and not beta_iso:
         pa = handle.pairing(alpha, beta)
-        pb = handle.pairing(beta, alpha)
+        pb = handle.pairing(beta, alpha) if string is None else string.pairing
         if pa < -1 and pb < -1:
             s = rs.add(alpha, beta)
             out.append(
@@ -236,7 +245,7 @@ def pairing_laws(
         else:
             out.append(LawVerdict("sum-not-real", False, True))
 
-    if not alpha_iso and handle.is_real(alpha) and handle.contains(beta):
+    if not alpha_iso and alpha_real and beta_in:
         s = the_string()
         out.append(
             LawVerdict(
@@ -248,7 +257,7 @@ def pairing_laws(
     if both_real and beta_iso and not alpha_iso:
         ok = True
         details = []
-        pb = handle.pairing(beta, alpha)
+        pb = the_string().pairing
         for e in the_string().entries:
             if e.k == 0 or not e.real:
                 continue
@@ -317,54 +326,74 @@ def sweep_strings(
     height (finite) or null-degree (affine) window.  Non-isotropic directions
     are checked for unbrokenness, the pairing identity, reversal, the
     real/imaginary block pattern and the four-real-roots bound; isotropic
-    directions for the two-real-roots bound and the exclusion laws.  Each
-    (beta, alpha) string is scanned once: the sweep hands the string it built
-    for a non-isotropic alpha to ``pairing_laws``, and leaves isotropic ones
-    to it, since no law needs the string through an imaginary beta.
-    ``string_pattern`` cannot fail once ``check_unbroken`` has passed: beta +
-    k alpha has a zero finite part for at most one k, so a string has at most
-    one imaginary member, and reversal by s_alpha makes the real wings equal.
-    It runs anyway: its ``pattern`` count is part of the ``string-sweep``
-    certificate and of the ``strings`` benchmark digest.
+    directions for the two-real-roots bound and the exclusion laws.
 
-    A bound that the type does not read raises ``ValueError``, and so does
-    an affine type without ``max_degree``.
+    Each alpha-line {rep + j alpha}, rep = beta - (beta_i // alpha_i) alpha
+    with i the first nonzero coordinate of alpha, is scanned once, by
+    ``root_string`` through its first member; a later member reads the same
+    entries from its own slot, with its own pairing, and raises
+    ``NotARootError`` if its slot is empty.  This is exact: each vector gets
+    the same ``contains_ed`` answer as in a scan through its own beta, and
+    every law still runs on every pair.  ``string_pattern`` cannot fail once
+    ``check_unbroken`` has passed: beta + k alpha has a zero finite part for
+    at most one k, so a string has at most one imaginary member, and
+    reversal by s_alpha makes the real wings equal.  It runs anyway: its
+    ``pattern`` count is part of the ``string-sweep`` certificate and of the
+    ``strings`` benchmark digest.
+
+    A negative bound or one that the type does not read raises
+    ``ValueError``, and so does an affine type without ``max_degree``.
     """
     report = SweepReport()
     if handle.is_finite:
         if max_degree is not None:
             raise ValueError("a finite type has no null degree; bound it by max_height (--height)")
-        betas = handle.all_roots(max_height=max_height)
     else:
         if max_height is not None:
             raise ValueError("an affine type is swept by null degree; bound it by max_degree (--degree)")
         if max_degree is None:
             raise ValueError("an affine sweep needs a null-degree bound: give max_degree (--degree)")
-        betas = handle.all_roots(max_degree=max_degree)
-    # the real roots within the same bounds, in the same order, each
-    # converted to alpha coordinates once
+    name, bound = ("max_height", max_height) if handle.is_finite else ("max_degree", max_degree)
+    if bound is not None and bound < 0:
+        raise ValueError(f"{name} must be >= 0, got {bound}")
+    betas = handle.all_roots(max_height=max_height, max_degree=max_degree)
     alphas = [b for b in betas if handle.is_real(b)]
     for alpha in alphas:
         iso = handle.is_isotropic(alpha)
+        i = next(n for n, a in enumerate(alpha) if a)
+        lines: dict[Root, tuple[int, RootString]] = {}  # rep -> (j, string through rep + j alpha)
         for beta in betas:
             report.pairs += 1
-            tag = f"beta={beta} alpha={alpha}"
-            s = None
+            j = beta[i] // alpha[i]
+            rep = tuple(b - j * a for b, a in zip(beta, alpha))
+            line = lines.get(rep)
+            s = _shifted(handle, line, beta, j) if line else root_string(handle, beta, alpha)
+            lines.setdefault(rep, (j, s))
             if not iso:
                 try:
-                    s = root_string(handle, beta, alpha)
                     check_unbroken(s)
                     report.record("unbroken", True)
                 except BrokenStringError as exc:
-                    report.record("unbroken", False, f"{tag}: {exc}")
+                    report.record("unbroken", False, f"beta={beta} alpha={alpha}: {exc}")
                     continue
                 if any(e.real for e in s.entries):
                     try:
                         string_pattern(s)
                         report.record("pattern", True)
                     except PatternViolationError as exc:
-                        report.record("pattern", False, f"{tag}: {exc}")
-            for verdict in pairing_laws(handle, alpha, beta, string=s):
-                if verdict.applicable:
-                    report.record(verdict.law, verdict.passed, f"{tag}: {verdict.detail}")
+                        report.record("pattern", False, f"beta={beta} alpha={alpha}: {exc}")
+            for v in pairing_laws(handle, alpha, beta, string=s):
+                if v.applicable:
+                    report.record(v.law, v.passed, "" if v.passed else f"beta={beta} alpha={alpha}: {v.detail}")
     return report
+
+
+def _shifted(handle: RootSystemHandle, line: tuple[int, RootString], beta: Root, j: int) -> RootString:
+    # The line's string, scanned through rep + j0 alpha, seen from beta = rep + j alpha.
+    j0, s = line
+    m = j - j0
+    if not any(e.k == m for e in s.entries):
+        raise NotARootError(f"{beta} is not a root")
+    return RootString(beta, s.direction, tuple(StringEntry(e.k - m, e.root, e.real) for e in s.entries),
+                      None if s.zero_slot is None else s.zero_slot - m, s.direction_isotropic,
+                      None if s.direction_isotropic else handle.pairing(beta, s.direction))

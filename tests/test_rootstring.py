@@ -4,10 +4,11 @@ import pytest
 
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import BrokenStringError, PatternViolationError
+from superroot.errors import BrokenStringError, NotARootError, PatternViolationError
 from superroot.rootstring import (
     RootString,
     StringEntry,
+    SweepReport,
     check_unbroken,
     pairing_laws,
     root_string,
@@ -151,6 +152,124 @@ def test_sweep_records_the_failures_of_a_membership_lie(monkeypatch):
     assert [law for law, _ in report.failures] == ["pattern"] * 60
 
 
+# The exact reports of sweep_strings under claim_a_root(.., label, (2, 0)):
+# pairs, law counts and every failure with its witness, in order.  Pinned
+# from the sweep that scanned one string per (beta, alpha) pair.
+_LIE_B11_HEIGHT_6 = SweepReport(
+    pairs=100,
+    law_counts={
+        "unbroken": 60,
+        "pattern": 56,
+        "four-real-roots": 56,
+        "isotropic-pairing-values": 24,
+        "sum-not-real": 4,
+        "isotropic-sum-difference-exclusion": 32,
+        "isotropic-string-bound": 40,
+    },
+    failures=[
+        ("isotropic-string-bound", "beta=(-2, -2) alpha=(-1, -2): 3 real roots, ks=[-2, -1, 0]"),
+        ("isotropic-string-bound", "beta=(-1, 0) alpha=(-1, -2): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -2) alpha=(-1, 0): "),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 2) alpha=(-1, 0): "),
+        ("isotropic-string-bound", "beta=(1, 2) alpha=(-1, 0): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-string-bound", "beta=(2, 2) alpha=(-1, 0): 3 real roots, ks=[0, 1, 2]"),
+        ("unbroken", "beta=(0, -1) alpha=(0, -1): p - q = 3 differs from the pairing 2"),
+        ("unbroken", "beta=(0, 1) alpha=(0, -1): p - q = -1 differs from the pairing -2"),
+        ("unbroken", "beta=(0, -1) alpha=(0, 1): p - q = -3 differs from the pairing -2"),
+        ("unbroken", "beta=(0, 1) alpha=(0, 1): p - q = 1 differs from the pairing 2"),
+        ("isotropic-string-bound", "beta=(1, 2) alpha=(1, 0): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-string-bound", "beta=(2, 2) alpha=(1, 0): 3 real roots, ks=[-2, -1, 0]"),
+        ("isotropic-string-bound", "beta=(-2, -2) alpha=(1, 2): 3 real roots, ks=[0, 1, 2]"),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, 0) alpha=(1, 2): "),
+        ("isotropic-string-bound", "beta=(-1, 0) alpha=(1, 2): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 0) alpha=(1, 2): "),
+    ],
+)
+
+_LIE_B11AFF_DEGREE_1 = SweepReport(
+    pairs=960,
+    law_counts={
+        "unbroken": 576,
+        "pattern": 568,
+        "four-real-roots": 568,
+        "isotropic-pairing-values": 216,
+        "sum-not-real": 50,
+        "isotropic-sum-difference-exclusion": 288,
+        "isotropic-string-bound": 360,
+    },
+    failures=[
+        ("isotropic-string-bound", "beta=(-1, -3, -2) alpha=(-1, -3, -4): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -3, -4) alpha=(-1, -3, -2): "),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 3, 4) alpha=(-1, -3, -2): "),
+        ("isotropic-string-bound", "beta=(1, 3, 4) alpha=(-1, -3, -2): 3 real roots, ks=[-1, 0, 1]"),
+        ("unbroken", "beta=(-1, -2, -1) alpha=(-1, -2, -3): p - q = -1 differs from the pairing -2"),
+        ("unbroken", "beta=(1, 2, 3) alpha=(-1, -2, -1): p - q = 1 differs from the pairing 2"),
+        ("isotropic-string-bound", "beta=(-1, -1, 0) alpha=(-1, -1, -2): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -1, -2) alpha=(-1, -1, 0): "),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 1, 2) alpha=(-1, -1, 0): "),
+        ("isotropic-string-bound", "beta=(1, 1, 2) alpha=(-1, -1, 0): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-string-bound", "beta=(0, -2, -2) alpha=(0, -1, -2): 3 real roots, ks=[-2, -1, 0]"),
+        ("isotropic-string-bound", "beta=(0, -1, 0) alpha=(0, -1, -2): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(0, -1, -2) alpha=(0, -1, 0): "),
+        ("isotropic-sum-difference-exclusion", "beta=(0, 1, 2) alpha=(0, -1, 0): "),
+        ("isotropic-string-bound", "beta=(0, 1, 2) alpha=(0, -1, 0): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-string-bound", "beta=(0, 2, 2) alpha=(0, -1, 0): 3 real roots, ks=[0, 1, 2]"),
+        ("unbroken", "beta=(0, 0, -1) alpha=(0, 0, -1): p - q = 3 differs from the pairing 2"),
+        ("unbroken", "beta=(0, 0, 1) alpha=(0, 0, -1): p - q = -1 differs from the pairing -2"),
+        ("unbroken", "beta=(0, 0, -1) alpha=(0, 0, 1): p - q = -3 differs from the pairing -2"),
+        ("unbroken", "beta=(0, 0, 1) alpha=(0, 0, 1): p - q = 1 differs from the pairing 2"),
+        ("isotropic-string-bound", "beta=(0, 1, 2) alpha=(0, 1, 0): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-string-bound", "beta=(0, 2, 2) alpha=(0, 1, 0): 3 real roots, ks=[-2, -1, 0]"),
+        ("isotropic-string-bound", "beta=(0, -2, -2) alpha=(0, 1, 2): 3 real roots, ks=[0, 1, 2]"),
+        ("isotropic-sum-difference-exclusion", "beta=(0, -1, 0) alpha=(0, 1, 2): "),
+        ("isotropic-string-bound", "beta=(0, -1, 0) alpha=(0, 1, 2): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(0, 1, 0) alpha=(0, 1, 2): "),
+        ("isotropic-string-bound", "beta=(1, 1, 2) alpha=(1, 1, 0): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -1, 0) alpha=(1, 1, 2): "),
+        ("isotropic-string-bound", "beta=(-1, -1, 0) alpha=(1, 1, 2): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 1, 0) alpha=(1, 1, 2): "),
+        ("unbroken", "beta=(1, 2, 3) alpha=(1, 2, 1): p - q = -1 differs from the pairing -2"),
+        ("unbroken", "beta=(-1, -2, -1) alpha=(1, 2, 3): p - q = 1 differs from the pairing 2"),
+        ("isotropic-string-bound", "beta=(1, 3, 4) alpha=(1, 3, 2): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -3, -2) alpha=(1, 3, 4): "),
+        ("isotropic-string-bound", "beta=(-1, -3, -2) alpha=(1, 3, 4): 3 real roots, ks=[-1, 0, 1]"),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 3, 2) alpha=(1, 3, 4): "),
+    ],
+)
+
+
+@pytest.mark.parametrize("spec, window, expected", [
+    ("B(1,1)", {"max_height": 6}, _LIE_B11_HEIGHT_6),
+    ("B(1,1)^(1)", {"max_degree": 1}, _LIE_B11AFF_DEGREE_1),
+], ids=["B(1,1)-height-6", "B(1,1)^(1)-degree-1"])
+def test_sweep_reports_a_membership_lie_exactly(monkeypatch, spec, window, expected):
+    claim_a_root(monkeypatch, spec, (2, 0))
+    assert sweep_strings(build(spec), **window) == expected
+
+
+@pytest.mark.parametrize("finite, beta", [((1, 1), "(1, 2)"), ((0, 1), "(1, 1)")],
+                         ids=["eps_1+delta_1", "delta_1"])
+def test_sweep_raises_when_a_listed_root_is_denied(monkeypatch, finite, beta):
+    # the catalog lists the root with eps+delta coordinates ``finite`` (eps_1 +
+    # delta_1 and delta_1 of B(1,1)), but membership denies it: the first pair
+    # through it must refuse, as root_string does.  delta_1 lies inside an
+    # alpha-line that an earlier member scanned, so only the member's own
+    # slot check can refuse it.
+    from superroot.catalog import RootSystemHandle
+
+    contains = RootSystemHandle.contains_ed
+
+    def denying(self, v):
+        if self.label == "B(1,1)" and v.eps + v.delta == finite and v.null == 0:
+            return False
+        return contains(self, v)
+
+    monkeypatch.setattr(RootSystemHandle, "contains_ed", denying)
+    with pytest.raises(NotARootError) as raised:
+        sweep_strings(build("B(1,1)"), max_height=6)
+    assert str(raised.value) == f"{beta} is not a root"
+
+
 def test_remark_isotropic_pairing_values():
     # beta isotropic, alpha non-isotropic, beta + k alpha real: the pairing is
     # -k for isotropic targets and 0 or -2k otherwise
@@ -209,6 +328,17 @@ def test_sweep_empty_height():
 
 
 @pytest.mark.parametrize("spec, window", [
+    ("B(1,1)", {"max_height": -1}),
+    ("B(1,1)^(1)", {"max_degree": -1}),
+], ids=["height", "degree"])
+def test_sweep_rejects_a_negative_bound(spec, window):
+    # an empty window would sweep no pair and pass vacuously
+    (name, _), = window.items()
+    with pytest.raises(ValueError, match=name):
+        sweep_strings(build(spec), **window)
+
+
+@pytest.mark.parametrize("spec, window", [
     ("B(1,1)^(1)", {"max_degree": 1}),
     ("A(1,2)", {"max_height": 3}),
 ], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3"])
@@ -229,6 +359,71 @@ def test_sweep_scans_each_string_at_most_once(monkeypatch, spec, window):
     assert len(set(calls)) == len(calls)
 
 
+def _alpha_lines(alpha, betas):
+    # the betas grouped into alpha-lines: beta and gamma share a line when
+    # beta - gamma is an integer multiple of alpha
+    i = next(n for n, a in enumerate(alpha) if a)
+    lines = []
+    for beta in betas:
+        for line in lines:
+            d = rs.sub(beta, line[0])
+            if d[i] % alpha[i] == 0 and d == rs.scale(d[i] // alpha[i], alpha):
+                line.append(beta)
+                break
+        else:
+            lines.append([beta])
+    return lines
+
+
+@pytest.mark.parametrize("spec, window", [
+    ("B(1,1)^(1)", {"max_degree": 1}),
+    ("A(1,2)", {"max_height": 3}),
+], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3"])
+def test_sweep_scans_each_alpha_line_once(monkeypatch, spec, window):
+    import superroot.rootstring as rstr
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return root_string(*args, **kwargs)
+
+    monkeypatch.setattr(rstr, "root_string", counting)
+    h = build(spec)
+    report = sweep_strings(h, **window)
+    betas = h.all_roots(**window)
+    lines = sum(len(_alpha_lines(alpha, betas)) for alpha in h.real_roots(**window))
+    assert report.ok(), report.failures[:3]
+    assert len(calls) == lines < report.pairs
+
+
+@pytest.mark.parametrize("spec, window", [
+    ("B(1,1)^(1)", {"max_degree": 1}),
+    ("A(1,2)", {"max_height": 3}),
+    ("A(2,2)^(4)", {"max_degree": 1}),
+    ("D(2,1;1/2)^(1)", {"max_degree": 1}),
+], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3", "A(2,2)^(4)-degree-1",
+        "D(2,1;1/2)^(1)-degree-1"])
+def test_sweep_shifts_each_string_exactly(monkeypatch, spec, window):
+    # every pair's string, read from its line's scan, is the string that
+    # root_string scans through its own beta
+    import superroot.rootstring as rstr
+
+    seen = []
+
+    def recording(handle, alpha, beta, string=None):
+        seen.append((alpha, beta, string))
+        return pairing_laws(handle, alpha, beta, string=string)
+
+    monkeypatch.setattr(rstr, "pairing_laws", recording)
+    h = build(spec)
+    report = sweep_strings(h, **window)
+    assert report.ok(), report.failures[:3]
+    assert len(seen) == report.pairs
+    for alpha, beta, s in seen:
+        assert s == root_string(h, beta, alpha), (alpha, beta)
+
+
 def test_pairing_laws_reuse_the_given_string():
     for spec, window in (("B(1,1)^(1)", {"max_degree": 1}), ("A(1,2)", {"max_height": 3})):
         h = build(spec)
@@ -239,6 +434,45 @@ def test_pairing_laws_reuse_the_given_string():
                 s = root_string(h, beta, alpha)
                 assert pairing_laws(h, alpha, beta, string=s) == pairing_laws(h, alpha, beta), (
                     spec, alpha, beta)
+
+
+@pytest.mark.parametrize("spec, window", [
+    ("A(2,2)^(4)", {"max_degree": 1}),
+    ("C(3)", {"max_height": 3}),
+    ("B(1,1)^(1)", {"max_degree": 2}),
+], ids=["A(2,2)^(4)-degree-1", "C(3)-height-3", "B(1,1)^(1)-degree-2"])
+def test_pairing_laws_read_their_facts_from_the_given_string(monkeypatch, spec, window):
+    # with a string, alpha's reality, beta's membership and reality and
+    # beta(h_alpha) come from it; without one, it is built only for a law that
+    # reads it (four-real-roots, isotropic-pairing-values, isotropic-string-bound)
+    import superroot.rootstring as rstr
+
+    h = build(spec)
+    asked, built = [], []
+    for name in ("contains", "is_real", "pairing"):
+        original = getattr(h, name)
+        monkeypatch.setattr(h, name, lambda *a, _f=original, _n=name: asked.append((_n, *a)) or _f(*a))
+
+    def counting(*args):
+        built.append(args)
+        return root_string(*args)
+
+    monkeypatch.setattr(rstr, "root_string", counting)
+    string_laws = {"four-real-roots", "isotropic-pairing-values", "isotropic-string-bound"}
+    branches = set()
+    for alpha in h.real_roots(**window):
+        for beta in h.all_roots(**window):
+            s = root_string(h, beta, alpha)
+            del asked[:], built[:]
+            given = pairing_laws(h, alpha, beta, string=s)
+            assert not built
+            assert not {("contains", beta), ("is_real", alpha), ("is_real", beta)} & set(asked)
+            assert all(q == ("pairing", alpha, beta) for q in asked if q[0] == "pairing"), asked
+            fresh = pairing_laws(h, alpha, beta)
+            assert fresh == given, (spec, alpha, beta)
+            assert len(built) == bool(string_laws & {v.law for v in fresh}), (alpha, beta)
+            branches.add((h.is_isotropic(alpha), h.is_isotropic(beta)))
+    assert branches == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_pairing_laws_reject_a_foreign_string():
