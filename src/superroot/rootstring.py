@@ -199,97 +199,70 @@ def pairing_laws(
     two-real-roots bound for isotropic directions.
 
     ``string`` is the alpha-string through beta from ``root_string``, or
-    the sweep's shift of one along its line.  alpha's reality, beta's
-    membership and reality (its k = 0 entry) and beta(h_alpha) (its
-    ``pairing``) are read from it, not asked of the handle again.  Without it
-    the string is built at most once, and only when a law needs it.  A string
-    through another root or along another direction raises ``ValueError``.
+    the sweep's shift of one along its line; without it, ``root_string``
+    builds it first, so an alpha that is not real or a beta that is not a
+    root raises ``NotARootError``.  A string through another root or along
+    another direction raises ``ValueError``.  The string is the one source for
+    beta + k alpha: alpha's isotropy, beta's reality (k = 0), beta(h_alpha),
+    and the reality and membership of alpha + beta (k = 1).  The handle is
+    asked only what the string cannot hold: alpha(h_beta), which needs beta's
+    coroot; the isotropy of beta and of the members; finite parts; and the
+    reality and membership of alpha - beta, which is not in the string and
+    is not read as the negative of its k = -1 slot, since the oracle is not
+    assumed closed under negation.
     """
-    if string is not None and (
-        tuple(string.base_root) != tuple(beta) or tuple(string.direction) != tuple(alpha)
-    ):
+    if string is None:
+        string = root_string(handle, beta, alpha)
+    elif tuple(string.base_root) != tuple(beta) or tuple(string.direction) != tuple(alpha):
         raise ValueError(
             f"the string through {string.base_root} along {string.direction} "
             f"is not the one through {beta} along {alpha}"
         )
-
-    def the_string() -> RootString:
-        nonlocal string
-        if string is None:
-            string = root_string(handle, beta, alpha)
-        return string
-
+    real = {e.k: e.real for e in string.entries}  # k -> is beta + k alpha real
+    alpha_iso, beta_iso = string.direction_isotropic, handle.is_isotropic(beta)
+    beta_real, sum_real, pb = real.get(0, False), real.get(1, False), string.pairing
+    n_real = string.real_count()
     out: list[LawVerdict] = []
-    alpha_iso = handle.is_isotropic(alpha)
-    beta_iso = handle.is_isotropic(beta)
-    if string is None:
-        alpha_real, beta_real = handle.is_real(alpha), handle.is_real(beta)
-        beta_in = beta_real or handle.contains(beta)
-    else:
-        at_beta = next((e for e in string.entries if e.k == 0), None)
-        alpha_real, beta_in = True, at_beta is not None
-        beta_real = beta_in and at_beta.real
-    both_real = alpha_real and beta_real
 
-    if both_real and not alpha_iso and not beta_iso:
+    if beta_real and not alpha_iso and not beta_iso:
         pa = handle.pairing(alpha, beta)
-        pb = handle.pairing(beta, alpha) if string is None else string.pairing
         if pa < -1 and pb < -1:
-            s = rs.add(alpha, beta)
-            out.append(
-                LawVerdict(
-                    "sum-not-real", True, not handle.is_real(s),
-                    f"alpha(h_beta)={pa}, beta(h_alpha)={pb}",
-                )
-            )
+            out.append(LawVerdict("sum-not-real", True, not sum_real,
+                                  f"alpha(h_beta)={pa}, beta(h_alpha)={pb}"))
         else:
             out.append(LawVerdict("sum-not-real", False, True))
 
-    if not alpha_iso and alpha_real and beta_in:
-        s = the_string()
-        out.append(
-            LawVerdict(
-                "four-real-roots", True, s.real_count() <= 4,
-                f"{s.real_count()} real roots",
-            )
-        )
+    if not alpha_iso:
+        out.append(LawVerdict("four-real-roots", True, n_real <= 4, f"{n_real} real roots"))
 
-    if both_real and beta_iso and not alpha_iso:
-        ok = True
+    if beta_real and beta_iso and not alpha_iso:
         details = []
-        pb = the_string().pairing
-        for e in the_string().entries:
+        for e in string.entries:
             if e.k == 0 or not e.real:
                 continue
             allowed = {-e.k} if handle.is_isotropic(e.root) else {0, -2 * e.k}
             if pb not in allowed:
-                ok = False
                 details.append(f"k={e.k}: pairing {pb} outside {sorted(allowed)}")
-        out.append(LawVerdict("isotropic-pairing-values", True, ok, "; ".join(details)))
+        out.append(LawVerdict("isotropic-pairing-values", True, not details, "; ".join(details)))
 
-    if both_real and alpha_iso:
-        checks = []
-        if handle.is_real(rs.add(alpha, beta)):
-            checks.append(not handle.contains(rs.sub(alpha, beta)))
-        if handle.is_real(rs.sub(alpha, beta)):
-            checks.append(not handle.contains(rs.add(alpha, beta)))
-        out.append(
-            LawVerdict("isotropic-sum-difference-exclusion", bool(checks), all(checks))
-        )
-        s = the_string()
-        bound_ok = s.real_count() <= 2
+    if beta_real and alpha_iso:
+        diff = rs.sub(alpha, beta)
+        diff_real = handle.is_real(diff)
+        failed = []
+        if sum_real and handle.contains(diff):
+            failed.append("alpha+beta real and alpha-beta a root")
+        if diff_real and 1 in real:
+            failed.append("alpha-beta real and alpha+beta a root")
+        out.append(LawVerdict("isotropic-sum-difference-exclusion", sum_real or diff_real,
+                              not failed, "; ".join(failed)))
         window_ok = True
         if handle.has_null:
             fa = handle.finite_part(alpha).coords()
             fb = handle.finite_part(beta).coords()
             if not _proportional(fa, fb):
-                window_ok = all(-1 <= e.k <= 1 for e in s.entries)
-        out.append(
-            LawVerdict(
-                "isotropic-string-bound", True, bound_ok and window_ok,
-                f"{s.real_count()} real roots, ks={s.ks()}",
-            )
-        )
+                window_ok = all(-1 <= e.k <= 1 for e in string.entries)
+        out.append(LawVerdict("isotropic-string-bound", True, n_real <= 2 and window_ok,
+                              f"{n_real} real roots, ks={string.ks()}"))
 
     return out
 
@@ -367,7 +340,7 @@ def sweep_strings(
             j = beta[i] // alpha[i]
             rep = tuple(b - j * a for b, a in zip(beta, alpha))
             line = lines.get(rep)
-            s = _shifted(handle, line, beta, j) if line else root_string(handle, beta, alpha)
+            s = _shifted(line, beta, j) if line else root_string(handle, beta, alpha)
             lines.setdefault(rep, (j, s))
             if not iso:
                 try:
@@ -388,12 +361,14 @@ def sweep_strings(
     return report
 
 
-def _shifted(handle: RootSystemHandle, line: tuple[int, RootString], beta: Root, j: int) -> RootString:
+def _shifted(line: tuple[int, RootString], beta: Root, j: int) -> RootString:
     # The line's string, scanned through rep + j0 alpha, seen from beta = rep + j alpha.
+    # The pairing is linear in beta and alpha(h_alpha) = 2, so beta(h_alpha) is
+    # the line's pairing + 2m, exactly, in integers.
     j0, s = line
     m = j - j0
     if not any(e.k == m for e in s.entries):
         raise NotARootError(f"{beta} is not a root")
     return RootString(beta, s.direction, tuple(StringEntry(e.k - m, e.root, e.real) for e in s.entries),
                       None if s.zero_slot is None else s.zero_slot - m, s.direction_isotropic,
-                      None if s.direction_isotropic else handle.pairing(beta, s.direction))
+                      None if s.direction_isotropic else s.pairing + 2 * m)

@@ -155,6 +155,9 @@ def test_sweep_records_the_failures_of_a_membership_lie(monkeypatch):
 # The exact reports of sweep_strings under claim_a_root(.., label, (2, 0)):
 # pairs, law counts and every failure with its witness, in order.  Pinned
 # from the sweep that scanned one string per (beta, alpha) pair.
+# Each exclusion failure under this lie breaks both implications.
+_BOTH_WAYS = "alpha+beta real and alpha-beta a root; alpha-beta real and alpha+beta a root"
+
 _LIE_B11_HEIGHT_6 = SweepReport(
     pairs=100,
     law_counts={
@@ -169,8 +172,8 @@ _LIE_B11_HEIGHT_6 = SweepReport(
     failures=[
         ("isotropic-string-bound", "beta=(-2, -2) alpha=(-1, -2): 3 real roots, ks=[-2, -1, 0]"),
         ("isotropic-string-bound", "beta=(-1, 0) alpha=(-1, -2): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(-1, -2) alpha=(-1, 0): "),
-        ("isotropic-sum-difference-exclusion", "beta=(1, 2) alpha=(-1, 0): "),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -2) alpha=(-1, 0): " + _BOTH_WAYS),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 2) alpha=(-1, 0): " + _BOTH_WAYS),
         ("isotropic-string-bound", "beta=(1, 2) alpha=(-1, 0): 3 real roots, ks=[-1, 0, 1]"),
         ("isotropic-string-bound", "beta=(2, 2) alpha=(-1, 0): 3 real roots, ks=[0, 1, 2]"),
         ("unbroken", "beta=(0, -1) alpha=(0, -1): p - q = 3 differs from the pairing 2"),
@@ -180,9 +183,9 @@ _LIE_B11_HEIGHT_6 = SweepReport(
         ("isotropic-string-bound", "beta=(1, 2) alpha=(1, 0): 3 real roots, ks=[-1, 0, 1]"),
         ("isotropic-string-bound", "beta=(2, 2) alpha=(1, 0): 3 real roots, ks=[-2, -1, 0]"),
         ("isotropic-string-bound", "beta=(-2, -2) alpha=(1, 2): 3 real roots, ks=[0, 1, 2]"),
-        ("isotropic-sum-difference-exclusion", "beta=(-1, 0) alpha=(1, 2): "),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, 0) alpha=(1, 2): " + _BOTH_WAYS),
         ("isotropic-string-bound", "beta=(-1, 0) alpha=(1, 2): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(1, 0) alpha=(1, 2): "),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 0) alpha=(1, 2): " + _BOTH_WAYS),
     ],
 )
 
@@ -199,19 +202,19 @@ _LIE_B11AFF_DEGREE_1 = SweepReport(
     },
     failures=[
         ("isotropic-string-bound", "beta=(-1, -3, -2) alpha=(-1, -3, -4): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(-1, -3, -4) alpha=(-1, -3, -2): "),
-        ("isotropic-sum-difference-exclusion", "beta=(1, 3, 4) alpha=(-1, -3, -2): "),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -3, -4) alpha=(-1, -3, -2): " + _BOTH_WAYS),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 3, 4) alpha=(-1, -3, -2): " + _BOTH_WAYS),
         ("isotropic-string-bound", "beta=(1, 3, 4) alpha=(-1, -3, -2): 3 real roots, ks=[-1, 0, 1]"),
         ("unbroken", "beta=(-1, -2, -1) alpha=(-1, -2, -3): p - q = -1 differs from the pairing -2"),
         ("unbroken", "beta=(1, 2, 3) alpha=(-1, -2, -1): p - q = 1 differs from the pairing 2"),
         ("isotropic-string-bound", "beta=(-1, -1, 0) alpha=(-1, -1, -2): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(-1, -1, -2) alpha=(-1, -1, 0): "),
-        ("isotropic-sum-difference-exclusion", "beta=(1, 1, 2) alpha=(-1, -1, 0): "),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -1, -2) alpha=(-1, -1, 0): " + _BOTH_WAYS),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 1, 2) alpha=(-1, -1, 0): " + _BOTH_WAYS),
         ("isotropic-string-bound", "beta=(1, 1, 2) alpha=(-1, -1, 0): 3 real roots, ks=[-1, 0, 1]"),
         ("isotropic-string-bound", "beta=(0, -2, -2) alpha=(0, -1, -2): 3 real roots, ks=[-2, -1, 0]"),
         ("isotropic-string-bound", "beta=(0, -1, 0) alpha=(0, -1, -2): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(0, -1, -2) alpha=(0, -1, 0): "),
-        ("isotropic-sum-difference-exclusion", "beta=(0, 1, 2) alpha=(0, -1, 0): "),
+        ("isotropic-sum-difference-exclusion", "beta=(0, -1, -2) alpha=(0, -1, 0): " + _BOTH_WAYS),
+        ("isotropic-sum-difference-exclusion", "beta=(0, 1, 2) alpha=(0, -1, 0): " + _BOTH_WAYS),
         ("isotropic-string-bound", "beta=(0, 1, 2) alpha=(0, -1, 0): 3 real roots, ks=[-1, 0, 1]"),
         ("isotropic-string-bound", "beta=(0, 2, 2) alpha=(0, -1, 0): 3 real roots, ks=[0, 1, 2]"),
         ("unbroken", "beta=(0, 0, -1) alpha=(0, 0, -1): p - q = 3 differs from the pairing 2"),
@@ -221,19 +224,19 @@ _LIE_B11AFF_DEGREE_1 = SweepReport(
         ("isotropic-string-bound", "beta=(0, 1, 2) alpha=(0, 1, 0): 3 real roots, ks=[-1, 0, 1]"),
         ("isotropic-string-bound", "beta=(0, 2, 2) alpha=(0, 1, 0): 3 real roots, ks=[-2, -1, 0]"),
         ("isotropic-string-bound", "beta=(0, -2, -2) alpha=(0, 1, 2): 3 real roots, ks=[0, 1, 2]"),
-        ("isotropic-sum-difference-exclusion", "beta=(0, -1, 0) alpha=(0, 1, 2): "),
+        ("isotropic-sum-difference-exclusion", "beta=(0, -1, 0) alpha=(0, 1, 2): " + _BOTH_WAYS),
         ("isotropic-string-bound", "beta=(0, -1, 0) alpha=(0, 1, 2): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(0, 1, 0) alpha=(0, 1, 2): "),
+        ("isotropic-sum-difference-exclusion", "beta=(0, 1, 0) alpha=(0, 1, 2): " + _BOTH_WAYS),
         ("isotropic-string-bound", "beta=(1, 1, 2) alpha=(1, 1, 0): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(-1, -1, 0) alpha=(1, 1, 2): "),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -1, 0) alpha=(1, 1, 2): " + _BOTH_WAYS),
         ("isotropic-string-bound", "beta=(-1, -1, 0) alpha=(1, 1, 2): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(1, 1, 0) alpha=(1, 1, 2): "),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 1, 0) alpha=(1, 1, 2): " + _BOTH_WAYS),
         ("unbroken", "beta=(1, 2, 3) alpha=(1, 2, 1): p - q = -1 differs from the pairing -2"),
         ("unbroken", "beta=(-1, -2, -1) alpha=(1, 2, 3): p - q = 1 differs from the pairing 2"),
         ("isotropic-string-bound", "beta=(1, 3, 4) alpha=(1, 3, 2): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(-1, -3, -2) alpha=(1, 3, 4): "),
+        ("isotropic-sum-difference-exclusion", "beta=(-1, -3, -2) alpha=(1, 3, 4): " + _BOTH_WAYS),
         ("isotropic-string-bound", "beta=(-1, -3, -2) alpha=(1, 3, 4): 3 real roots, ks=[-1, 0, 1]"),
-        ("isotropic-sum-difference-exclusion", "beta=(1, 3, 2) alpha=(1, 3, 4): "),
+        ("isotropic-sum-difference-exclusion", "beta=(1, 3, 2) alpha=(1, 3, 4): " + _BOTH_WAYS),
     ],
 )
 
@@ -295,6 +298,34 @@ def test_cor_exclusion_for_isotropic():
     verdicts = {v.law: v for v in pairing_laws(h, alpha, beta)}
     assert verdicts["isotropic-sum-difference-exclusion"].applicable
     assert verdicts["isotropic-sum-difference-exclusion"].passed
+
+
+def test_exclusion_names_the_implication_that_failed(monkeypatch):
+    # alpha + beta = 2 delta_1 is real; a handle that calls alpha - beta = -2 eps_1
+    # a root breaks the first implication only, and the detail says so
+    h = build("B(1,1)")
+    alpha = h.to_alpha(ED((-1,), (1,)))
+    beta = h.to_alpha(ED((1,), (1,)))
+    diff = rs.sub(alpha, beta)
+    contains = h.contains
+    monkeypatch.setattr(h, "contains", lambda v: tuple(v) == tuple(diff) or contains(v))
+    verdicts = {v.law: v for v in pairing_laws(h, alpha, beta)}
+    verdict = verdicts["isotropic-sum-difference-exclusion"]
+    assert verdict.applicable and not verdict.passed
+    assert verdict.detail == "alpha+beta real and alpha-beta a root"
+
+
+def test_pairing_laws_refuse_a_bad_direction_or_root():
+    # a null alpha is not real and (5, 5) is not a root of B(1,1): no verdict
+    # list, not even an empty one, may come back for them
+    affine = build("B(1,1)^(1)")
+    null = affine.to_alpha(ED((0,), (0,), 1))
+    with pytest.raises(NotARootError, match=r"is not a real root"):
+        pairing_laws(affine, null, affine.to_alpha(ED((1,), (0,))))
+    h = build("B(1,1)")
+    with pytest.raises(NotARootError) as raised:
+        pairing_laws(h, h.to_alpha(ED((1,), (0,))), (5, 5))
+    assert str(raised.value) == "(5, 5) is not a root"
 
 
 def test_isotropic_direction_bound():
@@ -442,35 +473,43 @@ def test_pairing_laws_reuse_the_given_string():
     ("B(1,1)^(1)", {"max_degree": 2}),
 ], ids=["A(2,2)^(4)-degree-1", "C(3)-height-3", "B(1,1)^(1)-degree-2"])
 def test_pairing_laws_read_their_facts_from_the_given_string(monkeypatch, spec, window):
-    # with a string, alpha's reality, beta's membership and reality and
-    # beta(h_alpha) come from it; without one, it is built only for a law that
-    # reads it (four-real-roots, isotropic-pairing-values, isotropic-string-bound)
+    # alpha's isotropy, beta's membership and reality, beta(h_alpha) and the
+    # reality and membership of alpha + beta (the k = 1 entry) come from the
+    # string; without one, it is built once, first, and read the same way
     import superroot.rootstring as rstr
 
     h = build(spec)
     asked, built = [], []
-    for name in ("contains", "is_real", "pairing"):
+    for name in ("contains", "is_real", "is_isotropic", "pairing"):
         original = getattr(h, name)
         monkeypatch.setattr(h, name, lambda *a, _f=original, _n=name: asked.append((_n, *a)) or _f(*a))
 
     def counting(*args):
         built.append(args)
-        return root_string(*args)
+        n = len(asked)
+        s = root_string(*args)
+        del asked[n:]  # the scan's own queries are root_string's, not the laws'
+        return s
 
     monkeypatch.setattr(rstr, "root_string", counting)
-    string_laws = {"four-real-roots", "isotropic-pairing-values", "isotropic-string-bound"}
     branches = set()
     for alpha in h.real_roots(**window):
         for beta in h.all_roots(**window):
             s = root_string(h, beta, alpha)
-            del asked[:], built[:]
-            given = pairing_laws(h, alpha, beta, string=s)
-            assert not built
-            assert not {("contains", beta), ("is_real", alpha), ("is_real", beta)} & set(asked)
-            assert all(q == ("pairing", alpha, beta) for q in asked if q[0] == "pairing"), asked
-            fresh = pairing_laws(h, alpha, beta)
+            total = rs.add(alpha, beta)
+            unasked = {("contains", beta), ("is_real", alpha), ("is_real", beta), ("is_real", total),
+                       ("contains", total)}
+            if alpha != beta:  # beta's own isotropy is asked
+                unasked.add(("is_isotropic", alpha))
+            verdicts = []
+            for string, builds in ((s, []), (None, [(h, beta, alpha)])):
+                del asked[:], built[:]
+                verdicts.append(pairing_laws(h, alpha, beta, string=string))
+                assert built == builds, (alpha, beta)
+                assert not unasked & set(asked), (alpha, beta, asked)
+                assert all(q == ("pairing", alpha, beta) for q in asked if q[0] == "pairing"), asked
+            given, fresh = verdicts
             assert fresh == given, (spec, alpha, beta)
-            assert len(built) == bool(string_laws & {v.law for v in fresh}), (alpha, beta)
             branches.add((h.is_isotropic(alpha), h.is_isotropic(beta)))
     assert branches == {(False, False), (False, True), (True, False), (True, True)}
 
