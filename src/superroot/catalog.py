@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -300,6 +301,20 @@ class RootSystemHandle:
 
     def is_real(self, root: Sequence[int]) -> bool:
         return self.is_real_ed(self.to_ed(root))
+
+    def real_sums(self, alpha: Sequence[int], betas: Iterable[Sequence[int]]) -> list[bool]:
+        """is_real(alpha + beta) for each beta, reading alpha's image once.
+
+        As in ``is_real_ed``, a sum is real exactly when its finite part is in
+        the table at its null degree, as the table holds no zero finite part.
+        """
+        a = self.to_ed(alpha)
+        fin, null, table = a.eps + a.delta, a.null, self._table
+        out = []
+        for beta in betas:
+            b = self.to_ed(beta)
+            out.append(tuple(map(add, fin, b.eps + b.delta)) in table[(null + b.null) % len(table)])
+        return out
 
     def parity(self, root: Sequence[int]) -> int:
         return self.parity_ed(self.to_ed(root))

@@ -14,7 +14,7 @@ closure that had to discard a root above the height bound reports
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from . import rootspace as rs
 from .catalog import RootSystemHandle
@@ -69,15 +69,29 @@ def root_set(handle: RootSystemHandle, roots: Iterable[Iterable[int]]) -> RootSe
     return RootSet(frozenset(out), handle)
 
 
-def reflect(handle: RootSystemHandle, alpha: Root, beta: Root) -> Root:
-    """s_alpha(beta) on real roots: odd case split or even reflection."""
+def reflect_all(handle: RootSystemHandle, alpha: Root, betas: Collection[Root]) -> list[Root]:
+    """s_alpha(beta) for each beta, in order, reading alpha's data once.
+
+    An isotropic alpha maps +-alpha to -+alpha, beta to beta + alpha when
+    alpha + beta is real, and fixes every other beta; one ``real_sums``
+    call answers for every beta but +-alpha, and none is made when no other
+    beta is given.  Otherwise beta goes to beta - beta(h_alpha) alpha, with
+    one ``pairing`` per beta.
+    """
     if handle.is_isotropic(alpha):
-        if beta == alpha or beta == rs.neg(alpha):
-            return rs.neg(beta)
-        if handle.is_real(rs.add(alpha, beta)):
-            return rs.add(beta, alpha)
-        return beta
-    return rs.sub(beta, rs.scale(handle.pairing(beta, alpha), alpha))
+        minus = rs.neg(alpha)
+        rest = [b for b in betas if b != alpha and b != minus]
+        if not rest:
+            return [rs.neg(b) for b in betas]
+        real = iter(handle.real_sums(alpha, rest))
+        return [rs.neg(b) if b == alpha or b == minus else rs.add(b, alpha) if next(real) else b
+                for b in betas]
+    return [rs.sub(b, rs.scale(handle.pairing(b, alpha), alpha)) for b in betas]
+
+
+def reflect(handle: RootSystemHandle, alpha: Root, beta: Root) -> Root:
+    """s_alpha(beta) on real roots: ``reflect_all`` on one beta."""
+    return reflect_all(handle, alpha, (beta,))[0]
 
 
 @dataclass(frozen=True)
@@ -129,6 +143,11 @@ def _sign_class(r: Root) -> Root:
     return max(r, rs.neg(r))
 
 
+def _check_height_bound(height_bound: Optional[int]) -> None:
+    if height_bound is not None and height_bound < 0:
+        raise ValueError(f"height_bound must be >= 0, got {height_bound}")
+
+
 def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> ClosureResult:
     """Iterate the reflection-and-negation closure of a set of real roots.
 
@@ -161,10 +180,14 @@ def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> Clo
     is new, which keeps every pair that the semi-naive rule keeps.  Round 1
     reflects the ordered pairs of S_0 itself, as S_0 need not be symmetric:
     -a or -b may be missing from it, and s_a(-b) then need not lie in F(S_0).
+
+    Each round hands every a one ``reflect_all`` call over the b that these
+    rules keep for it, so each kept pair is still reflected exactly once.
     """
     handle = seed.handle
     if height_bound is None and not handle.is_finite:
         raise ValueError("affine closures need a height bound")
+    _check_height_bound(height_bound)
     s0 = set(seed.elements)
     for r in seed.elements:
         twice = rs.scale(2, r)
@@ -180,8 +203,7 @@ def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> Clo
             betas = reps if a in fresh else fresh
             if rounds > 1 and handle.is_isotropic(a):
                 betas = [x for b in betas for x in (b, rs.neg(b))]
-            for b in betas:
-                r = reflect(handle, a, b)
+            for r in reflect_all(handle, a, betas):
                 nxt.add(r)
                 nxt.add(rs.neg(r))
         if height_bound is not None:
@@ -210,23 +232,10 @@ def classify_subset(psi: RootSet) -> SubsetClassification:
     handle = psi.handle
     elems = psi.sorted()
     symmetric = all(rs.neg(r) in psi.elements for r in elems)
-    closed = True
-    for a in elems:
-        for b in elems:
-            s = rs.add(a, b)
-            if any(s) and handle.is_real(s) and s not in psi.elements:
-                closed = False
-                break
-        if not closed:
-            break
-    subroot = True
-    for a in elems:
-        for b in elems:
-            if reflect(handle, a, b) not in psi.elements:
-                subroot = False
-                break
-        if not subroot:
-            break
+    # all() stops at the first a that fails
+    closed = all(rs.add(a, b) in psi.elements
+                 for a in elems for b, real in zip(elems, handle.real_sums(a, elems)) if real)
+    subroot = all(psi.elements.issuperset(reflect_all(handle, a, elems)) for a in elems)
     return SubsetClassification(symmetric, closed, subroot)
 
 
@@ -283,6 +292,7 @@ def admits_pi_system(psi: RootSet, height_bound: Optional[int] = None) -> Option
     that single candidate: it must be a pi-system and its closure must
     stabilize to exactly Psi.
     """
+    _check_height_bound(height_bound)
     cls = classify_subset(psi)
     if not (cls.closed and cls.subroot_system):
         raise NotClosedError("admits_pi_system requires a closed subroot system")

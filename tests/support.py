@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from superroot import rootspace as rs
 from superroot.cartan import CartanData
 from superroot.catalog import EpsDeltaVector, RootSystemHandle
 from superroot.linalg import Vec, rref
@@ -34,6 +35,17 @@ def bilinear(beta: Sequence, gamma: Sequence, cd: CartanData, d: Sequence[Fracti
     assert len(beta) == len(gamma) == cd.n
     return sum((d[i] * bi * gamma[j] * cd.matrix[i][j] for i, bi in enumerate(beta) for j in range(cd.n)),
                Fraction(0))
+
+
+def reflect_pair(handle: RootSystemHandle, alpha: Root, beta: Root) -> Root:
+    """Reference: s_alpha(beta) for one pair, asking the handle afresh each time."""
+    if handle.is_isotropic(alpha):
+        if beta == alpha or beta == rs.neg(alpha):
+            return rs.neg(beta)
+        if handle.is_real(rs.add(alpha, beta)):
+            return rs.add(beta, alpha)
+        return beta
+    return rs.sub(beta, rs.scale(handle.pairing(beta, alpha), alpha))
 
 
 def claim_a_root(monkeypatch, label: str, finite: tuple[int, ...]) -> None:

@@ -23,13 +23,19 @@ def test_workload_matches_its_reference(workload):
     assert result["correct"] is True and result["failed"] == 0, result
 
 
-def test_strings_matches_its_held_out_digest():
-    # the committed reference covers seed 1 only; seed 7919 draws other pairs
-    proc = subprocess.run([sys.executable, str(RUN), "--workload", "strings", "--seed", "7919",
+@pytest.mark.parametrize("workload, digest", [
+    ("strings", "4fe2470bf7d175ea"),
+    ("closure", "4c531997cd6ff41b"),
+    ("oracle", "f88a2c265b65346f"),
+    ("basegraph", "616d19e749b04a96"),
+], ids=["strings", "closure", "oracle", "basegraph"])
+def test_workload_matches_its_held_out_digest(workload, digest):
+    # the committed reference covers seed 1 only; seed 7919 draws other cases
+    proc = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seed", "7919",
                            "--seconds", "0"], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     *_, report, result = proc.stdout.splitlines()
     assert report.startswith("report "), report
-    assert json.loads(report.removeprefix("report "))["digest"] == "4fe2470bf7d175ea", report
+    assert json.loads(report.removeprefix("report "))["digest"] == digest, report
     result = json.loads(result)
     assert result["correct"] is True and result["failed"] == 0, result

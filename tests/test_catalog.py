@@ -352,6 +352,17 @@ def test_repeated_verdicts_equal_the_reference_rules():
         assert [h.contains_ed(v) for v in queries[:50]] == expected[:50], spec
 
 
+def test_real_sums_refuse_a_beta_of_the_wrong_length():
+    from superroot.errors import DimensionMismatchError
+
+    h = build("B(1,1)^(1)")
+    for bad in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(DimensionMismatchError):
+            h.is_real(bad)
+        with pytest.raises(DimensionMismatchError):
+            h.real_sums((1, 0, 0), [(0, 1, 0), bad])
+
+
 def test_bounded_tables_keep_their_verdicts(monkeypatch):
     # a stream over the B(1,1)^(1) degree-2 grid: with the tables capped at
     # 8 entries, every answer is that of an unbounded handle

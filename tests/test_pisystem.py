@@ -17,10 +17,11 @@ from superroot.pisystem import (
     minimal_positive_elements,
     pi_of_psi,
     reflect,
+    reflect_all,
     root_set,
     verify_dynkin_maps,
 )
-from support import positive_real_roots
+from support import positive_real_roots, reflect_pair
 
 
 def _neg(r):
@@ -109,6 +110,31 @@ def test_reflect_even_case():
     assert reflect(h, eps, eps) == _neg(eps)
     mixed = h.to_alpha(ED((1,), (1,)))
     assert reflect(h, eps, mixed) == h.to_alpha(ED((-1,), (1,)))
+
+
+def test_reflect_all_matches_the_per_pair_reference():
+    # every pair of real roots up to height 5 on the 49 pinned types, among
+    # them beta = +-alpha and, on every affine type, sums alpha + beta = k null
+    from test_catalog import _PINNED_SPECS
+
+    for spec in _PINNED_SPECS:
+        h = build(spec)
+        roots = h.real_roots(max_height=5)
+        null_sums = 0
+        for alpha in roots:
+            assert reflect_all(h, alpha, roots) == [reflect_pair(h, alpha, b) for b in roots], (spec, alpha)
+            sums = [rs.add(alpha, b) for b in roots]
+            assert h.real_sums(alpha, roots) == [h.is_real(s) for s in sums], (spec, alpha)
+            null_sums += sum(1 for s in sums if any(s) and not any(h.finite_part(s).coords()))
+        assert (null_sums > 0) == h.has_null, spec
+
+
+def test_a_negative_height_bound_is_refused():
+    h = build("B(1,1)^(1)")
+    seed = root_set(h, h.simple_roots_alpha())
+    for call in (closure_S_infinity, admits_pi_system, verify_dynkin_maps):
+        with pytest.raises(ValueError, match=r"^height_bound must be >= 0, got -1$"):
+            call(seed, -1)
 
 
 def test_closure_single_isotropic():
@@ -348,7 +374,7 @@ def _all_pairs_closure(seed, height_bound=None, trail=None):
         nxt = set()
         for a in current:
             for b in current:
-                r = reflect(handle, a, b)
+                r = reflect_pair(handle, a, b)
                 nxt.add(r)
                 nxt.add(_neg(r))
         if height_bound is not None:
@@ -448,20 +474,20 @@ def _class_pair_count(seed, height_bound):
 
 
 def test_closure_reflects_once_per_class_pair(monkeypatch):
-    calls = []
+    pairs = []
 
-    def counting(handle, alpha, beta):
-        calls.append((alpha, beta))
-        return reflect(handle, alpha, beta)
+    def counting(handle, alpha, betas):
+        pairs.extend((alpha, b) for b in betas)
+        return reflect_all(handle, alpha, betas)
 
-    monkeypatch.setattr(pisystem, "reflect", counting)
-    # reflecting every ordered pair each round takes 25 600 and 57 600 calls
+    monkeypatch.setattr(pisystem, "reflect_all", counting)
+    # reflecting every ordered pair each round takes 25 600 and 57 600 pairs
     for spec, bound, count in (("B(1,1)^(1)", 40, 8969), ("A(1,2)^(1)", 30, 23065)):
         h = build(spec)
         seed = root_set(h, h.simple_roots_alpha())
-        calls.clear()
+        pairs.clear()
         closure_S_infinity(seed, bound)
-        assert len(calls) == _class_pair_count(seed, bound) == count, spec
+        assert len(pairs) == _class_pair_count(seed, bound) == count, spec
 
 
 def test_closure_cases_cover_the_truncation_paths():

@@ -455,23 +455,14 @@ def test_sweep_shifts_each_string_exactly(monkeypatch, spec, window):
         assert s == root_string(h, beta, alpha), (alpha, beta)
 
 
-def test_pairing_laws_reuse_the_given_string():
-    for spec, window in (("B(1,1)^(1)", {"max_degree": 1}), ("A(1,2)", {"max_height": 3})):
-        h = build(spec)
-        alphas = h.real_roots(**window)
-        betas = h.all_roots(**window)
-        for alpha in alphas:
-            for beta in betas:
-                s = root_string(h, beta, alpha)
-                assert pairing_laws(h, alpha, beta, string=s) == pairing_laws(h, alpha, beta), (
-                    spec, alpha, beta)
-
-
 @pytest.mark.parametrize("spec, window", [
     ("A(2,2)^(4)", {"max_degree": 1}),
     ("C(3)", {"max_height": 3}),
     ("B(1,1)^(1)", {"max_degree": 2}),
-], ids=["A(2,2)^(4)-degree-1", "C(3)-height-3", "B(1,1)^(1)-degree-2"])
+    ("B(1,1)^(1)", {"max_degree": 1}),
+    ("A(1,2)", {"max_height": 3}),
+], ids=["A(2,2)^(4)-degree-1", "C(3)-height-3", "B(1,1)^(1)-degree-2", "B(1,1)^(1)-degree-1",
+        "A(1,2)-height-3"])
 def test_pairing_laws_read_their_facts_from_the_given_string(monkeypatch, spec, window):
     # alpha's isotropy, beta's membership and reality, beta(h_alpha) and the
     # reality and membership of alpha + beta (the k = 1 entry) come from the
