@@ -233,16 +233,13 @@ class RootSystemHandle:
             raise DimensionMismatchError(f"{self.label} has no null direction")
 
     def _form(self, v: EpsDeltaVector, w: EpsDeltaVector) -> int:
-        """D (v, w) in integers, skipping zero coordinates."""
+        """D (v, w) in integers, skipping zero coordinates, for the diagonal form
+        (eps_i, eps_j) = s_i delta_ij, (delta_p, delta_q) = -delta_pq, null isotropic."""
         total = 0
         for s, a, b in zip(self._int_norms, v.eps + v.delta, w.eps + w.delta):
             if a and b:
                 total += s * a * b
         return total
-
-    def bilinear_ed(self, v: EpsDeltaVector, w: EpsDeltaVector) -> Fraction:
-        """(eps_i,eps_j) = s_i delta_ij, (delta_p,delta_q) = -delta_pq, null isotropic."""
-        return Fraction(self._form(v, w), self._denom)
 
     def parity_ed(self, v: EpsDeltaVector) -> int:
         return sum(c * x for c, x in zip(self.parity_coeffs, v.coords())) % 2
@@ -371,25 +368,20 @@ class RootSystemHandle:
                 out.append(r)
         return sorted(out)
 
-    def imaginary_roots(self, max_degree: int) -> list[Root]:
-        if not self.has_null:
-            return []
-        base = EpsDeltaVector((0,) * self.eps_dim, (0,) * self.delta_dim, 1)
-        return sorted(
-            self.to_alpha(base.scaled(k))
-            for k in range(-max_degree, max_degree + 1)
-            if k != 0 and self.contains_ed(base.scaled(k))
-        )
-
     def all_roots(
         self, max_height: Optional[int] = None, max_degree: Optional[int] = None
     ) -> list[Root]:
+        """The real roots within the bounds and, on an affine type, the
+        nonzero multiples of null that are roots; sorted."""
         out = list(self.real_roots(max_height, max_degree))
         if self.has_null:
             d = max_degree if max_degree is not None else max_height
-            for r in self.imaginary_roots(d):
-                if max_height is None or height(r) <= max_height:
-                    out.append(r)
+            null = EpsDeltaVector((0,) * self.eps_dim, (0,) * self.delta_dim, 1)
+            for k in range(-d, d + 1):
+                if k != 0 and self.contains_ed(null.scaled(k)):
+                    r = self.to_alpha(null.scaled(k))
+                    if max_height is None or height(r) <= max_height:
+                        out.append(r)
         return sorted(out)
 
 

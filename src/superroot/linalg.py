@@ -1,8 +1,8 @@
 """Exact rational linear algebra, and the one form of an exact scalar.
 
 ``exact`` picks the one stored form of a scalar: an int when integral, else
-the Fraction.  Matrices are small dense lists of rows; ``rref``, ``rank`` and
-``solve`` take ints or Fractions and compute in Fractions, never in floats.
+the Fraction.  Matrices are small dense lists of rows; ``rref`` and ``solve``
+take ints or Fractions and compute in Fractions, never in floats.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def is_zero_vec(x: Sequence) -> bool:
-    return all(a == 0 for a in x)
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form, in Fractions; returns (rows, pivot column indices)."""
     m = [[Fraction(x) for x in r] for r in rows]
@@ -75,14 +71,10 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
-
-
 def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
     """One exact solution of A x = b (free variables set to 0), or None."""
     if not rows:
-        return [] if is_zero_vec(b) else None
+        return [] if all(x == 0 for x in b) else None
     ncols = len(rows[0])
     aug = [list(r) + [bi] for r, bi in zip(rows, b)]
     red, pivots = rref(aug)

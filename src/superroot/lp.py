@@ -1,4 +1,4 @@
-"""Exact rational feasibility for small cone-membership queries.
+"""Exact feasibility for small integer cone-membership queries.
 
 Phase-one simplex with Bland's rule on a fraction-free integer tableau
 (Bareiss, *Math. Comp.* 1968; Edmonds, *J. Res. NBS* 1967): every entry is
@@ -12,46 +12,39 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from typing import Optional, Sequence
 
 
-def feasible_nonneg(rows: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
+def feasible_nonneg(rows: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[Fraction]]:
     """Find x >= 0 with A x = b, or return None if the system is infeasible.
 
-    ``rows`` are the rows of A.  Int entries are used as they are; any other
-    entry is coerced to Fraction, and then A and b are multiplied by one
-    common denominator L.  In every basis that multiplies the reduced cost
-    of each original column by L, leaves that of each artificial column
-    alone, and multiplies all the ratios of one entering column by the same
-    factor, so the pivots and the returned x are those of the rational
-    system.
+    ``rows`` are the rows of A.  Every entry of A and b must be an int, and
+    any other entry raises ``TypeError``: the callers pass root coordinates.
 
-    The tableau is [L A | I | L b] with the phase-one objective (cost 1 on
-    the artificials, priced out) as row m, and its divisor d starts at 1.  A
+    The tableau is [A | I | b] with the phase-one objective (cost 1 on the
+    artificials, priced out) as row m, and its divisor d starts at 1.  A
     pivot on entry pv of row r sets every other row to (pv * x - f * y) // d,
     where f is that row's entry in the pivot column and y is the entry of
     row r in x's column, and then sets d = pv.  The division is exact
     (Bareiss): after any pivots, d is det B for the current basis matrix B,
     drawn from the integer starting tableau, and by Cramer's rule each entry
     is det B times an entry of B^-1 times that tableau, a determinant of
-    integers; row m is det B (c - c_B B^-1 [L A | I | L b]), again integral.
+    integers; row m is det B (c - c_B B^-1 [A | I | b]), again integral.
     The true pivot pv / d is positive, so d stays positive, and signs and
     cross-multiplied ratios are read off the integers.  Each basic x_j is
     Fraction(rhs, d).
     """
-    a = [[x if type(x) is int else Fraction(x) for x in r] for r in rows]
-    rhs = [x if type(x) is int else Fraction(x) for x in b]
+    for x in chain(b, *rows):
+        if type(x) is not int:
+            raise TypeError(f"feasible_nonneg takes int entries, not {x!r}")
+    a = [list(r) for r in rows]
+    rhs = list(b)
     m = len(a)
     n = len(a[0]) if m else 0
     if m == 0:
         return []
     if n == 0:
         return [] if all(x == 0 for x in rhs) else None
-    den = lcm(*(x.denominator for x in chain(rhs, *a) if type(x) is not int))
-    if den != 1:
-        a = [[int(x * den) for x in r] for r in a]
-        rhs = [int(x * den) for x in rhs]
 
     # Orient rows so the right-hand side is nonnegative, append artificials.
     total = n + m

@@ -190,24 +190,15 @@ class Realization:
             setattr(self, name, value)
         self.index_weights = list(data["index_weights"])  # finite eps+delta coords per basis index
 
-    # -- basic helpers -------------------------------------------------------
-
-    def weight_eval(self, functional: EpsDeltaVector, diag: GradedMatrix) -> Fraction:
-        """Evaluate an eps/delta functional on a diagonal matrix; null gives 0."""
-        return _weight_eval(self._plus_coord, functional, diag)
-
-    def finite_root_matrix(self, v: EpsDeltaVector) -> GradedMatrix:
-        key = v.eps + v.delta
-        if key not in self._root_spaces:
-            raise NotARootError(f"no root space at {v} in the realization")
-        return self._root_spaces[key]
-
     def root_vector(self, root: Sequence[int]) -> WeightedElement:
         """The root vector x_beta as a weighted element."""
         ed = self.handle.to_ed(tuple(root))
         if abs(ed.null) > self.truncation:
             raise TruncationHitError(f"degree {ed.null} exceeds the window {self.truncation}")
-        return WeightedElement(ed.coords(), self.finite_root_matrix(ed))
+        matrix = self._root_spaces.get(ed.eps + ed.delta)
+        if matrix is None:
+            raise NotARootError(f"no root space at {ed} in the realization")
+        return WeightedElement(ed.coords(), matrix)
 
     def subalgebra(self, roots: Collection[Root]) -> "SubalgebraBasis":
         """g(roots): the subalgebra generated by the root vectors of +-roots.
@@ -262,7 +253,7 @@ def _realization_data(handle: RootSystemHandle, truncation: int) -> MappingProxy
     if handle.ctype.family == "B":
         index_weights.append((0,) * (m + n))
     index_weights += [unit(m + p, s) for s in signs for p in range(n)]
-    # index weights are +-unit vectors or zero; weight_eval reads the
+    # index weights are +-unit vectors or zero; _weight_eval reads the
     # indices of weight +eps_i or +delta_p, at that coordinate
     plus = {idx: wt.index(1) for idx, wt in enumerate(index_weights) if 1 in wt}
     space = tuple(int(any(w[m:])) for w in index_weights)
@@ -347,11 +338,16 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
 
 
 def loop_window(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> Optional[int]:
-    """The ``loop_degree`` to realize g(sigma) at: the given one, else, on an
-    affine type, three beyond the largest loop degree in sigma."""
+    """The ``loop_degree`` to realize g(sigma) at: None on a finite type, which
+    refuses a given one; on an affine type the given one, else three beyond the
+    largest loop degree in sigma."""
     if not sigma:
         raise ValueError("sigma is empty; give at least one root")
-    if loop_degree is not None or sigma.handle.is_finite:
+    if sigma.handle.is_finite:
+        if loop_degree is not None:
+            raise ValueError(f"{sigma.handle.label} is finite and has no loop_degree, got {loop_degree}")
+        return None
+    if loop_degree is not None:
         return loop_degree
     return max(abs(sigma.handle.degree_of(r)) for r in sigma) + 3
 
@@ -551,8 +547,7 @@ def bracket_criteria_sweep(
     for a in roots:
         if handle.is_isotropic(a) or rs.neg(a) not in real_elems:
             continue
-        for b in roots:
-            img = ps.reflect(handle, a, b)
+        for b, img in zip(roots, ps.reflect_all(handle, a, roots)):
             if not handle.is_finite and abs(handle.degree_of(img)) > K:
                 continue
             if img not in real_elems:
@@ -593,14 +588,13 @@ def osp12_module_table(k: int) -> ModuleTable:
     )
 
 
-def verify_osp12_module(k: int, realization: Optional[Realization] = None) -> bool:
-    """Check the module table against the osp(1,2) matrix realization.
+def verify_osp12_module(k: int) -> bool:
+    """Check the module table against the matrix realization of osp(1,2) = B(0,1).
 
     Maps the realization's basis e, f, h, [e,e], [f,f] to the corresponding
     module operators and verifies that every structure constant is preserved.
     """
-    real = realization if realization is not None else realize("B(0,1)")
-    e, f, _ = real.generators[0]
+    e, f, _ = realize("B(0,1)").generators[0]
     em, fm = e.matrix, f.matrix
     hm = gm_bracket(em, fm)
     basis_r = [em, fm, hm, gm_bracket(em, em), gm_bracket(fm, fm)]

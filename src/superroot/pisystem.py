@@ -182,7 +182,9 @@ def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> Clo
     -a or -b may be missing from it, and s_a(-b) then need not lie in F(S_0).
 
     Each round hands every a one ``reflect_all`` call over the b that these
-    rules keep for it, so each kept pair is still reflected exactly once.
+    rules keep for it, so each kept pair is still reflected exactly once.  The
+    isotropic a share the signed lists b, -b of their round, one over ``reps``
+    and one over ``fresh``, each negated at most once.
     """
     handle = seed.handle
     if height_bound is None and not handle.is_finite:
@@ -199,10 +201,13 @@ def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> Clo
     while True:
         rounds += 1
         nxt = set(current)
+        signed = {}  # reps or fresh -> its members and their negatives
         for a in reps:
             betas = reps if a in fresh else fresh
             if rounds > 1 and handle.is_isotropic(a):
-                betas = [x for b in betas for x in (b, rs.neg(b))]
+                if betas not in signed:
+                    signed[betas] = [x for b in betas for x in (b, rs.neg(b))]
+                betas = signed[betas]
             for r in reflect_all(handle, a, betas):
                 nxt.add(r)
                 nxt.add(rs.neg(r))

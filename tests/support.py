@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from superroot import rootspace as rs
+from superroot import oracle, rootspace as rs
 from superroot.cartan import CartanData
 from superroot.catalog import EpsDeltaVector, RootSystemHandle
 from superroot.linalg import Vec, rref
@@ -78,6 +78,11 @@ def det(rows: Sequence[Sequence[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1] if n else 1
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank, the pivot count of the reduced row echelon form."""
+    return len(rref(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
@@ -154,12 +159,13 @@ def is_imaginary(handle: RootSystemHandle, root: Sequence[int]) -> bool:
 
 
 def is_isotropic_ed(handle: RootSystemHandle, v: EpsDeltaVector) -> bool:
-    return handle.bilinear_ed(v, v) == 0
+    return handle._form(v, v) == 0
 
 
 def recomputed_cartan(realization: Realization) -> tuple[tuple[Fraction, ...], ...]:
     """The Cartan matrix read back from the realized coroots h_i."""
-    return tuple(tuple(realization.weight_eval(aj, h.matrix) for aj in realization.handle.simple_ed)
+    return tuple(tuple(oracle._weight_eval(realization._plus_coord, aj, h.matrix)
+                       for aj in realization.handle.simple_ed)
                  for _, _, h in realization.generators)
 
 

@@ -20,9 +20,8 @@ from superroot.errors import (
     NotIsotropicOddError,
     NotRegularInBaseError,
 )
-from superroot.linalg import rank
 from superroot.rootspace import height
-from support import SMALL_CATALOG, bilinear, det, pair
+from support import SMALL_CATALOG, bilinear, det, pair, rank
 
 
 def _sl12():

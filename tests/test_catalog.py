@@ -273,9 +273,10 @@ def test_real_roots_lie_in_the_coordinate_box():
     assert largest == 2
 
 
-def test_bilinear_ed_is_the_defining_diagonal_form():
-    # (eps_i, eps_j) = s_i delta_ij, (delta_p, delta_q) = -delta_pq, the null
-    # root isotropic, exactly, also when the eps norms are not integers
+def test_the_form_is_the_defining_diagonal_form():
+    # _form / _denom gives (eps_i, eps_j) = s_i delta_ij, (delta_p, delta_q) =
+    # -delta_pq, the null root isotropic, exactly, also when the eps norms are
+    # not integers
     for spec in ("A(1,2)", "B(2,1)", "C(3)", "D(2,2)^(1)", "A(2,2)^(4)",
                  "D(2,1;1/2)", "D(2,1;-5/3)^(1)", "D(2,1;3)"):
         h = build(spec)
@@ -288,7 +289,7 @@ def test_bilinear_ed_is_the_defining_diagonal_form():
             norms.append(Q(0))
         for i, u in enumerate(units):
             for j, w in enumerate(units):
-                value = h.bilinear_ed(u, w)
+                value = Q(h._form(u, w), h._denom)
                 assert type(value) is Q and value == (norms[i] if i == j else 0), (spec, i, j)
             assert is_isotropic_ed(h, u) is (norms[i] == 0), (spec, i)
 

@@ -328,6 +328,16 @@ def test_a_root_outside_the_loop_window_exits_three(capsys):
         assert capsys.readouterr().err.startswith("inconclusive:"), argv
 
 
+def test_a_loop_degree_on_a_finite_type_exits_two(capsys):
+    # a finite type has no loop window, so --K would be echoed in the
+    # certificate and otherwise ignored
+    base = ["--type", "B(0,1)", "--sigma", "[[1]]", "--K", "5"]
+    for command in (["verify", "main-theorem"], ["verify", "bracket-criteria"], ["verify-dynkin"]):
+        assert main([*command, *base]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "loop_degree" in err, (command, err)
+
+
 def test_affine_verify_commands_share_the_default_window(capsys):
     # sigma's root has loop degree 7, so without --K both commands work at
     # window 7 + 3 = 10, not a fixed window

@@ -7,7 +7,6 @@ import pytest
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
 from superroot.errors import TruncationHitError, UnsupportedTypeError
-from superroot.linalg import rank
 from superroot.oracle import (
     GradedMatrix,
     bracket_criteria_sweep,
@@ -22,7 +21,7 @@ from superroot.oracle import (
     verify_theorem_main,
 )
 from superroot.pisystem import root_set
-from support import (by_weight, claim_a_root, nullspace, plus, positive_real_roots, recomputed_cartan,
+from support import (by_weight, claim_a_root, nullspace, plus, positive_real_roots, rank, recomputed_cartan,
                      super_jacobi_defect, weights)
 
 
@@ -631,9 +630,8 @@ def test_osp12_module_table_values():
 
 
 def test_osp12_module_vs_realization():
-    r = realize("B(0,1)")
     for k in range(6):
-        assert verify_osp12_module(k, r), k
+        assert verify_osp12_module(k), k
 
 
 def test_osp12_module_check_rejects_a_wrong_table(monkeypatch):
@@ -645,7 +643,7 @@ def test_osp12_module_check_rejects_a_wrong_table(monkeypatch):
     f = good.f.scaled(Q(2))
     bad = oracle.ModuleTable(1, good.e, f, gm_bracket(good.e, f))
     monkeypatch.setattr(oracle, "osp12_module_table", lambda k: bad)
-    assert not verify_osp12_module(1, realize("B(0,1)"))
+    assert not verify_osp12_module(1)
 
 
 def test_super_jacobi_random_triples():

@@ -490,6 +490,41 @@ def test_closure_reflects_once_per_class_pair(monkeypatch):
         assert len(pairs) == _class_pair_count(seed, bound) == count, spec
 
 
+def _signed_class_count(seed, height_bound):
+    # the negations that signing the classes needs: from round 2 on, the new
+    # classes' reflectors take every class, the others take the new ones,
+    # and each of these two lists is signed once if an isotropic a takes it
+    handle = seed.handle
+    trail = []
+    _all_pairs_closure(seed, height_bound, trail)
+    count = 0
+    for prev, cur in zip(trail, trail[1:]):
+        classes = {max(r, _neg(r)) for r in cur}
+        fresh = {max(r, _neg(r)) for r in cur - prev}
+        isotropic = {a for a in classes if handle.is_isotropic(a)}
+        count += len(classes) * bool(isotropic & fresh) + len(fresh) * bool(isotropic - fresh)
+    return count
+
+
+def test_closure_negates_each_class_once_a_round(monkeypatch):
+    signed = {}  # id -> each signed list handed to reflect_all, kept alive
+
+    def counting(handle, alpha, betas):
+        if isinstance(betas, list):
+            signed[id(betas)] = betas
+        return reflect_all(handle, alpha, betas)
+
+    monkeypatch.setattr(pisystem, "reflect_all", counting)
+    # signing the list again for every isotropic a takes 2 560 and 8 640
+    for spec, bound, count in (("B(1,1)^(1)", 40, 270), ("A(1,2)^(1)", 30, 380)):
+        h = build(spec)
+        seed = root_set(h, h.simple_roots_alpha())
+        signed.clear()
+        closure_S_infinity(seed, bound)
+        negated = sum(len(betas) // 2 for betas in signed.values())
+        assert negated == _signed_class_count(seed, bound) == count, spec
+
+
 def test_closure_cases_cover_the_truncation_paths():
     cases = {name: (seed, bound) for name, seed, bound in _closure_cases()}
     seed, bound = cases["seed above the bound"]

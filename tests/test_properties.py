@@ -9,9 +9,8 @@ from superroot import rootspace as rs
 from superroot.basegraph import odd_reflect_base, standard_base
 from superroot.cartan import normalize, symmetrizer
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.linalg import rank
 from superroot.pisystem import classify_subset, closure_S_infinity, is_pi_system, root_set
-from support import bilinear, pair, positive_real_roots
+from support import bilinear, pair, positive_real_roots, rank
 
 coeff = st.integers(min_value=-4, max_value=4)
 
