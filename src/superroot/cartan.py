@@ -1,7 +1,9 @@
 """Cartan data: normalization, admissibility, regularity, symmetrizers.
 
-A ``CartanData`` is an n x n matrix of exact rationals together with a parity
-vector in {0,1}^n.  Normalized means every diagonal entry is 0 or 2.  The
+A ``CartanData`` is an n x n matrix, each entry in the one form that
+``linalg.exact`` picks (an int when integral, else a Fraction), together with
+a parity vector of the ints 0 and 1; it refuses a bool, float or string entry
+and a bool parity.  Normalized means every diagonal entry is 0 or 2.  The
 admissibility test implements the three local-nilpotency conditions; the
 regularity test checks that vanishing is symmetric.  All indices are 0-based.
 """
@@ -11,10 +13,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import DimensionMismatchError, SuperrootError, ZeroMatrixError
-from .linalg import Mat, mat
+from .linalg import exact, frac
 
 
 class RankOneType(enum.Enum):
@@ -28,17 +30,23 @@ class RankOneType(enum.Enum):
 
 @dataclass(frozen=True)
 class CartanData:
-    matrix: Mat
+    matrix: tuple[tuple[int | Fraction, ...], ...]
     parity: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
+        matrix = tuple(tuple(map(exact, row)) for row in self.matrix)
+        parity = tuple(self.parity)
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
             raise DimensionMismatchError("matrix is not square")
-        if len(self.parity) != n:
+        if len(parity) != n:
             raise DimensionMismatchError("parity vector length differs from matrix size")
-        if any(p not in (0, 1) for p in self.parity):
+        if any(type(p) is not int for p in parity):
+            raise TypeError(f"parities are the ints 0 and 1, not {parity!r}")
+        if any(p not in (0, 1) for p in parity):
             raise ValueError("parity entries must be 0 or 1")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "parity", parity)
 
     @property
     def n(self) -> int:
@@ -46,18 +54,7 @@ class CartanData:
 
     def indecomposable(self) -> bool:
         """Connectivity of the graph with an edge whenever a_ij or a_ji is nonzero."""
-        n = self.n
-        if n == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j not in seen and (self.matrix[i][j] != 0 or self.matrix[j][i] != 0):
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
+        return self.n > 0 and sum(1 for _ in _tree_edges(self.matrix)) == self.n - 1
 
     def root_parity(self, coords: Iterable[int]) -> int:
         """Parity of a root-lattice vector, additive over the simple roots."""
@@ -85,14 +82,11 @@ def normalize(matrix: Iterable[Iterable], parity: Iterable[int]) -> CartanData:
     parity = tuple(parity)
     if any(type(p) is not int or p not in (0, 1) for p in parity):
         raise SuperrootError(f"parities must be the integers 0 and 1, got {list(parity)!r}")
-    m = mat(matrix)
+    m = [[frac(x) for x in row] for row in matrix]
     if all(x == 0 for row in m for x in row):
         raise ZeroMatrixError("Cartan matrix is zero")
-    rows = []
-    for i, row in enumerate(m):
-        d = row[i]
-        rows.append(row if d == 0 else tuple(x * Fraction(2) / d for x in row))
-    return CartanData(tuple(rows), parity)
+    return CartanData(tuple(row if row[i] == 0 else [x * 2 / row[i] for x in row]
+                            for i, row in enumerate(m)), parity)
 
 
 def validate(cd: CartanData) -> ValidationReport:
@@ -140,30 +134,35 @@ def symmetrizer(cd: CartanData) -> Optional[tuple[Fraction, ...]]:
     """
     n = cd.n
     a = cd.matrix
-    d: list[Optional[Fraction]] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i == j:
-                    continue
-                if a[i][j] == 0 and a[j][i] == 0:
-                    continue
-                if a[i][j] == 0 or a[j][i] == 0:
-                    return None
-                ratio = d[i] * a[i][j] / a[j][i]
-                if d[j] is None:
-                    d[j] = ratio
-                    stack.append(j)
+    d = [Fraction(1)] * n  # the first index of each component keeps its 1
+    for i, j in _tree_edges(a):
+        if a[i][j] == 0 or a[j][i] == 0:
+            return None
+        d[j] = d[i] * a[i][j] / a[j][i]
     for i in range(n):
         for j in range(n):
             if d[i] * a[i][j] != d[j] * a[j][i]:
                 return None
-    return tuple(d)  # type: ignore[arg-type]
+    return tuple(d)
+
+
+def _tree_edges(a) -> Iterator[tuple[int, int]]:
+    """The tree edges (i, j), j first reached from i, of a depth-first walk over
+    every component of the graph with an edge where a_ij or a_ji is nonzero."""
+    n = len(a)
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if not seen[j] and (a[i][j] != 0 or a[j][i] != 0):
+                    seen[j] = True
+                    stack.append(j)
+                    yield i, j
 
 
 def rank_one_type(cd: CartanData, i: int) -> RankOneType:
@@ -196,10 +195,9 @@ def cartan_from_json(obj: dict) -> CartanData:
 
 
 def cartan_to_json(cd: CartanData) -> dict:
-    def enc(x: Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
+    """An int entry as itself, a Fraction as "p/q"."""
     return {
-        "matrix": [[enc(x) for x in row] for row in cd.matrix],
+        "matrix": [[x if type(x) is int else f"{x.numerator}/{x.denominator}" for x in row]
+                   for row in cd.matrix],
         "parity": list(cd.parity),
     }

@@ -1,20 +1,18 @@
 """Exact rational linear algebra, and the one form of an exact scalar.
 
-``exact`` picks the one stored form of a scalar: an int when integral, else
-the Fraction.  Matrices are small dense lists of rows; ``rref`` and ``solve``
-take ints or Fractions and compute in Fractions, never in floats.
+``frac`` parses an input scalar, and ``exact`` picks the one stored form of a
+scalar: an int when integral, else the Fraction.  Matrices are small dense
+sequences of rows; ``rref`` and ``solve`` take ints or Fractions and compute
+in Fractions, never in floats.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import SuperrootError
-
-Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
 
 
 def frac(x) -> Fraction:
@@ -27,22 +25,13 @@ def frac(x) -> Fraction:
 
 
 def exact(x):
-    """An exact scalar in its one stored form: an int when integral, else the Fraction."""
+    """An exact scalar in its one stored form: an int when integral, else the
+    Fraction.  A bool, a float, a string or anything else raises TypeError."""
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):  # bool and other int subclasses
-        return int(x)
     raise TypeError(f"exact scalars are int or Fraction, not {x!r}")
-
-
-def vec(xs: Iterable) -> Vec:
-    return tuple(frac(x) for x in xs)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:

@@ -326,15 +326,17 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
     if loop_degree is not None and loop_degree < 0:
         raise ValueError(f"loop_degree must be >= 0, got {loop_degree}")
     handle = build(handle_or_type) if isinstance(handle_or_type, str) else handle_or_type
-    twist, family = handle.ctype.twist, handle.ctype.family
-    if twist not in (FINITE, AFFINE):
+    if not realizable(handle):
         raise UnsupportedTypeError(f"no matrix realization for {handle.label}")
-    if family not in ("A", "B", "C", "D"):
-        raise UnsupportedTypeError(f"no matrix realization for family {family}")
-    if twist == AFFINE and loop_degree is None:
+    if handle.ctype.twist == AFFINE and loop_degree is None:
         raise ValueError(f"an affine realization of {handle.label} needs a loop_degree")
-    truncation = 0 if twist == FINITE else loop_degree
+    truncation = 0 if handle.ctype.twist == FINITE else loop_degree
     return Realization(handle, truncation, _realization_data(handle, truncation))
+
+
+def realizable(handle: RootSystemHandle) -> bool:
+    """Whether ``realize`` has the type: a finite A, B, C or D family or its untwisted affinization."""
+    return handle.ctype.twist in (FINITE, AFFINE) and handle.ctype.family in ("A", "B", "C", "D")
 
 
 def loop_window(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> Optional[int]:

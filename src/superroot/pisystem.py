@@ -331,12 +331,20 @@ def verify_dynkin_maps(
     height_bound: Optional[int] = None,
     loop_degree: Optional[int] = None,
 ) -> DynkinCertificate:
-    """Certify the bijection data for one pi-system inside the positive roots."""
+    """Certify the bijection data for one pi-system inside the positive roots.
+
+    A ``loop_degree`` that the oracle would not read raises ``ValueError``.
+    """
     report = is_pi_system(sigma)
     if not report.ok:
         raise ValueError(f"input is not a pi-system: {report}")
     if any(not sigma.handle.is_positive(r) for r in sigma):
         raise ValueError("the pi-system must lie in the positive roots")
+    from . import oracle  # deferred to avoid an import cycle
+
+    oracle.loop_window(sigma, loop_degree)  # refuses one on a finite type, before the closure
+    if loop_degree is not None and not oracle.realizable(sigma.handle):
+        raise ValueError(f"{sigma.handle.label} has no realization to read loop_degree {loop_degree}")
     closure = closure_S_infinity(sigma, height_bound)
     if not closure.stabilized:
         raise InconclusiveError("closure did not stabilize; cannot certify")
@@ -344,8 +352,6 @@ def verify_dynkin_maps(
     if not cls.closed:
         raise NotClosedError("Pi(Psi) is defined for closed subsets only")
     roundtrip = minimal_positive_elements(closure.roots).elements == sigma.elements
-    from . import oracle  # deferred to avoid an import cycle
-
     try:
         oracle_match: Optional[bool] = oracle.verify_theorem_main(sigma, loop_degree=loop_degree).ok
     except (UnsupportedTypeError, InconclusiveError):

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 from superroot import oracle, rootspace as rs
 from superroot.cartan import CartanData
 from superroot.catalog import EpsDeltaVector, RootSystemHandle
-from superroot.linalg import Vec, rref
+from superroot.linalg import rref
 from superroot.oracle import GradedMatrix, Realization, SubalgebraBasis, WeightedElement, gm_bracket
 from superroot.rootspace import Root
 
@@ -85,7 +85,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
+def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
     """Basis of the right nullspace of A."""
     if not rows:
         return []

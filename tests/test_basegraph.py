@@ -30,7 +30,7 @@ def _sl12():
 
 def test_odd_reflection_sl12():
     cd = _sl12()
-    base = odd_reflect_base(standard_base(cd), cd, 0)
+    base = odd_reflect_base(standard_base(cd), 0)
     assert set(base.roots) == {(-1, 0), (1, 1)}
 
 
@@ -38,23 +38,23 @@ def test_odd_reflection_coroot_formula():
     # coroot of alpha_1 + alpha_2 is a_12 h_2 + a_21 h_1 = h_2 - h_1, and
     # -alpha_1 keeps h_1: the new rows pair the new roots with those coroots
     cd = _sl12()
-    base = odd_reflect_base(standard_base(cd), cd, 0)
+    base = odd_reflect_base(standard_base(cd), 0)
     assert base.roots == ((-1, 0), (1, 1))
     coroots = ((Q(1), Q(0)), (Q(-1), Q(1)))
-    assert base.matrix == tuple(tuple(pair(b, h, cd) for b in base.roots) for h in coroots)
+    assert base.cartan.matrix == tuple(tuple(pair(b, h, cd) for b in base.roots) for h in coroots)
 
 
 def test_odd_reflection_requires_isotropic_odd():
     cd = _sl12()
     with pytest.raises(NotIsotropicOddError):
-        odd_reflect_base(standard_base(cd), cd, 1)  # alpha_2 is even sl2-type
+        odd_reflect_base(standard_base(cd), 1)  # alpha_2 is even sl2-type
 
 
 def test_odd_reflection_requires_regularity():
     # the reflector's own row vanishes against entry 1 while the column does not
     cd = normalize([[0, 0], [1, 2]], (1, 0))
     with pytest.raises(NotRegularInBaseError):
-        odd_reflect_base(standard_base(cd), cd, 0)
+        odd_reflect_base(standard_base(cd), 0)
 
 
 def test_odd_reflection_renormalizes_diagonal():
@@ -63,8 +63,8 @@ def test_odd_reflection_renormalizes_diagonal():
         base = standard_base(cd)
         for t in range(cd.n):
             if cd.matrix[t][t] == 0 and cd.parity[t] == 1:
-                nb = odd_reflect_base(base, cd, t)
-                m = nb.matrix
+                nb = odd_reflect_base(base, t)
+                m = nb.cartan.matrix
                 assert all(m[i][i] in (0, 2) for i in range(cd.n))
 
 
@@ -77,7 +77,7 @@ def test_even_reflection_basics():
     # pairing-zero roots are fixed
     cd3 = build("B(2,1)").cartan
     b3 = standard_base(cd3)
-    m = b3.matrix
+    m = b3.cartan.matrix
     for t in range(cd3.n):
         if m[t][t] != 2:
             continue
@@ -98,7 +98,7 @@ def test_even_reflection_is_involutive():
     cd = build("B(1,1)").cartan
     base = standard_base(cd)
     twice = even_reflect_base(even_reflect_base(base, 1), 1)
-    assert twice.roots == base.roots and twice.matrix == base.matrix
+    assert twice.roots == base.roots and twice.cartan.matrix == base.cartan.matrix
 
 
 def test_enumerate_sl12():
@@ -171,10 +171,10 @@ def test_exchange_identity():
         return out
 
     base = standard_base(cd)
-    matrix = base.matrix
+    matrix = base.cartan.matrix
     for t in range(cd.n):
         if matrix[t][t] == 0 and cd.parity[t] == 1:
-            nb = odd_reflect_base(base, cd, t)
+            nb = odd_reflect_base(base, t)
         else:
             nb = even_reflect_base(base, t)
         alpha = base.roots[t]
@@ -189,7 +189,7 @@ def test_compatibility_even_odd():
     for spec in ("B(1,1)", "A(0,2)", "B(2,1)"):
         cd = build(spec).cartan
         base = standard_base(cd)
-        matrix = base.matrix
+        matrix = base.cartan.matrix
         odd_idx = [t for t in range(cd.n) if matrix[t][t] == 0 and cd.parity[t] == 1]
         even_idx = [t for t in range(cd.n) if matrix[t][t] == 2]
         for t in odd_idx:
@@ -199,11 +199,11 @@ def test_compatibility_even_odd():
                 # keeps the matrix of s_alpha(Sigma)
                 gamma = base.roots[u]
                 h_gamma = tuple(Q(1 if j == u else 0) for j in range(cd.n))
-                odd = odd_reflect_base(base, cd, t)
+                odd = odd_reflect_base(base, t)
                 lhs = tuple(rs.sub(b, rs.scale(int(pair(b, h_gamma, cd)), gamma)) for b in odd.roots)
                 # the even reflection acts entrywise, so w(alpha) sits at index t
-                rhs = odd_reflect_base(even_reflect_base(base, u), cd, t)
-                assert (lhs, odd.matrix) == (rhs.roots, rhs.matrix), (spec, t, u)
+                rhs = odd_reflect_base(even_reflect_base(base, u), t)
+                assert (lhs, odd.cartan.matrix) == (rhs.roots, rhs.cartan.matrix), (spec, t, u)
 
 
 def test_principal_roots_no_isotropic_simples():
@@ -254,7 +254,7 @@ def test_base_cartan_matches_catalog():
     for spec in ("A(0,2)", "B(2,1)", "A(2,2)^(4)"):
         h = build(spec)
         base = standard_base(h.cartan)
-        assert base.matrix == h.cartan.matrix
+        assert base.cartan.matrix == h.cartan.matrix
 
 
 def test_coroots_agree_with_bilinear_form():
@@ -269,8 +269,8 @@ def test_coroots_agree_with_bilinear_form():
         seen = {queue[0].root_set()}
         while queue:
             base = queue.pop()
-            matrix = base.matrix
-            par = base.parities(cd)
+            matrix = base.cartan.matrix
+            par = base.cartan.parity
             for t in range(base.size):
                 alpha = base.roots[t]
                 if matrix[t][t] != 2:
@@ -280,7 +280,7 @@ def test_coroots_agree_with_bilinear_form():
                     assert matrix[t][u] == 2 * bilinear(beta, alpha, cd, d) / aa
             for t in range(base.size):
                 if matrix[t][t] == 0 and par[t] == 1:
-                    nb = odd_reflect_base(base, cd, t)
+                    nb = odd_reflect_base(base, t)
                 elif matrix[t][t] == 2:
                     nb = even_reflect_base(base, t)
                 else:
@@ -397,7 +397,7 @@ def test_search_matches_the_full_build_reference(spec, explores):
             bases, pruned = _search(cd, h_explore, odd_only)
             ref, ref_pruned = _ref_search(cd, h_explore, odd_only)
             assert pruned == ref_pruned, (spec, h_explore, odd_only)
-            assert [(b.roots, b.matrix) for b in bases] == [
+            assert [(b.roots, b.cartan.matrix) for b in bases] == [
                 (roots, _ref_matrix(roots, coroots, cd)) for roots, coroots in ref
             ], (spec, h_explore, odd_only)
             search = principal_roots if odd_only else enumerate_real_roots
@@ -425,7 +425,7 @@ def test_validate_runs_once_per_distinct_matrix(monkeypatch):
         for record in calls.values():
             record.clear()
         bases, _ = _search(cd, 6, odd_only)
-        distinct = {(b.matrix, b.parities(cd)) for b in bases}
+        distinct = {(b.cartan.matrix, b.cartan.parity) for b in bases}
         assert len(calls["validate"]) == len(set(calls["validate"])) == len(distinct)
         assert set(calls["validate"]) == distinct
         assert calls["built"] == [b.roots for b in bases[1:]]
@@ -446,7 +446,32 @@ def test_every_base_is_unimodular_and_holds_exact_entries():
             for b in bases:
                 assert det(b.roots) in (1, -1), (spec, odd_only, b.roots)
                 assert all(type(x) is int or (type(x) is Q and x.denominator > 1)
-                           for row in b.matrix for x in row), (spec, odd_only, b.matrix)
+                           for row in b.cartan.matrix for x in row), (spec, odd_only, b.cartan.matrix)
+
+
+def test_every_base_carries_the_parities_of_its_roots():
+    # root_parity on the ambient Cartan data is the reference for the
+    # parities that each reflection carries along
+    from test_catalog import _PINNED_SPECS
+
+    for spec in _PINNED_SPECS:
+        cd = build(spec).cartan
+        for h_explore, odd_only in ((4, False), (6, True)):
+            bases, _ = _search(cd, h_explore, odd_only)
+            for b in bases:
+                assert b.cartan.parity == tuple(cd.root_parity(r) for r in b.roots), (spec, b.roots)
+
+
+def test_even_reflection_keeps_the_very_cartan_data():
+    for spec in ("B(1,1)", "B(0,2)", "D(2,1;2)", "A(2,2)^(4)"):
+        base = standard_base(build(spec).cartan)
+        for t in range(base.size):
+            if base.cartan.matrix[t][t] == 2:
+                assert even_reflect_base(base, t).cartan is base.cartan, (spec, t)
+    # off an admissible base an odd reflector with an odd a_12 flips a parity
+    cd = normalize([[2, -1], [-1, 2]], (1, 0))
+    nb = even_reflect_base(standard_base(cd), 0)
+    assert nb.cartan.parity == tuple(cd.root_parity(r) for r in nb.roots) == (1, 1)
 
 
 def test_even_reflections_read_the_carried_matrix(monkeypatch):

@@ -95,6 +95,25 @@ def test_symmetrizer_sign_is_not_forced_positive():
     assert d == (Q(1), Q(-1))
 
 
+@pytest.mark.parametrize("matrix, parity", [
+    (((2.0, -1), (-1, 2)), (0, 0)),
+    (((2, Q(-1)), ("-1", 2)), (0, 0)),
+    (((2, -1), (-1, True)), (0, 0)),
+    (((2, -1), (-1, 2)), (False, 0)),
+    (((2, -1), (-1, 2)), (0, 1.0)),
+])
+def test_cartan_data_refuses_a_float_str_or_bool(matrix, parity):
+    # a float entry used to be kept, and validate called it admissible
+    with pytest.raises(TypeError):
+        CartanData(matrix, parity)
+
+
+def test_cartan_data_keeps_each_entry_in_the_exact_form():
+    cd = CartanData(((Q(2), Q(-3, 2)), (Q(-1), 2)), (0, 0))
+    assert cd.matrix == ((2, Q(-3, 2)), (-1, 2))
+    assert [type(x) for row in cd.matrix for x in row] == [int, Q, int, int]
+
+
 def test_rank_one_types():
     cd = CartanData(
         tuple(tuple(Q(x) for x in row) for row in

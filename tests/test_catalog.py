@@ -513,8 +513,11 @@ HANDLE_DIGESTS = {
 
 
 def _handle_digest(h):
+    # the matrix goes through Fraction, the form it was pinned in, so an int
+    # entry hashes as the equal Fraction did
     pinned = (
-        h.label, h.eps_dim, h.delta_dim, h.cartan.matrix, h.cartan.parity,
+        h.label, h.eps_dim, h.delta_dim,
+        tuple(tuple(map(Q, row)) for row in h.cartan.matrix), h.cartan.parity,
         h.simple_ed, h.eps_norms, h.parity_coeffs, h.null_root(),
         h.real_roots(max_height=6), h.all_roots(max_height=4),
     )
@@ -526,6 +529,13 @@ def test_handles_match_the_pinned_digests():
     # catalog cannot move a root, a sign or a parity unnoticed
     for spec in _PINNED_SPECS:
         assert _handle_digest(build(spec)) == HANDLE_DIGESTS[spec], spec
+
+
+def test_catalog_matrices_hold_exact_entries():
+    # each entry in linalg.exact's form: an int, or a Fraction that is not one
+    for spec in _PINNED_SPECS:
+        assert all(type(x) is int or (type(x) is Q and x.denominator > 1)
+                   for row in build(spec).cartan.matrix for x in row), spec
 
 
 def test_each_build_constructs_one_handle(monkeypatch):

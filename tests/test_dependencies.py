@@ -1,5 +1,6 @@
 """The package imports nothing outside the standard library and itself, its
-arithmetic is exact (no float literal appears in its source), every
+arithmetic is exact (no float literal, no name float and no math function
+but the integer ones appear in its source), every
 exported name resolves and every definition is used, by more than the tests
 unless an allowlist names it."""
 
@@ -38,14 +39,26 @@ def test_rootspace_imports_nothing_from_the_package():
             assert all(a.name.split(".")[0] != "superroot" for a in node.names), ast.dump(node)
 
 
+# math functions that take and return integers only
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+
 def test_no_float_literals():
+    # nor a float made at run time: no name float, and no math function but
+    # the integer ones (a literal check alone cannot see float(x) or math.sqrt)
     files = sorted(SRC.glob("*.py"))
     assert files
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = (path.name, getattr(node, "lineno", None))
             if isinstance(node, ast.Constant):
-                assert not isinstance(node.value, (float, complex)), (
-                    path.name, node.lineno, node.value)
+                assert not isinstance(node.value, (float, complex)), (*where, node.value)
+            elif isinstance(node, ast.Name):
+                assert node.id != "float", where
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                assert {a.name for a in node.names} <= INTEGER_MATH, where
+            elif isinstance(node, ast.Import):
+                assert "math" not in {a.name for a in node.names}, where
 
 
 def test_every_exported_name_resolves():

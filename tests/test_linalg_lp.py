@@ -2,21 +2,21 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superroot.linalg import mat, rref, solve
+from superroot.linalg import rref, solve
 from superroot.lp import feasible_nonneg, in_nonneg_cone
 from support import nullspace, rank
 
 
 def test_rref_identity():
-    rows, pivots = rref(mat([[1, 2], [3, 4]]))
+    rows, pivots = rref([[1, 2], [3, 4]])
     assert pivots == [0, 1]
     assert rows == [[Q(1), Q(0)], [Q(0), Q(1)]]
 
 
 def test_solve_consistent_and_inconsistent():
-    a = mat([[1, 1], [1, -1]])
+    a = [[1, 1], [1, -1]]
     assert solve(a, [Q(2), Q(0)]) == [Q(1), Q(1)]
-    a2 = mat([[1, 1], [2, 2]])
+    a2 = [[1, 1], [2, 2]]
     assert solve(a2, [Q(1), Q(3)]) is None
 
 
@@ -31,7 +31,7 @@ def test_rank_and_solve_stay_exact_on_int_input():
 
 
 def test_nullspace_dimension():
-    a = mat([[1, 2, 3]])
+    a = [[1, 2, 3]]
     ns = nullspace(a)
     assert len(ns) == 2
     for v in ns:

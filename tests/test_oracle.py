@@ -518,6 +518,32 @@ def test_verify_theorem_main_refuses_an_unrealized_type_before_the_closure(monke
     assert not calls
 
 
+def test_verify_dynkin_refuses_an_unread_loop_degree_before_the_closure(monkeypatch):
+    # a --K on a type without a realization, or on a finite type, was echoed
+    # back (the first) or refused only after the closure and Pi had run
+    from superroot import cli, pisystem
+
+    closure, calls = pisystem.closure_S_infinity, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(pisystem, "closure_S_infinity", counted)
+    for spec, sigma in (("A(2,2)^(4)", [(1, 0, 0)]), ("D(2,1;2)^(1)", [(0, 1, 0, 0)]), ("B(1,1)", [(1, 0)])):
+        h = build(spec)
+        with pytest.raises(ValueError):
+            pisystem.verify_dynkin_maps(root_set(h, sigma), height_bound=6, loop_degree=5)
+        argv = ["verify-dynkin", "--type", spec, "--sigma", str([list(r) for r in sigma]),
+                "--height", "6", "--K", "5", "--format", "json"]
+        assert cli.main(argv) == 2, spec
+    assert not calls
+    # with no --K an unrealized type still runs and gives no oracle verdict
+    h = build("A(2,2)^(4)")
+    cert = pisystem.verify_dynkin_maps(root_set(h, [(1, 0, 0)]), height_bound=6)
+    assert cert.pi_roundtrip and cert.oracle_match is None and calls
+
+
 def test_full_basis_real_weights_match_the_catalog_on_every_realizable_type():
     # the realization's real weights against the catalog's real roots, at
     # every degree of the window K = 1 on the untwisted affine types
