@@ -21,7 +21,6 @@ from .pisystem import (
     pi_of_psi,
     reflect,
     root_set,
-    verify_dynkin_maps,
 )
 from .rootstring import check_unbroken, pairing_laws, root_string, string_pattern, sweep_strings
 from .oracle import (
@@ -31,6 +30,7 @@ from .oracle import (
     osp12_module_table,
     realize,
     subalgebra_real_roots,
+    verify_dynkin_maps,
     verify_theorem_main,
 )
 

@@ -121,10 +121,16 @@ def even_reflect_base(base: Base, t: int) -> Base:
     coroots, (s b)(s' h) = b(h) - 2 alpha(h) b(h_alpha) + b(h_alpha)
     alpha(h) alpha(h_alpha) = b(h).  So are the parities p(s b_u) = p(b_u) +
     a_{tu} p(alpha) mod 2 on an admissible base, where a_{tu} is even if alpha is odd.
+    A non-integral a_{tu} would leave the root lattice and raises
+    ``NonRegularBaseError``.
     """
     cd = base.cartan
     if cd.matrix[t][t] != 2:
         raise IsotropicReflectorError("reflector must pair to 2 with its coroot")
+    for u, x in enumerate(cd.matrix[t]):
+        if type(x) is not int:
+            raise NonRegularBaseError(f"entry {t} pairs to a_{{{t}{u}}} = {x} with entry {u}, "
+                                      "not an integer", matrix=cd.matrix)
     if cd.parity[t] and any(x % 2 for x in cd.matrix[t]):
         cd = CartanData(cd.matrix, [(p + x) % 2 for p, x in zip(cd.parity, cd.matrix[t])])
     return Base(_even_roots(base, t), cd)
@@ -221,10 +227,12 @@ def enumerate_real_roots(
     The real roots are closed under negation, so the output is symmetrized.
     A negative bound raises ``ValueError``.
     """
+    rs.check_bound("h_report", h_report)
+    rs.check_bound("h_explore", h_explore)
     if h_explore is None:
         h_explore = h_report
-    if not 0 <= h_report <= h_explore:
-        raise ValueError(f"need 0 <= h_report <= h_explore, got {h_report} and {h_explore}")
+    if h_report > h_explore:
+        raise ValueError(f"need h_report <= h_explore, got {h_report} and {h_explore}")
     bases, pruned = _search(cd, h_explore, odd_only=False)
     found, isotropic = _base_roots_and_doubles(bases)
     symmetric = {s for r in found if height(r) <= h_report for s in (r, rs.neg(r))}
@@ -245,8 +253,7 @@ def principal_roots(cd: CartanData, h_explore: int = 64) -> RealRootsResult:
     root set stabilizes at tiny heights long before any reasonable bound).
     A negative ``h_explore`` raises ``ValueError``.
     """
-    if h_explore < 0:
-        raise ValueError(f"h_explore must be >= 0, got {h_explore}")
+    rs.check_bound("h_explore", h_explore)
     bases, pruned = _search(cd, h_explore, odd_only=True)
     found, isotropic = _base_roots_and_doubles(bases)
     found = {r for r in found if cd.root_parity(r) == 0}

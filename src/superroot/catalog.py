@@ -45,12 +45,11 @@ from .errors import (
     UnsupportedTypeError,
 )
 from .linalg import frac, rref
-from .rootspace import Root, height
+from .rootspace import Root, check_bound, height
 
 FINITE = "finite"
 AFFINE = "affine"
 TWISTED4 = "twisted4"
-ROOT_COORD_BOUND = 2  # every root of every type here has |eps_i|, |delta_p| <= 2
 TABLE_LIMIT = 1 << 16  # entries per memo table and in the type table; the oldest goes first
 
 
@@ -211,6 +210,7 @@ class RootSystemHandle:
 
     def real_roots_ed(self, max_degree: Optional[int] = None) -> Iterator[EpsDeltaVector]:
         """The real roots of null degree at most ``max_degree`` in size; all for a finite type."""
+        check_bound("max_degree", max_degree)
         if not self.has_null:
             degrees = (0,)
         elif max_degree is None:
@@ -357,6 +357,7 @@ class RootSystemHandle:
         self, max_height: Optional[int] = None, max_degree: Optional[int] = None
     ) -> list[Root]:
         """Real roots in alpha-coordinates, sorted, within the given bounds."""
+        check_bound("max_height", max_height)  # real_roots_ed checks max_degree
         if self.has_null and max_degree is None:
             if max_height is None:
                 raise ValueError("affine enumeration needs max_height or max_degree")
@@ -392,9 +393,10 @@ class RootSystemHandle:
 def _finite_data(ctype: CatalogType):
     """The data of the finite type with ``ctype``'s family and ranks.
 
-    Returns the eps norms, parity coefficients, simple roots, their parities,
-    the row gauges of the isotropic simple roots, the highest root theta and
-    the one-entry table.
+    Returns the eps norms, the parity coefficients (the parity functional,
+    which ``_type_data`` reads every simple parity off), the simple roots,
+    the gauge of their isotropic rows, the highest root theta and the
+    one-entry table.
     """
     fam, m, n = ctype.family, ctype.m, ctype.n
     ones = Fraction(1)
@@ -410,8 +412,7 @@ def _finite_data(ctype: CatalogType):
         ]
         theta = EpsDeltaVector((2, 0, 0), ())
         table = _singles(3, range(3), 2) + list(product((1, -1), repeat=3))
-        return ((-(1 + a), ones, a), (0, 0, 1, 0), simples, (1, 0, 0),
-                (Fraction(-1, 2), ones, ones), theta, (frozenset(table),))
+        return (-(1 + a), ones, a), (0, 0, 1, 0), simples, Fraction(-1, 2), theta, (frozenset(table),)
     if fam == "A":
         # sl(m+1|n+1) with m != n: u_a - u_b over eps_1..eps_{m+1}, delta_1..delta_{n+1}
         if m == n:
@@ -424,7 +425,6 @@ def _finite_data(ctype: CatalogType):
         simples = [EpsDeltaVector(_step(e, i), (0,) * d) for i in range(m)]
         simples.append(EpsDeltaVector(_unit(e, m), _unit(d, 0, -1)))
         simples += [EpsDeltaVector((0,) * e, _step(d, p)) for p in range(n)]
-        parities = [0] * m + [1] + [0] * n
         theta = EpsDeltaVector(_unit(e, 0), _unit(d, d - 1, -1))
     elif fam in ("B", "D"):
         if fam == "B" and (n < 1 or m < 0):
@@ -441,7 +441,6 @@ def _finite_data(ctype: CatalogType):
         if m:
             last = (0,) * (m - 2) + (1, 1) if fam == "D" else _unit(m, m - 1)
             simples.append(EpsDeltaVector(last, (0,) * n))
-        parities = [0] * (n - 1) + [1] + [0] * m
         theta = EpsDeltaVector((0,) * m, _unit(n, 0, 2))
     elif fam == "C":
         if n < 2:
@@ -450,7 +449,6 @@ def _finite_data(ctype: CatalogType):
         simples = [EpsDeltaVector((1,), _unit(d, 0, -1))]
         simples += [EpsDeltaVector((0,), _step(d, p)) for p in range(d - 1)]
         simples.append(EpsDeltaVector((0,), _unit(d, d - 1, 2)))
-        parities = [1] + [0] * d
         theta = EpsDeltaVector((1,), _unit(d, 0))
     else:
         raise UnsupportedTypeError(f"family {ctype.family!r} is not in the catalog")
@@ -462,8 +460,7 @@ def _finite_data(ctype: CatalogType):
         table = _pairs(e + d) + _singles(e + d, range(e, e + d), 2)
         if fam == "B":
             table += _singles(e + d, range(e + d), 1)
-    return ((ones,) * e, (0,) * e + (1,) * d + (0,), simples, parities,
-            (ones,) * len(simples), theta, (frozenset(table),))
+    return (ones,) * e, (0,) * e + (1,) * d + (0,), simples, 1, theta, (frozenset(table),)
 
 
 def _twisted4_data(ctype: CatalogType):
@@ -486,14 +483,12 @@ def _twisted4_data(ctype: CatalogType):
     simples.append(EpsDeltaVector(_unit(k, 0, -1), _unit(l, l - 1), 0))
     simples += [EpsDeltaVector(_step(k, i), (0,) * l, 0) for i in range(k - 1)]
     simples.append(EpsDeltaVector(_unit(k, k - 1), (0,) * l, 0))
-    parities = [0] * l + [1] + [0] * k
     n = k + l
     singles = frozenset(_singles(n, range(n), 1))
     even = singles | frozenset(_pairs(n))
     table = (even | frozenset(_singles(n, range(k, n), 2)), singles,
              even | frozenset(_singles(n, range(k), 2)), singles)
-    return ((Fraction(1),) * k, (0,) * k + (1,) * l + (1,), simples, parities,
-            (Fraction(1),) * len(simples), None, table)
+    return (Fraction(1),) * k, (0,) * k + (1,) * l + (1,), simples, 1, None, table
 
 
 _TYPES: OrderedDict[CatalogType, MappingProxyType] = OrderedDict()  # one record per type built
@@ -506,22 +501,22 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
     its family data.  Its untwisted affinization prepends alpha_0 = null -
     theta, theta the highest root, to the finite simple roots and reads the
     finite table at every null degree.  A(2k,2l)^(4) has a base and a
-    period-4 table of its own.  A type that fails a check raises on every
-    call and is never stored.
+    period-4 table of its own.  Every simple parity, alpha_0's included, is
+    read off the parity functional, and every isotropic simple row is scaled
+    by the family's one gauge.  ``coord_bound`` is the largest |coordinate|
+    in the table, so every root and the zero vector lie in that box.  A type
+    that fails a check raises on every call and is never stored.
     """
     data = _TYPES.get(ctype)
     if data is not None:
         return data
     if ctype.twist == TWISTED4:
-        norms, coeffs, simples, parities, gauges, theta, table = _twisted4_data(ctype)
+        norms, coeffs, simples, gauge, theta, table = _twisted4_data(ctype)
     else:
-        norms, coeffs, simples, parities, gauges, theta, table = _finite_data(ctype)
+        norms, coeffs, simples, gauge, theta, table = _finite_data(ctype)
         if ctype.twist == AFFINE:
             neg = -theta
             simples = [EpsDeltaVector(neg.eps, neg.delta, 1), *simples]
-            # alpha_0 has the parity of theta, as the null root is even
-            parities = [sum(c * x for c, x in zip(coeffs, theta.coords())) % 2, *parities]
-            gauges = [Fraction(1), *gauges]
         elif ctype.twist != FINITE:
             raise UnsupportedTypeError(f"unknown twist {ctype.twist!r}")
     n, e, d = len(simples), len(norms), len(simples[0].delta)
@@ -549,11 +544,9 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
     rows = []
     for i in range(n):
         norm = form(i, i)
-        rows.append(tuple(2 * form(i, j) / norm if norm else gauges[i] * form(i, j)
+        rows.append(tuple(2 * form(i, j) / norm if norm else gauge * form(i, j)
                           for j in range(n)))
-    cartan = CartanData(tuple(rows), tuple(parities))
-    if any(sum(c * x for c, x in zip(coeffs, coords[i])) % 2 != parities[i] for i in range(n)):
-        raise AssertionError("parity functional disagrees with simple parities")
+    cartan = CartanData(tuple(rows), tuple(sum(c * x for c, x in zip(coeffs, v)) % 2 for v in coords))
     report = cartan_mod.validate(cartan)
     if not report.ok():
         raise AssertionError(f"catalog base for {ctype.label} failed validation: {report}")
@@ -562,7 +555,8 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
     data = MappingProxyType(dict(
         ctype=ctype, label=ctype.label, eps_dim=e, delta_dim=d, has_null=ctype.twist != FINITE,
         rank=n, eps_norms=tuple(norms), parity_coeffs=tuple(coeffs), simple_ed=tuple(simples),
-        cartan=cartan, _table=tuple(table), _denom=denom,
+        cartan=cartan, coord_bound=max(abs(x) for entry in table for c in entry for x in c),
+        _table=tuple(table), _denom=denom,
         _int_norms=int_norms, _coord_dim=e + d + 1, _simple_coords=coords,
         # (pivot, row) pairs that solve for _alpha_denom times the alpha
         # coordinates, and the rows that every vector of the root lattice annihilates

@@ -184,7 +184,7 @@ def _admits_pi(args):
 
 
 def _verify_dynkin(args):
-    cert = ps.verify_dynkin_maps(_roots_of(args, "sigma"), args.height, args.loop_degree)
+    cert = oracle.verify_dynkin_maps(_roots_of(args, "sigma"), args.height, args.loop_degree)
     body = {"closure_closed_subroot": cert.closure_closed_subroot, "pi_roundtrip": cert.pi_roundtrip,
             "oracle_match": cert.oracle_match, "closure": _root_list(cert.closure.elements),
             "status": cert.status}

@@ -43,8 +43,6 @@ def feasible_nonneg(rows: Sequence[Sequence[int]], b: Sequence[int]) -> Optional
     n = len(a[0]) if m else 0
     if m == 0:
         return []
-    if n == 0:
-        return [] if all(x == 0 for x in rhs) else None
 
     # Orient rows so the right-hand side is nonnegative, append artificials.
     total = n + m
@@ -106,7 +104,8 @@ def feasible_nonneg(rows: Sequence[Sequence[int]], b: Sequence[int]) -> Optional
 
 
 def in_nonneg_cone(generators: Sequence[Sequence], target: Sequence) -> bool:
-    """Exact test for target in the rational cone spanned by the generators."""
+    """Exact test for target in the rational cone spanned by the generators; with none,
+    zero alone, decided here: the tableau agrees but costs Pi(Psi) several times more."""
     if not generators:
         return all(x == 0 for x in target)
     rows = [[g[i] for g in generators] for i in range(len(target))]

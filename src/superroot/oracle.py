@@ -38,7 +38,7 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 from . import pisystem as ps
 from . import rootspace as rs
 from .catalog import AFFINE, FINITE, CatalogType, EpsDeltaVector, RootSystemHandle, _remember, build
-from .errors import NotARootError, TruncationHitError, UnsupportedTypeError
+from .errors import InconclusiveError, NotARootError, NotClosedError, TruncationHitError, UnsupportedTypeError
 from .linalg import exact, rref, solve
 from .rootspace import Root, height
 
@@ -323,8 +323,7 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
     Each call returns a new realization on the record shared by its type
     and window.
     """
-    if loop_degree is not None and loop_degree < 0:
-        raise ValueError(f"loop_degree must be >= 0, got {loop_degree}")
+    rs.check_bound("loop_degree", loop_degree)
     handle = build(handle_or_type) if isinstance(handle_or_type, str) else handle_or_type
     if not realizable(handle):
         raise UnsupportedTypeError(f"no matrix realization for {handle.label}")
@@ -495,6 +494,55 @@ def verify_theorem_main(sigma: ps.RootSet, loop_degree: Optional[int] = None) ->
         subalgebra_roots=sub_roots,
         window_degree=window,
         closure_status=closure.status,
+    )
+
+
+@dataclass(frozen=True)
+class DynkinCertificate:
+    closure_closed_subroot: bool
+    pi_roundtrip: bool
+    oracle_match: Optional[bool]
+    closure: ps.RootSet
+    status: str
+
+    def ok(self) -> bool:
+        return self.closure_closed_subroot and self.pi_roundtrip and self.oracle_match is not False
+
+
+def verify_dynkin_maps(
+    sigma: ps.RootSet,
+    height_bound: Optional[int] = None,
+    loop_degree: Optional[int] = None,
+) -> DynkinCertificate:
+    """Certify the bijection data for one pi-system inside the positive roots.
+
+    A ``loop_degree`` that the oracle would not read raises ``ValueError``.
+    """
+    report = ps.is_pi_system(sigma)
+    if not report.ok:
+        raise ValueError(f"input is not a pi-system: {report}")
+    if any(not sigma.handle.is_positive(r) for r in sigma):
+        raise ValueError("the pi-system must lie in the positive roots")
+    loop_window(sigma, loop_degree)  # refuses one on a finite type, before the closure
+    if loop_degree is not None and not realizable(sigma.handle):
+        raise ValueError(f"{sigma.handle.label} has no realization to read loop_degree {loop_degree}")
+    closure = ps.closure_S_infinity(sigma, height_bound)
+    if not closure.stabilized:
+        raise InconclusiveError("closure did not stabilize; cannot certify")
+    cls = ps.classify_subset(closure.roots)
+    if not cls.closed:
+        raise NotClosedError("Pi(Psi) is defined for closed subsets only")
+    roundtrip = ps.minimal_positive_elements(closure.roots).elements == sigma.elements
+    try:
+        oracle_match: Optional[bool] = verify_theorem_main(sigma, loop_degree=loop_degree).ok
+    except (UnsupportedTypeError, InconclusiveError):
+        oracle_match = None
+    return DynkinCertificate(
+        closure_closed_subroot=cls.closed and cls.subroot_system and cls.symmetric,
+        pi_roundtrip=roundtrip,
+        oracle_match=oracle_match,
+        closure=closure.roots,
+        status=closure.status,
     )
 
 

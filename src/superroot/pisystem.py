@@ -23,7 +23,6 @@ from .errors import (
     NotARealRootError,
     NotClosedError,
     NotInLatticeError,
-    UnsupportedTypeError,
 )
 from .lp import in_nonneg_cone
 from .rootspace import Root, height
@@ -143,11 +142,6 @@ def _sign_class(r: Root) -> Root:
     return max(r, rs.neg(r))
 
 
-def _check_height_bound(height_bound: Optional[int]) -> None:
-    if height_bound is not None and height_bound < 0:
-        raise ValueError(f"height_bound must be >= 0, got {height_bound}")
-
-
 def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> ClosureResult:
     """Iterate the reflection-and-negation closure of a set of real roots.
 
@@ -189,7 +183,7 @@ def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> Clo
     handle = seed.handle
     if height_bound is None and not handle.is_finite:
         raise ValueError("affine closures need a height bound")
-    _check_height_bound(height_bound)
+    rs.check_bound("height_bound", height_bound)
     s0 = set(seed.elements)
     for r in seed.elements:
         twice = rs.scale(2, r)
@@ -297,7 +291,7 @@ def admits_pi_system(psi: RootSet, height_bound: Optional[int] = None) -> Option
     that single candidate: it must be a pi-system and its closure must
     stabilize to exactly Psi.
     """
-    _check_height_bound(height_bound)
+    rs.check_bound("height_bound", height_bound)
     cls = classify_subset(psi)
     if not (cls.closed and cls.subroot_system):
         raise NotClosedError("admits_pi_system requires a closed subroot system")
@@ -308,58 +302,3 @@ def admits_pi_system(psi: RootSet, height_bound: Optional[int] = None) -> Option
     if not closure.stabilized:
         raise InconclusiveError("closure of Pi(Psi) did not stabilize within bounds")
     return sigma if closure.roots.elements == psi.elements else None
-
-
-@dataclass(frozen=True)
-class DynkinCertificate:
-    closure_closed_subroot: bool
-    pi_roundtrip: bool
-    oracle_match: Optional[bool]
-    closure: RootSet
-    status: str
-
-    def ok(self) -> bool:
-        return (
-            self.closure_closed_subroot
-            and self.pi_roundtrip
-            and self.oracle_match is not False
-        )
-
-
-def verify_dynkin_maps(
-    sigma: RootSet,
-    height_bound: Optional[int] = None,
-    loop_degree: Optional[int] = None,
-) -> DynkinCertificate:
-    """Certify the bijection data for one pi-system inside the positive roots.
-
-    A ``loop_degree`` that the oracle would not read raises ``ValueError``.
-    """
-    report = is_pi_system(sigma)
-    if not report.ok:
-        raise ValueError(f"input is not a pi-system: {report}")
-    if any(not sigma.handle.is_positive(r) for r in sigma):
-        raise ValueError("the pi-system must lie in the positive roots")
-    from . import oracle  # deferred to avoid an import cycle
-
-    oracle.loop_window(sigma, loop_degree)  # refuses one on a finite type, before the closure
-    if loop_degree is not None and not oracle.realizable(sigma.handle):
-        raise ValueError(f"{sigma.handle.label} has no realization to read loop_degree {loop_degree}")
-    closure = closure_S_infinity(sigma, height_bound)
-    if not closure.stabilized:
-        raise InconclusiveError("closure did not stabilize; cannot certify")
-    cls = classify_subset(closure.roots)
-    if not cls.closed:
-        raise NotClosedError("Pi(Psi) is defined for closed subsets only")
-    roundtrip = minimal_positive_elements(closure.roots).elements == sigma.elements
-    try:
-        oracle_match: Optional[bool] = oracle.verify_theorem_main(sigma, loop_degree=loop_degree).ok
-    except (UnsupportedTypeError, InconclusiveError):
-        oracle_match = None
-    return DynkinCertificate(
-        closure_closed_subroot=cls.closed and cls.subroot_system and cls.symmetric,
-        pi_roundtrip=roundtrip,
-        oracle_match=oracle_match,
-        closure=closure.roots,
-        status=closure.status,
-    )

@@ -8,7 +8,7 @@ answered by the catalog handle, or by the Cartan matrix a base carries.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 Root = tuple[int, ...]
 
@@ -31,3 +31,11 @@ def neg(x: Root) -> Root:
 
 def scale(k: int, x: Root) -> Root:
     return tuple(k * a for a in x)
+
+
+def check_bound(name: str, value: Optional[int]) -> None:
+    """The one check of a height, degree or window bound: None or an int >= 0."""
+    if value is not None and type(value) is not int:  # a bool or a float is refused, not coerced
+        raise TypeError(f"{name} must be an int or None, got {value!r}")
+    if value is not None and value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")

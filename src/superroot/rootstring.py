@@ -6,7 +6,7 @@ zero vector is allowed to fill its slot: beta + k alpha lies in the roots or
 is zero exactly for -p <= k <= q with p - q equal to the coroot pairing, and
 s_alpha reverses the string.  Strings in isotropic directions are finite and
 carry at most two real roots.  Every string is scanned whole, inside the
-catalog's coordinate box, so none is cut short.  Violations of any of these
+type's coordinate box, so none is cut short.  Violations of any of these
 laws raise; they would signal a defect in the membership oracle, never a
 tolerable state.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import rootspace as rs
-from .catalog import ROOT_COORD_BOUND, RootSystemHandle
+from .catalog import RootSystemHandle
 from .errors import BrokenStringError, NotARootError, PatternViolationError
 from .rootspace import Root
 
@@ -46,13 +46,13 @@ class RootString:
 
 
 def _box(handle, beta, alpha) -> range:
-    # The k with |b_i + k a_i| <= ROOT_COORD_BOUND on the first nonzero
+    # The k with |b_i + k a_i| <= the type's coord_bound on the first nonzero
     # finite coordinate a_i of alpha, flipped so that a_i > 0.
-    a, b = handle.to_ed(alpha), handle.to_ed(beta)
+    a, b, bound = handle.to_ed(alpha), handle.to_ed(beta), handle.coord_bound
     ai, bi = next((x, y) for x, y in zip(a.eps + a.delta, b.eps + b.delta) if x)
     if ai < 0:
         ai, bi = -ai, -bi
-    return range(-((ROOT_COORD_BOUND + bi) // ai), (ROOT_COORD_BOUND - bi) // ai + 1)
+    return range(-((bound + bi) // ai), (bound - bi) // ai + 1)
 
 
 def _scan(handle, beta, alpha, ks):
@@ -75,12 +75,12 @@ def root_string(handle: RootSystemHandle, beta: Root, alpha: Root) -> RootString
     """Scan the alpha-string through beta and tag each member real/imaginary.
 
     Every root, and the zero vector, has finite eps/delta coordinates in
-    [-2, 2] (``catalog.ROOT_COORD_BOUND``).  A real alpha has a nonzero
-    finite coordinate a_i, so beta + k alpha can be a root or zero only when
-    |b_i + k a_i| <= 2: at most five consecutive k, and 0 among them since
-    beta is a root.  The scan visits exactly those k, so it sees the whole
-    string in one pass, in an isotropic direction as in any other, and
-    never truncates.
+    [-B, B], B the type's ``coord_bound`` (1 on A(m,n) and A(m,n)^(1), 2
+    elsewhere).  A real alpha has a nonzero finite coordinate a_i, so
+    beta + k alpha can be a root or zero only when |b_i + k a_i| <= B: at
+    most 2B + 1 consecutive k, and 0 among them since beta is a root.  The
+    scan visits exactly those k, so it sees the whole string in one pass, in
+    an isotropic direction as in any other, and never truncates.
     """
     if not handle.is_real(alpha):
         raise NotARootError(f"direction {alpha} is not a real root")
@@ -315,7 +315,8 @@ def sweep_strings(
     ``strings`` benchmark digest.
 
     A negative bound or one that the type does not read raises
-    ``ValueError``, and so does an affine type without ``max_degree``.
+    ``ValueError``, and so does an affine type without ``max_degree``;
+    ``all_roots`` checks each bound with ``rootspace.check_bound``.
     """
     report = SweepReport()
     if handle.is_finite:
@@ -326,9 +327,6 @@ def sweep_strings(
             raise ValueError("an affine type is swept by null degree; bound it by max_degree (--degree)")
         if max_degree is None:
             raise ValueError("an affine sweep needs a null-degree bound: give max_degree (--degree)")
-    name, bound = ("max_height", max_height) if handle.is_finite else ("max_degree", max_degree)
-    if bound is not None and bound < 0:
-        raise ValueError(f"{name} must be >= 0, got {bound}")
     betas = handle.all_roots(max_height=max_height, max_degree=max_degree)
     alphas = [b for b in betas if handle.is_real(b)]
     for alpha in alphas:

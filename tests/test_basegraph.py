@@ -94,6 +94,15 @@ def test_even_reflection_rejects_isotropic():
         even_reflect_base(base, 0)
 
 
+def test_even_reflection_refuses_a_non_integral_reflector_row():
+    # s(b_1) = b_1 + alpha/2 would leave the root lattice; it came back as
+    # ((-1, 0), (1/2, 1)) with no error
+    base = standard_base(normalize([[2, Q(-1, 2)], [-1, 2]], (0, 0)))
+    with pytest.raises(NonRegularBaseError, match=r"a_\{01\} = -1/2"):
+        even_reflect_base(base, 0)
+    assert even_reflect_base(base, 1).roots == ((1, 1), (0, -1))
+
+
 def test_even_reflection_is_involutive():
     cd = build("B(1,1)").cartan
     base = standard_base(cd)

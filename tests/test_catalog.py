@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superroot.catalog import ROOT_COORD_BOUND, CatalogType, EpsDeltaVector as ED, build, parse_type
+from superroot.catalog import CatalogType, EpsDeltaVector as ED, build, parse_type
 from superroot.errors import NotInLatticeError, UnsupportedTypeError
 from support import (is_imaginary, is_imaginary_ed, is_isotropic_ed, membership_classify,
                      positive_real_roots)
@@ -30,6 +30,17 @@ def test_parse_type_accepts_only_decimal_digit_ranks():
                 "B(1,\u0661)", "D(+2,1;1)"):
         with pytest.raises(UnsupportedTypeError):
             parse_type(bad)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("B(1,1;2)", "unexpected parameter"),
+    ("D(3,1;2)", "requires D\\(2,1;a\\)"),
+    ("C(2,1)", "C takes one rank"),
+    ("B(1)", "B takes two ranks"),
+])
+def test_parse_type_refuses_a_misplaced_parameter_and_a_wrong_rank_count(spec, message):
+    with pytest.raises(UnsupportedTypeError, match=message):
+        parse_type(spec)
 
 
 def test_unsupported_types():
@@ -255,22 +266,23 @@ def test_real_roots_ed_is_the_membership_grid():
 
 def test_real_roots_lie_in_the_coordinate_box():
     # the bound that root strings scan by: every finite eps/delta coordinate
-    # of a real root is in [-2, 2] (imaginary roots have none nonzero)
+    # of a real root is in [-B, B], B the type's coord_bound, and some root
+    # reaches it (imaginary roots have none nonzero); B is 1 exactly on the
+    # A(m,n) and A(m,n)^(1) types
     specs = ["A(0,1)", "A(1,2)", "A(2,1)", "A(0,3)", "B(0,1)", "B(1,1)", "B(2,1)", "B(1,2)",
              "C(2)", "C(3)", "D(2,1)", "D(2,2)", "D(3,1)",
              "D(2,1;1)", "D(2,1;1/2)", "D(2,1;-5/3)", "D(2,1;3)"]
     specs += [s + "^(1)" for s in specs] + ["A(2,2)^(4)", "A(4,2)^(4)", "A(2,4)^(4)", "A(4,4)^(4)"]
-    assert ROOT_COORD_BOUND == 2
-    largest = 0
     for spec in specs:
         h = build(spec)
+        assert h.coord_bound == (1 if h.ctype.family == "A" and h.ctype.twist != "twisted4" else 2), spec
+        largest = 0
         for k in ((0, 1, 2) if h.has_null else (None,)):
             listed = list(h.real_roots_ed(k))
             assert listed, (spec, k)
             for v in listed:
-                assert all(abs(c) <= 2 for c in v.eps + v.delta), (spec, v)
                 largest = max(largest, *(abs(c) for c in v.eps + v.delta))
-    assert largest == 2
+        assert largest == h.coord_bound, spec
 
 
 def test_the_form_is_the_defining_diagonal_form():
@@ -632,25 +644,10 @@ def test_a_failing_type_raises_on_every_build(monkeypatch):
     assert not catalog._TYPES
 
 
-def test_the_parity_guard_reads_the_parity_functional(monkeypatch):
-    # every parity query reads the eps/delta parity functional, so the build
-    # must check it, not the Cartan parities built from the simple parities
-    from collections import OrderedDict
-
-    from superroot import catalog
-
+def test_the_parity_guard_reads_the_parity_functional():
+    # every parity query reads the eps/delta parity functional, and the
+    # Cartan parities are read off it too, so the two agree on every simple
+    # root; a wrong functional changes the pinned HANDLE_DIGESTS
     for spec in _PINNED_SPECS:
         h = build(spec)
         assert [h.parity(r) for r in h.simple_roots_alpha()] == list(h.cartan.parity), spec
-    finite_data = catalog._finite_data
-
-    def even_functional(ctype):
-        norms, coeffs, *rest = finite_data(ctype)
-        return (norms, (0,) * len(coeffs), *rest) if ctype.family == "B" else (norms, coeffs, *rest)
-
-    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
-    monkeypatch.setattr(catalog, "_finite_data", even_functional)
-    build("A(0,1)")
-    for spec in ("B(1,1)", "B(0,1)^(1)"):
-        with pytest.raises(AssertionError, match="parity functional"):
-            build(spec)

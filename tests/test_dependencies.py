@@ -39,6 +39,42 @@ def test_rootspace_imports_nothing_from_the_package():
             assert all(a.name.split(".")[0] != "superroot" for a in node.names), ast.dump(node)
 
 
+def _relative_imports() -> dict[str, set[str]]:
+    # module -> the package modules it imports relatively, deferred imports
+    # included; a name of ``from . import`` that is no module is __init__'s
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        edges = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    edges.add(node.module.split(".")[0])
+                else:
+                    edges.update(a.name if (SRC / f"{a.name}.py").exists() else "__init__"
+                                 for a in node.names)
+    return graph
+
+
+def test_the_import_graph_is_acyclic():
+    # a depth-first walk that meets a module still on its path has found a cycle
+    graph = _relative_imports()
+    assert {"pisystem", "oracle", "catalog"} <= graph.keys()
+    done, path = set(), []
+
+    def visit(mod):
+        assert mod not in path, path[path.index(mod):] + [mod]
+        if mod in done:
+            return
+        path.append(mod)
+        for dep in sorted(graph[mod]):
+            visit(dep)
+        path.pop()
+        done.add(mod)
+
+    for mod in sorted(graph):
+        visit(mod)
+
+
 # math functions that take and return integers only
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
 

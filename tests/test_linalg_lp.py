@@ -58,6 +58,15 @@ def test_cone_membership():
     assert not in_nonneg_cone(gens, (0, 1))   # would need a negative multiple of (1,0)
 
 
+@pytest.mark.parametrize("target", [(), (0,), (3,), (-1,), (0, 0, 0), (0, 2, 0), (1, -1, 1)])
+def test_the_empty_cone_holds_only_zero(target):
+    # in_nonneg_cone answers for no generators itself, and the phase-one
+    # tableau, with no branch of its own for them, agrees: with no column of
+    # A the artificials leave the basis exactly when the target is zero
+    assert in_nonneg_cone([], target) == (not any(target))
+    assert feasible_nonneg([[] for _ in target], list(target)) == ([] if not any(target) else None)
+
+
 def test_degenerate_pivoting_terminates():
     # A classically degenerate system; Bland's rule must still terminate.
     rows = [[1, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]]

@@ -6,7 +6,7 @@ import pytest
 
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import TruncationHitError, UnsupportedTypeError
+from superroot.errors import InconclusiveError, NotARootError, TruncationHitError, UnsupportedTypeError
 from superroot.oracle import (
     GradedMatrix,
     bracket_criteria_sweep,
@@ -17,6 +17,7 @@ from superroot.oracle import (
     osp12_module_table,
     realize,
     subalgebra_real_roots,
+    verify_dynkin_maps,
     verify_osp12_module,
     verify_theorem_main,
 )
@@ -533,14 +534,14 @@ def test_verify_dynkin_refuses_an_unread_loop_degree_before_the_closure(monkeypa
     for spec, sigma in (("A(2,2)^(4)", [(1, 0, 0)]), ("D(2,1;2)^(1)", [(0, 1, 0, 0)]), ("B(1,1)", [(1, 0)])):
         h = build(spec)
         with pytest.raises(ValueError):
-            pisystem.verify_dynkin_maps(root_set(h, sigma), height_bound=6, loop_degree=5)
+            verify_dynkin_maps(root_set(h, sigma), height_bound=6, loop_degree=5)
         argv = ["verify-dynkin", "--type", spec, "--sigma", str([list(r) for r in sigma]),
                 "--height", "6", "--K", "5", "--format", "json"]
         assert cli.main(argv) == 2, spec
     assert not calls
     # with no --K an unrealized type still runs and gives no oracle verdict
     h = build("A(2,2)^(4)")
-    cert = pisystem.verify_dynkin_maps(root_set(h, [(1, 0, 0)]), height_bound=6)
+    cert = verify_dynkin_maps(root_set(h, [(1, 0, 0)]), height_bound=6)
     assert cert.pi_roundtrip and cert.oracle_match is None and calls
 
 
@@ -719,8 +720,6 @@ def test_an_affine_realization_needs_a_loop_degree():
 
 
 def test_negative_loop_degree_is_rejected():
-    from superroot.pisystem import verify_dynkin_maps
-
     with pytest.raises(ValueError):
         realize("A(0,1)^(1)", loop_degree=-1)
     with pytest.raises(ValueError):
@@ -841,3 +840,24 @@ def test_a_failing_realization_raises_on_every_call(monkeypatch):
         with pytest.raises(AssertionError, match="not proportional"):
             realize("B(1,1)")
     assert not oracle._REALIZATIONS
+
+
+def test_verify_dynkin_maps_refuses_a_cut_closure():
+    h = build("B(1,1)")
+    sigma = root_set(h, h.simple_roots_alpha())
+    assert verify_dynkin_maps(sigma).ok()
+    with pytest.raises(InconclusiveError, match="did not stabilize"):
+        verify_dynkin_maps(sigma, height_bound=1)
+
+
+def test_root_vector_refuses_a_degree_beyond_the_window_and_a_non_root():
+    r = realize("B(1,1)^(1)", loop_degree=1)
+    null = r.handle.null_root()
+    alpha = r.handle.simple_roots_alpha()[1]
+    assert r.root_vector(rs.add(null, alpha)).weight[-1] == 1
+    with pytest.raises(TruncationHitError):
+        r.root_vector(rs.add(rs.scale(2, null), alpha))
+    with pytest.raises(NotARootError):
+        r.root_vector(null)  # imaginary: no root space in the realization
+    with pytest.raises(NotARootError):
+        realize("B(1,1)").root_vector((3, 0))

@@ -6,8 +6,9 @@ import pytest
 from superroot import pisystem
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import NotARealRootError, NotClosedError, SuperrootError
+from superroot.errors import InconclusiveError, NotARealRootError, NotClosedError, SuperrootError
 from superroot.lp import in_nonneg_cone
+from superroot.oracle import verify_dynkin_maps
 from superroot.pisystem import (
     _is_positive_multiple,
     admits_pi_system,
@@ -19,7 +20,6 @@ from superroot.pisystem import (
     reflect,
     reflect_all,
     root_set,
-    verify_dynkin_maps,
 )
 from support import positive_real_roots, reflect_pair
 
@@ -620,3 +620,19 @@ def test_dynkin_checks_classify_each_set_once(monkeypatch):
                         lambda psi: pisystem.SubsetClassification(True, False, True))
     with pytest.raises(NotClosedError):
         verify_dynkin_maps(sigma)
+
+
+def test_the_closure_and_admits_pi_refuse_what_they_cannot_answer():
+    aff = build("B(1,1)^(1)")
+    with pytest.raises(ValueError, match="affine closures need a height bound"):
+        closure_S_infinity(root_set(aff, aff.simple_roots_alpha()))
+    h = build("B(1,1)")
+    # the simple roots are not closed: their sum is a real root
+    with pytest.raises(NotClosedError):
+        admits_pi_system(root_set(h, h.simple_roots_alpha()))
+    # every real root is a closed subroot system, but at height 1 the closure
+    # of its Pi, the simple roots, is cut short
+    psi = root_set(h, h.real_roots())
+    assert admits_pi_system(psi).elements == set(h.simple_roots_alpha())
+    with pytest.raises(InconclusiveError):
+        admits_pi_system(psi, height_bound=1)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.rootspace import height
+from superroot.rootspace import check_bound, height
 from superroot.cartan import normalize, symmetrizer
 from superroot.errors import IsotropicReflectorError, PairingNotIntegralError
 from support import SMALL_CATALOG, bilinear, membership_classify, pair
@@ -130,3 +130,41 @@ def test_real_nonisotropic_pairing_matches_coroot():
             continue
         for j, beta in enumerate(simples):
             assert handle.pairing(beta, alpha) == cd.matrix[i][j]
+
+
+def test_check_bound_takes_none_or_a_nonnegative_int():
+    for ok in (None, 0, 7):
+        check_bound("k", ok)
+    for bad in (True, False, 1.5, 2.0, "3"):
+        with pytest.raises(TypeError, match="^k must be an int or None"):
+            check_bound("k", bad)
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+        check_bound("k", -1)
+
+
+def test_every_bound_is_checked_without_coercion():
+    # each call ran before: a float or bool bound was used as it came, and a
+    # negative enumeration bound gave an empty list
+    from superroot.basegraph import enumerate_real_roots, principal_roots
+    from superroot.oracle import realize
+    from superroot.pisystem import admits_pi_system, closure_S_infinity, root_set
+    from superroot.rootstring import sweep_strings
+
+    aff, fin = build("B(1,1)^(1)"), build("B(1,1)")
+    seed = root_set(aff, aff.simple_roots_alpha())
+    calls = [
+        (TypeError, lambda: realize("B(1,1)^(1)", loop_degree=1.5)),
+        (TypeError, lambda: closure_S_infinity(seed, 2.5)),
+        (TypeError, lambda: admits_pi_system(root_set(fin, fin.real_roots()), True)),
+        (TypeError, lambda: enumerate_real_roots(fin.cartan, True)),
+        (TypeError, lambda: principal_roots(fin.cartan, 4.0)),
+        (TypeError, lambda: sweep_strings(fin, max_height=1.5)),
+        (TypeError, lambda: aff.real_roots(max_degree=1.5)),
+        (ValueError, lambda: aff.real_roots(max_height=-1)),
+        (ValueError, lambda: aff.real_roots(max_degree=-1)),
+        (ValueError, lambda: aff.all_roots(max_height=-2)),
+        (ValueError, lambda: list(aff.real_roots_ed(-1))),
+    ]
+    for error, call in calls:
+        with pytest.raises(error, match="must be"):
+            call()

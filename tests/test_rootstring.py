@@ -584,3 +584,22 @@ def test_proportional_truth_table():
     for x, y, expected in cases:
         assert _proportional(x, y) is expected, (x, y)
         assert _proportional(y, x) is expected, (y, x)
+
+
+def test_the_string_laws_refuse_an_isotropic_direction_and_an_all_imaginary_string():
+    h = build("B(1,1)")
+    alpha = h.to_alpha(ED((1,), (1,)))
+    assert h.is_isotropic(alpha)
+    s = root_string(h, h.to_alpha(ED((0,), (-1,))), alpha)
+    with pytest.raises(ValueError, match="non-isotropic"):
+        check_unbroken(s)
+    with pytest.raises(ValueError, match="non-isotropic"):
+        string_pattern(s)
+    imaginary = RootString((0, 0), (1, 0), (StringEntry(0, (0, 0), False),), None, False, 0)
+    with pytest.raises(ValueError, match="at least one real root"):
+        string_pattern(imaginary)
+
+
+def test_an_affine_sweep_needs_a_degree_bound():
+    with pytest.raises(ValueError, match="needs a null-degree bound"):
+        sweep_strings(build("B(1,1)^(1)"))
