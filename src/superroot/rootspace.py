@@ -33,9 +33,9 @@ def scale(k: int, x: Root) -> Root:
     return tuple(k * a for a in x)
 
 
-def check_bound(name: str, value: Optional[int]) -> None:
-    """The one check of a height, degree or window bound: None or an int >= 0."""
-    if value is not None and type(value) is not int:  # a bool or a float is refused, not coerced
-        raise TypeError(f"{name} must be an int or None, got {value!r}")
+def check_bound(name: str, value: Optional[int], required: bool = False) -> None:
+    """The one check of a height, degree or window bound: an int >= 0, or None where not ``required``."""
+    if type(value) is not int and (required or value is not None):  # a bool or a float is not coerced
+        raise TypeError(f"{name} must be an int{'' if required else ' or None'}, got {value!r}")
     if value is not None and value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")

@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from superroot import oracle, rootspace as rs
+from superroot import oracle, pisystem as ps, rootspace as rs
 from superroot.cartan import CartanData
 from superroot.catalog import EpsDeltaVector, RootSystemHandle
+from superroot.errors import InconclusiveError, NotClosedError, UnsupportedTypeError
 from superroot.linalg import rref
 from superroot.oracle import GradedMatrix, Realization, SubalgebraBasis, WeightedElement, gm_bracket
 from superroot.rootspace import Root
@@ -175,3 +176,27 @@ def by_weight(basis: SubalgebraBasis, weight: tuple[int, ...]) -> list[WeightedE
 
 def weights(basis: SubalgebraBasis) -> set[tuple[int, ...]]:
     return {e.weight for e in basis.elements}
+
+
+def dynkin_reference(sigma: ps.RootSet, height_bound: Optional[int] = None,
+                     loop_degree: Optional[int] = None) -> tuple:
+    """Reference: the Dynkin certificate as two separate checks, the bijection
+    data and then a separate ``verify_theorem_main``, each with its own
+    pi-system check and closure.  Returns the closed-subroot flag, the round
+    trip, the oracle verdict and the closure."""
+    if not ps.is_pi_system(sigma).ok:
+        raise ValueError("input is not a pi-system")
+    if any(not sigma.handle.is_positive(r) for r in sigma):
+        raise ValueError("the pi-system must lie in the positive roots")
+    closure = ps.closure_S_infinity(sigma, height_bound)
+    if not closure.stabilized:
+        raise InconclusiveError("closure did not stabilize")
+    cls = ps.classify_subset(closure.roots)
+    if not cls.closed:
+        raise NotClosedError("the closure is not closed")
+    roundtrip = ps.minimal_positive_elements(closure.roots).elements == sigma.elements
+    try:
+        oracle_match = oracle.verify_theorem_main(sigma, loop_degree=loop_degree).ok
+    except (UnsupportedTypeError, InconclusiveError):
+        oracle_match = None
+    return cls.closed and cls.subroot_system and cls.symmetric, roundtrip, oracle_match, closure.roots

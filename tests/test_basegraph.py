@@ -577,3 +577,18 @@ def test_the_search_reports_isotropy_as_the_base_diagonal():
         if res.isotropic:
             isotropic_types.add(spec)
     assert {"A(0,1)", "D(2,1;3)^(1)", "A(2,2)^(4)"} <= isotropic_types
+
+
+def test_a_required_bound_of_none_is_refused_by_name():
+    # None passed the bound check and then failed on a bare comparison
+    cd = build("A(0,1)").cartan
+    with pytest.raises(TypeError, match="^h_report must be an int, got None"):
+        enumerate_real_roots(cd, None)
+    with pytest.raises(TypeError, match="^h_explore must be an int, got None"):
+        principal_roots(cd, None)
+
+
+def test_a_base_refuses_roots_and_cartan_data_of_different_lengths():
+    cd = build("A(0,1)").cartan
+    with pytest.raises(ValueError, match="roots and Cartan data differ in length"):
+        basegraph.Base(((1, 0),), cd)

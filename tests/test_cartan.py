@@ -193,3 +193,18 @@ def test_frac_reads_only_exact_rationals():
     for bad in (True, 0.5, "-0.5", "1e0", "1/0", "1/00", " 1", "+1", "1/-2", None):
         with pytest.raises(SuperrootError):
             frac(bad)
+
+
+def test_cartan_data_refuses_a_bad_shape_or_parity():
+    from superroot.errors import DimensionMismatchError
+
+    with pytest.raises(DimensionMismatchError, match="not square"):
+        CartanData(((2, -1), (-1,)), (0, 0))
+    with pytest.raises(DimensionMismatchError, match="parity vector length"):
+        CartanData(((2, -1), (-1, 2)), (0,))
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        CartanData(((2, -1), (-1, 2)), (0, 2))
+    with pytest.raises(ValueError, match="not normalized"):
+        rank_one_type(CartanData(((3, -1), (-1, 2)), (0, 0)), 0)
+    with pytest.raises(SuperrootError, match="parities must be a list"):
+        cartan_from_json({"matrix": [[2]], "parity": 0})

@@ -651,3 +651,16 @@ def test_the_parity_guard_reads_the_parity_functional():
     for spec in _PINNED_SPECS:
         h = build(spec)
         assert [h.parity(r) for r in h.simple_roots_alpha()] == list(h.cartan.parity), spec
+
+
+def test_real_roots_ed_refuses_a_bad_bound_at_the_call():
+    # it was a generator, so a negative bound raised only when iterated
+    aff = build("B(1,1)^(1)")
+    with pytest.raises(ValueError, match="max_degree must be >= 0"):
+        aff.real_roots_ed(-1)
+    with pytest.raises(ValueError, match="affine enumeration needs a degree bound"):
+        aff.real_roots_ed(None)
+    with pytest.raises(ValueError, match="affine enumeration needs max_height or max_degree"):
+        aff.real_roots()
+    fin = build("B(1,1)")
+    assert len(list(fin.real_roots_ed())) == len(fin.real_roots()) == 10

@@ -351,7 +351,7 @@ def test_affine_verify_commands_share_the_default_window(capsys):
     pairs = json.loads(capsys.readouterr().out)["pairs_checked"]
     r = oracle.realize("B(1,1)^(1)", loop_degree=10)
     sigma = root_set(r.handle, [(7, 15, 14)])
-    assert oracle.loop_window(sigma) == 10
+    assert oracle.realize_sigma(sigma).truncation == 10
     assert pairs == oracle.bracket_criteria_sweep(r.subalgebra(sigma), r.handle, r).pairs_checked
 
 
@@ -561,3 +561,23 @@ def test_certificates_match_the_pinned_digests(monkeypatch, capsys):
             code = main(argv)
             text = getattr(capsys.readouterr(), stream)
             assert (code, hashlib.sha256(text.encode()).hexdigest()) == (expected_code, expected_digest), (argv, text)
+
+
+def test_a_window_on_a_type_without_a_realization_exits_two(capsys):
+    # refused as an unread --K, like verify-dynkin, not as an unsupported type
+    for spec, sigma in (("A(2,2)^(4)", "[[1,0,0]]"), ("D(2,1;2)^(1)", "[[0,1,0,0]]")):
+        for command in ("main-theorem", "bracket-criteria"):
+            assert main(["verify", command, "--type", spec, "--sigma", sigma, "--K", "5"]) == 2
+            assert capsys.readouterr().err == f"error: {spec} has no realization to read loop_degree 5\n"
+
+
+def test_bad_input_that_no_other_test_gives_exits_two(capsys):
+    cases = [
+        (["real-roots", "--type", "B(1,1)", "--height", "5", "--explore", "3"], "need h_report <= h_explore"),
+        (["pi-check", "--type", "B(1,1)", "--roots", "[1,"], "not valid JSON and not a readable file"),
+        (["pi-check", "--type", "B(1,1)", "--roots", "null"], "--roots: expected a list of roots"),
+        (["validate"], "either --type or --matrix-json is required"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv

@@ -6,24 +6,25 @@ import pytest
 
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import InconclusiveError, NotARootError, TruncationHitError, UnsupportedTypeError
+from superroot.errors import (InconclusiveError, NotARootError, SuperrootError, TruncationHitError,
+                              UnsupportedTypeError)
 from superroot.oracle import (
     GradedMatrix,
     bracket_criteria_sweep,
     generated_subalgebra,
     gm_bracket,
     loop_bracket,
-    loop_window,
     osp12_module_table,
     realize,
+    realize_sigma,
     subalgebra_real_roots,
     verify_dynkin_maps,
     verify_osp12_module,
     verify_theorem_main,
 )
-from superroot.pisystem import root_set
-from support import (by_weight, claim_a_root, nullspace, plus, positive_real_roots, rank, recomputed_cartan,
-                     super_jacobi_defect, weights)
+from superroot.pisystem import is_pi_system, root_set
+from support import (by_weight, claim_a_root, dynkin_reference, nullspace, plus, positive_real_roots, rank,
+                     recomputed_cartan, super_jacobi_defect, weights)
 
 
 def _neg(r):
@@ -358,7 +359,7 @@ def test_an_empty_sigma_has_no_loop_window():
         empty = root_set(build(spec), [])
         for loop_degree in (None, 2):
             with pytest.raises(ValueError, match="sigma is empty"):
-                loop_window(empty, loop_degree)
+                realize_sigma(empty, loop_degree)
 
 
 def test_loop_truncation_rejected_not_dropped():
@@ -861,3 +862,94 @@ def test_root_vector_refuses_a_degree_beyond_the_window_and_a_non_root():
         r.root_vector(null)  # imaginary: no root space in the realization
     with pytest.raises(NotARootError):
         realize("B(1,1)").root_vector((3, 0))
+
+
+def test_realize_sigma_settles_the_window_once():
+    fin, aff = build("B(1,1)"), build("B(1,1)^(1)")
+    assert realize_sigma(root_set(fin, [(1, 0)])).truncation == 0
+    assert realize_sigma(root_set(aff, [(7, 15, 14)])).truncation == 10  # 7 + 3
+    assert realize_sigma(root_set(aff, [(7, 15, 14)]), 2).truncation == 2
+    with pytest.raises(ValueError, match="is finite and has no loop_degree"):
+        realize_sigma(root_set(fin, [(1, 0)]), 2)
+    # a window on a type without a realization is refused as unread; with
+    # no window the type itself is unsupported
+    for spec, sigma in (("A(2,2)^(4)", [(1, 0, 0)]), ("D(2,1;2)^(1)", [(0, 1, 0, 0)])):
+        s = root_set(build(spec), sigma)
+        with pytest.raises(ValueError, match="has no realization to read loop_degree 5"):
+            realize_sigma(s, 5)
+        with pytest.raises(UnsupportedTypeError):
+            realize_sigma(s)
+
+
+def _certificate_cases():
+    # seeded pi-systems of one to three positive roots; on the realized
+    # affine types each is certified at a given window or at the default one
+    rng = random.Random(31)
+    cases = []
+    for spec, bound in (("B(1,1)", None), ("A(1,2)", None), ("C(3)", 3),
+                        ("A(0,1)^(1)", 8), ("B(1,1)^(1)", 8), ("A(2,2)^(4)", 8)):
+        h = build(spec)
+        pool = [r for r in (h.real_roots() if h.is_finite else h.real_roots(max_height=4)) if h.is_positive(r)]
+        windows = (None, 0, 1, 2) if spec.endswith("^(1)") else (None,)
+        for i in range(40):
+            sigma = root_set(h, rng.sample(pool, rng.choice((1, 2, 3))))
+            if is_pi_system(sigma).ok:
+                cases.append((sigma, bound, windows[i % len(windows)]))
+    return cases
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except SuperrootError as exc:
+        return type(exc)
+
+
+def test_the_certificate_matches_the_two_separate_checks():
+    # one pi-system verdict, and on a finite type one closure, give the
+    # certificate of the Dynkin check followed by a separate main-theorem check
+    seen = {}
+    for sigma, bound, window in _certificate_cases():
+        cert = _outcome(verify_dynkin_maps, sigma, bound, window)
+        if isinstance(cert, type):
+            got = cert
+        else:
+            got = (cert.closure_closed_subroot, cert.pi_roundtrip, cert.oracle_match, cert.closure)
+        assert got == _outcome(dynkin_reference, sigma, bound, window), (sigma.sorted(), bound, window)
+        kind = got if isinstance(got, type) else got[2]
+        seen.setdefault(sigma.handle.label, set()).add(kind)
+    assert seen == {"B(1,1)": {True}, "A(1,2)": {True}, "C(3)": {True, InconclusiveError},
+                    "A(0,1)^(1)": {True, None, InconclusiveError},
+                    "B(1,1)^(1)": {True, None, InconclusiveError},
+                    "A(2,2)^(4)": {None, InconclusiveError}}
+
+
+def test_a_certificate_checks_sigma_once_and_closes_a_finite_type_once(monkeypatch):
+    from superroot import pisystem
+
+    counts = {"is_pi_system": 0, "closure_S_infinity": 0}
+    for name in counts:
+        def counted(*args, _name=name, _call=getattr(pisystem, name), **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(pisystem, name, counted)
+    for spec in ("B(2,1)", "B(2,2)"):
+        h = build(spec)
+        counts.update(is_pi_system=0, closure_S_infinity=0)
+        assert verify_dynkin_maps(root_set(h, h.simple_roots_alpha())).ok()
+        assert counts == {"is_pi_system": 1, "closure_S_infinity": 1}, spec
+    # an affine comparison still closes at its own bound
+    h = build("B(1,1)^(1)")
+    counts.update(is_pi_system=0, closure_S_infinity=0)
+    cert = verify_dynkin_maps(root_set(h, [h.simple_roots_alpha()[1]]), height_bound=8)
+    assert cert.ok() and cert.oracle_match
+    assert counts == {"is_pi_system": 1, "closure_S_infinity": 2}
+
+
+def test_osp12_module_table_checks_k_as_a_bound():
+    assert osp12_module_table(0).h.dim == 1
+    for k, error in ((True, TypeError), (1.0, TypeError), (None, TypeError), (-1, ValueError)):
+        with pytest.raises(error, match="^k must be"):
+            osp12_module_table(k)
+

@@ -168,3 +168,12 @@ def test_every_bound_is_checked_without_coercion():
     for error, call in calls:
         with pytest.raises(error, match="must be"):
             call()
+
+
+def test_a_required_bound_refuses_none_by_name():
+    check_bound("k", 0, required=True)
+    for bad in (None, True, 1.5):
+        with pytest.raises(TypeError, match=r"^k must be an int, got"):
+            check_bound("k", bad, required=True)
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+        check_bound("k", -1, required=True)
