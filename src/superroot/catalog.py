@@ -367,16 +367,13 @@ class RootSystemHandle:
         self, max_height: Optional[int] = None, max_degree: Optional[int] = None
     ) -> list[Root]:
         """The real roots within the bounds and, on an affine type, the
-        nonzero multiples of null that are roots; sorted."""
+        nonzero multiples of null, each of which is a root; sorted."""
         out = list(self.real_roots(max_height, max_degree))
         if self.has_null:
             d = max_degree if max_degree is not None else max_height
             null = EpsDeltaVector((0,) * self.eps_dim, (0,) * self.delta_dim, 1)
-            for k in range(-d, d + 1):
-                if k != 0 and self.contains_ed(null.scaled(k)):
-                    r = self.to_alpha(null.scaled(k))
-                    if max_height is None or height(r) <= max_height:
-                        out.append(r)
+            imaginary = (self.to_alpha(null.scaled(k)) for k in range(-d, d + 1) if k)
+            out += [r for r in imaginary if max_height is None or height(r) <= max_height]
         return sorted(out)
 
 

@@ -89,9 +89,6 @@ class GradedMatrix:
             return NotImplemented
         return (self.parity, self.space, self.nz) == (other.parity, other.space, other.nz)
 
-    def __hash__(self) -> int:
-        return hash((self.parity, self.space, frozenset(self.nz.items())))
-
     def __repr__(self) -> str:
         return f"GradedMatrix({dict(self.nz)!r}, {self.parity}, {self.space})"
 
@@ -424,12 +421,10 @@ def generated_subalgebra(gens: Iterable[WeightedElement], realization: Realizati
     return SubalgebraBasis(basis, truncated)
 
 
-def span_signature(basis: SubalgebraBasis, window: Optional[int] = None) -> dict:
+def span_signature(basis: SubalgebraBasis) -> dict:
     """Canonical per-weight echelon form of a span, for exact span comparison."""
     table: dict[tuple[int, ...], list[list[Fraction]]] = {}
     for e in basis.elements:
-        if window is not None and abs(e.weight[-1]) > window:
-            continue
         table.setdefault(e.weight, []).append(list(e.matrix.flat()))
     return {w: tuple(tuple(row) for row in rref(vecs)[0] if any(row))
             for w, vecs in table.items()}
@@ -477,24 +472,23 @@ def _require_pi_system(sigma: ps.RootSet) -> None:
 
 def verify_theorem_main(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> TheoremVerdict:
     """Compare the reflection closure of a pi-system with the oracle's real roots;
-    ``realize_sigma`` runs first, to refuse a bad window or type before any closure."""
+    ``realize_sigma`` runs first, to refuse a bad window or type before any closure.
+
+    A finite type closes with no bound; an affine one at the window K closes
+    at (K + 2) ht(null) + ht(theta) + 2, as theta = null - alpha_0 is the top
+    degree-0 root."""
     realization = realize_sigma(sigma, loop_degree)
     _require_pi_system(sigma)
-    return _compare(sigma, realization)
+    handle = sigma.handle
+    bound = None if handle.is_finite else (realization.truncation + 3) * height(handle.null_root()) + 1
+    return _compare(sigma, realization, ps.closure_S_infinity(sigma, bound))
 
 
-def _compare(sigma: ps.RootSet, realization: Realization,
-             closure: Optional[ps.ClosureResult] = None) -> TheoremVerdict:
+def _compare(sigma: ps.RootSet, realization: Realization, closure: ps.ClosureResult) -> TheoremVerdict:
     """The closure of sigma against the real roots of g(sigma), both cut to the
-    window K on an affine type, where the closure runs at (K + 2) ht(null) +
-    ht(theta) + 2, as theta = null - alpha_0 is the top degree-0 root.  A finite
-    caller may hand over its own stabilized closure: no round of it discarded a
-    root, so every round, and the result, equals the unbounded closure's."""
+    window K on an affine type."""
     handle = sigma.handle
     window = None if handle.is_finite else realization.truncation
-    if closure is None:
-        bound = None if window is None else (window + 3) * height(handle.null_root()) + 1
-        closure = ps.closure_S_infinity(sigma, bound)
     sub_roots = subalgebra_real_roots(realization.subalgebra(sigma), handle).elements
     clo_roots = closure.roots.elements
     if window is not None:
@@ -529,8 +523,11 @@ def verify_dynkin_maps(
 
     ``realize_sigma`` refuses an unread ``loop_degree`` before the closure, and
     a type or window it cannot realize gives no oracle verdict.  The oracle
-    reads this closure on a finite type and closes at its own bound on an
-    affine one."""
+    reads this closure on every type.  It stabilized: no round of it
+    discarded a root, so every round, and the result, equals the unbounded
+    closure's.  A closure at any bound lies inside the unbounded one, so, cut
+    to an affine window K, this closure contains the cut of the closure
+    ``verify_theorem_main`` runs at its own bound."""
     _require_pi_system(sigma)
     if any(not sigma.handle.is_positive(r) for r in sigma):
         raise ValueError("the pi-system must lie in the positive roots")
@@ -548,7 +545,7 @@ def verify_dynkin_maps(
     oracle_match = None
     with suppress(TruncationHitError):  # a root of sigma beyond a given window
         if realization is not None:
-            oracle_match = _compare(sigma, realization, closure if sigma.handle.is_finite else None).ok
+            oracle_match = _compare(sigma, realization, closure).ok
     return DynkinCertificate(
         closure_closed_subroot=cls.closed and cls.subroot_system and cls.symmetric,
         pi_roundtrip=roundtrip,

@@ -184,13 +184,9 @@ class LawVerdict:
     detail: str = ""
 
 
-def pairing_laws(
-    handle: RootSystemHandle,
-    alpha: Root,
-    beta: Root,
-    string: Optional[RootString] = None,
-) -> list[LawVerdict]:
-    """Evaluate the applicable pairing laws for one (alpha, beta) pair.
+def pairing_laws(handle: RootSystemHandle, string: RootString) -> list[LawVerdict]:
+    """Evaluate the applicable pairing laws for the pair of one string:
+    alpha is its direction and beta its base root.
 
     Covered: the sum of two strongly negative non-isotropic roots is never
     real; at most four real roots per non-isotropic string; the pairing value
@@ -199,10 +195,7 @@ def pairing_laws(
     two-real-roots bound for isotropic directions.
 
     ``string`` is the alpha-string through beta from ``root_string``, or
-    the sweep's shift of one along its line; without it, ``root_string``
-    builds it first, so an alpha that is not real or a beta that is not a
-    root raises ``NotARootError``.  A string through another root or along
-    another direction raises ``ValueError``.  The string is the one source for
+    the sweep's shift of one along its line.  It is the one source for
     beta + k alpha: alpha's isotropy, beta's reality (k = 0), beta(h_alpha),
     and the reality and membership of alpha + beta (k = 1).  The handle is
     asked only what the string cannot hold: alpha(h_beta), which needs beta's
@@ -211,13 +204,7 @@ def pairing_laws(
     is not read as the negative of its k = -1 slot, since the oracle is not
     assumed closed under negation.
     """
-    if string is None:
-        string = root_string(handle, beta, alpha)
-    elif tuple(string.base_root) != tuple(beta) or tuple(string.direction) != tuple(alpha):
-        raise ValueError(
-            f"the string through {string.base_root} along {string.direction} "
-            f"is not the one through {beta} along {alpha}"
-        )
+    alpha, beta = string.direction, string.base_root
     real = {e.k: e.real for e in string.entries}  # k -> is beta + k alpha real
     alpha_iso, beta_iso = string.direction_isotropic, handle.is_isotropic(beta)
     beta_real, sum_real, pb = real.get(0, False), real.get(1, False), string.pairing
@@ -353,7 +340,7 @@ def sweep_strings(
                         report.record("pattern", True)
                     except PatternViolationError as exc:
                         report.record("pattern", False, f"beta={beta} alpha={alpha}: {exc}")
-            for v in pairing_laws(handle, alpha, beta, string=s):
+            for v in pairing_laws(handle, s):
                 if v.applicable:
                     report.record(v.law, v.passed, "" if v.passed else f"beta={beta} alpha={alpha}: {v.detail}")
     return report

@@ -194,8 +194,8 @@ def test_criterion_6_dynkin_round_trip(theorem_cases):
         basis_sigma = oracle.generated_subalgebra(gens_sigma, realization)
         gens_closure = [realization.root_vector(r) for r in closure_roots]
         basis_closure = oracle.generated_subalgebra(gens_closure, realization)
-        sig_a = oracle.span_signature(basis_sigma, window)
-        sig_b = oracle.span_signature(basis_closure, window)
+        sig_a = oracle.span_signature(basis_sigma)
+        sig_b = oracle.span_signature(basis_closure)
         if sig_a != sig_b:
             failures.append(("span", handle.label, sigma.sorted()))
     _report("criterion-6 Dynkin round trip", 300, t0, not failures, str(failures[:3]))

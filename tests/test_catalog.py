@@ -50,6 +50,15 @@ def test_unsupported_types():
             build(bad)
 
 
+def test_build_refuses_a_hand_built_type_outside_the_catalog():
+    # a CatalogType built by hand skips the label grammar
+    for ctype, message in ((CatalogType("A", -1, 1), "negative rank"),
+                           (CatalogType("E", 1, 1), "family 'E' is not in the catalog"),
+                           (CatalogType("A", 0, 1, "twisted2"), "unknown twist 'twisted2'")):
+        with pytest.raises(UnsupportedTypeError, match=f"^{message}$"):
+            build(ctype)
+
+
 def test_a01_distinguished_base():
     h = build("A(0,1)")
     assert h.cartan.matrix == ((Q(0), Q(1)), (Q(-1), Q(2)))
@@ -336,6 +345,31 @@ def test_affine_contains_ed_checks_dimensions_once(monkeypatch):
             fin = ED(v.eps, v.delta)
             assert verdict == (finite.contains_ed(fin) if any(v.eps + v.delta)
                                else v.null != 0), (spec, v)
+
+
+def test_all_roots_lists_the_multiples_of_null_without_asking(monkeypatch):
+    # contains_ed accepts every nonzero multiple of null, so all_roots asks it
+    # nothing and lists the same roots
+    from superroot.catalog import RootSystemHandle
+    from superroot.rootspace import height
+
+    expected = {}
+    bounds = ({"max_degree": 2}, {"max_height": 6}, {"max_height": 6, "max_degree": 3})
+    for spec in ("A(0,1)^(1)", "B(1,1)^(1)", "A(2,2)^(4)"):
+        h = build(spec)
+        null = ED((0,) * h.eps_dim, (0,) * h.delta_dim, 1)
+        for i, bound in enumerate(bounds):
+            d = bound.get("max_degree", bound.get("max_height"))
+            multiples = [h.to_alpha(null.scaled(k)) for k in range(-d, d + 1)
+                         if k and h.contains_ed(null.scaled(k))]
+            multiples = [r for r in multiples if height(r) <= bound.get("max_height", height(r))]
+            expected[spec, i] = sorted(h.real_roots(**bound) + multiples)
+    calls = []
+    original = RootSystemHandle.contains_ed
+    monkeypatch.setattr(RootSystemHandle, "contains_ed", lambda self, v: calls.append(v) or original(self, v))
+    for (spec, i), roots in expected.items():
+        assert build(spec).all_roots(**bounds[i]) == roots, (spec, bounds[i])
+    assert calls == []
 
 
 _MEMO_SPECS = ["A(0,1)", "A(1,2)", "B(0,1)", "B(1,1)", "B(2,1)", "C(3)", "D(2,1)", "D(3,1)",

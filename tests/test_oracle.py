@@ -22,7 +22,7 @@ from superroot.oracle import (
     verify_osp12_module,
     verify_theorem_main,
 )
-from superroot.pisystem import is_pi_system, root_set
+from superroot.pisystem import closure_S_infinity, is_pi_system, root_set
 from support import (by_weight, claim_a_root, dynkin_reference, nullspace, plus, positive_real_roots, rank,
                      recomputed_cartan, super_jacobi_defect, weights)
 
@@ -674,6 +674,17 @@ def test_osp12_module_check_rejects_a_wrong_table(monkeypatch):
     assert not verify_osp12_module(1)
 
 
+def test_osp12_module_check_rejects_a_table_whose_e_f_bracket_misses_h(monkeypatch):
+    # e doubled alone: the table fails [e, f] = h before any structure constant
+    from superroot import oracle
+
+    good = osp12_module_table(2)
+    bad = oracle.ModuleTable(2, good.e.scaled(Q(2)), good.f, good.h)
+    assert gm_bracket(bad.e, bad.f) != bad.h
+    monkeypatch.setattr(oracle, "osp12_module_table", lambda k: bad)
+    assert not verify_osp12_module(2)
+
+
 def test_super_jacobi_random_triples():
     rng = random.Random(7)
     for spec in ("A(0,2)", "B(1,1)", "B(2,1)"):
@@ -924,6 +935,29 @@ def test_the_certificate_matches_the_two_separate_checks():
                     "A(2,2)^(4)": {None, InconclusiveError}}
 
 
+@pytest.mark.parametrize("spec", ["A(0,1)^(1)", "B(1,1)^(1)", "A(0,2)^(1)", "C(2)^(1)", "B(0,1)^(1)",
+                                  "A(1,2)^(1)"])
+def test_an_affine_certificate_reads_its_own_closure_as_the_two_checks_do(spec):
+    # on a stabilizing pi-system, the certificate's one closure, cut to the
+    # window, gives the verdict of a separate main-theorem check at the
+    # windows K = dmax and dmax + 1, dmax the largest |degree| in sigma
+    rng = random.Random(32)
+    h = build(spec)
+    pool = [r for r in h.real_roots(max_height=5) if h.is_positive(r)]
+    verdicts = []
+    for _ in range(40):
+        sigma = root_set(h, rng.sample(pool, rng.choice((1, 2, 3))))
+        if not is_pi_system(sigma).ok or not closure_S_infinity(sigma, 24).stabilized:
+            continue
+        dmax = max(abs(h.degree_of(r)) for r in sigma)
+        for window in (dmax, dmax + 1):
+            cert = verify_dynkin_maps(sigma, 24, window)
+            got = (cert.closure_closed_subroot, cert.pi_roundtrip, cert.oracle_match, cert.closure)
+            assert got == dynkin_reference(sigma, 24, window), (sigma.sorted(), window)
+            verdicts.append(cert.oracle_match)
+    assert verdicts.count(True) >= 15, verdicts
+
+
 def test_a_certificate_checks_sigma_once_and_closes_a_finite_type_once(monkeypatch):
     from superroot import pisystem
 
@@ -939,12 +973,12 @@ def test_a_certificate_checks_sigma_once_and_closes_a_finite_type_once(monkeypat
         counts.update(is_pi_system=0, closure_S_infinity=0)
         assert verify_dynkin_maps(root_set(h, h.simple_roots_alpha())).ok()
         assert counts == {"is_pi_system": 1, "closure_S_infinity": 1}, spec
-    # an affine comparison still closes at its own bound
+    # an affine comparison reads the certificate's closure too
     h = build("B(1,1)^(1)")
     counts.update(is_pi_system=0, closure_S_infinity=0)
     cert = verify_dynkin_maps(root_set(h, [h.simple_roots_alpha()[1]]), height_bound=8)
     assert cert.ok() and cert.oracle_match
-    assert counts == {"is_pi_system": 1, "closure_S_infinity": 2}
+    assert counts == {"is_pi_system": 1, "closure_S_infinity": 1}
 
 
 def test_osp12_module_table_checks_k_as_a_bound():

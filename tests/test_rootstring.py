@@ -285,7 +285,7 @@ def test_remark_isotropic_pairing_values():
     v2 = rs.add(beta, rs.scale(2, alpha))  # delta_1 + eps_1: isotropic
     assert h.is_real(v2) and h.is_isotropic(v2)
     assert h.pairing(beta, alpha) == Q(-2)
-    verdicts = {v.law: v for v in pairing_laws(h, alpha, beta)}
+    verdicts = {v.law: v for v in pairing_laws(h, root_string(h, beta, alpha))}
     assert verdicts["isotropic-pairing-values"].passed
 
 
@@ -295,7 +295,7 @@ def test_cor_exclusion_for_isotropic():
     beta = h.to_alpha(ED((1,), (1,)))
     assert h.is_real(rs.add(alpha, beta))
     assert not h.contains(rs.sub(alpha, beta))
-    verdicts = {v.law: v for v in pairing_laws(h, alpha, beta)}
+    verdicts = {v.law: v for v in pairing_laws(h, root_string(h, beta, alpha))}
     assert verdicts["isotropic-sum-difference-exclusion"].applicable
     assert verdicts["isotropic-sum-difference-exclusion"].passed
 
@@ -309,23 +309,39 @@ def test_exclusion_names_the_implication_that_failed(monkeypatch):
     diff = rs.sub(alpha, beta)
     contains = h.contains
     monkeypatch.setattr(h, "contains", lambda v: tuple(v) == tuple(diff) or contains(v))
-    verdicts = {v.law: v for v in pairing_laws(h, alpha, beta)}
+    verdicts = {v.law: v for v in pairing_laws(h, root_string(h, beta, alpha))}
     verdict = verdicts["isotropic-sum-difference-exclusion"]
     assert verdict.applicable and not verdict.passed
     assert verdict.detail == "alpha+beta real and alpha-beta a root"
 
 
 def test_pairing_laws_refuse_a_bad_direction_or_root():
-    # a null alpha is not real and (5, 5) is not a root of B(1,1): no verdict
-    # list, not even an empty one, may come back for them
+    # a null alpha is not real and (5, 5) is not a root of B(1,1): no string,
+    # and so no verdict list, not even an empty one, comes back for them
     affine = build("B(1,1)^(1)")
     null = affine.to_alpha(ED((0,), (0,), 1))
     with pytest.raises(NotARootError, match=r"is not a real root"):
-        pairing_laws(affine, null, affine.to_alpha(ED((1,), (0,))))
+        pairing_laws(affine, root_string(affine, affine.to_alpha(ED((1,), (0,))), null))
     h = build("B(1,1)")
     with pytest.raises(NotARootError) as raised:
-        pairing_laws(h, h.to_alpha(ED((1,), (0,))), (5, 5))
+        pairing_laws(h, root_string(h, (5, 5), h.to_alpha(ED((1,), (0,)))))
     assert str(raised.value) == "(5, 5) is not a root"
+
+
+def test_isotropic_pairing_values_name_the_slot_that_failed():
+    # a hand-built string whose beta(h_alpha) = -2 fits no slot: at k = 1 the
+    # real non-isotropic member allows {-2, 0}, at k = 2 the isotropic one {-2}
+    h = build("B(1,1)")
+    alpha = h.to_alpha(ED((1,), (0,)))
+    beta = h.to_alpha(ED((-1,), (1,)))
+    good = root_string(h, beta, alpha)
+    assert good.pairing == -2
+    bad = RootString(good.base_root, good.direction, good.entries, good.zero_slot,
+                     good.direction_isotropic, 2)
+    assert {v.law: v for v in pairing_laws(h, good)}["isotropic-pairing-values"].passed
+    verdict = {v.law: v for v in pairing_laws(h, bad)}["isotropic-pairing-values"]
+    assert verdict.applicable and not verdict.passed
+    assert verdict.detail == "k=1: pairing 2 outside [-2, 0]; k=2: pairing 2 outside [-2]"
 
 
 def test_isotropic_direction_bound():
@@ -334,7 +350,7 @@ def test_isotropic_direction_bound():
     beta = h.to_alpha(ED((0, 1), (0, -1), 1))
     s = root_string(h, beta, alpha)
     assert s.real_count() <= 2
-    verdicts = {v.law: v for v in pairing_laws(h, alpha, beta)}
+    verdicts = {v.law: v for v in pairing_laws(h, root_string(h, beta, alpha))}
     assert verdicts["isotropic-string-bound"].passed
 
 
@@ -442,17 +458,17 @@ def test_sweep_shifts_each_string_exactly(monkeypatch, spec, window):
 
     seen = []
 
-    def recording(handle, alpha, beta, string=None):
-        seen.append((alpha, beta, string))
-        return pairing_laws(handle, alpha, beta, string=string)
+    def recording(handle, string):
+        seen.append(string)
+        return pairing_laws(handle, string)
 
     monkeypatch.setattr(rstr, "pairing_laws", recording)
     h = build(spec)
     report = sweep_strings(h, **window)
     assert report.ok(), report.failures[:3]
     assert len(seen) == report.pairs
-    for alpha, beta, s in seen:
-        assert s == root_string(h, beta, alpha), (alpha, beta)
+    for s in seen:
+        assert s == root_string(h, s.base_root, s.direction), s
 
 
 @pytest.mark.parametrize("spec, window", [
@@ -466,7 +482,7 @@ def test_sweep_shifts_each_string_exactly(monkeypatch, spec, window):
 def test_pairing_laws_read_their_facts_from_the_given_string(monkeypatch, spec, window):
     # alpha's isotropy, beta's membership and reality, beta(h_alpha) and the
     # reality and membership of alpha + beta (the k = 1 entry) come from the
-    # string; without one, it is built once, first, and read the same way
+    # string, and no second string is built
     import superroot.rootstring as rstr
 
     h = build(spec)
@@ -474,15 +490,7 @@ def test_pairing_laws_read_their_facts_from_the_given_string(monkeypatch, spec, 
     for name in ("contains", "is_real", "is_isotropic", "pairing"):
         original = getattr(h, name)
         monkeypatch.setattr(h, name, lambda *a, _f=original, _n=name: asked.append((_n, *a)) or _f(*a))
-
-    def counting(*args):
-        built.append(args)
-        n = len(asked)
-        s = root_string(*args)
-        del asked[n:]  # the scan's own queries are root_string's, not the laws'
-        return s
-
-    monkeypatch.setattr(rstr, "root_string", counting)
+    monkeypatch.setattr(rstr, "root_string", lambda *args: built.append(args))
     branches = set()
     for alpha in h.real_roots(**window):
         for beta in h.all_roots(**window):
@@ -492,31 +500,13 @@ def test_pairing_laws_read_their_facts_from_the_given_string(monkeypatch, spec, 
                        ("contains", total)}
             if alpha != beta:  # beta's own isotropy is asked
                 unasked.add(("is_isotropic", alpha))
-            verdicts = []
-            for string, builds in ((s, []), (None, [(h, beta, alpha)])):
-                del asked[:], built[:]
-                verdicts.append(pairing_laws(h, alpha, beta, string=string))
-                assert built == builds, (alpha, beta)
-                assert not unasked & set(asked), (alpha, beta, asked)
-                assert all(q == ("pairing", alpha, beta) for q in asked if q[0] == "pairing"), asked
-            given, fresh = verdicts
-            assert fresh == given, (spec, alpha, beta)
+            del asked[:]
+            pairing_laws(h, s)
+            assert not built, (alpha, beta)
+            assert not unasked & set(asked), (alpha, beta, asked)
+            assert all(q == ("pairing", alpha, beta) for q in asked if q[0] == "pairing"), asked
             branches.add((h.is_isotropic(alpha), h.is_isotropic(beta)))
     assert branches == {(False, False), (False, True), (True, False), (True, True)}
-
-
-def test_pairing_laws_reject_a_foreign_string():
-    h = build("B(1,1)")
-    alpha = h.to_alpha(ED((1,), (0,)))
-    beta = h.to_alpha(ED((-1,), (1,)))
-    other = h.to_alpha(ED((0,), (1,)))
-    with pytest.raises(ValueError):
-        pairing_laws(h, alpha, beta, string=root_string(h, other, alpha))
-    with pytest.raises(ValueError):
-        pairing_laws(h, alpha, beta, string=root_string(h, beta, other))
-    with pytest.raises(ValueError):
-        pairing_laws(h, alpha, beta, string=root_string(h, alpha, beta))
-    assert pairing_laws(h, alpha, beta, string=root_string(h, beta, alpha))
 
 
 def test_scan_makes_one_membership_query_per_slot(monkeypatch):
