@@ -67,8 +67,6 @@ class ValidationReport:
     admissibility_violations: tuple[tuple[int, int, int], ...]  # (condition, i, j)
     regular: bool
     irregular_pairs: tuple[tuple[int, int], ...]
-    symmetrizable: bool
-    indecomposable: bool
 
     def ok(self) -> bool:
         return self.admissible and self.regular
@@ -90,7 +88,12 @@ def normalize(matrix: Iterable[Iterable], parity: Iterable[int]) -> CartanData:
 
 
 def validate(cd: CartanData) -> ValidationReport:
-    """Check admissibility (three conditions), regularity and symmetrizability."""
+    """The regular-admissible gate: admissibility (three conditions) and regularity.
+
+    These are the regular Kac-Moody assumption that the base-graph search and
+    the catalog check on every Cartan datum they meet.  Symmetrizability and
+    indecomposability are read off the input matrix by the command that prints them.
+    """
     n = cd.n
     a = cd.matrix
     violations: list[tuple[int, int, int]] = []
@@ -120,8 +123,6 @@ def validate(cd: CartanData) -> ValidationReport:
         admissibility_violations=tuple(violations),
         regular=not irregular,
         irregular_pairs=irregular,
-        symmetrizable=symmetrizer(cd) is not None,
-        indecomposable=cd.indecomposable(),
     )
 
 

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import __version__, basegraph, oracle, pisystem as ps, replay, rootstring
@@ -45,6 +46,8 @@ def _load_json_arg(raw: str):
 
 
 def _cartan_of(args):
+    if args.type and args.matrix_json is not None:
+        raise SuperrootError("give either --type or --matrix-json, not both")
     if args.type:
         return build(args.type).cartan
     if args.matrix_json is None:
@@ -96,16 +99,16 @@ def _validate(args):
         "admissibility_violations": list(report.admissibility_violations),
         "regular": report.regular,
         "irregular_pairs": list(report.irregular_pairs),
-        "symmetrizable": report.symmetrizable,
-        "indecomposable": report.indecomposable,
+        "symmetrizable": symmetrizer(cd) is not None,
+        "indecomposable": cd.indecomposable(),
     }
     lines = [
         f"admissible:     {report.admissible}"
         + (f"  violations {list(report.admissibility_violations)}" if not report.admissible else ""),
         f"regular:        {report.regular}"
         + (f"  pairs {list(report.irregular_pairs)}" if not report.regular else ""),
-        f"symmetrizable:  {report.symmetrizable}",
-        f"indecomposable: {report.indecomposable}",
+        f"symmetrizable:  {body['symmetrizable']}",
+        f"indecomposable: {body['indecomposable']}",
     ]
     return body, lines, EXIT_OK if report.ok() else EXIT_FAIL
 
@@ -269,11 +272,10 @@ def _replay_examples(args):
 
 
 def _nonneg(raw: str) -> int:
-    """An argparse type for every bound: a nonnegative integer."""
-    try:
-        value = int(raw)
-    except ValueError:
+    """An argparse type for every bound: a nonnegative integer in the ASCII digits 0-9."""
+    if not re.fullmatch(r"-?[0-9]+", raw):
         raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    value = int(raw)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value

@@ -238,41 +238,35 @@ def classify_subset(psi: RootSet) -> SubsetClassification:
     return SubsetClassification(symmetric, closed, subroot)
 
 
-def _is_positive_multiple(gamma: Root, alpha: Root) -> bool:
-    # gamma in N * alpha with alpha nonzero
-    ks = {g // a for g, a in zip(gamma, alpha) if a != 0}
-    if len(ks) != 1:
-        return False
-    k = ks.pop()
-    return k >= 1 and gamma == rs.scale(k, alpha)
-
-
 def minimal_positive_elements(psi: RootSet) -> RootSet:
     """Preorder-minimal positive elements, with no closedness gate.
 
     gamma precedes alpha when t alpha = gamma + a nonnegative combination of
     the positives other than gamma and alpha, t >= 0; alpha is minimal when
-    only its own multiples k alpha (k >= 1) precede it.  One cone test per
-    alpha decides this: alpha is non-minimal exactly when it lies in the
-    cone of G, the positives other than k alpha for k >= 1 (so alpha/2 is
-    in G).  If gamma in G precedes alpha, the right side is a nonzero
-    nonnegative vector; moving its k alpha terms to the left leaves
-    c alpha = gamma + a combination of G, and c > 0 because the right side
-    is still nonzero and nonnegative, so alpha is in the cone of G.
-    Conversely, if alpha is a nonnegative combination of G, some gamma in G
-    has a coefficient c > 0, and dividing by c shows that gamma precedes
-    alpha with t = 1/c.
+    only its own multiples k alpha (k >= 1) precede it.  Those multiples
+    are alpha and 2 alpha at most: each eps/delta coordinate of a root's
+    finite part lies in [-B, B], B = ``coord_bound`` <= 2 on every catalog
+    type, and a real alpha has a nonzero integer finite coordinate, so
+    k alpha is no root for k >= 3.  One cone test per alpha decides
+    minimality: alpha is non-minimal exactly when it lies in the cone of G,
+    the positives other than alpha and 2 alpha (so alpha/2 is in G).  If
+    gamma in G precedes alpha, the right side is a nonzero nonnegative
+    vector; moving its k alpha terms to the left leaves c alpha = gamma + a
+    combination of G, and c > 0 because the right side is still nonzero and
+    nonnegative, so alpha is in the cone of G.  Conversely, if alpha is a
+    nonnegative combination of G, some gamma in G has a coefficient c > 0,
+    and dividing by c shows that gamma precedes alpha with t = 1/c.
 
     This is also meaningful on a window-restricted closure: the witnesses
     that exclude a non-minimal element are same-sign combinations of the
     generating set, which any window containing that set retains.
     """
     positives = psi.positive()
-    out = [
-        alpha for alpha in positives
-        if not in_nonneg_cone(
-            [g for g in positives if not _is_positive_multiple(g, alpha)], alpha)
-    ]
+    out = []
+    for alpha in positives:
+        multiples = (alpha, rs.scale(2, alpha))
+        if not in_nonneg_cone([g for g in positives if g not in multiples], alpha):
+            out.append(alpha)
     return RootSet(frozenset(out), psi.handle)
 
 

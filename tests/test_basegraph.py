@@ -414,6 +414,31 @@ def test_search_matches_the_full_build_reference(spec, explores):
             assert (res.complete, res.bases_visited) == (not ref_pruned, len(ref))
 
 
+def test_the_gate_asks_for_no_symmetrizer_and_no_connectivity(monkeypatch):
+    # validate computed both for every Cartan datum it checked, and neither
+    # the search nor the catalog read them: 10 and 10 on A(1,2) at height 4
+    from collections import Counter, OrderedDict
+
+    from superroot import cartan, catalog
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cartan, "symmetrizer", counted("symmetrizer", symmetrizer))
+    monkeypatch.setattr(CartanData, "indecomposable", counted("indecomposable", CartanData.indecomposable))
+    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+    build("B(1,1)")
+    cd = build("A(1,2)").cartan
+    assert enumerate_real_roots(cd, 4).bases_visited == 120
+    principal_roots(cd, 6)
+    assert not calls
+
+
 def test_validate_runs_once_per_distinct_matrix(monkeypatch):
     # and the search builds only the bases it visits
     calls = {"validate": [], "built": []}

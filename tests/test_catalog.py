@@ -587,8 +587,9 @@ def test_catalog_matrices_hold_exact_entries():
 def test_each_build_constructs_one_handle(monkeypatch):
     # an ^(1) build used to build and keep a whole finite handle first, and
     # each handle ran a second RREF for its rank check and a second
-    # symmetrizer; now the RREF, the symmetrizer and the validation run once
-    # per type, and a second build of a type only makes its handle
+    # symmetrizer; now the RREF and the validation run once per type, the
+    # validation asks for no symmetrizer, and a second build of a type only
+    # makes its handle
     from collections import Counter, OrderedDict
 
     from superroot import cartan, catalog, linalg
@@ -611,7 +612,7 @@ def test_each_build_constructs_one_handle(monkeypatch):
     for spec in ("B(1,1)", "B(1,1)^(1)", "A(2,2)^(4)"):
         calls.clear()
         build(spec)
-        assert calls == {"handle": 1, "rref": 1, "symmetrizer": 1, "validate": 1}, spec
+        assert calls == {"handle": 1, "rref": 1, "validate": 1}, spec
         calls.clear()
         build(spec)
         assert calls == {"handle": 1}, spec

@@ -241,6 +241,50 @@ def test_rejects_negative_bounds(capsys):
     assert code == 0 and out.startswith("0 real roots")
 
 
+def test_bounds_accept_ascii_digits_only(capsys):
+    # int() read "1_0" as 10, "+3" and " 3" as 3 and the Arabic-Indic digit three as 3
+    for raw in ("1_0", "+3", " 3", "3 ", "\u0663", "3\n", ""):
+        for argv in (["closure", "--type", "B(1,1)", "--roots", "[[1,0]]", "--height", raw],
+                     ["real-roots", "--type", "A(0,1)", "--height", "3", "--explore", raw],
+                     ["principal-roots", "--type", "A(0,1)", "--explore", raw]):
+            assert main(argv) == 2, argv
+            assert f"expected an integer, got {raw!r}" in capsys.readouterr().err, argv
+    code, out = _capture(capsys, ["closure", "--type", "B(1,1)", "--roots", "[[1,0]]",
+                                  "--height", "10", "--format", "json"])
+    assert code == 0 and json.loads(out)["bounds"] == {"height": 10}
+
+
+def test_type_and_matrix_json_together_exit_two(capsys):
+    # the catalog matrix was used and --matrix-json silently ignored
+    raw = '{"matrix": [[2, -1], [-1, 2]], "parity": [0, 0]}'
+    for argv in (["validate"], ["real-roots", "--height", "2"], ["principal-roots"]):
+        assert main([*argv, "--type", "A(0,1)", "--matrix-json", raw]) == 2, argv
+        assert capsys.readouterr().err == "error: give either --type or --matrix-json, not both\n", argv
+
+
+def test_validate_asks_for_each_printed_fact_once(monkeypatch, capsys):
+    from collections import Counter
+
+    from superroot import cartan, cli
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    symmetrizer = counted("symmetrizer", cartan.symmetrizer)
+    monkeypatch.setattr(cartan, "symmetrizer", symmetrizer)
+    monkeypatch.setattr(cli, "symmetrizer", symmetrizer)
+    monkeypatch.setattr(cartan.CartanData, "indecomposable",
+                        counted("indecomposable", cartan.CartanData.indecomposable))
+    code, out = _capture(capsys, ["validate", "--type", "A(0,1)"])
+    assert code == 0 and "symmetrizable:  True" in out and "indecomposable: True" in out
+    assert calls == {"symmetrizer": 1, "indecomposable": 1}
+
+
 def test_python_dash_m_entry_point(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["superroot", "validate", "--type", "A(0,1)"])
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
-"""The package imports nothing outside the standard library and itself, its
-arithmetic is exact (no float literal, no name float and no math function
-but the integer ones appear in its source), every
+"""The package imports nothing outside the standard library and itself, uses
+every name it imports, its arithmetic is exact (no float literal, no name
+float and no math function but the integer ones appear in its source), every
 exported name resolves and every definition is used, by more than the tests
 unless an allowlist names it."""
 
@@ -27,6 +27,28 @@ def test_only_stdlib_imports():
                 continue  # relative imports stay inside the package
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, name)
+
+
+def test_every_import_is_used():
+    # each name a module imports occurs in that module as a name or in its
+    # ``__all__``, so a deletion leaves no dead import behind
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        unused = [(path.name, line, name) for name, line in imported.items() if name not in used]
+        assert not unused, unused
 
 
 def test_rootspace_imports_nothing_from_the_package():

@@ -20,6 +20,12 @@ def test_solve_consistent_and_inconsistent():
     assert solve(a2, [Q(1), Q(3)]) is None
 
 
+def test_rref_and_solve_on_no_rows():
+    assert rref([]) == ([], [])
+    assert solve([], [0]) == []
+    assert solve([], [1]) is None
+
+
 def test_rank_and_solve_stay_exact_on_int_input():
     # in floats the first matrix reads rank 3 and the solution [-1.0, 1.0]
     assert rank([(-3, -1, 1), (-2, 3, 1), (-10, 4, 4)]) == 2

@@ -10,6 +10,7 @@ from superroot.errors import (InconclusiveError, NotARootError, SuperrootError, 
                               UnsupportedTypeError)
 from superroot.oracle import (
     GradedMatrix,
+    WeightedElement,
     bracket_criteria_sweep,
     generated_subalgebra,
     gm_bracket,
@@ -683,6 +684,40 @@ def test_osp12_module_check_rejects_a_table_whose_e_f_bracket_misses_h(monkeypat
     assert gm_bracket(bad.e, bad.f) != bad.h
     monkeypatch.setattr(oracle, "osp12_module_table", lambda k: bad)
     assert not verify_osp12_module(2)
+
+
+def test_osp12_module_check_fails_when_a_bracket_leaves_the_span(monkeypatch):
+    from superroot import oracle
+
+    monkeypatch.setattr(oracle, "solve", lambda rows, b: None)
+    assert not verify_osp12_module(1)
+
+
+def _zero_at(x):
+    """The zero element at x's weight, in x's graded space."""
+    return WeightedElement(x.weight, GradedMatrix({}, 0, x.matrix.space))
+
+
+@pytest.mark.parametrize("target, lie, message", [
+    ("_weight_eval", lambda plus, functional, diag: Q(1), "realized Cartan row 0 mismatches the catalog"),
+    ("loop_bracket", lambda x, y, truncation: _zero_at(x), "vanishing coroot bracket"),
+])
+def test_a_realization_that_fails_a_check_is_not_stored(monkeypatch, target, lie, message):
+    from collections import OrderedDict
+
+    from superroot import oracle
+
+    monkeypatch.setattr(oracle, "_REALIZATIONS", OrderedDict())
+    monkeypatch.setattr(oracle, target, lie)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=message):
+            realize("B(1,1)")
+    assert not oracle._REALIZATIONS
+
+
+def test_a_graded_matrix_equals_no_other_kind_of_value():
+    m = GradedMatrix({(0, 0): 1}, 0, (0, 1))
+    assert m != {(0, 0): 1} and not m == 1 and m == GradedMatrix({(0, 0): 1}, 0, (0, 1))
 
 
 def test_super_jacobi_random_triples():

@@ -10,7 +10,6 @@ from superroot.errors import InconclusiveError, NotARealRootError, NotClosedErro
 from superroot.lp import in_nonneg_cone
 from superroot.oracle import verify_dynkin_maps
 from superroot.pisystem import (
-    _is_positive_multiple,
     admits_pi_system,
     classify_subset,
     closure_S_infinity,
@@ -21,7 +20,7 @@ from superroot.pisystem import (
     reflect_all,
     root_set,
 )
-from support import positive_real_roots, reflect_pair
+from support import SMALL_CATALOG, positive_real_roots, reflect_pair
 
 
 def _neg(r):
@@ -534,6 +533,15 @@ def test_closure_cases_cover_the_truncation_paths():
     assert closure_S_infinity(seed, bound).stabilized
 
 
+def _is_positive_multiple(gamma, alpha):
+    # gamma in N * alpha with alpha nonzero, for any k
+    ks = {g // a for g, a in zip(gamma, alpha) if a != 0}
+    if len(ks) != 1:
+        return False
+    k = ks.pop()
+    return k >= 1 and gamma == rs.scale(k, alpha)
+
+
 def _precedes(gamma, alpha, positives):
     # t alpha = gamma + a nonnegative combination of the other positives, t >= 0
     others = [_neg(o) for o in positives if o != gamma and o != alpha]
@@ -590,6 +598,26 @@ def test_minimality_of_multiples():
     assert both.elements == {half}
     alone = minimal_positive_elements(root_set(h, [rs.scale(2, half)]))
     assert alone.elements == {rs.scale(2, half)}
+
+
+def test_a_root_set_holds_a_root_given_as_a_list():
+    roots = root_set(build("A(0,1)"), [(1, 0)])
+    assert [1, 0] in roots and (1, 0) in roots and [0, 1] not in roots
+
+
+def test_no_real_root_has_a_root_multiple_beyond_two():
+    # minimal_positive_elements leaves only alpha and 2 alpha out of G: every
+    # finite coordinate of a root lies in [-coord_bound, coord_bound], and a
+    # real root has a nonzero one, so k alpha is no root for k >= 3
+    checked = 0
+    for spec in SMALL_CATALOG:
+        h = build(spec)
+        assert h.coord_bound <= 2, spec
+        for alpha in h.real_roots(max_degree=4 if h.has_null else None):
+            for k in range(3, 7):
+                assert not h.contains(rs.scale(k, alpha)), (spec, alpha, k)
+            checked += 1
+    assert checked == 2266  # real roots, affine ones up to null degree 4
 
 
 def test_dynkin_checks_classify_each_set_once(monkeypatch):
