@@ -19,12 +19,14 @@ Every type is one ``RootSystemHandle`` built from plain data.  An untwisted
 affine type is the data of its finite type with alpha_0 = null - theta, theta
 the highest root, prepended to the simple roots (Kac, *Infinite-dimensional
 Lie algebras*, ch. 7).  The type data (base, table, coordinate solver, Cartan
-matrix) is built and validated once per type and shared by every handle of
-that type; the memo tables are per handle.
+matrix) is built and validated once per type, kept in a
+``functools.lru_cache`` and shared by every handle of that type; the memo
+tables are per handle.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ from .rootspace import Root, check_bound, height
 FINITE = "finite"
 AFFINE = "affine"
 TWISTED4 = "twisted4"
-TABLE_LIMIT = 1 << 16  # entries per memo table and in the type table; the oldest goes first
+TABLE_LIMIT = 1 << 16  # entries per handle memo table, where the oldest goes first, and per record cache
 
 
 def _remember(table: OrderedDict, key, value) -> None:
@@ -256,6 +258,8 @@ class RootSystemHandle:
             raise DimensionMismatchError("root length differs from rank")
         acc = [0] * self._coord_dim
         for c, sv in zip(key, self._simple_coords):
+            if type(c) is not int:  # so no bool or float image enters the memo
+                raise NotInLatticeError(f"root {key!r} has a coordinate that is not an int")
             if c:
                 for k, x in enumerate(sv):
                     acc[k] += c * x
@@ -482,9 +486,7 @@ def _twisted4_data(ctype: CatalogType):
     return (Fraction(1),) * k, (0,) * k + (1,) * l + (1,), simples, 1, None, table
 
 
-_TYPES: OrderedDict[CatalogType, MappingProxyType] = OrderedDict()  # one record per type built
-
-
+@functools.lru_cache(maxsize=TABLE_LIMIT)
 def _type_data(ctype: CatalogType) -> MappingProxyType:
     """The type's shared, read-only record, built, checked and validated once.
 
@@ -498,9 +500,6 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
     in the table, so every root and the zero vector lie in that box.  A type
     that fails a check raises on every call and is never stored.
     """
-    data = _TYPES.get(ctype)
-    if data is not None:
-        return data
     if ctype.twist == TWISTED4:
         norms, coeffs, simples, gauge, theta, table = _twisted4_data(ctype)
     else:
@@ -543,7 +542,7 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
         raise AssertionError(f"catalog base for {ctype.label} failed validation: {report}")
     if theta is not None and theta.eps + theta.delta not in table[0]:
         raise AssertionError("highest root is not a root")
-    data = MappingProxyType(dict(
+    return MappingProxyType(dict(
         ctype=ctype, label=ctype.label, eps_dim=e, delta_dim=d, has_null=ctype.twist != FINITE,
         rank=n, eps_norms=tuple(norms), parity_coeffs=tuple(coeffs), simple_ed=tuple(simples),
         cartan=cartan, coord_bound=max(abs(x) for entry in table for c in entry for x in c),
@@ -555,8 +554,6 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
         _alpha_denom=alpha_denom,
         _alpha_consistency_rows=tuple(tuple(int(x * check_denom) for x in row) for row in consistency),
     ))
-    _remember(_TYPES, ctype, data)
-    return data
 
 
 def build(ctype: CatalogType | str) -> RootSystemHandle:

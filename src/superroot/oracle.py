@@ -21,15 +21,16 @@ bracket whose degree would leave it raises; the span growth records the
 event and reports a truncated status instead of silently dropping anything.
 
 The root spaces and the Chevalley generators, with their Cartan-row
-checks, are built once per type and window into a read-only record that
-every realization of that type and window shares; the module table holding
-the records keeps no handle and at most ``TABLE_LIMIT`` of them.  The
-caller's handle, with its memo tables, stays with each realization.
+checks, are built once per type into a read-only record that every
+realization of that type shares, whatever its window.  The records are kept
+in a ``functools.lru_cache`` of at most ``TABLE_LIMIT`` of them, which
+drops the least recently used; they hold no handle.  The caller's handle,
+with its memo tables, stays with each realization.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from . import pisystem as ps
 from . import rootspace as rs
-from .catalog import AFFINE, FINITE, CatalogType, EpsDeltaVector, RootSystemHandle, _remember, build
+from .catalog import AFFINE, FINITE, TABLE_LIMIT, CatalogType, EpsDeltaVector, RootSystemHandle, build
 from .errors import InconclusiveError, NotARootError, NotClosedError, TruncationHitError, UnsupportedTypeError
 from .linalg import exact, rref, solve
 from .rootspace import Root, height
@@ -176,17 +177,16 @@ class Realization:
 
     A realization is the caller's ``handle``, its window ``truncation`` and
     the fields of a read-only record (``_realization_data``) that is built
-    and checked once per type and window and shared by every realization of
-    that type and window: the index weights, ``space``, the root spaces and
-    the Chevalley ``generators``.  ``root_vector`` reads the handle's own
-    ``to_ed`` memo; ``index_weights`` is a list of the realization's own.
+    and checked once per type and shared by every realization of that type,
+    at every window: the ``index_weights`` (the finite eps+delta coordinates
+    of each basis index), ``space``, the root spaces and the Chevalley
+    ``generators``.  ``root_vector`` reads the handle's own ``to_ed`` memo.
     """
 
     def __init__(self, handle: RootSystemHandle, truncation: int, data: Mapping[str, object]):
         self.handle, self.truncation = handle, truncation
         for name, value in data.items():
             setattr(self, name, value)
-        self.index_weights = list(data["index_weights"])  # finite eps+delta coords per basis index
 
     def root_vector(self, root: Sequence[int]) -> WeightedElement:
         """The root vector x_beta as a weighted element."""
@@ -226,29 +226,26 @@ def _read_only(m: GradedMatrix) -> GradedMatrix:
     return m
 
 
-_REALIZATIONS: OrderedDict[tuple[CatalogType, int], MappingProxyType] = OrderedDict()
+@functools.lru_cache(maxsize=TABLE_LIMIT)
+def _realization_data(ctype: CatalogType) -> MappingProxyType:
+    """The shared, read-only record of the type's realization, for every window.
 
-
-def _realization_data(handle: RootSystemHandle, truncation: int) -> MappingProxyType:
-    """The shared, read-only record of the type's realization at the window.
-
-    Its keys are the attributes a ``Realization`` copies.  A type that fails
-    a check, or whose alpha_0 = null - theta lies beyond the window, raises
-    on every call and is never stored.
+    Its keys are the attributes a ``Realization`` copies.  Nothing in it
+    depends on the window: the root spaces are those of the degree-0 real
+    roots, and each h_i = [x+_i, x-_i] has degree 0.  The build makes a
+    handle of its own and the record keeps none.  A type that fails a check
+    raises on every call and is never stored.
     """
-    key = (handle.ctype, truncation)
-    data = _REALIZATIONS.get(key)
-    if data is not None:
-        return data
+    handle = build(ctype)
     m, n = handle.eps_dim, handle.delta_dim
-    osp = handle.ctype.family != "A"
+    osp = ctype.family != "A"
     signs = (1, -1) if osp else (1,)
 
     def unit(slot: int, val: int) -> tuple[int, ...]:
         return tuple(val if k == slot else 0 for k in range(m + n))
 
     index_weights = [unit(i, s) for s in signs for i in range(m)]
-    if handle.ctype.family == "B":
+    if ctype.family == "B":
         index_weights.append((0,) * (m + n))
     index_weights += [unit(m + p, s) for s in signs for p in range(n)]
     # index weights are +-unit vectors or zero; _weight_eval reads the
@@ -279,12 +276,10 @@ def _realization_data(handle: RootSystemHandle, truncation: int) -> MappingProxy
     generators = []
     cat = handle.cartan.matrix
     for i, alpha in enumerate(handle.simple_ed):
-        if abs(alpha.null) > truncation:
-            raise TruncationHitError(f"degree {alpha.null} exceeds the window {truncation}")
         minus = -alpha
         xplus = WeightedElement(alpha.coords(), root_spaces[alpha.eps + alpha.delta])
         xminus_raw = WeightedElement(minus.coords(), root_spaces[minus.eps + minus.delta])
-        h_raw = loop_bracket(xplus, xminus_raw, truncation)
+        h_raw = loop_bracket(xplus, xminus_raw, 0)
         if h_raw.matrix.is_zero():
             raise AssertionError("vanishing coroot bracket in the realization")
         row_raw = [_weight_eval(plus, aj, h_raw.matrix) for aj in handle.simple_ed]
@@ -303,12 +298,10 @@ def _realization_data(handle: RootSystemHandle, truncation: int) -> MappingProxy
         h = WeightedElement(h_raw.weight, _read_only(h_raw.matrix.scaled(c)))
         generators.append((xplus, xminus, h))
 
-    data = MappingProxyType(dict(
+    return MappingProxyType(dict(
         index_weights=tuple(index_weights), _plus_coord=MappingProxyType(plus), space=space,
         _root_spaces=MappingProxyType(root_spaces), generators=tuple(generators),
     ))
-    _remember(_REALIZATIONS, key, data)
-    return data
 
 
 def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
@@ -318,8 +311,9 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
     affinizations as loop algebras truncated at ``loop_degree``, which an
     affine type needs and which must not be negative on any type.  The
     twisted family and the exceptional families are combinatorial-only here.
-    Each call returns a new realization on the record shared by its type
-    and window.
+    Each call returns a new realization on the record shared by its type;
+    a window that cuts off a simple root, alpha_0 = null - theta at 0,
+    raises ``TruncationHitError``.
     """
     rs.check_bound("loop_degree", loop_degree)
     handle = build(handle_or_type) if isinstance(handle_or_type, str) else handle_or_type
@@ -328,7 +322,10 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
     if handle.ctype.twist == AFFINE and loop_degree is None:
         raise ValueError(f"an affine realization of {handle.label} needs a loop_degree")
     truncation = 0 if handle.ctype.twist == FINITE else loop_degree
-    return Realization(handle, truncation, _realization_data(handle, truncation))
+    for alpha in handle.simple_ed:
+        if abs(alpha.null) > truncation:
+            raise TruncationHitError(f"degree {alpha.null} exceeds the window {truncation}")
+    return Realization(handle, truncation, _realization_data(handle.ctype))
 
 
 def realizable(handle: RootSystemHandle) -> bool:

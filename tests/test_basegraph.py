@@ -417,7 +417,7 @@ def test_search_matches_the_full_build_reference(spec, explores):
 def test_the_gate_asks_for_no_symmetrizer_and_no_connectivity(monkeypatch):
     # validate computed both for every Cartan datum it checked, and neither
     # the search nor the catalog read them: 10 and 10 on A(1,2) at height 4
-    from collections import Counter, OrderedDict
+    from collections import Counter
 
     from superroot import cartan, catalog
 
@@ -431,7 +431,7 @@ def test_the_gate_asks_for_no_symmetrizer_and_no_connectivity(monkeypatch):
 
     monkeypatch.setattr(cartan, "symmetrizer", counted("symmetrizer", symmetrizer))
     monkeypatch.setattr(CartanData, "indecomposable", counted("indecomposable", CartanData.indecomposable))
-    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+    catalog._type_data.cache_clear()
     build("B(1,1)")
     cd = build("A(1,2)").cartan
     assert enumerate_real_roots(cd, 4).bases_visited == 120

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 from fractions import Fraction as Q
@@ -590,7 +591,7 @@ def test_each_build_constructs_one_handle(monkeypatch):
     # symmetrizer; now the RREF and the validation run once per type, the
     # validation asks for no symmetrizer, and a second build of a type only
     # makes its handle
-    from collections import Counter, OrderedDict
+    from collections import Counter
 
     from superroot import cartan, catalog, linalg
 
@@ -602,7 +603,7 @@ def test_each_build_constructs_one_handle(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+    catalog._type_data.cache_clear()
     handle_init = catalog.RootSystemHandle.__init__
     monkeypatch.setattr(catalog.RootSystemHandle, "__init__", counted("handle", handle_init))
     monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
@@ -621,19 +622,19 @@ def test_each_build_constructs_one_handle(monkeypatch):
 def test_a_warm_build_equals_a_cold_build(monkeypatch):
     # a handle on a stored type record has the public data of one built
     # from scratch
-    from collections import OrderedDict
-
     from superroot import catalog
 
     for spec in _PINNED_SPECS:
-        monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+        catalog._type_data.cache_clear()
         cold = _handle_digest(build(spec))
-        assert parse_type(spec) in catalog._TYPES, spec
+        assert catalog._type_data.cache_info().currsize == 1, spec
         assert _handle_digest(build(spec)) == cold, spec
+        assert catalog._type_data.cache_info().misses == 1, spec
     # an int parameter is the same type as the equal Fraction and shares its record
-    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+    catalog._type_data.cache_clear()
     build(CatalogType("D21", 2, 1, "finite", 2))
     assert _handle_digest(build("D(2,1;2)")) == HANDLE_DIGESTS["D(2,1;2)"]
+    assert catalog._type_data.cache_info().misses == 1
 
 
 def test_handles_of_one_type_share_no_memo_state():
@@ -645,28 +646,43 @@ def test_handles_of_one_type_share_no_memo_state():
     assert not h2._ed_cache and not h2._norms
 
 
-def test_the_type_table_drops_its_oldest_type(monkeypatch):
-    from collections import OrderedDict
+def test_a_float_or_bool_root_leaves_the_memo_exact():
+    # a float coordinate used to store a float image under the key of the
+    # equal int root, and every later query of that int root then raised
+    fresh = build("B(1,1)")
+    expected = fresh.to_ed((1, 0)), fresh.is_real((1, 0))
+    h = build("B(1,1)")
+    for bad in ((1.0, 0), (True, 0), (1, Q(0))):
+        with pytest.raises(NotInLatticeError, match="not an int"):
+            h.is_real(bad)
+        with pytest.raises(NotInLatticeError, match="not an int"):
+            h.to_ed(bad)
+    assert not h._ed_cache
+    assert (h.to_ed((1, 0)), h.is_real((1, 0))) == expected
+    assert all(type(x) is int for x in h.to_ed((1, 0)).coords())
 
+
+def test_the_type_table_keeps_at_most_TABLE_LIMIT_types(monkeypatch):
     from superroot import catalog
 
-    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
-    monkeypatch.setattr(catalog, "TABLE_LIMIT", 2)
+    assert catalog._type_data.cache_info().maxsize == catalog.TABLE_LIMIT
+    # the same build in a table of 2: a dropped type is rebuilt to its pinned digest
+    small = functools.lru_cache(maxsize=2)(catalog._type_data.__wrapped__)
+    monkeypatch.setattr(catalog, "_type_data", small)
     first = _handle_digest(build("B(1,1)"))
     build("A(0,1)^(1)")
     build("A(2,2)^(4)")
-    assert list(catalog._TYPES) == [parse_type("A(0,1)^(1)"), parse_type("A(2,2)^(4)")]
+    assert small.cache_info().currsize == 2
     assert _handle_digest(build("B(1,1)")) == first == HANDLE_DIGESTS["B(1,1)"]
-    assert list(catalog._TYPES) == [parse_type("A(2,2)^(4)"), parse_type("B(1,1)")]
+    assert small.cache_info().misses == 4
 
 
 def test_a_failing_type_raises_on_every_build(monkeypatch):
-    from collections import OrderedDict
     from dataclasses import replace
 
     from superroot import cartan, catalog
 
-    monkeypatch.setattr(catalog, "_TYPES", OrderedDict())
+    catalog._type_data.cache_clear()
     for _ in range(2):
         with pytest.raises(UnsupportedTypeError):
             build("A(1,1)")
@@ -676,7 +692,7 @@ def test_a_failing_type_raises_on_every_build(monkeypatch):
     for _ in range(2):
         with pytest.raises(AssertionError, match="failed validation"):
             build("B(1,1)")
-    assert not catalog._TYPES
+    assert catalog._type_data.cache_info().currsize == 0
 
 
 def test_the_parity_guard_reads_the_parity_functional():

@@ -31,6 +31,15 @@ def test_validate_matrix_json(capsys):
     assert code == 1  # odd sl2-type row with an odd entry is inadmissible
 
 
+def test_validate_reports_a_one_sided_zero_as_not_symmetrizable(capsys):
+    # a_01 = 0 but a_10 = -1: no diagonal d has d_0 a_01 = d_1 a_10
+    raw = json.dumps({"matrix": [[2, 0], [-1, 2]], "parity": [0, 0]})
+    code, out = _capture(capsys, ["validate", "--matrix-json", raw])
+    assert code == 1 and "symmetrizable:  False" in out
+    code, out = _capture(capsys, ["validate", "--matrix-json", raw, "--format", "json"])
+    assert code == 1 and json.loads(out)["symmetrizable"] is False
+
+
 def test_missing_type_is_usage_error(capsys):
     code = main(["pi-check", "--roots", "[[1,0]]"])
     assert code == 2

@@ -97,6 +97,18 @@ def test_the_import_graph_is_acyclic():
         visit(mod)
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore is its module's own; a second module
+    # that needs it should get a public name or a mechanism of its own
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [(path.name, node.lineno, a.name) for a in node.names
+                          if a.name.startswith("_") and not a.name.endswith("__")]
+    assert not found, found
+
+
 # math functions that take and return integers only
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
 

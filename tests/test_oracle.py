@@ -190,7 +190,7 @@ def test_osp_root_vectors_solve_the_invariance_equations():
                  "C(2)", "C(3)", "C(4)", "D(2,1)", "D(2,2)", "D(3,1)", "D(3,2)"):
         r = realize(spec)
         weights, space, J = _osp_form(r.handle)
-        assert (r.index_weights, r.space) == (weights, space), spec
+        assert (list(r.index_weights), r.space) == (weights, space), spec
         d = len(space)
         for v in r.handle.real_roots_ed(None):
             key, parity = v.eps + v.delta, r.handle.parity_ed(v)
@@ -703,21 +703,27 @@ def _zero_at(x):
     ("loop_bracket", lambda x, y, truncation: _zero_at(x), "vanishing coroot bracket"),
 ])
 def test_a_realization_that_fails_a_check_is_not_stored(monkeypatch, target, lie, message):
-    from collections import OrderedDict
-
     from superroot import oracle
 
-    monkeypatch.setattr(oracle, "_REALIZATIONS", OrderedDict())
+    oracle._realization_data.cache_clear()
     monkeypatch.setattr(oracle, target, lie)
     for _ in range(2):
         with pytest.raises(AssertionError, match=message):
             realize("B(1,1)")
-    assert not oracle._REALIZATIONS
+    assert oracle._realization_data.cache_info().currsize == 0
 
 
 def test_a_graded_matrix_equals_no_other_kind_of_value():
     m = GradedMatrix({(0, 0): 1}, 0, (0, 1))
     assert m != {(0, 0): 1} and not m == 1 and m == GradedMatrix({(0, 0): 1}, 0, (0, 1))
+
+
+def test_a_graded_matrix_repr_evaluates_to_an_equal_matrix():
+    m = GradedMatrix({(0, 1): Q(1, 2), (1, 0): 3}, 1, (0, 1))
+    text = repr(m)
+    assert "Fraction(1, 2)" in text
+    again = eval(text, {"GradedMatrix": GradedMatrix, "Fraction": Q})
+    assert again == m and again.nz == {(0, 1): Q(1, 2), (1, 0): 3}
 
 
 def test_super_jacobi_random_triples():
@@ -782,15 +788,17 @@ def test_negative_loop_degree_is_rejected():
     assert cert.pi_roundtrip and cert.oracle_match is None
 
 
-def test_realizations_of_one_type_and_window_share_one_record():
+def test_realizations_of_one_type_share_one_record_at_every_window():
     r1 = realize("B(1,1)^(1)", loop_degree=2)
     r2 = realize(build("B(1,1)^(1)"), loop_degree=2)
     assert r1.handle is not r2.handle
     assert r1.generators is r2.generators and r1._root_spaces is r2._root_spaces
     assert all(x is y for g1, g2 in zip(r1.generators, r2.generators) for x, y in zip(g1, g2))
-    # another window is another record, with equal generators
+    # another window reads the same record; only the realization's window differs
     r3 = realize("B(1,1)^(1)", loop_degree=3)
-    assert r3.generators is not r1.generators and r3.generators == r1.generators
+    assert r3.generators is r1.generators and r3._root_spaces is r1._root_spaces
+    assert (r1.truncation, r3.truncation) == (2, 3)
+    assert len({id(realize("B(0,1)^(1)", loop_degree=k).generators) for k in (1, 2, 3)}) == 1
     # root vectors read the caller's handle memo, not a shared one
     alpha0 = r1.handle.simple_roots_alpha()[0]
     r1.handle._ed_cache.clear()
@@ -816,14 +824,16 @@ def _reachable(obj):
 
 def test_the_realization_table_holds_no_handle():
     from superroot import oracle
-    from superroot.catalog import RootSystemHandle
+    from superroot.catalog import RootSystemHandle, parse_type
 
     for spec, k in (("A(0,1)", None), ("B(1,1)^(1)", 1), ("D(2,1)^(1)", 2)):
         realize(build(spec), loop_degree=k).full_basis()
-    assert oracle._REALIZATIONS
-    held = list(_reachable(oracle._REALIZATIONS))
-    assert any(isinstance(x, GradedMatrix) for x in held)
-    assert not any(isinstance(x, RootSystemHandle) for x in held)
+        hits = oracle._realization_data.cache_info().hits
+        record = oracle._realization_data(parse_type(spec))
+        assert oracle._realization_data.cache_info().hits == hits + 1, spec
+        held = list(_reachable(record))
+        assert any(isinstance(x, GradedMatrix) for x in held), spec
+        assert not any(isinstance(x, RootSystemHandle) for x in held), spec
 
 
 def test_the_shared_record_cannot_be_mutated():
@@ -848,45 +858,46 @@ def test_the_shared_record_cannot_be_mutated():
     for m in shared:
         with pytest.raises(TypeError):
             m.nz[next(iter(m.nz))] = 7
-    # index_weights is a list of the realization's own
-    r.index_weights.append((0, 0))
-    assert other.index_weights == realize("B(1,1)").index_weights == r.index_weights[:-1]
+    # index_weights is the record's tuple
+    assert type(r.index_weights) is tuple and r.index_weights is other.index_weights
 
 
-def test_the_realization_table_drops_its_oldest_record(monkeypatch):
-    from collections import OrderedDict
+def test_the_realization_table_keeps_at_most_TABLE_LIMIT_records(monkeypatch):
+    import functools
 
     from superroot import catalog, oracle
-    from superroot.catalog import parse_type
 
-    monkeypatch.setattr(oracle, "_REALIZATIONS", OrderedDict())
-    monkeypatch.setattr(catalog, "TABLE_LIMIT", 2)
+    assert oracle._realization_data.cache_info().maxsize == catalog.TABLE_LIMIT
+    # the same build in a table of 2: a dropped record is rebuilt equal
+    small = functools.lru_cache(maxsize=2)(oracle._realization_data.__wrapped__)
+    monkeypatch.setattr(oracle, "_realization_data", small)
     first = realize("B(1,1)").generators
     realize("A(0,1)^(1)", loop_degree=1)
     realize("A(0,1)^(1)", loop_degree=2)
-    assert list(oracle._REALIZATIONS) == [(parse_type("A(0,1)^(1)"), 1), (parse_type("A(0,1)^(1)"), 2)]
+    realize("B(0,1)")
+    assert small.cache_info().currsize == 2
     again = realize("B(1,1)").generators
     assert again is not first and again == first
-    assert list(oracle._REALIZATIONS) == [(parse_type("A(0,1)^(1)"), 2), (parse_type("B(1,1)"), 0)]
+    assert small.cache_info().misses == 4
 
 
 def test_a_failing_realization_raises_on_every_call(monkeypatch):
-    from collections import OrderedDict
-
     from superroot import oracle
 
-    monkeypatch.setattr(oracle, "_REALIZATIONS", OrderedDict())
-    # alpha_0 = null - theta has loop degree 1, outside a zero window
+    oracle._realization_data.cache_clear()
+    # alpha_0 = null - theta has loop degree 1, outside a zero window; the
+    # window is refused before the record is looked up
     for _ in range(2):
-        with pytest.raises(TruncationHitError):
+        with pytest.raises(TruncationHitError, match="^degree 1 exceeds the window 0$"):
             realize("A(0,1)^(1)", loop_degree=0)
-    assert not oracle._REALIZATIONS
+    info = oracle._realization_data.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
     # a realized Cartan row of zeros fails its check and is not stored either
     monkeypatch.setattr(oracle, "_weight_eval", lambda plus, functional, diag: Q(0))
     for _ in range(2):
         with pytest.raises(AssertionError, match="not proportional"):
             realize("B(1,1)")
-    assert not oracle._REALIZATIONS
+    assert oracle._realization_data.cache_info().currsize == 0
 
 
 def test_verify_dynkin_maps_refuses_a_cut_closure():
