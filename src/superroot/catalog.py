@@ -189,7 +189,7 @@ class RootSystemHandle:
     A handle copies the fields of its type's read-only record (``_type_data``),
     which is built and validated once per type and shared by every handle of
     that type.  Its memo tables are its own: ``to_ed`` keeps each conversion
-    and ``is_isotropic``/``pairing`` keep D (alpha, alpha) per root, each
+    and ``is_isotropic``/``pairings`` keep D (alpha, alpha) per root, each
     holding at most ``TABLE_LIMIT`` entries.  Logically immutable; a handle
     may be shared freely.
     """
@@ -324,18 +324,30 @@ class RootSystemHandle:
     def is_positive(self, root: Sequence[int]) -> bool:
         return any(c != 0 for c in root) and all(c >= 0 for c in root)
 
-    def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> int:
-        """beta(h_alpha) = 2(beta,alpha)/(alpha,alpha) for non-isotropic alpha, an integer."""
+    def pairings(self, alpha: Sequence[int], betas: Iterable[Sequence[int]]) -> list[int]:
+        """beta(h_alpha) = 2(beta,alpha)/(alpha,alpha) for each beta, reading alpha's data once.
+
+        alpha must be non-isotropic, and each pairing must be an integer: the
+        first beta whose pairing is not raises ``PairingNotIntegralError``.
+        """
         aa = self._norm(alpha)
         if aa == 0:
             raise IsotropicReflectorError(f"{alpha} is isotropic; no canonical coroot pairing")
-        twice = 2 * self._form(self.to_ed(beta), self.to_ed(alpha))
-        c, rem = divmod(twice, aa)
-        if rem:
-            raise PairingNotIntegralError(
-                f"pairing of {beta} against {alpha} is {Fraction(twice, aa)}, not an integer"
-            )
-        return c
+        a = self.to_ed(alpha)
+        out = []
+        for beta in betas:
+            twice = 2 * self._form(self.to_ed(beta), a)
+            c, rem = divmod(twice, aa)
+            if rem:
+                raise PairingNotIntegralError(
+                    f"pairing of {beta} against {alpha} is {Fraction(twice, aa)}, not an integer"
+                )
+            out.append(c)
+        return out
+
+    def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> int:
+        """beta(h_alpha) for non-isotropic alpha, an integer: ``pairings`` on one beta."""
+        return self.pairings(alpha, (beta,))[0]
 
     def simple_roots_alpha(self) -> tuple[Root, ...]:
         return tuple(_unit(self.rank, i) for i in range(self.rank))

@@ -309,14 +309,16 @@ def realize(handle_or_type, loop_degree: Optional[int] = None) -> Realization:
 
     Finite A, B, C and D families are realized directly; their untwisted
     affinizations as loop algebras truncated at ``loop_degree``, which an
-    affine type needs and which must not be negative on any type.  The
-    twisted family and the exceptional families are combinatorial-only here.
-    Each call returns a new realization on the record shared by its type;
-    a window that cuts off a simple root, alpha_0 = null - theta at 0,
-    raises ``TruncationHitError``.
+    affine type needs, a finite type refuses with ``ValueError``, and which
+    must not be negative.  The twisted family and the exceptional families
+    are combinatorial-only here.  Each call returns a new realization on the
+    record shared by its type; a window that cuts off a simple root,
+    alpha_0 = null - theta at 0, raises ``TruncationHitError``.
     """
     rs.check_bound("loop_degree", loop_degree)
     handle = build(handle_or_type) if isinstance(handle_or_type, str) else handle_or_type
+    if handle.is_finite and loop_degree is not None:
+        raise ValueError(f"{handle.label} is finite and has no loop_degree, got {loop_degree}")
     if not realizable(handle):
         raise UnsupportedTypeError(f"no matrix realization for {handle.label}")
     if handle.ctype.twist == AFFINE and loop_degree is None:
@@ -342,9 +344,7 @@ def realize_sigma(sigma: ps.RootSet, loop_degree: Optional[int] = None) -> Reali
         raise ValueError("sigma is empty; give at least one root")
     if loop_degree is None:
         loop_degree = None if handle.is_finite else max(abs(handle.degree_of(r)) for r in sigma) + 3
-    elif handle.is_finite:
-        raise ValueError(f"{handle.label} is finite and has no loop_degree, got {loop_degree}")
-    elif not realizable(handle):
+    elif not handle.is_finite and not realizable(handle):
         raise ValueError(f"{handle.label} has no realization to read loop_degree {loop_degree}")
     return realize(handle, loop_degree)
 

@@ -75,7 +75,7 @@ def reflect_all(handle: RootSystemHandle, alpha: Root, betas: Collection[Root]) 
     alpha + beta is real, and fixes every other beta; one ``real_sums``
     call answers for every beta but +-alpha, and none is made when no other
     beta is given.  Otherwise beta goes to beta - beta(h_alpha) alpha, with
-    one ``pairing`` per beta.
+    one ``pairings`` call per alpha; a beta with pairing 0 is returned as is.
     """
     if handle.is_isotropic(alpha):
         minus = rs.neg(alpha)
@@ -85,7 +85,8 @@ def reflect_all(handle: RootSystemHandle, alpha: Root, betas: Collection[Root]) 
         real = iter(handle.real_sums(alpha, rest))
         return [rs.neg(b) if b == alpha or b == minus else rs.add(b, alpha) if next(real) else b
                 for b in betas]
-    return [rs.sub(b, rs.scale(handle.pairing(b, alpha), alpha)) for b in betas]
+    return [tuple(x - c * y for x, y in zip(b, alpha)) if c else b
+            for b, c in zip(betas, handle.pairings(alpha, betas))]
 
 
 def reflect(handle: RootSystemHandle, alpha: Root, beta: Root) -> Root:
@@ -257,13 +258,23 @@ def minimal_positive_elements(psi: RootSet) -> RootSet:
     nonnegative combination of G, some gamma in G has a coefficient c > 0,
     and dividing by c shows that gamma precedes alpha with t = 1/c.
 
+    A sum needs no cone test.  Say beta and alpha - beta both lie in Psi+.
+    Positive roots have nonnegative coordinates, so the two heights add up
+    to alpha's and each is at least 1: each is below alpha's height, so
+    neither is alpha or 2 alpha.  Both lie in G, and alpha = beta +
+    (alpha - beta) is in the cone of G.  The argument asks nothing of Psi
+    but that both summands lie in it, so it holds without closedness.
+
     This is also meaningful on a window-restricted closure: the witnesses
     that exclude a non-minimal element are same-sign combinations of the
     generating set, which any window containing that set retains.
     """
     positives = psi.positive()
+    members = set(positives)
     out = []
     for alpha in positives:
+        if any(rs.sub(alpha, beta) in members for beta in positives):
+            continue
         multiples = (alpha, rs.scale(2, alpha))
         if not in_nonneg_cone([g for g in positives if g not in multiples], alpha):
             out.append(alpha)

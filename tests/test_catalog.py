@@ -1,13 +1,15 @@
 import functools
 import hashlib
 import itertools
+import re
 from fractions import Fraction as Q
 
 import pytest
 
 from superroot.catalog import CatalogType, EpsDeltaVector as ED, build, parse_type
-from superroot.errors import NotInLatticeError, UnsupportedTypeError
-from support import (is_imaginary, is_imaginary_ed, is_isotropic_ed, membership_classify,
+from superroot.errors import (IsotropicReflectorError, NotInLatticeError, PairingNotIntegralError,
+                              UnsupportedTypeError)
+from support import (SMALL_CATALOG, is_imaginary, is_imaginary_ed, is_isotropic_ed, membership_classify,
                      positive_real_roots)
 
 
@@ -438,6 +440,33 @@ def test_bounded_tables_keep_their_verdicts(monkeypatch):
     got, largest = stream(build("B(1,1)^(1)"))
     assert got == expected
     assert largest == 8
+
+
+def test_pairings_equal_one_pairing_per_beta():
+    # every real root pair, affine types to null degree 2; an isotropic alpha
+    # is refused for any batch, the empty one included
+    for spec in SMALL_CATALOG:
+        h = build(spec)
+        roots = h.real_roots(max_degree=2)
+        for alpha in roots:
+            if h.is_isotropic(alpha):
+                for betas in (roots, ()):
+                    with pytest.raises(IsotropicReflectorError, match="is isotropic"):
+                        h.pairings(alpha, betas)
+            else:
+                assert h.pairings(alpha, roots) == [h.pairing(b, alpha) for b in roots], (spec, alpha)
+
+
+def test_pairings_name_the_first_beta_whose_pairing_is_not_an_integer():
+    # 3 alpha_2 is no root of B(1,1): alpha_2 pairs to 2/3 against it, 3 alpha_2 to 2
+    h = build("B(1,1)")
+    assert h.pairings((0, 3), [(0, 3), (0, 6)]) == [2, 4]
+    message = "pairing of (0, 1) against (0, 3) is 2/3, not an integer"
+    for betas in ([(0, 1)], [(0, 3), (0, 1), (0, 2)]):
+        with pytest.raises(PairingNotIntegralError, match=re.escape(message)):
+            h.pairings((0, 3), betas)
+    with pytest.raises(PairingNotIntegralError, match=re.escape(message)):
+        h.pairing((0, 1), (0, 3))
 
 
 def _support(xs):

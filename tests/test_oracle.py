@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -120,7 +121,7 @@ def test_recomputed_cartan_matches_catalog():
     # so the extra node is odd isotropic rather than even
     for spec in ("A(0,1)", "A(1,2)", "B(1,1)", "B(2,2)", "C(3)", "D(2,2)",
                  "A(0,1)^(1)", "B(1,1)^(1)", "C(2)^(1)", "D(2,1)^(1)"):
-        r = realize(spec, loop_degree=2)
+        r = realize(spec, loop_degree=2 if "^" in spec else None)
         assert recomputed_cartan(r) == r.handle.cartan.matrix, spec
 
 
@@ -555,7 +556,7 @@ def test_full_basis_real_weights_match_the_catalog_on_every_realizable_type():
     realized = []
     for spec in _PINNED_SPECS:
         try:
-            r = realize(spec, loop_degree=1)
+            r = realize(spec, loop_degree=1 if "^" in spec else None)
         except UnsupportedTypeError:
             continue
         realized.append(spec)
@@ -770,6 +771,13 @@ def test_an_affine_realization_needs_a_loop_degree():
     with pytest.raises(ValueError, match="needs a loop_degree"):
         realize("A(0,1)^(1)")
     assert realize("A(0,1)").truncation == 0
+
+
+def test_a_finite_realization_refuses_a_loop_degree():
+    # a window on a finite type is refused, not dropped, as realize_sigma refuses it
+    for spec, k in (("B(1,1)", 5), ("A(0,1)", 0), ("D(2,1;1/2)", 2)):
+        with pytest.raises(ValueError, match=rf"{re.escape(spec)} is finite and has no loop_degree, got {k}"):
+            realize(spec, loop_degree=k)
 
 
 def test_negative_loop_degree_is_rejected():

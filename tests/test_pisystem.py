@@ -589,6 +589,24 @@ def test_one_cone_test_per_root_matches_pairwise_minimality():
         assert minimal_positive_elements(psi).elements == _pairwise_minimal(psi), name
 
 
+def test_a_sum_in_psi_plus_needs_no_cone_test(monkeypatch):
+    # on the B(1,1)^(1) simple-base closure at height 40 every positive root
+    # but the three simple roots is a sum of two positives, so only those
+    # three reach the cone test
+    h = build("B(1,1)^(1)")
+    closure = closure_S_infinity(root_set(h, h.simple_roots_alpha()), 40)
+    assert (len(closure.roots), len(closure.roots.positive())) == (160, 80)
+    calls = []
+
+    def counting(generators, target):
+        calls.append(target)
+        return in_nonneg_cone(generators, target)
+
+    monkeypatch.setattr(pisystem, "in_nonneg_cone", counting)
+    assert minimal_positive_elements(closure.roots).elements == set(h.simple_roots_alpha())
+    assert sorted(calls) == sorted(h.simple_roots_alpha())
+
+
 def test_minimality_of_multiples():
     # alpha with 2 alpha present stays minimal; 2 alpha is not minimal
     # when alpha = (2 alpha)/2 is present, and is minimal otherwise
