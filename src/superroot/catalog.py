@@ -203,7 +203,8 @@ class RootSystemHandle:
     # -- membership ----------------------------------------------------------
 
     def contains_ed(self, v: EpsDeltaVector) -> bool:
-        """Is v a root?  Real when its finite part is in the table at its degree."""
+        """Is v a root?  Real when its finite part is in the table at its degree.
+        A coordinate that is not an int raises ``NotInLatticeError``."""
         self._check_dims(v)
         fin = v.eps + v.delta
         if fin in self._table[v.null % len(self._table)]:
@@ -231,6 +232,9 @@ class RootSystemHandle:
             )
         if v.null and not self.has_null:
             raise DimensionMismatchError(f"{self.label} has no null direction")
+        for c in v.coords():  # a plain loop: this runs on every membership query
+            if type(c) is not int:  # so no bool or float coordinate is read as an int
+                raise NotInLatticeError(f"{v} has a coordinate that is not an int")
 
     def _form(self, v: EpsDeltaVector, w: EpsDeltaVector) -> int:
         """D (v, w) in integers, skipping zero coordinates, for the diagonal form
@@ -279,7 +283,8 @@ class RootSystemHandle:
         return aa
 
     def to_alpha(self, v: EpsDeltaVector) -> Root:
-        """Simple-root coordinates of a lattice vector; exact and unique."""
+        """Simple-root coordinates of a lattice vector; exact and unique.
+        A coordinate that is not an int raises ``NotInLatticeError``."""
         self._check_dims(v)
         coords = v.coords()
         for tail in self._alpha_consistency_rows:

@@ -80,7 +80,13 @@ def _roots_of(args, attr: str = "roots") -> ps.RootSet:
     raw = _load_json_arg(getattr(args, attr))
     if not isinstance(raw, list):
         raise SuperrootError(f"{flag}: expected a list of roots, each a list of integers, got {raw!r}")
-    return ps.root_set(_handle_of(args), [_int_vector(r, flag) for r in raw])
+    handle, roots = _handle_of(args), set()
+    for r in raw:
+        r = _int_vector(r, flag)
+        if r in roots:
+            raise SuperrootError(f"{flag}: the root {list(r)} is given more than once")
+        roots.add(r)
+    return ps.root_set(handle, roots)
 
 
 def _root_list(roots) -> list[list[int]]:

@@ -55,20 +55,43 @@ def _box(handle, beta, alpha) -> range:
     return range(-((bound + bi) // ai), (bound - bi) // ai + 1)
 
 
-def _scan(handle, beta, alpha, ks):
-    # One membership query per slot: a member is real exactly when its
-    # finite part is nonzero.
+class _Members(dict):
+    # vector -> (is root, is real), asked of the handle on a vector's first
+    # lookup: one to_ed and one contains_ed, and a member is real exactly when
+    # its finite part is nonzero.
+    def __init__(self, handle):
+        super().__init__()
+        self.handle = handle
+
+    def __missing__(self, v):
+        ed = self.handle.to_ed(v)
+        self[v] = out = (self.handle.contains_ed(ed), any(ed.eps) or any(ed.delta))
+        return out
+
+
+def _scan(beta, alpha, ks, members):
+    # One ``members`` lookup per nonzero slot.
     entries = []
     zero_slot = None
     for k in ks:
         v = tuple(b + k * a for b, a in zip(beta, alpha))
-        if all(c == 0 for c in v):
+        if not any(v):
             zero_slot = k
             continue
-        ed = handle.to_ed(v)
-        if handle.contains_ed(ed):
-            entries.append(StringEntry(k, v, any(ed.eps) or any(ed.delta)))
+        root, real = members[v]
+        if root:
+            entries.append(StringEntry(k, v, real))
     return entries, zero_slot
+
+
+def _string(handle, beta, alpha, isotropic, members) -> RootString:
+    # The alpha-string through beta, scanned over the coordinate box; beta's
+    # own slot says whether beta is a root.
+    entries, zero_slot = _scan(beta, alpha, _box(handle, beta, alpha), members)
+    if not any(e.k == 0 for e in entries):
+        raise NotARootError(f"{beta} is not a root")
+    return RootString(beta, alpha, tuple(entries), zero_slot, isotropic,
+                      None if isotropic else handle.pairing(beta, alpha))
 
 
 def root_string(handle: RootSystemHandle, beta: Root, alpha: Root) -> RootString:
@@ -86,16 +109,7 @@ def root_string(handle: RootSystemHandle, beta: Root, alpha: Root) -> RootString
         raise NotARootError(f"direction {alpha} is not a real root")
     if not handle.contains(beta):
         raise NotARootError(f"{beta} is not a root")
-    isotropic = handle.is_isotropic(alpha)
-    entries, zero_slot = _scan(handle, beta, alpha, _box(handle, beta, alpha))
-    return RootString(
-        base_root=beta,
-        direction=alpha,
-        entries=tuple(entries),
-        zero_slot=zero_slot,
-        direction_isotropic=isotropic,
-        pairing=None if isotropic else handle.pairing(beta, alpha),
-    )
+    return _string(handle, beta, alpha, handle.is_isotropic(alpha), _Members(handle))
 
 
 @dataclass(frozen=True)
@@ -286,20 +300,40 @@ def sweep_strings(
     height (finite) or null-degree (affine) window.  Non-isotropic directions
     are checked for unbrokenness, the pairing identity, reversal, the
     real/imaginary block pattern and the four-real-roots bound; isotropic
-    directions for the two-real-roots bound and the exclusion laws.
+    directions for the two-real-roots bound and the exclusion laws.  Every
+    law is recorded for every pair, and the report is the one that scanning
+    each pair's string through its own beta would give, witnesses and order
+    included.  Three facts let the sweep do less work than that:
 
-    Each alpha-line {rep + j alpha}, rep = beta - (beta_i // alpha_i) alpha
-    with i the first nonzero coordinate of alpha, is scanned once, by
-    ``root_string`` through its first member; a later member reads the same
-    entries from its own slot, with its own pairing, and raises
-    ``NotARootError`` if its slot is empty.  This is exact: each vector gets
-    the same ``contains_ed`` answer as in a scan through its own beta, and
-    every law still runs on every pair.  ``string_pattern`` cannot fail once
-    ``check_unbroken`` has passed: beta + k alpha has a zero finite part for
-    at most one k, so a string has at most one imaginary member, and
-    reversal by s_alpha makes the real wings equal.  It runs anyway: its
-    ``pattern`` count is part of the ``string-sweep`` certificate and of the
-    ``strings`` benchmark digest.
+    - Each line {rep + j alpha}, rep = beta - (beta_i // alpha_i) alpha with
+      i the first nonzero coordinate of alpha, is scanned at most once for
+      the pair +-alpha.  The (-alpha)-line through beta is the same set of
+      vectors, and its coordinate box is alpha's negated, so the
+      alpha-string through beta is the (-alpha)-string through beta with
+      k -> -k, the entries reversed, the zero slot, the pairing and the
+      direction negated.  Both directions meet the betas in one order, so
+      the first member of a line is the same for both, and the later
+      direction flips the earlier one's string through that member.  A
+      later member beta = b + m alpha reads the string through the first
+      member b from its own slot: k shifts by -m and the pairing by 2m, and
+      an empty slot raises ``NotARootError``.
+    - Each distinct nonzero vector is asked once per sweep: the scans read
+      a memo of vector -> (is root, is real), filled by one ``to_ed`` and
+      one ``contains_ed``.  This is exact because membership is a function
+      of the vector, and so is any stand-in for ``contains_ed``.
+    - The unbroken and pattern laws are decided once per line.  Under a
+      shift by m the occupied slots move by -m, so p' = p + m, q' = q - m
+      and p' - q' = p - q + 2m, the shifted pairing; the mirror slot
+      -k - (p - q) moves by -m as well.  So ``check_unbroken`` passes for
+      every member or fails for every member, and ``string_pattern`` reads
+      only the tag order, which a shift keeps.  On a line that fails, each
+      pair is checked again, so that each keeps its own witness.
+
+    ``string_pattern`` cannot fail once ``check_unbroken`` has passed:
+    beta + k alpha has a zero finite part for at most one k, so a string has
+    at most one imaginary member, and reversal by s_alpha makes the real
+    wings equal.  It runs anyway: its ``pattern`` count is part of the
+    ``string-sweep`` certificate and of the ``strings`` benchmark digest.
 
     A negative bound or one that the type does not read raises
     ``ValueError``, and so does an affine type without ``max_degree``;
@@ -316,44 +350,68 @@ def sweep_strings(
             raise ValueError("an affine sweep needs a null-degree bound: give max_degree (--degree)")
     betas = handle.all_roots(max_height=max_height, max_degree=max_degree)
     alphas = [b for b in betas if handle.is_real(b)]
+    members = _Members(handle)  # one per sweep
+    pending: dict[Root, dict[Root, RootString]] = {}  # alpha -> its lines' strings by first member, until -alpha
     for alpha in alphas:
         iso = handle.is_isotropic(alpha)
         i = next(n for n, a in enumerate(alpha) if a)
-        lines: dict[Root, tuple[int, RootString]] = {}  # rep -> (j, string through rep + j alpha)
+        mirror = pending.pop(rs.neg(alpha), None)
+        lines: dict[Root, tuple] = {}  # rep -> (j, string through rep + j alpha, its laws if they pass)
         for beta in betas:
             report.pairs += 1
             j = beta[i] // alpha[i]
             rep = tuple(b - j * a for b, a in zip(beta, alpha))
             line = lines.get(rep)
-            s = _shifted(line, beta, j) if line else root_string(handle, beta, alpha)
-            lines.setdefault(rep, (j, s))
-            if not iso:
-                try:
-                    check_unbroken(s)
-                    report.record("unbroken", True)
-                except BrokenStringError as exc:
-                    report.record("unbroken", False, f"beta={beta} alpha={alpha}: {exc}")
-                    continue
-                if any(e.real for e in s.entries):
-                    try:
-                        string_pattern(s)
-                        report.record("pattern", True)
-                    except PatternViolationError as exc:
-                        report.record("pattern", False, f"beta={beta} alpha={alpha}: {exc}")
+            if line:
+                j0, s, passed = line
+                s = _shifted(s, beta, j - j0)
+                laws = passed if passed is not None else _string_laws(s)
+            else:
+                s = _flipped(mirror.pop(beta), alpha) if mirror is not None else _string(
+                    handle, beta, alpha, iso, members)
+                laws = [] if iso else _string_laws(s)
+                lines[rep] = (j, s, laws if all(ok for _, ok, _ in laws) else None)
+            for law in laws:
+                report.record(*law)
+            if laws and not laws[0][1]:
+                continue  # a broken string: the pairing laws are not run on it
             for v in pairing_laws(handle, s):
                 if v.applicable:
                     report.record(v.law, v.passed, "" if v.passed else f"beta={beta} alpha={alpha}: {v.detail}")
+        if mirror is None:
+            pending[alpha] = {s.base_root: s for _, s, _ in lines.values()}
     return report
 
 
-def _shifted(line: tuple[int, RootString], beta: Root, j: int) -> RootString:
-    # The line's string, scanned through rep + j0 alpha, seen from beta = rep + j alpha.
-    # The pairing is linear in beta and alpha(h_alpha) = 2, so beta(h_alpha) is
-    # the line's pairing + 2m, exactly, in integers.
-    j0, s = line
-    m = j - j0
+def _string_laws(s: RootString) -> list[tuple[str, bool, str]]:
+    # The (law, passed, witness) records of unbrokenness and, on an unbroken
+    # string with a real member, of the pattern.
+    try:
+        check_unbroken(s)
+    except BrokenStringError as exc:
+        return [("unbroken", False, f"beta={s.base_root} alpha={s.direction}: {exc}")]
+    if not any(e.real for e in s.entries):
+        return [("unbroken", True, "")]
+    try:
+        string_pattern(s)
+    except PatternViolationError as exc:
+        return [("unbroken", True, ""), ("pattern", False, f"beta={s.base_root} alpha={s.direction}: {exc}")]
+    return [("unbroken", True, ""), ("pattern", True, "")]
+
+
+def _shifted(s: RootString, beta: Root, m: int) -> RootString:
+    # s seen from beta = s.base_root + m alpha.  The pairing is linear in beta
+    # and alpha(h_alpha) = 2, so beta(h_alpha) is s's pairing + 2m, exactly.
     if not any(e.k == m for e in s.entries):
         raise NotARootError(f"{beta} is not a root")
     return RootString(beta, s.direction, tuple(StringEntry(e.k - m, e.root, e.real) for e in s.entries),
                       None if s.zero_slot is None else s.zero_slot - m, s.direction_isotropic,
                       None if s.direction_isotropic else s.pairing + 2 * m)
+
+
+def _flipped(s: RootString, alpha: Root) -> RootString:
+    # The alpha-string through s.base_root, from s, its (-alpha)-string:
+    # beta + k alpha is slot -k of s, and beta(h_alpha) = -beta(h_{-alpha}).
+    return RootString(s.base_root, alpha, tuple(StringEntry(-e.k, e.root, e.real) for e in reversed(s.entries)),
+                      None if s.zero_slot is None else -s.zero_slot, s.direction_isotropic,
+                      None if s.direction_isotropic else -s.pairing)

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from superroot import oracle, pisystem as ps, rootspace as rs
+from superroot import oracle, pisystem as ps, rootspace as rs, rootstring as rstr
 from superroot.cartan import CartanData
 from superroot.catalog import EpsDeltaVector, RootSystemHandle
-from superroot.errors import InconclusiveError, NotClosedError, UnsupportedTypeError
+from superroot.errors import (BrokenStringError, InconclusiveError, NotClosedError, PatternViolationError,
+                              UnsupportedTypeError)
 from superroot.linalg import rref
 from superroot.oracle import GradedMatrix, Realization, SubalgebraBasis, WeightedElement, gm_bracket
 from superroot.rootspace import Root
@@ -60,6 +61,36 @@ def claim_a_root(monkeypatch, label: str, finite: tuple[int, ...]) -> None:
         return contains(self, v)
 
     monkeypatch.setattr(RootSystemHandle, "contains_ed", lying)
+
+
+def reference_sweep(handle: RootSystemHandle, max_height: Optional[int] = None,
+                    max_degree: Optional[int] = None) -> rstr.SweepReport:
+    """Reference: ``sweep_strings`` as one ``root_string`` scan and one check of
+    every law per (beta, alpha) pair, with no line shared between pairs."""
+    report = rstr.SweepReport()
+    betas = handle.all_roots(max_height=max_height, max_degree=max_degree)
+    for alpha in [b for b in betas if handle.is_real(b)]:
+        iso = handle.is_isotropic(alpha)
+        for beta in betas:
+            report.pairs += 1
+            s = rstr.root_string(handle, beta, alpha)
+            if not iso:
+                try:
+                    rstr.check_unbroken(s)
+                    report.record("unbroken", True)
+                except BrokenStringError as exc:
+                    report.record("unbroken", False, f"beta={beta} alpha={alpha}: {exc}")
+                    continue
+                if any(e.real for e in s.entries):
+                    try:
+                        rstr.string_pattern(s)
+                        report.record("pattern", True)
+                    except PatternViolationError as exc:
+                        report.record("pattern", False, f"beta={beta} alpha={alpha}: {exc}")
+            for v in rstr.pairing_laws(handle, s):
+                if v.applicable:
+                    report.record(v.law, v.passed, "" if v.passed else f"beta={beta} alpha={alpha}: {v.detail}")
+    return report
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:

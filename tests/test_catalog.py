@@ -691,6 +691,18 @@ def test_a_float_or_bool_root_leaves_the_memo_exact():
     assert all(type(x) is int for x in h.to_ed((1, 0)).coords())
 
 
+@pytest.mark.parametrize("bad", [ED((1.0,), (1,)), ED((1,), (True,)), ED((1,), (Q(1),)), ED((1,), (1,), 0.0)],
+                         ids=["float-eps", "bool-delta", "fraction-delta", "float-null"])
+def test_a_caller_built_vector_with_a_coordinate_that_is_not_an_int_is_refused(bad):
+    # eps_1 + delta_1 with a float, bool or Fraction coordinate is not read as
+    # the lattice vector (1, 2)
+    h = build("B(1,1)")
+    for read in (h.to_alpha, h.contains_ed):
+        with pytest.raises(NotInLatticeError, match="not an int"):
+            read(bad)
+    assert h.to_alpha(ED((1,), (1,))) == (1, 2) and h.contains_ed(ED((1,), (1,)))
+
+
 def test_the_type_table_keeps_at_most_TABLE_LIMIT_types(monkeypatch):
     from superroot import catalog
 

@@ -165,6 +165,17 @@ def test_an_empty_root_set_exits_two(capsys):
         assert "the set is empty; give at least one root" in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["pi-check"], "--roots"), (["classify-subset"], "--roots"), (["pi-of-psi"], "--roots"),
+    (["closure"], "--roots"), (["admits-pi"], "--roots"), (["verify-dynkin"], "--sigma"),
+    (["verify", "main-theorem"], "--sigma"), (["verify", "bracket-criteria"], "--sigma"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_a_repeated_root_exits_two(capsys, command, flag):
+    # read as a set, the list would get the verdict of a smaller set
+    assert main([*command, "--type", "B(1,1)", flag, "[[1,0],[0,1],[1,0]]"]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: the root [1, 0] is given more than once\n"
+
+
 def test_verify_dynkin(capsys):
     code, out = _capture(capsys, [
         "verify-dynkin", "--type", "A(0,1)", "--sigma", "[[1,0],[0,1]]",

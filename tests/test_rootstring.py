@@ -15,7 +15,7 @@ from superroot.rootstring import (
     string_pattern,
     sweep_strings,
 )
-from support import claim_a_root
+from support import claim_a_root, reference_sweep
 
 
 def test_string_through_multiples():
@@ -152,6 +152,11 @@ def test_sweep_records_the_failures_of_a_membership_lie(monkeypatch):
     assert [law for law, _ in report.failures] == ["pattern"] * 60
 
 
+def _assert_same_report(got, expected):
+    assert (got.pairs, got.failures) == (expected.pairs, expected.failures)
+    assert list(got.law_counts.items()) == list(expected.law_counts.items())
+
+
 # The exact reports of sweep_strings under claim_a_root(.., label, (2, 0)):
 # pairs, law counts and every failure with its witness, in order.  Pinned
 # from the sweep that scanned one string per (beta, alpha) pair.
@@ -246,8 +251,12 @@ _LIE_B11AFF_DEGREE_1 = SweepReport(
     ("B(1,1)^(1)", {"max_degree": 1}, _LIE_B11AFF_DEGREE_1),
 ], ids=["B(1,1)-height-6", "B(1,1)^(1)-degree-1"])
 def test_sweep_reports_a_membership_lie_exactly(monkeypatch, spec, window, expected):
+    # failing lines are checked pair by pair again, so every witness is kept,
+    # as in the per-pair reference
     claim_a_root(monkeypatch, spec, (2, 0))
-    assert sweep_strings(build(spec), **window) == expected
+    report = sweep_strings(build(spec), **window)
+    assert report == expected
+    _assert_same_report(report, reference_sweep(build(spec), **window))
 
 
 @pytest.mark.parametrize("finite, beta", [((1, 1), "(1, 2)"), ((0, 1), "(1, 1)")],
@@ -255,9 +264,9 @@ def test_sweep_reports_a_membership_lie_exactly(monkeypatch, spec, window, expec
 def test_sweep_raises_when_a_listed_root_is_denied(monkeypatch, finite, beta):
     # the catalog lists the root with eps+delta coordinates ``finite`` (eps_1 +
     # delta_1 and delta_1 of B(1,1)), but membership denies it: the first pair
-    # through it must refuse, as root_string does.  delta_1 lies inside an
-    # alpha-line that an earlier member scanned, so only the member's own
-    # slot check can refuse it.
+    # through it must refuse, as root_string does in the per-pair reference.
+    # delta_1 lies inside an alpha-line that an earlier member scanned, so
+    # only the member's own slot check can refuse it.
     from superroot.catalog import RootSystemHandle
 
     contains = RootSystemHandle.contains_ed
@@ -268,9 +277,60 @@ def test_sweep_raises_when_a_listed_root_is_denied(monkeypatch, finite, beta):
         return contains(self, v)
 
     monkeypatch.setattr(RootSystemHandle, "contains_ed", denying)
-    with pytest.raises(NotARootError) as raised:
-        sweep_strings(build("B(1,1)"), max_height=6)
-    assert str(raised.value) == f"{beta} is not a root"
+    for sweep in (sweep_strings, reference_sweep):
+        with pytest.raises(NotARootError) as raised:
+            sweep(build("B(1,1)"), max_height=6)
+        assert str(raised.value) == f"{beta} is not a root", sweep
+
+
+@pytest.mark.parametrize("spec, window", [
+    ("B(1,1)", {"max_height": 6}),
+    ("A(1,2)", {"max_height": 3}),
+    ("C(3)", {"max_height": 3}),
+    ("B(2,2)", {"max_height": 6}),
+    ("B(1,1)^(1)", {"max_degree": 1}),
+    ("A(1,2)^(1)", {"max_degree": 1}),
+    ("D(2,1;1/2)^(1)", {"max_degree": 1}),
+    ("C(3)^(1)", {"max_degree": 1}),
+    ("A(2,2)^(4)", {"max_degree": 2}),
+], ids=lambda x: x if isinstance(x, str) else "-".join(f"{k}-{v}" for k, v in x.items()))
+def test_sweep_matches_the_per_pair_reference(spec, window):
+    # mirrored lines, the membership memo and one law verdict per line give
+    # the report of one scan and one check per pair, in the same order
+    h = build(spec)
+    report = sweep_strings(h, **window)
+    assert report.ok() and report.pairs > 0
+    _assert_same_report(report, reference_sweep(h, **window))
+
+
+@pytest.mark.parametrize("spec, window", [
+    ("B(1,1)^(1)", {"max_degree": 1}),
+    ("A(1,2)", {"max_height": 3}),
+    ("A(2,2)^(4)", {"max_degree": 1}),
+], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3", "A(2,2)^(4)-degree-1"])
+def test_sweep_asks_each_scanned_vector_once(monkeypatch, spec, window):
+    # the scans share one memo per sweep: one contains_ed per distinct
+    # nonzero vector that any scan visits
+    import superroot.rootstring as rstr
+
+    h = build(spec)
+    scanned, asked, scanning = set(), [], []
+    scan, contains = rstr._scan, h.contains_ed
+
+    def counting_scan(beta, alpha, ks, members):
+        scanned.update(v for v in (rs.add(beta, rs.scale(k, alpha)) for k in ks) if any(v))
+        scanning.append(True)
+        try:
+            return scan(beta, alpha, ks, members)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(rstr, "_scan", counting_scan)
+    monkeypatch.setattr(h, "contains_ed", lambda v: (scanning and asked.append(v)) or contains(v))
+    report = sweep_strings(h, **window)
+    assert report.ok(), report.failures[:3]
+    assert len(asked) == len(set(asked)) == len(scanned)
+    assert set(asked) == {h.to_ed(v) for v in scanned}
 
 
 def test_remark_isotropic_pairing_values():
@@ -385,20 +445,26 @@ def test_sweep_rejects_a_negative_bound(spec, window):
         sweep_strings(build(spec), **window)
 
 
+def _counting_scans(monkeypatch):
+    # record the (beta, alpha) of every line scan the sweep makes
+    import superroot.rootstring as rstr
+
+    calls, scan = [], rstr._scan
+
+    def counting(beta, alpha, *rest):
+        calls.append((beta, alpha))
+        return scan(beta, alpha, *rest)
+
+    monkeypatch.setattr(rstr, "_scan", counting)
+    return calls
+
+
 @pytest.mark.parametrize("spec, window", [
     ("B(1,1)^(1)", {"max_degree": 1}),
     ("A(1,2)", {"max_height": 3}),
 ], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3"])
 def test_sweep_scans_each_string_at_most_once(monkeypatch, spec, window):
-    import superroot.rootstring as rstr
-
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return root_string(*args, **kwargs)
-
-    monkeypatch.setattr(rstr, "root_string", counting)
+    calls = _counting_scans(monkeypatch)
     report = sweep_strings(build(spec), **window)
     assert report.ok(), report.failures[:3]
     assert report.pairs > 0
@@ -427,20 +493,19 @@ def _alpha_lines(alpha, betas):
     ("A(1,2)", {"max_height": 3}),
 ], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3"])
 def test_sweep_scans_each_alpha_line_once(monkeypatch, spec, window):
-    import superroot.rootstring as rstr
-
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return root_string(*args, **kwargs)
-
-    monkeypatch.setattr(rstr, "root_string", counting)
+    # the alpha-line and the (-alpha)-line through beta are one set of
+    # vectors, so each line of a pair +-alpha is scanned once, in the
+    # direction that the sweep meets first
+    calls = _counting_scans(monkeypatch)
     h = build(spec)
     report = sweep_strings(h, **window)
     betas = h.all_roots(**window)
-    lines = sum(len(_alpha_lines(alpha, betas)) for alpha in h.real_roots(**window))
+    alphas = h.real_roots(**window)
+    assert all(rs.neg(alpha) in alphas for alpha in alphas)
+    first = [alpha for alpha in alphas if alpha < rs.neg(alpha)]
+    lines = sum(len(_alpha_lines(alpha, betas)) for alpha in first)
     assert report.ok(), report.failures[:3]
+    assert {alpha for _, alpha in calls} == set(first)
     assert len(calls) == lines < report.pairs
 
 
@@ -511,7 +576,7 @@ def test_pairing_laws_read_their_facts_from_the_given_string(monkeypatch, spec, 
 
 def test_scan_makes_one_membership_query_per_slot(monkeypatch):
     # a member is tagged real from its finite part, not by a second query
-    from superroot.rootstring import _scan
+    from superroot.rootstring import _Members, _scan
 
     for spec, window in (("B(2,1)^(1)", {"max_degree": 1}), ("A(1,2)", {"max_height": 3}),
                          ("A(2,2)^(4)", {"max_degree": 2})):
@@ -523,7 +588,7 @@ def test_scan_makes_one_membership_query_per_slot(monkeypatch):
         for alpha in alphas[:6]:
             for beta in h.all_roots(**window):
                 del queries[:]
-                entries, zero_slot = _scan(h, beta, alpha, range(-4, 5))
+                entries, zero_slot = _scan(beta, alpha, range(-4, 5), _Members(h))
                 assert len(queries) == 9 - (zero_slot is not None), (spec, alpha, beta)
                 for e in entries:
                     assert e.real == h.is_real(e.root), (spec, alpha, beta, e)
