@@ -86,6 +86,8 @@ def _roots_of(args, attr: str = "roots") -> ps.RootSet:
         if r in roots:
             raise SuperrootError(f"{flag}: the root {list(r)} is given more than once")
         roots.add(r)
+    if not roots:
+        raise SuperrootError(f"{flag}: the set is empty; give at least one root")
     return ps.root_set(handle, roots)
 
 
@@ -229,8 +231,9 @@ def _string_sweep(args):
     if report.failures:
         lines.append("failures:")
         lines += _first_ten([f"  {law}: {witness}" for law, witness in report.failures])
-    else:
-        lines.append("all string laws hold")
+    else:  # an affine sweep holds only in its window
+        lines.append("all string laws hold" + ("" if args.degree is None else
+                                               f" in the null-degree window |d| <= {args.degree}"))
     return body, lines, EXIT_OK if report.ok() else EXIT_FAIL
 
 
@@ -295,11 +298,13 @@ _FORMAT = _flag("--format", choices=("text", "json"), default="text")
 _TYPE = _flag("--type", help='catalog type, e.g. "B(1,1)^(1)" or "A(2,2)^(4)"')
 _TYPED = (_TYPE, _FORMAT)
 _MATRIX = (_TYPE, _flag("--matrix-json", help="inline JSON or path: {matrix, parity}"), _FORMAT)
-_ROOTS = _flag("--roots", required=True, help="JSON list of coordinate arrays, or a path")
-_SIGMA = _flag("--sigma", required=True)
+_LIST = ("JSON list of coordinate arrays, or a path; not empty: every command reads a pi-system "
+         "or a subset Psi, and an empty one leaves nothing to compute")
+_ROOTS = _flag("--roots", required=True, help=_LIST)
+_SIGMA = _flag("--sigma", required=True, help=_LIST)
 _HEIGHT = _flag("--height", type=_nonneg, default=None)
 _K = _flag("--K", dest="loop_degree", type=_nonneg, default=None)
-_CLOSURE = (*_TYPED, _flag("--roots", required=True), _HEIGHT)
+_CLOSURE = (*_TYPED, _ROOTS, _HEIGHT)
 
 # name -> (help, flags, runner), in the order ``--help`` lists them.  A
 # two-word name is a leaf of a subcommand group; its help stays unset.

@@ -107,8 +107,6 @@ def root_string(handle: RootSystemHandle, beta: Root, alpha: Root) -> RootString
     """
     if not handle.is_real(alpha):
         raise NotARootError(f"direction {alpha} is not a real root")
-    if not handle.contains(beta):
-        raise NotARootError(f"{beta} is not a root")
     return _string(handle, beta, alpha, handle.is_isotropic(alpha), _Members(handle))
 
 
@@ -209,7 +207,7 @@ def pairing_laws(handle: RootSystemHandle, string: RootString) -> list[LawVerdic
     two-real-roots bound for isotropic directions.
 
     ``string`` is the alpha-string through beta from ``root_string``, or
-    the sweep's shift of one along its line.  It is the one source for
+    the sweep's view of its line's scan.  It is the one source for
     beta + k alpha: alpha's isotropy, beta's reality (k = 0), beta(h_alpha),
     and the reality and membership of alpha + beta (k = 1).  The handle is
     asked only what the string cannot hold: alpha(h_beta), which needs beta's
@@ -305,29 +303,31 @@ def sweep_strings(
     each pair's string through its own beta would give, witnesses and order
     included.  Three facts let the sweep do less work than that:
 
-    - Each line {rep + j alpha}, rep = beta - (beta_i // alpha_i) alpha with
-      i the first nonzero coordinate of alpha, is scanned at most once for
-      the pair +-alpha.  The (-alpha)-line through beta is the same set of
-      vectors, and its coordinate box is alpha's negated, so the
-      alpha-string through beta is the (-alpha)-string through beta with
-      k -> -k, the entries reversed, the zero slot, the pairing and the
-      direction negated.  Both directions meet the betas in one order, so
-      the first member of a line is the same for both, and the later
-      direction flips the earlier one's string through that member.  A
-      later member beta = b + m alpha reads the string through the first
-      member b from its own slot: k shifts by -m and the pairing by 2m, and
-      an empty slot raises ``NotARootError``.
+    - The alpha-line and the (-alpha)-line through beta are one set of
+      vectors, so the sweep keeps one table of lines, keyed by c and rep:
+      c = min(alpha, -alpha) is the direction of +-alpha that the sorted
+      sweep meets first, and rep = beta - (beta_i // c_i) c with i the first
+      nonzero coordinate of c.  Each line is scanned once, in direction c,
+      through the first member met, and c's lines are dropped once the
+      pass of -c has read them.  Every pair reads its string from that
+      scan with ``_view``: slot k of the (sign c)-string through
+      beta = b + m c is slot m + sign k of the c-string through b, and
+      beta(h_alpha) = sign (b(h_c) + 2m), as the pairing is linear in beta
+      and c(h_c) = 2.  An empty slot m raises ``NotARootError``.
     - Each distinct nonzero vector is asked once per sweep: the scans read
       a memo of vector -> (is root, is real), filled by one ``to_ed`` and
       one ``contains_ed``.  This is exact because membership is a function
       of the vector, and so is any stand-in for ``contains_ed``.
-    - The unbroken and pattern laws are decided once per line.  Under a
-      shift by m the occupied slots move by -m, so p' = p + m, q' = q - m
-      and p' - q' = p - q + 2m, the shifted pairing; the mirror slot
-      -k - (p - q) moves by -m as well.  So ``check_unbroken`` passes for
-      every member or fails for every member, and ``string_pattern`` reads
-      only the tag order, which a shift keeps.  On a line that fails, each
-      pair is checked again, so that each keeps its own witness.
+    - The unbroken and pattern laws are decided once per line, for both
+      directions.  Under a shift by m the occupied slots move by -m, so
+      p' = p + m, q' = q - m and p' - q' = p - q + 2m, the shifted pairing;
+      the mirror slot -k - (p - q) moves by -m as well.  A flip k -> -k
+      swaps p and q and negates p - q and the pairing.  So
+      ``check_unbroken`` passes for every pair of a line or fails for every
+      one, and ``string_pattern`` reads only the tag order, which a shift
+      keeps and a flip reverses, swapping the equal real wings.  On a line
+      that fails, each pair is checked again, so that each keeps its own
+      witness.
 
     ``string_pattern`` cannot fail once ``check_unbroken`` has passed:
     beta + k alpha has a zero finite part for at most one k, so a string has
@@ -351,26 +351,25 @@ def sweep_strings(
     betas = handle.all_roots(max_height=max_height, max_degree=max_degree)
     alphas = [b for b in betas if handle.is_real(b)]
     members = _Members(handle)  # one per sweep
-    pending: dict[Root, dict[Root, RootString]] = {}  # alpha -> its lines' strings by first member, until -alpha
+    lines: dict[Root, dict] = {}  # c -> rep -> (j, c-string through rep + j c, its laws if they pass)
     for alpha in alphas:
         iso = handle.is_isotropic(alpha)
-        i = next(n for n, a in enumerate(alpha) if a)
-        mirror = pending.pop(rs.neg(alpha), None)
-        lines: dict[Root, tuple] = {}  # rep -> (j, string through rep + j alpha, its laws if they pass)
+        c = min(alpha, rs.neg(alpha))
+        sign = 1 if c == alpha else -1
+        table = lines.setdefault(c, {}) if sign > 0 else lines.pop(c, {})  # -c's pass is the last to read c's lines
+        i = next(n for n, a in enumerate(c) if a)
         for beta in betas:
             report.pairs += 1
-            j = beta[i] // alpha[i]
-            rep = tuple(b - j * a for b, a in zip(beta, alpha))
-            line = lines.get(rep)
-            if line:
-                j0, s, passed = line
-                s = _shifted(s, beta, j - j0)
-                laws = passed if passed is not None else _string_laws(s)
-            else:
-                s = _flipped(mirror.pop(beta), alpha) if mirror is not None else _string(
-                    handle, beta, alpha, iso, members)
+            j = beta[i] // c[i]
+            rep = tuple(b - j * a for b, a in zip(beta, c))
+            line = table.get(rep)
+            if line is None:
+                s = _string(handle, beta, c, iso, members)
                 laws = [] if iso else _string_laws(s)
-                lines[rep] = (j, s, laws if all(ok for _, ok, _ in laws) else None)
+                line = table[rep] = (j, s, laws if all(ok for _, ok, _ in laws) else None)
+            j0, s, passed = line
+            s = _view(s, beta, j - j0, sign)
+            laws = passed if passed is not None else _string_laws(s)
             for law in laws:
                 report.record(*law)
             if laws and not laws[0][1]:
@@ -378,8 +377,6 @@ def sweep_strings(
             for v in pairing_laws(handle, s):
                 if v.applicable:
                     report.record(v.law, v.passed, "" if v.passed else f"beta={beta} alpha={alpha}: {v.detail}")
-        if mirror is None:
-            pending[alpha] = {s.base_root: s for _, s, _ in lines.values()}
     return report
 
 
@@ -399,19 +396,16 @@ def _string_laws(s: RootString) -> list[tuple[str, bool, str]]:
     return [("unbroken", True, ""), ("pattern", True, "")]
 
 
-def _shifted(s: RootString, beta: Root, m: int) -> RootString:
-    # s seen from beta = s.base_root + m alpha.  The pairing is linear in beta
-    # and alpha(h_alpha) = 2, so beta(h_alpha) is s's pairing + 2m, exactly.
+def _view(s: RootString, beta: Root, m: int, sign: int) -> RootString:
+    # The (sign c)-string through beta = b + m c, from s, the c-string through
+    # b: slot k of the view is slot m + sign k of s, entries reversed when
+    # sign is -1, and beta(h_alpha) = sign (b(h_c) + 2m).
+    if m == 0 and sign > 0:  # beta is b: the view is s
+        return s
     if not any(e.k == m for e in s.entries):
         raise NotARootError(f"{beta} is not a root")
-    return RootString(beta, s.direction, tuple(StringEntry(e.k - m, e.root, e.real) for e in s.entries),
-                      None if s.zero_slot is None else s.zero_slot - m, s.direction_isotropic,
-                      None if s.direction_isotropic else s.pairing + 2 * m)
-
-
-def _flipped(s: RootString, alpha: Root) -> RootString:
-    # The alpha-string through s.base_root, from s, its (-alpha)-string:
-    # beta + k alpha is slot -k of s, and beta(h_alpha) = -beta(h_{-alpha}).
-    return RootString(s.base_root, alpha, tuple(StringEntry(-e.k, e.root, e.real) for e in reversed(s.entries)),
-                      None if s.zero_slot is None else -s.zero_slot, s.direction_isotropic,
-                      None if s.direction_isotropic else -s.pairing)
+    entries = s.entries if sign > 0 else reversed(s.entries)
+    return RootString(beta, s.direction if sign > 0 else rs.neg(s.direction),
+                      tuple(StringEntry(sign * (e.k - m), e.root, e.real) for e in entries),
+                      None if s.zero_slot is None else sign * (s.zero_slot - m), s.direction_isotropic,
+                      None if s.direction_isotropic else sign * (s.pairing + 2 * m))

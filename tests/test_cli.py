@@ -158,22 +158,40 @@ def test_replay_examples_exit(capsys):
     assert out.count("[PASS]") == 3
 
 
-def test_an_empty_root_set_exits_two(capsys):
-    for argv in (["pi-check", "--roots", "[]"], ["verify-dynkin", "--sigma", "[]"],
-                 ["admits-pi", "--roots", "[]"]):
-        assert main([*argv, "--type", "B(1,1)"]) == 2, argv
-        assert "the set is empty; give at least one root" in capsys.readouterr().err, argv
-
-
-@pytest.mark.parametrize("command, flag", [
+_LIST_COMMANDS = [
     (["pi-check"], "--roots"), (["classify-subset"], "--roots"), (["pi-of-psi"], "--roots"),
     (["closure"], "--roots"), (["admits-pi"], "--roots"), (["verify-dynkin"], "--sigma"),
     (["verify", "main-theorem"], "--sigma"), (["verify", "bracket-criteria"], "--sigma"),
-], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+]
+
+
+def test_an_empty_root_set_exits_two(capsys):
+    # every command reads a pi-system or a subset Psi; an empty one leaves
+    # nothing to compute
+    for command, flag in _LIST_COMMANDS:
+        for spec in ("B(1,1)", "B(1,1)^(1)"):
+            assert main([*command, "--type", spec, flag, "[]"]) == 2, (command, spec)
+            assert capsys.readouterr().err == f"error: {flag}: the set is empty; give at least one root\n"
+
+
+@pytest.mark.parametrize("command, flag", _LIST_COMMANDS,
+                         ids=lambda x: " ".join(x) if isinstance(x, list) else x)
 def test_a_repeated_root_exits_two(capsys, command, flag):
     # read as a set, the list would get the verdict of a smaller set
     assert main([*command, "--type", "B(1,1)", flag, "[[1,0],[0,1],[1,0]]"]) == 2
     assert capsys.readouterr().err == f"error: {flag}: the root [1, 0] is given more than once\n"
+
+
+def test_an_affine_sweep_names_its_window(capsys):
+    # the laws are checked in a null-degree window, and the text says which;
+    # the certificate's bounds already echo it
+    code, out = _capture(capsys, ["string-sweep", "--type", "B(1,1)^(1)", "--degree", "1"])
+    assert code == 0
+    assert out.splitlines()[-1] == "all string laws hold in the null-degree window |d| <= 1"
+    code, out = _capture(capsys, ["string-sweep", "--type", "B(1,1)^(1)", "--degree", "1", "--format", "json"])
+    cert = json.loads(out)
+    assert code == 0 and cert["bounds"] == {"height": None, "degree": 1}
+    assert set(cert) == {"tool", "version", "type", "bounds", "pairs", "law_counts", "failures"}
 
 
 def test_verify_dynkin(capsys):
@@ -480,7 +498,7 @@ def test_an_empty_sigma_exits_two(capsys):
     for spec in ("B(1,1)", "B(1,1)^(1)"):
         for command in ("main-theorem", "bracket-criteria"):
             assert main(["verify", command, "--type", spec, "--sigma", "[]"]) == 2, (spec, command)
-            assert capsys.readouterr().err == "error: sigma is empty; give at least one root\n"
+            assert capsys.readouterr().err == "error: --sigma: the set is empty; give at least one root\n"
 
 
 def test_a_non_symmetrizable_matrix_reports_unknown_isotropy(capsys):

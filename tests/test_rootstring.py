@@ -4,7 +4,13 @@ import pytest
 
 from superroot import rootspace as rs
 from superroot.catalog import EpsDeltaVector as ED, build
-from superroot.errors import BrokenStringError, NotARootError, PatternViolationError
+from superroot.errors import (
+    BrokenStringError,
+    DimensionMismatchError,
+    NotARootError,
+    NotInLatticeError,
+    PatternViolationError,
+)
 from superroot.rootstring import (
     RootString,
     StringEntry,
@@ -592,6 +598,30 @@ def test_scan_makes_one_membership_query_per_slot(monkeypatch):
                 assert len(queries) == 9 - (zero_slot is not None), (spec, alpha, beta)
                 for e in entries:
                     assert e.real == h.is_real(e.root), (spec, alpha, beta, e)
+
+
+def test_root_string_asks_each_vector_once_and_refuses_a_bad_beta(monkeypatch):
+    # beta's own slot says whether beta is a root, so the only queries are
+    # alpha's reality and one per distinct nonzero slot of the box
+    from superroot.rootstring import _box
+
+    h = build("B(1,1)^(1)")
+    beta, alpha = (1, 2, 1), (0, 0, 1)
+    asked, original = [], h.contains_ed
+    monkeypatch.setattr(h, "contains_ed", lambda v: asked.append(v) or original(v))
+    root_string(h, beta, alpha)
+    slots = {rs.add(beta, rs.scale(k, alpha)) for k in _box(h, beta, alpha)} - {(0, 0, 0)}
+    assert len(asked) == len(set(asked)) == len(slots) + 1
+    assert set(asked) == {h.to_ed(v) for v in slots | {alpha}}
+    for bad, error, message in (
+        ((3, 0, 0), NotARootError, "(3, 0, 0) is not a root"),
+        ((1, 2), DimensionMismatchError, "root length differs from rank"),
+        ((1.0, 2, 1), NotInLatticeError, "root (1.0, 2, 1) has a coordinate that is not an int"),
+        ((0, 0, 0), NotARootError, "(0, 0, 0) is not a root"),
+    ):
+        with pytest.raises(error) as info:
+            root_string(build("B(1,1)^(1)"), bad, alpha)
+        assert type(info.value) is error and str(info.value) == message, bad
 
 
 def _wide_string(h, beta, alpha):
