@@ -119,11 +119,17 @@ def parse_type(spec: str) -> CatalogType:
 
 @dataclass(frozen=True)
 class EpsDeltaVector:
-    """Integer vector over eps_1..eps_m, delta_1..delta_n and the null root."""
+    """Integer vector over eps_1..eps_m, delta_1..delta_n and the null root;
+    a coordinate that is not an int raises ``NotInLatticeError``."""
 
     eps: tuple[int, ...] = ()
     delta: tuple[int, ...] = ()
     null: int = 0
+
+    def __post_init__(self):
+        for c in (*self.eps, *self.delta, self.null):
+            if type(c) is not int:  # so no bool, float or Fraction is read as an int
+                raise NotInLatticeError(f"{self} has a coordinate that is not an int")
 
     def __neg__(self) -> "EpsDeltaVector":
         return EpsDeltaVector(
@@ -203,8 +209,8 @@ class RootSystemHandle:
     # -- membership ----------------------------------------------------------
 
     def contains_ed(self, v: EpsDeltaVector) -> bool:
-        """Is v a root?  Real when its finite part is in the table at its degree.
-        A coordinate that is not an int raises ``NotInLatticeError``."""
+        """Is v a root?  Real when its finite part is in the table at its degree,
+        imaginary when it is a nonzero multiple of null."""
         self._check_dims(v)
         fin = v.eps + v.delta
         if fin in self._table[v.null % len(self._table)]:
@@ -226,15 +232,13 @@ class RootSystemHandle:
     # -- form, parity, isotropy --------------------------------------------
 
     def _check_dims(self, v: EpsDeltaVector):
+        """Refuse another type's dimensions; the coordinates are ints by construction."""
         if len(v.eps) != self.eps_dim or len(v.delta) != self.delta_dim:
             raise DimensionMismatchError(
                 f"vector ({len(v.eps)}|{len(v.delta)}) does not match {self.label}"
             )
         if v.null and not self.has_null:
             raise DimensionMismatchError(f"{self.label} has no null direction")
-        for c in v.coords():  # a plain loop: this runs on every membership query
-            if type(c) is not int:  # so no bool or float coordinate is read as an int
-                raise NotInLatticeError(f"{v} has a coordinate that is not an int")
 
     def _form(self, v: EpsDeltaVector, w: EpsDeltaVector) -> int:
         """D (v, w) in integers, skipping zero coordinates, for the diagonal form
@@ -249,12 +253,20 @@ class RootSystemHandle:
         return sum(c * x for c, x in zip(self.parity_coeffs, v.coords())) % 2
 
     def is_real_ed(self, v: EpsDeltaVector) -> bool:
-        return self.contains_ed(v) and (any(v.eps) or any(v.delta))
+        return self._membership_ed(v)[1]
+
+    def _membership_ed(self, v: EpsDeltaVector) -> tuple[bool, bool]:
+        # (is root, is real): a root is real exactly when its finite part is nonzero
+        root = self.contains_ed(v)
+        return root, root and (any(v.eps) or any(v.delta))
 
     # -- coordinate conversion ----------------------------------------------
 
     def to_ed(self, root: Sequence[int]) -> EpsDeltaVector:
         key = tuple(root)
+        for c in key:  # before the memo, where (1.0, 2, 1) and (True, 2, 1) would find (1, 2, 1)
+            if type(c) is not int:
+                raise NotInLatticeError(f"root {key!r} has a coordinate that is not an int")
         cached = self._ed_cache.get(key)
         if cached is not None:
             return cached
@@ -262,8 +274,6 @@ class RootSystemHandle:
             raise DimensionMismatchError("root length differs from rank")
         acc = [0] * self._coord_dim
         for c, sv in zip(key, self._simple_coords):
-            if type(c) is not int:  # so no bool or float image enters the memo
-                raise NotInLatticeError(f"root {key!r} has a coordinate that is not an int")
             if c:
                 for k, x in enumerate(sv):
                     acc[k] += c * x
@@ -284,7 +294,7 @@ class RootSystemHandle:
 
     def to_alpha(self, v: EpsDeltaVector) -> Root:
         """Simple-root coordinates of a lattice vector; exact and unique.
-        A coordinate that is not an int raises ``NotInLatticeError``."""
+        A vector off the root lattice raises ``NotInLatticeError``."""
         self._check_dims(v)
         coords = v.coords()
         for tail in self._alpha_consistency_rows:
@@ -305,6 +315,10 @@ class RootSystemHandle:
 
     def is_real(self, root: Sequence[int]) -> bool:
         return self.is_real_ed(self.to_ed(root))
+
+    def membership(self, root: Sequence[int]) -> tuple[bool, bool]:
+        """(``contains``, ``is_real``) from one ``to_ed`` and one ``contains_ed``."""
+        return self._membership_ed(self.to_ed(root))
 
     def real_sums(self, alpha: Sequence[int], betas: Iterable[Sequence[int]]) -> list[bool]:
         """is_real(alpha + beta) for each beta, reading alpha's image once.

@@ -55,22 +55,9 @@ def _box(handle, beta, alpha) -> range:
     return range(-((bound + bi) // ai), (bound - bi) // ai + 1)
 
 
-class _Members(dict):
-    # vector -> (is root, is real), asked of the handle on a vector's first
-    # lookup: one to_ed and one contains_ed, and a member is real exactly when
-    # its finite part is nonzero.
-    def __init__(self, handle):
-        super().__init__()
-        self.handle = handle
-
-    def __missing__(self, v):
-        ed = self.handle.to_ed(v)
-        self[v] = out = (self.handle.contains_ed(ed), any(ed.eps) or any(ed.delta))
-        return out
-
-
-def _scan(beta, alpha, ks, members):
-    # One ``members`` lookup per nonzero slot.
+def _scan(beta, alpha, ks, handle):
+    # One ``membership`` query per nonzero slot.
+    membership = handle.membership
     entries = []
     zero_slot = None
     for k in ks:
@@ -78,16 +65,16 @@ def _scan(beta, alpha, ks, members):
         if not any(v):
             zero_slot = k
             continue
-        root, real = members[v]
+        root, real = membership(v)
         if root:
             entries.append(StringEntry(k, v, real))
     return entries, zero_slot
 
 
-def _string(handle, beta, alpha, isotropic, members) -> RootString:
+def _string(handle, beta, alpha, isotropic) -> RootString:
     # The alpha-string through beta, scanned over the coordinate box; beta's
     # own slot says whether beta is a root.
-    entries, zero_slot = _scan(beta, alpha, _box(handle, beta, alpha), members)
+    entries, zero_slot = _scan(beta, alpha, _box(handle, beta, alpha), handle)
     if not any(e.k == 0 for e in entries):
         raise NotARootError(f"{beta} is not a root")
     return RootString(beta, alpha, tuple(entries), zero_slot, isotropic,
@@ -107,7 +94,7 @@ def root_string(handle: RootSystemHandle, beta: Root, alpha: Root) -> RootString
     """
     if not handle.is_real(alpha):
         raise NotARootError(f"direction {alpha} is not a real root")
-    return _string(handle, beta, alpha, handle.is_isotropic(alpha), _Members(handle))
+    return _string(handle, beta, alpha, handle.is_isotropic(alpha))
 
 
 @dataclass(frozen=True)
@@ -211,10 +198,10 @@ def pairing_laws(handle: RootSystemHandle, string: RootString) -> list[LawVerdic
     beta + k alpha: alpha's isotropy, beta's reality (k = 0), beta(h_alpha),
     and the reality and membership of alpha + beta (k = 1).  The handle is
     asked only what the string cannot hold: alpha(h_beta), which needs beta's
-    coroot; the isotropy of beta and of the members; finite parts; and the
-    reality and membership of alpha - beta, which is not in the string and
-    is not read as the negative of its k = -1 slot, since the oracle is not
-    assumed closed under negation.
+    coroot; the isotropy of beta and of the members; finite parts; and, in
+    one ``membership`` query, the membership and reality of alpha - beta,
+    which is not in the string and is not read as the negative of its
+    k = -1 slot, since the oracle is not assumed closed under negation.
     """
     alpha, beta = string.direction, string.base_root
     real = {e.k: e.real for e in string.entries}  # k -> is beta + k alpha real
@@ -245,10 +232,9 @@ def pairing_laws(handle: RootSystemHandle, string: RootString) -> list[LawVerdic
         out.append(LawVerdict("isotropic-pairing-values", True, not details, "; ".join(details)))
 
     if beta_real and alpha_iso:
-        diff = rs.sub(alpha, beta)
-        diff_real = handle.is_real(diff)
+        diff_root, diff_real = handle.membership(rs.sub(alpha, beta))
         failed = []
-        if sum_real and handle.contains(diff):
+        if sum_real and diff_root:
             failed.append("alpha+beta real and alpha-beta a root")
         if diff_real and 1 in real:
             failed.append("alpha-beta real and alpha+beta a root")
@@ -314,10 +300,10 @@ def sweep_strings(
       beta = b + m c is slot m + sign k of the c-string through b, and
       beta(h_alpha) = sign (b(h_c) + 2m), as the pairing is linear in beta
       and c(h_c) = 2.  An empty slot m raises ``NotARootError``.
-    - Each distinct nonzero vector is asked once per sweep: the scans read
-      a memo of vector -> (is root, is real), filled by one ``to_ed`` and
-      one ``contains_ed``.  This is exact because membership is a function
-      of the vector, and so is any stand-in for ``contains_ed``.
+    - Each nonzero slot of a scan is one ``handle.membership`` query: one
+      ``to_ed`` and one ``contains_ed`` answer is-root and is-real.  The
+      sweep keeps no memo of its own; a vector met again on another line
+      is asked again, its image read from the handle's ``to_ed`` memo.
     - The unbroken and pattern laws are decided once per line, for both
       directions.  Under a shift by m the occupied slots move by -m, so
       p' = p + m, q' = q - m and p' - q' = p - q + 2m, the shifted pairing;
@@ -350,7 +336,6 @@ def sweep_strings(
             raise ValueError("an affine sweep needs a null-degree bound: give max_degree (--degree)")
     betas = handle.all_roots(max_height=max_height, max_degree=max_degree)
     alphas = [b for b in betas if handle.is_real(b)]
-    members = _Members(handle)  # one per sweep
     lines: dict[Root, dict] = {}  # c -> rep -> (j, c-string through rep + j c, its laws if they pass)
     for alpha in alphas:
         iso = handle.is_isotropic(alpha)
@@ -364,7 +349,7 @@ def sweep_strings(
             rep = tuple(b - j * a for b, a in zip(beta, c))
             line = table.get(rep)
             if line is None:
-                s = _string(handle, beta, c, iso, members)
+                s = _string(handle, beta, c, iso)
                 laws = [] if iso else _string_laws(s)
                 line = table[rep] = (j, s, laws if all(ok for _, ok, _ in laws) else None)
             j0, s, passed = line

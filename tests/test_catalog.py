@@ -691,16 +691,47 @@ def test_a_float_or_bool_root_leaves_the_memo_exact():
     assert all(type(x) is int for x in h.to_ed((1, 0)).coords())
 
 
-@pytest.mark.parametrize("bad", [ED((1.0,), (1,)), ED((1,), (True,)), ED((1,), (Q(1),)), ED((1,), (1,), 0.0)],
+@pytest.mark.parametrize("eps, delta, null", [((1.0,), (1,), 0), ((1,), (True,), 0), ((1,), (Q(1),), 0),
+                                               ((1,), (1,), 0.0)],
                          ids=["float-eps", "bool-delta", "fraction-delta", "float-null"])
-def test_a_caller_built_vector_with_a_coordinate_that_is_not_an_int_is_refused(bad):
-    # eps_1 + delta_1 with a float, bool or Fraction coordinate is not read as
-    # the lattice vector (1, 2)
+def test_a_caller_built_vector_with_a_coordinate_that_is_not_an_int_is_refused(eps, delta, null):
+    # eps_1 + delta_1 with a float, bool or Fraction coordinate is refused
+    # when it is built, so no handle reads it as the lattice vector (1, 2)
+    with pytest.raises(NotInLatticeError, match="not an int"):
+        ED(eps, delta, null)
     h = build("B(1,1)")
-    for read in (h.to_alpha, h.contains_ed):
-        with pytest.raises(NotInLatticeError, match="not an int"):
-            read(bad)
     assert h.to_alpha(ED((1,), (1,))) == (1, 2) and h.contains_ed(ED((1,), (1,)))
+
+
+def _membership_probes(h):
+    # every vector with entries all >= 0 or all <= 0 and height at most 4 in
+    # size, zero among them; on an affine type also every root of null degree
+    # at most 2, the multiples of null among them, and each such root plus a
+    # simple root
+    probes = set()
+    for v in itertools.product(range(5), repeat=h.rank):
+        if sum(v) <= 4:
+            probes |= {v, tuple(-x for x in v)}
+    if not h.is_finite:
+        roots = h.all_roots(max_degree=2)
+        probes.update(roots)
+        probes.update(tuple(map(sum, zip(r, s))) for r in roots for s in h.simple_roots_alpha())
+    return probes
+
+
+@pytest.mark.parametrize("spec", SMALL_CATALOG)
+def test_membership_is_contains_and_is_real(spec):
+    h = build(spec)
+    answers = set()
+    for v in _membership_probes(h):
+        answer = h.membership(v)
+        assert answer == (h.contains(v), h.is_real(v)), v
+        answers.add(answer)
+    assert h.membership((0,) * h.rank) == (False, False)
+    assert answers == {(True, True), (False, False)} | (set() if h.is_finite else {(True, False)})
+    if not h.is_finite:
+        null = h.null_root()
+        assert all(h.membership(tuple(k * x for x in null)) == (True, False) for k in (-2, -1, 1, 2))
 
 
 def test_the_type_table_keeps_at_most_TABLE_LIMIT_types(monkeypatch):

@@ -309,36 +309,6 @@ def test_sweep_matches_the_per_pair_reference(spec, window):
     _assert_same_report(report, reference_sweep(h, **window))
 
 
-@pytest.mark.parametrize("spec, window", [
-    ("B(1,1)^(1)", {"max_degree": 1}),
-    ("A(1,2)", {"max_height": 3}),
-    ("A(2,2)^(4)", {"max_degree": 1}),
-], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3", "A(2,2)^(4)-degree-1"])
-def test_sweep_asks_each_scanned_vector_once(monkeypatch, spec, window):
-    # the scans share one memo per sweep: one contains_ed per distinct
-    # nonzero vector that any scan visits
-    import superroot.rootstring as rstr
-
-    h = build(spec)
-    scanned, asked, scanning = set(), [], []
-    scan, contains = rstr._scan, h.contains_ed
-
-    def counting_scan(beta, alpha, ks, members):
-        scanned.update(v for v in (rs.add(beta, rs.scale(k, alpha)) for k in ks) if any(v))
-        scanning.append(True)
-        try:
-            return scan(beta, alpha, ks, members)
-        finally:
-            scanning.pop()
-
-    monkeypatch.setattr(rstr, "_scan", counting_scan)
-    monkeypatch.setattr(h, "contains_ed", lambda v: (scanning and asked.append(v)) or contains(v))
-    report = sweep_strings(h, **window)
-    assert report.ok(), report.failures[:3]
-    assert len(asked) == len(set(asked)) == len(scanned)
-    assert set(asked) == {h.to_ed(v) for v in scanned}
-
-
 def test_remark_isotropic_pairing_values():
     # beta isotropic, alpha non-isotropic, beta + k alpha real: the pairing is
     # -k for isotropic targets and 0 or -2k otherwise
@@ -367,18 +337,41 @@ def test_cor_exclusion_for_isotropic():
 
 
 def test_exclusion_names_the_implication_that_failed(monkeypatch):
-    # alpha + beta = 2 delta_1 is real; a handle that calls alpha - beta = -2 eps_1
-    # a root breaks the first implication only, and the detail says so
+    # alpha + beta = 2 delta_1 is real and a root.  A handle that calls
+    # alpha - beta = -2 eps_1 a root also calls it real, as one membership
+    # query answers both and its finite part is nonzero; so both
+    # implications fail, and the detail names them in order
     h = build("B(1,1)")
     alpha = h.to_alpha(ED((-1,), (1,)))
     beta = h.to_alpha(ED((1,), (1,)))
-    diff = rs.sub(alpha, beta)
-    contains = h.contains
-    monkeypatch.setattr(h, "contains", lambda v: tuple(v) == tuple(diff) or contains(v))
-    verdicts = {v.law: v for v in pairing_laws(h, root_string(h, beta, alpha))}
-    verdict = verdicts["isotropic-sum-difference-exclusion"]
+    s = root_string(h, beta, alpha)
+    diff, contains = h.to_ed(rs.sub(alpha, beta)), h.contains_ed
+    monkeypatch.setattr(h, "contains_ed", lambda v: v == diff or contains(v))
+    verdict = {v.law: v for v in pairing_laws(h, s)}["isotropic-sum-difference-exclusion"]
     assert verdict.applicable and not verdict.passed
-    assert verdict.detail == "alpha+beta real and alpha-beta a root"
+    assert verdict.detail == ("alpha+beta real and alpha-beta a root; "
+                              "alpha-beta real and alpha+beta a root")
+
+
+def test_pairing_laws_ask_about_alpha_minus_beta_once(monkeypatch):
+    # for an isotropic alpha and a real beta, whether alpha - beta is a root
+    # and whether it is real come from one contains_ed query, and the laws
+    # make no other
+    h = build("B(1,1)^(1)")
+    asked, contains = [], h.contains_ed
+    monkeypatch.setattr(h, "contains_ed", lambda v: asked.append(v) or contains(v))
+    pairs = 0
+    for alpha in h.real_roots(max_degree=1):
+        if not h.is_isotropic(alpha):
+            continue
+        for beta in h.all_roots(max_degree=1):
+            s = root_string(h, beta, alpha)
+            expected = [h.to_ed(rs.sub(alpha, beta))] if h.is_real(beta) else []
+            del asked[:]
+            pairing_laws(h, s)
+            assert asked == expected, (alpha, beta, asked)
+            pairs += bool(expected)
+    assert pairs > 0
 
 
 def test_pairing_laws_refuse_a_bad_direction_or_root():
@@ -582,7 +575,7 @@ def test_pairing_laws_read_their_facts_from_the_given_string(monkeypatch, spec, 
 
 def test_scan_makes_one_membership_query_per_slot(monkeypatch):
     # a member is tagged real from its finite part, not by a second query
-    from superroot.rootstring import _Members, _scan
+    from superroot.rootstring import _scan
 
     for spec, window in (("B(2,1)^(1)", {"max_degree": 1}), ("A(1,2)", {"max_height": 3}),
                          ("A(2,2)^(4)", {"max_degree": 2})):
@@ -594,7 +587,7 @@ def test_scan_makes_one_membership_query_per_slot(monkeypatch):
         for alpha in alphas[:6]:
             for beta in h.all_roots(**window):
                 del queries[:]
-                entries, zero_slot = _scan(beta, alpha, range(-4, 5), _Members(h))
+                entries, zero_slot = _scan(beta, alpha, range(-4, 5), h)
                 assert len(queries) == 9 - (zero_slot is not None), (spec, alpha, beta)
                 for e in entries:
                     assert e.real == h.is_real(e.root), (spec, alpha, beta, e)
@@ -622,6 +615,21 @@ def test_root_string_asks_each_vector_once_and_refuses_a_bad_beta(monkeypatch):
         with pytest.raises(error) as info:
             root_string(build("B(1,1)^(1)"), bad, alpha)
         assert type(info.value) is error and str(info.value) == message, bad
+
+
+def test_a_warm_handle_refuses_what_a_fresh_one_refuses():
+    # (1.0, 2, 1) and (True, 2, 1) hash and compare equal to (1, 2, 1), so a
+    # handle that has converted (1, 2, 1) must still check each coordinate,
+    # and a string through a bad beta names beta, not one of its slots
+    h = build("B(1,1)^(1)")
+    assert h.contains((1, 2, 1))
+    for bad in ((1.0, 2, 1), (True, 2, 1)):
+        with pytest.raises(NotInLatticeError) as info:
+            h.contains(bad)
+        assert str(info.value) == f"root {bad!r} has a coordinate that is not an int"
+    with pytest.raises(NotInLatticeError) as info:
+        root_string(h, (1.0, 2, 1), (0, 0, 1))
+    assert str(info.value) == "root (1.0, 2, 1) has a coordinate that is not an int"
 
 
 def _wide_string(h, beta, alpha):
