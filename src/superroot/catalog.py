@@ -20,15 +20,15 @@ affine type is the data of its finite type with alpha_0 = null - theta, theta
 the highest root, prepended to the simple roots (Kac, *Infinite-dimensional
 Lie algebras*, ch. 7).  The type data (base, table, coordinate solver, Cartan
 matrix) is built and validated once per type, kept in a
-``functools.lru_cache`` and shared by every handle of that type; the memo
-tables are per handle.
+``functools.lru_cache`` and shared by every handle of that type.  Each handle
+keeps one memo of its own, the eps/delta image of each root it converts, in
+a ``functools.lru_cache``.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -52,14 +52,7 @@ from .rootspace import Root, check_bound, height
 FINITE = "finite"
 AFFINE = "affine"
 TWISTED4 = "twisted4"
-TABLE_LIMIT = 1 << 16  # entries per handle memo table, where the oldest goes first, and per record cache
-
-
-def _remember(table: OrderedDict, key, value) -> None:
-    """Store key -> value, dropping the oldest entry when the table is full."""
-    if len(table) >= TABLE_LIMIT:
-        table.popitem(last=False)
-    table[key] = value
+TABLE_LIMIT = 1 << 16  # entries per handle memo and per record cache, the least recently used going first
 
 
 @dataclass(frozen=True)
@@ -194,17 +187,19 @@ class RootSystemHandle:
 
     A handle copies the fields of its type's read-only record (``_type_data``),
     which is built and validated once per type and shared by every handle of
-    that type.  Its memo tables are its own: ``to_ed`` keeps each conversion
-    and ``is_isotropic``/``pairings`` keep D (alpha, alpha) per root, each
-    holding at most ``TABLE_LIMIT`` entries.  Logically immutable; a handle
-    may be shared freely.
+    that type.  Its one memo is its own: ``_images``, a ``functools.lru_cache``
+    of at most ``TABLE_LIMIT`` entries around the record's converter, keeps
+    each root's image, and ``to_ed`` checks every coordinate in front of it.
+    A root's norm is a fact of its type, read from the record's
+    ``_fin_norms``.  Logically immutable; a handle may be shared freely.
     """
 
     def __init__(self, data: Mapping[str, object]):
         for name, value in data.items():
             setattr(self, name, value)  # not vars(self).update: that slows every attribute read
-        self._ed_cache: OrderedDict[tuple[int, ...], EpsDeltaVector] = OrderedDict()
-        self._norms: OrderedDict[tuple[int, ...], int] = OrderedDict()
+        # a partial over the record's fields, not a bound method, so no cycle holds the handle
+        self._images = functools.lru_cache(maxsize=TABLE_LIMIT)(functools.partial(
+            _image, self.rank, self.eps_dim, self.delta_dim, self._simple_coords))
 
     # -- membership ----------------------------------------------------------
 
@@ -267,30 +262,12 @@ class RootSystemHandle:
         for c in key:  # before the memo, where (1.0, 2, 1) and (True, 2, 1) would find (1, 2, 1)
             if type(c) is not int:
                 raise NotInLatticeError(f"root {key!r} has a coordinate that is not an int")
-        cached = self._ed_cache.get(key)
-        if cached is not None:
-            return cached
-        if len(key) != self.rank:
-            raise DimensionMismatchError("root length differs from rank")
-        acc = [0] * self._coord_dim
-        for c, sv in zip(key, self._simple_coords):
-            if c:
-                for k, x in enumerate(sv):
-                    acc[k] += c * x
-        e, d = self.eps_dim, self.delta_dim
-        out = EpsDeltaVector(tuple(acc[:e]), tuple(acc[e : e + d]), acc[-1])
-        _remember(self._ed_cache, key, out)
-        return out
+        return self._images(key)
 
-    def _norm(self, root: Sequence[int]) -> int:
-        """D (alpha, alpha) in integers, kept per root."""
-        key = tuple(root)
-        aa = self._norms.get(key)
-        if aa is None:
-            a = self.to_ed(key)
-            aa = self._form(a, a)
-            _remember(self._norms, key, aa)
-        return aa
+    def _norm(self, a: EpsDeltaVector) -> int:
+        """D (a, a) in integers, read from the type's table when a's finite part is in it."""
+        aa = self._fin_norms.get(a.eps + a.delta)
+        return self._form(a, a) if aa is None else aa
 
     def to_alpha(self, v: EpsDeltaVector) -> Root:
         """Simple-root coordinates of a lattice vector; exact and unique.
@@ -338,7 +315,7 @@ class RootSystemHandle:
         return self.parity_ed(self.to_ed(root))
 
     def is_isotropic(self, root: Sequence[int]) -> bool:
-        return self._norm(root) == 0
+        return self._norm(self.to_ed(root)) == 0
 
     def is_positive(self, root: Sequence[int]) -> bool:
         return any(c != 0 for c in root) and all(c >= 0 for c in root)
@@ -349,10 +326,10 @@ class RootSystemHandle:
         alpha must be non-isotropic, and each pairing must be an integer: the
         first beta whose pairing is not raises ``PairingNotIntegralError``.
         """
-        aa = self._norm(alpha)
+        a = self.to_ed(alpha)
+        aa = self._norm(a)
         if aa == 0:
             raise IsotropicReflectorError(f"{alpha} is isotropic; no canonical coroot pairing")
-        a = self.to_ed(alpha)
         out = []
         for beta in betas:
             twice = 2 * self._form(self.to_ed(beta), a)
@@ -410,6 +387,18 @@ class RootSystemHandle:
             imaginary = (self.to_alpha(null.scaled(k)) for k in range(-d, d + 1) if k)
             out += [r for r in imaginary if max_height is None or height(r) <= max_height]
         return sorted(out)
+
+
+def _image(rank: int, e: int, d: int, simple_coords: tuple, key: Root) -> EpsDeltaVector:
+    """The eps/delta image of the simple-root coordinates ``key``."""
+    if len(key) != rank:
+        raise DimensionMismatchError("root length differs from rank")
+    acc = [0] * (e + d + 1)
+    for c, sv in zip(key, simple_coords):
+        if c:
+            for k, x in enumerate(sv):
+                acc[k] += c * x
+    return EpsDeltaVector(tuple(acc[:e]), tuple(acc[e : e + d]), acc[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +567,10 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
         rank=n, eps_norms=tuple(norms), parity_coeffs=tuple(coeffs), simple_ed=tuple(simples),
         cartan=cartan, coord_bound=max(abs(x) for entry in table for c in entry for x in c),
         _table=tuple(table), _denom=denom,
-        _int_norms=int_norms, _coord_dim=e + d + 1, _simple_coords=coords,
+        _int_norms=int_norms, _simple_coords=coords,
+        # D (f, f) for every finite part f in the table
+        _fin_norms=MappingProxyType({f: sum(s * x * x for s, x in zip(int_norms, f))
+                                     for entry in table for f in entry}),
         # (pivot, row) pairs that solve for _alpha_denom times the alpha
         # coordinates, and the rows that every vector of the root lattice annihilates
         _alpha_solution_rows=tuple((p, tuple(int(x * alpha_denom) for x in row)) for p, row in solution),
@@ -588,7 +580,7 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
 
 
 def build(ctype: CatalogType | str) -> RootSystemHandle:
-    """A new handle on the type's shared data, with empty memo tables."""
+    """A new handle on the type's shared data, with an empty memo."""
     if isinstance(ctype, str):
         ctype = parse_type(ctype)
     return RootSystemHandle(_type_data(ctype))

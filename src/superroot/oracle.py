@@ -25,7 +25,7 @@ checks, are built once per type into a read-only record that every
 realization of that type shares, whatever its window.  The records are kept
 in a ``functools.lru_cache`` of at most ``TABLE_LIMIT`` of them, which
 drops the least recently used; they hold no handle.  The caller's handle,
-with its memo tables, stays with each realization.
+with its memo of root images, stays with each realization.
 """
 
 from __future__ import annotations
@@ -482,14 +482,14 @@ def verify_theorem_main(sigma: ps.RootSet, loop_degree: Optional[int] = None) ->
 
 
 def _compare(sigma: ps.RootSet, realization: Realization, closure: ps.ClosureResult) -> TheoremVerdict:
-    """The closure of sigma against the real roots of g(sigma), both cut to the
-    window K on an affine type."""
+    """The closure of sigma against the real roots of g(sigma) in the window K
+    of an affine type.  Only the closure is cut to the window: ``root_vector``
+    and ``loop_bracket`` raise beyond it, so g(sigma) holds no element there."""
     handle = sigma.handle
     window = None if handle.is_finite else realization.truncation
     sub_roots = subalgebra_real_roots(realization.subalgebra(sigma), handle).elements
     clo_roots = closure.roots.elements
     if window is not None:
-        sub_roots = frozenset(r for r in sub_roots if abs(handle.degree_of(r)) <= window)
         clo_roots = frozenset(r for r in clo_roots if abs(handle.degree_of(r)) <= window)
     return TheoremVerdict(
         ok=(sub_roots == clo_roots),

@@ -431,7 +431,7 @@ def test_bounded_tables_keep_their_verdicts(monkeypatch):
                 iso = h.is_isotropic(alpha)
                 answers += [iso, None if iso else h.pairing(alpha0, alpha)]
             out.append(answers)
-            sizes.append(max(len(h._ed_cache), len(h._norms)))
+            sizes.append(h._images.cache_info().currsize)
         return out, max(sizes)
 
     expected, largest = stream(unbounded)
@@ -671,8 +671,9 @@ def test_handles_of_one_type_share_no_memo_state():
     alpha0 = h1.simple_roots_alpha()[0]
     h1.to_ed(alpha0)
     h1.is_isotropic(alpha0)
-    assert len(h1._ed_cache) == 1 and len(h1._norms) == 1
-    assert not h2._ed_cache and not h2._norms
+    info = h1._images.cache_info()  # is_isotropic reads the image that to_ed stored
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert h2._images.cache_info().currsize == 0
 
 
 def test_a_float_or_bool_root_leaves_the_memo_exact():
@@ -686,7 +687,8 @@ def test_a_float_or_bool_root_leaves_the_memo_exact():
             h.is_real(bad)
         with pytest.raises(NotInLatticeError, match="not an int"):
             h.to_ed(bad)
-    assert not h._ed_cache
+    info = h._images.cache_info()  # no bad root reached the memo
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     assert (h.to_ed((1, 0)), h.is_real((1, 0))) == expected
     assert all(type(x) is int for x in h.to_ed((1, 0)).coords())
 

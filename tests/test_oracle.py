@@ -809,10 +809,10 @@ def test_realizations_of_one_type_share_one_record_at_every_window():
     assert len({id(realize("B(0,1)^(1)", loop_degree=k).generators) for k in (1, 2, 3)}) == 1
     # root vectors read the caller's handle memo, not a shared one
     alpha0 = r1.handle.simple_roots_alpha()[0]
-    r1.handle._ed_cache.clear()
-    r2.handle._ed_cache.clear()
+    r1.handle._images.cache_clear()
+    r2.handle._images.cache_clear()
     r1.root_vector(alpha0)
-    assert len(r1.handle._ed_cache) == 1 and not r2.handle._ed_cache
+    assert r1.handle._images.cache_info().currsize == 1 and r2.handle._images.cache_info().currsize == 0
 
 
 def _reachable(obj):

@@ -52,6 +52,13 @@ def test_simple_roots_are_pi_system():
         assert is_pi_system(root_set(h, h.simple_roots_alpha())).ok, spec
 
 
+@pytest.mark.parametrize("spec", ["B(1,1)", "B(1,1)^(1)"])
+def test_the_empty_set_is_refused_as_a_pi_system(spec):
+    # the CLI refuses an empty --roots before this; a library caller reaches it
+    with pytest.raises(ValueError, match=r"^the set is empty; give at least one root$"):
+        is_pi_system(root_set(build(spec), []))
+
+
 def test_pi_system_difference_violation():
     h = build("A(0,1)")
     report = is_pi_system(root_set(h, [(1, 0), (1, 1)]))

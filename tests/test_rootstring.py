@@ -630,6 +630,12 @@ def test_a_warm_handle_refuses_what_a_fresh_one_refuses():
     with pytest.raises(NotInLatticeError) as info:
         root_string(h, (1.0, 2, 1), (0, 0, 1))
     assert str(info.value) == "root (1.0, 2, 1) has a coordinate that is not an int"
+    # the same after an isotropy query, which reads the one memo through the same check
+    assert not h.is_isotropic((1, 2, 1))
+    for bad in ((1.0, 2, 1), (True, 2, 1)):
+        with pytest.raises(NotInLatticeError) as info:
+            h.is_isotropic(bad)
+        assert str(info.value) == f"root {bad!r} has a coordinate that is not an int"
 
 
 def _wide_string(h, beta, alpha):
