@@ -265,7 +265,8 @@ class RootSystemHandle:
         return self._images(key)
 
     def _norm(self, a: EpsDeltaVector) -> int:
-        """D (a, a) in integers, read from the type's table when a's finite part is in it."""
+        """D (a, a) in integers: read from the type's table when a's finite part
+        is in it, a lookup cheaper than ``_form``, which answers any other vector."""
         aa = self._fin_norms.get(a.eps + a.delta)
         return self._form(a, a) if aa is None else aa
 

@@ -318,6 +318,22 @@ def test_the_form_is_the_defining_diagonal_form():
             assert is_isotropic_ed(h, u) is (norms[i] == 0), (spec, i)
 
 
+def test_the_norm_table_agrees_with_the_form():
+    # _norm reads D (f, f) from the type's table for a finite part f in it and
+    # takes _form otherwise; both paths give one value on every pinned type
+    for spec in _PINNED_SPECS:
+        h = build(spec)
+        e = h.eps_dim
+        parts = {f for entry in h._table for f in entry}
+        assert set(h._fin_norms) == parts, spec
+        for f in parts:
+            for null in ((0, 1) if h.has_null else (0,)):
+                v = ED(f[:e], f[e:], null)
+                assert h._norm(v) == h._fin_norms[f] == h._form(v, v), (spec, f)
+                w = ED(tuple(3 * x for x in v.eps), tuple(3 * x for x in v.delta), null)
+                assert h._norm(w) == h._form(w, w) == 9 * h._fin_norms[f], (spec, f)
+
+
 def test_d21_cartan_matrix():
     for a in (Q(1), Q(1, 2), Q(-5, 3), Q(3)):
         h = build(f"D(2,1;{a})")
