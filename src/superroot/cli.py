@@ -378,10 +378,13 @@ def main(argv=None) -> int:
         cert = {"tool": "superroot", "version": __version__}
         if hasattr(args, "type"):  # every subcommand but replay-examples
             cert |= {"type": args.type, "bounds": {b: getattr(args, b) for b in args.bounds}}
-        print(json.dumps({**cert, **body}, indent=2, sort_keys=True, default=str))
-    else:
-        for line in lines:
-            print(line)
+        lines = [json.dumps({**cert, **body}, indent=2, sort_keys=True, default=str)]
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, with the run's own code
+        with open(os.devnull, "w") as devnull:  # takes the flush at exit, which would raise again
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
 
 

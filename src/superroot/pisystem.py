@@ -138,11 +138,6 @@ class ClosureResult:
         return self.status == STABILIZED
 
 
-def _sign_class(r: Root) -> Root:
-    # the representative of {r, -r}
-    return max(r, rs.neg(r))
-
-
 def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> ClosureResult:
     """Iterate the reflection-and-negation closure of a set of real roots.
 
@@ -166,15 +161,22 @@ def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> Clo
     with S_{k+1} = S_k.  The status is "truncated" exactly when some round
     discarded a root above the bound, and "stabilized" otherwise.
 
-    From round 2 on the pairs are taken on sign classes {r, -r}.  Every S_k
-    with k >= 1 is symmetric: F(S) is, and so is the height window.  For a
-    non-isotropic a, s_{-a} = s_a and s_a(-b) = -s_a(b), so the four sign
-    choices of a class pair give only +-s_a(b): one reflection.  For an
-    isotropic a, s_{-a}(+-b) = -s_a(-+b), so they give +-s_a(b) and
-    +-s_a(-b): two reflections.  A class is new when either of its members
-    is new, which keeps every pair that the semi-naive rule keeps.  Round 1
-    reflects the ordered pairs of S_0 itself, as S_0 need not be symmetric:
-    -a or -b may be missing from it, and s_a(-b) then need not lie in F(S_0).
+    The loop holds each S_k, k >= 1, as its sign classes {r, -r}, each stored
+    as its member above the zero tuple, and expands them only on return: r
+    and -r first differ at r's first nonzero coordinate, so r > 0 exactly
+    when r = max(r, -r).  This loses nothing, as F(S), the window and so S_k
+    are symmetric.  The height cut reads classes, as r and -r have one
+    height; from round 2 on so does the stop test, as two symmetric sets are
+    equal when their classes are, and a class is new when either member is.
+    Round 1 reads S_0, which need not be symmetric: it reflects the ordered
+    pairs of S_0, as -a or -b may be missing and s_a(-b) then need not lie
+    in F(S_0); it stops only if S_0 is the +-classes found, and a class is
+    new unless S_0 holds both members.  From round 2 on the pairs are taken
+    on classes.  For a non-isotropic a, s_{-a} = s_a and s_a(-b) = -s_a(b),
+    so the four sign choices of a class pair give only +-s_a(b): one
+    reflection.  For an isotropic a, s_{-a}(+-b) = -s_a(-+b), so they give
+    +-s_a(b) and +-s_a(-b): two reflections.  This keeps every pair that the
+    semi-naive rule keeps.
 
     Each round hands every a one ``reflect_all`` call over the b that these
     rules keep for it, so each kept pair is still reflected exactly once.  The
@@ -185,17 +187,16 @@ def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> Clo
     if height_bound is None and not handle.is_finite:
         raise ValueError("affine closures need a height bound")
     rs.check_bound("height_bound", height_bound)
-    s0 = set(seed.elements)
-    for r in seed.elements:
-        twice = rs.scale(2, r)
-        if handle.is_real(twice):
-            s0.add(twice)
-    current = reps = fresh = frozenset(s0)
+    twice = [rs.scale(2, r) for r in seed.elements]
+    s0 = seed.elements.union(t for t in twice if handle.is_real(t))
+    zero = (0,) * handle.rank
+    held = frozenset(r for r in s0 if r > zero and rs.neg(r) in s0)  # both members in S_{k-1}
+    reps = fresh = s0
     discarded = False
     rounds = 0
     while True:
         rounds += 1
-        nxt = set(current)
+        nxt = set(held)
         signed = {}  # reps or fresh -> its members and their negatives
         for a in reps:
             betas = reps if a in fresh else fresh
@@ -204,20 +205,16 @@ def closure_S_infinity(seed: RootSet, height_bound: Optional[int] = None) -> Clo
                     signed[betas] = [x for b in betas for x in (b, rs.neg(b))]
                 betas = signed[betas]
             for r in reflect_all(handle, a, betas):
-                nxt.add(r)
-                nxt.add(rs.neg(r))
+                nxt.add(r if r > zero else rs.neg(r))
         if height_bound is not None:
             kept = {r for r in nxt if height(r) <= height_bound}
-            if len(kept) != len(nxt):
-                discarded = True
+            discarded = discarded or len(kept) != len(nxt)
             nxt = kept
-        nxt = frozenset(nxt)
-        if nxt == current:
+        if nxt == held and (rounds > 1 or 2 * len(held) == len(s0)):
             status = TRUNCATED if discarded else STABILIZED
-            return ClosureResult(RootSet(current, handle), status, rounds)
-        reps = frozenset(map(_sign_class, nxt))
-        fresh = frozenset(map(_sign_class, nxt - current))
-        current = nxt
+            return ClosureResult(RootSet(held.union(map(rs.neg, held)), handle), status, rounds)
+        fresh = frozenset(nxt - held)
+        reps = held = frozenset(nxt)
 
 
 @dataclass(frozen=True)

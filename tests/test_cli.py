@@ -338,6 +338,30 @@ def _fresh_run(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("first_line", [False, True], ids=["no reader", "one line read"])
+def test_a_closed_stdout_ends_quietly_with_the_runs_own_code(fmt, first_line):
+    # as in `superroot closure ... | head -1`: with no reader the first write
+    # fails at once; a reader that takes one line and closes may or may not
+    # meet a later write, and either way the run ends quietly with its code
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(superroot.__file__)))
+    argv = ["closure", "--type", "C(3)", "--roots", "[[1,2,1],[-1,-1,0],[0,-1,0]]", "--format", fmt]
+    r, w = os.pipe()
+    if not first_line:
+        os.close(r)
+    proc = subprocess.Popen([sys.executable, "-m", "superroot", *argv],
+                            stdout=w, stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    if first_line:
+        with os.fdopen(r, "rb") as reader:
+            assert reader.readline() == (b"{\n" if fmt == "json" else
+                                         b"closure stabilized after 3 rounds, 16 roots\n")
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0  # the closure stabilized: exit code 0, as with a reader
+    assert err == b"", err.decode()  # no Traceback, and no "Exception ignored" from the flush at exit
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys):
     # the parser is built once per process; each later call must behave as
     # a fresh process would

@@ -399,7 +399,9 @@ def _closure_cases():
     b22 = build("B(2,2)^(1)")
     b21 = build("B(2,1)")
     c3 = build("C(3)")
+    b11f = build("B(1,1)")
     high = b11.to_alpha(ED((0,), (2,), 5))
+    low = b11.to_alpha(ED((1,), (1,), -6))
     return [
         ("B(1,1)^(1) simple, height 40", root_set(b11, b11.simple_roots_alpha()), 40),
         ("A(1,2)^(1) simple, height 30", root_set(a12, a12.simple_roots_alpha()), 30),
@@ -415,6 +417,13 @@ def _closure_cases():
          root_set(a12, [(-1, -1, 0, -1, -1), (-1, 0, 0, -1, -1), (0, 0, -1, 0, 0)]), 4),
         ("A(1,2)^(1) mixed signs, height 6",
          root_set(a12, [(-1, -2, -2, -2, -2), (0, 1, 1, 0, 0), (0, 1, 1, 1, 0)]), 6),
+        # round 1 reads S_0 itself: a symmetric S_0 that is already closed stops
+        # there, a class of S_0 with one member is new, and so is every class
+        # of S_1 when S_0 lies above the bound
+        ("B(1,1) symmetric and closed", root_set(b11f, [(1, 0), (-1, 0)]), None),
+        ("B(1,1) r without -r", root_set(b11f, [(1, 0), (-1, 0), (0, 1)]), None),
+        ("every seed root above the bound", root_set(b11, [high, _neg(high), low]),
+         rs.height(low) - 1),
     ]
 
 
@@ -531,6 +540,23 @@ def test_closure_negates_each_class_once_a_round(monkeypatch):
         assert negated == _signed_class_count(seed, bound) == count, spec
 
 
+def test_closure_on_sign_classes_saves_negations(monkeypatch):
+    count = [0]
+
+    def counting(r):
+        count[0] += 1
+        return tuple(-x for x in r)
+
+    monkeypatch.setattr(rs, "neg", counting)
+    # storing both members of every class, and negating every image, took
+    # 9 934 and 24 522 negations
+    for spec, bound, most in (("B(1,1)^(1)", 40, 3526), ("A(1,2)^(1)", 30, 9236)):
+        h = build(spec)
+        count[0] = 0
+        closure_S_infinity(root_set(h, h.simple_roots_alpha()), bound)
+        assert count[0] <= most, spec
+
+
 def test_closure_cases_cover_the_truncation_paths():
     cases = {name: (seed, bound) for name, seed, bound in _closure_cases()}
     seed, bound = cases["seed above the bound"]
@@ -538,6 +564,12 @@ def test_closure_cases_cover_the_truncation_paths():
     assert closure_S_infinity(seed, bound).status == "truncated"
     seed, bound = cases["B(2,1) simple, no bound"]
     assert closure_S_infinity(seed, bound).stabilized
+    seed, bound = cases["every seed root above the bound"]
+    assert all(rs.height(r) > bound for r in seed)
+    seed, _ = cases["B(1,1) r without -r"]
+    assert any(_neg(r) not in seed for r in seed)
+    result = closure_S_infinity(*cases["B(1,1) symmetric and closed"])
+    assert (len(result.roots), result.status, result.rounds) == (2, "stabilized", 1)
 
 
 def _is_positive_multiple(gamma, alpha):
