@@ -13,6 +13,7 @@ tolerable state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,9 +38,6 @@ class RootString:
     zero_slot: Optional[int]  # k with beta + k alpha = 0, if any
     direction_isotropic: bool
     pairing: Optional[int]  # beta(h_alpha) for non-isotropic directions
-
-    def ks(self) -> list[int]:
-        return [e.k for e in self.entries]
 
     def real_count(self) -> int:
         return sum(1 for e in self.entries if e.real)
@@ -111,7 +109,7 @@ def check_unbroken(s: RootString) -> UnbrokenReport:
     """
     if s.direction_isotropic:
         raise ValueError("unbrokenness applies to non-isotropic directions")
-    occupied = set(s.ks())
+    occupied = {e.k for e in s.entries}
     if s.zero_slot is not None:
         occupied.add(s.zero_slot)
     if 0 not in occupied:
@@ -193,62 +191,77 @@ def pairing_laws(handle: RootSystemHandle, string: RootString) -> list[LawVerdic
     alpha+beta real => alpha-beta not a root for isotropic alpha; and the
     two-real-roots bound for isotropic directions.
 
-    ``string`` is the alpha-string through beta from ``root_string``, or
-    the sweep's view of its line's scan.  It is the one source for
-    beta + k alpha: alpha's isotropy, beta's reality (k = 0), beta(h_alpha),
-    and the reality and membership of alpha + beta (k = 1).  The handle is
-    asked only what the string cannot hold: alpha(h_beta), which needs beta's
-    coroot; the isotropy of beta and of the members; finite parts; and, in
-    one ``membership`` query, the membership and reality of alpha - beta,
-    which is not in the string and is not read as the negative of its
-    k = -1 slot, since the oracle is not assumed closed under negation.
+    ``string`` is the alpha-string through beta from ``root_string``.  It
+    is the one source for beta + k alpha: alpha's isotropy, beta's reality
+    (k = 0), beta(h_alpha), and the reality and membership of alpha + beta
+    (k = 1).  The handle is asked only what the string cannot hold:
+    alpha(h_beta), which needs beta's coroot; the isotropy of beta and of
+    the members; finite parts; and, in one ``membership`` query, the
+    membership and reality of alpha - beta, which is not in the string and
+    is not read as the negative of its k = -1 slot, since the oracle is not
+    assumed closed under negation.  ``sweep_strings`` reads the same laws
+    from a line's scan; this is its case m = 0, sign = +1.
     """
-    alpha, beta = string.direction, string.base_root
-    real = {e.k: e.real for e in string.entries}  # k -> is beta + k alpha real
-    alpha_iso, beta_iso = string.direction_isotropic, handle.is_isotropic(beta)
-    beta_real, sum_real, pb = real.get(0, False), real.get(1, False), string.pairing
-    n_real = string.real_count()
-    out: list[LawVerdict] = []
+    verdicts = _laws(handle, _Line(handle, string), string.base_root, string.direction, 0, 1,
+                     functools.cache(handle.is_isotropic))
+    return [LawVerdict(law, applicable, passed, detail()) for law, applicable, passed, detail in verdicts]
 
-    if beta_real and not alpha_iso and not beta_iso:
-        pa = handle.pairing(alpha, beta)
-        if pa < -1 and pb < -1:
-            out.append(LawVerdict("sum-not-real", True, not sum_real,
-                                  f"alpha(h_beta)={pa}, beta(h_alpha)={pb}"))
-        else:
-            out.append(LawVerdict("sum-not-real", False, True))
 
-    if not alpha_iso:
-        out.append(LawVerdict("four-real-roots", True, n_real <= 4, f"{n_real} real roots"))
+class _Line:
+    # The facts of one c-string s through b that the pairs on its line read.
+    __slots__ = ("string", "real", "n_real", "coroots", "wide")
 
-    if beta_real and beta_iso and not alpha_iso:
-        details = []
-        for e in string.entries:
-            if e.k == 0 or not e.real:
-                continue
-            allowed = {-e.k} if handle.is_isotropic(e.root) else {0, -2 * e.k}
-            if pb not in allowed:
-                details.append(f"k={e.k}: pairing {pb} outside {sorted(allowed)}")
-        out.append(LawVerdict("isotropic-pairing-values", True, not details, "; ".join(details)))
+    def __init__(self, handle, string: RootString):
+        self.string = string
+        self.real = {e.k: e.real for e in string.entries}  # k -> is b + k c real
+        self.n_real = string.real_count()
+        self.coroots: dict[int, int] = {}  # m -> c(h_beta) for beta = b + m c
+        # may an isotropic string pass k = +-1: on a finite type, or when f_c and f_b are proportional
+        self.wide = not handle.has_null or (string.direction_isotropic and _proportional(
+            handle.finite_part(string.direction).coords(), handle.finite_part(string.base_root).coords()))
 
-    if beta_real and alpha_iso:
+
+def _laws(handle, line: _Line, beta: Root, alpha: Root, m: int, sign: int, isotropic):
+    # The pairing laws of beta = b + m c against alpha = sign c, read from the c-string
+    # s through b, as (law, applicable, passed, detail), detail() making the witness text.
+    s, real, n_real = line.string, line.real, line.n_real
+    beta_real, sum_real = real.get(m, False), real.get(m + sign, False)
+    out = []
+    if not s.direction_isotropic:
+        pb = sign * (s.pairing + 2 * m)  # beta(h_alpha)
+        beta_iso = beta_real and isotropic(beta)
+        if beta_real and not beta_iso:
+            pa = line.coroots.get(m)
+            if pa is None:
+                pa = line.coroots[m] = handle.pairing(s.direction, beta)
+            pa *= sign  # alpha(h_beta)
+            if pa < -1 and pb < -1:
+                out.append(("sum-not-real", True, not sum_real,
+                            lambda: f"alpha(h_beta)={pa}, beta(h_alpha)={pb}"))
+            else:
+                out.append(("sum-not-real", False, True, str))  # str() == ""
+        out.append(("four-real-roots", True, n_real <= 4, lambda: f"{n_real} real roots"))
+        if beta_iso:
+            bad = []
+            for e in s.entries if sign > 0 else reversed(s.entries):
+                k = sign * (e.k - m)
+                if k and e.real:
+                    allowed = {-k} if isotropic(e.root) else {0, -2 * k}
+                    if pb not in allowed:
+                        bad.append(f"k={k}: pairing {pb} outside {sorted(allowed)}")
+            out.append(("isotropic-pairing-values", True, not bad, lambda: "; ".join(bad)))
+    elif beta_real:
         diff_root, diff_real = handle.membership(rs.sub(alpha, beta))
         failed = []
         if sum_real and diff_root:
             failed.append("alpha+beta real and alpha-beta a root")
-        if diff_real and 1 in real:
+        if diff_real and m + sign in real:
             failed.append("alpha-beta real and alpha+beta a root")
-        out.append(LawVerdict("isotropic-sum-difference-exclusion", sum_real or diff_real,
-                              not failed, "; ".join(failed)))
-        window_ok = True
-        if handle.has_null:
-            fa = handle.finite_part(alpha).coords()
-            fb = handle.finite_part(beta).coords()
-            if not _proportional(fa, fb):
-                window_ok = all(-1 <= e.k <= 1 for e in string.entries)
-        out.append(LawVerdict("isotropic-string-bound", True, n_real <= 2 and window_ok,
-                              f"{n_real} real roots, ks={string.ks()}"))
-
+        out.append(("isotropic-sum-difference-exclusion", sum_real or diff_real,
+                    not failed, lambda: "; ".join(failed)))
+        bound_ok = n_real <= 2 and (line.wide or all(-1 <= e.k - m <= 1 for e in s.entries))
+        out.append(("isotropic-string-bound", True, bound_ok,
+                    lambda: f"{n_real} real roots, ks={sorted(sign * (e.k - m) for e in s.entries)}"))
     return out
 
 
@@ -280,30 +293,35 @@ def sweep_strings(
 ) -> SweepReport:
     """Run every string law over a grid of (beta, alpha) pairs.
 
-    beta ranges over all roots and alpha over all real roots inside the
-    height (finite) or null-degree (affine) window.  Non-isotropic directions
-    are checked for unbrokenness, the pairing identity, reversal, the
-    real/imaginary block pattern and the four-real-roots bound; isotropic
-    directions for the two-real-roots bound and the exclusion laws.  Every
-    law is recorded for every pair, and the report is the one that scanning
-    each pair's string through its own beta would give, witnesses and order
-    included.  Three facts let the sweep do less work than that:
+    beta ranges over the listed roots inside the height (finite) or
+    null-degree (affine) window, and alpha over those that are not multiples
+    of null: the real ones, as the catalog lists real roots and multiples of
+    null only.  Non-isotropic directions are checked for unbrokenness, the
+    pairing identity, reversal, the real/imaginary block pattern and the
+    four-real-roots bound; isotropic directions for the two-real-roots bound
+    and the exclusion laws.  Every law is recorded for every pair, and the
+    report is the one that scanning each pair's string through its own beta
+    would give, witnesses and order included.  Three facts let the sweep do
+    less work than that:
 
     - The alpha-line and the (-alpha)-line through beta are one set of
       vectors, so the sweep keeps one table of lines, keyed by c and rep:
       c = min(alpha, -alpha) is the direction of +-alpha that the sorted
       sweep meets first, and rep = beta - (beta_i // c_i) c with i the first
       nonzero coordinate of c.  Each line is scanned once, in direction c,
-      through the first member met, and c's lines are dropped once the
-      pass of -c has read them.  Every pair reads its string from that
-      scan with ``_view``: slot k of the (sign c)-string through
-      beta = b + m c is slot m + sign k of the c-string through b, and
-      beta(h_alpha) = sign (b(h_c) + 2m), as the pairing is linear in beta
-      and c(h_c) = 2.  An empty slot m raises ``NotARootError``.
-    - Each nonzero slot of a scan is one ``handle.membership`` query: one
-      ``to_ed`` and one ``contains_ed`` answer is-root and is-real.  The
-      sweep keeps no memo of its own; a vector met again on another line
-      is asked again, its image read from the handle's ``to_ed`` memo.
+      through the first member met, and c's lines are dropped once the pass
+      of -c has read them.  Slot k of the (sign c)-string through
+      beta = b + m c is slot m + sign k of the c-string through b; an empty
+      slot m raises ``NotARootError``.
+    - Each pair's pairing laws are read from its line's scan, building no
+      string: beta(h_alpha) = sign (b(h_c) + 2m), as the pairing is linear
+      in beta and c(h_c) = 2, and alpha(h_beta) = sign c(h_beta), c(h_beta)
+      asked once per (line, root).  The finite-part test of the isotropic
+      bound is a line constant: the 2x2 minors x_i y_j - x_j y_i are
+      bilinear, so those of f_c and f_b + m f_c are those of f_c and f_b
+      (the m f_c f_c terms cancel), and a sign flips them all.  Each root's
+      isotropy is asked once per sweep, alpha - beta once per pair, and
+      witness text is made only for a failed law.
     - The unbroken and pattern laws are decided once per line, for both
       directions.  Under a shift by m the occupied slots move by -m, so
       p' = p + m, q' = q - m and p' - q' = p - q + 2m, the shifted pairing;
@@ -312,8 +330,8 @@ def sweep_strings(
       ``check_unbroken`` passes for every pair of a line or fails for every
       one, and ``string_pattern`` reads only the tag order, which a shift
       keeps and a flip reverses, swapping the equal real wings.  On a line
-      that fails, each pair is checked again, so that each keeps its own
-      witness.
+      that fails, each pair's string is scanned again through its own beta,
+      so that each keeps its own witness.
 
     ``string_pattern`` cannot fail once ``check_unbroken`` has passed:
     beta + k alpha has a zero finite part for at most one k, so a string has
@@ -335,10 +353,12 @@ def sweep_strings(
         if max_degree is None:
             raise ValueError("an affine sweep needs a null-degree bound: give max_degree (--degree)")
     betas = handle.all_roots(max_height=max_height, max_degree=max_degree)
-    alphas = [b for b in betas if handle.is_real(b)]
-    lines: dict[Root, dict] = {}  # c -> rep -> (j, c-string through rep + j c, its laws if they pass)
+    null = handle.null_root()
+    alphas = betas if null is None else [b for b in betas if not _proportional(null, b)]
+    isotropic = functools.cache(handle.is_isotropic)
+    lines: dict[Root, dict] = {}  # c -> rep -> (j, _Line of the c-string through rep + j c, its laws if they pass)
     for alpha in alphas:
-        iso = handle.is_isotropic(alpha)
+        iso = isotropic(alpha)
         c = min(alpha, rs.neg(alpha))
         sign = 1 if c == alpha else -1
         table = lines.setdefault(c, {}) if sign > 0 else lines.pop(c, {})  # -c's pass is the last to read c's lines
@@ -347,21 +367,23 @@ def sweep_strings(
             report.pairs += 1
             j = beta[i] // c[i]
             rep = tuple(b - j * a for b, a in zip(beta, c))
-            line = table.get(rep)
-            if line is None:
+            entry = table.get(rep)
+            if entry is None:
                 s = _string(handle, beta, c, iso)
                 laws = [] if iso else _string_laws(s)
-                line = table[rep] = (j, s, laws if all(ok for _, ok, _ in laws) else None)
-            j0, s, passed = line
-            s = _view(s, beta, j - j0, sign)
-            laws = passed if passed is not None else _string_laws(s)
+                entry = table[rep] = (j, _Line(handle, s), laws if all(ok for _, ok, _ in laws) else None)
+            j0, line, line_laws = entry
+            m = j - j0
+            if m not in line.real:
+                raise NotARootError(f"{beta} is not a root")
+            laws = line_laws if line_laws is not None else _string_laws(_string(handle, beta, alpha, iso))
             for law in laws:
                 report.record(*law)
             if laws and not laws[0][1]:
                 continue  # a broken string: the pairing laws are not run on it
-            for v in pairing_laws(handle, s):
-                if v.applicable:
-                    report.record(v.law, v.passed, "" if v.passed else f"beta={beta} alpha={alpha}: {v.detail}")
+            for law, applicable, passed, detail in _laws(handle, line, beta, alpha, m, sign, isotropic):
+                if applicable:
+                    report.record(law, passed, "" if passed else f"beta={beta} alpha={alpha}: {detail()}")
     return report
 
 
@@ -380,17 +402,3 @@ def _string_laws(s: RootString) -> list[tuple[str, bool, str]]:
         return [("unbroken", True, ""), ("pattern", False, f"beta={s.base_root} alpha={s.direction}: {exc}")]
     return [("unbroken", True, ""), ("pattern", True, "")]
 
-
-def _view(s: RootString, beta: Root, m: int, sign: int) -> RootString:
-    # The (sign c)-string through beta = b + m c, from s, the c-string through
-    # b: slot k of the view is slot m + sign k of s, entries reversed when
-    # sign is -1, and beta(h_alpha) = sign (b(h_c) + 2m).
-    if m == 0 and sign > 0:  # beta is b: the view is s
-        return s
-    if not any(e.k == m for e in s.entries):
-        raise NotARootError(f"{beta} is not a root")
-    entries = s.entries if sign > 0 else reversed(s.entries)
-    return RootString(beta, s.direction if sign > 0 else rs.neg(s.direction),
-                      tuple(StringEntry(sign * (e.k - m), e.root, e.real) for e in entries),
-                      None if s.zero_slot is None else sign * (s.zero_slot - m), s.direction_isotropic,
-                      None if s.direction_isotropic else sign * (s.pairing + 2 * m))

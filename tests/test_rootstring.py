@@ -508,31 +508,68 @@ def test_sweep_scans_each_alpha_line_once(monkeypatch, spec, window):
     assert len(calls) == lines < report.pairs
 
 
+@pytest.mark.parametrize("spec, window, lie", [
+    ("B(1,1)^(1)", {"max_degree": 1}, False),
+    ("A(1,2)", {"max_height": 3}, False),
+    ("A(2,2)^(4)", {"max_degree": 1}, False),
+    ("D(2,1;1/2)^(1)", {"max_degree": 1}, False),
+    ("B(1,1)", {"max_height": 6}, True),
+], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3", "A(2,2)^(4)-degree-1",
+        "D(2,1;1/2)^(1)-degree-1", "B(1,1)-height-6-lie"])
+def test_sweep_decides_each_pair_as_pairing_laws_do(monkeypatch, spec, window, lie):
+    # the verdicts that every unbroken pair takes from its line's scan, at its
+    # offset and sign, are those of pairing_laws on the string that root_string
+    # scans through the pair's own beta: law, applicability, outcome and the
+    # detail of each failure.  Under the lie some laws fail.
+    import superroot.rootstring as rstr
+
+    if lie:
+        claim_a_root(monkeypatch, spec, (2, 0))
+    taken, laws = [], rstr._laws
+
+    def recording(handle, line, beta, alpha, *rest):
+        verdicts = laws(handle, line, beta, alpha, *rest)
+        taken.append((beta, alpha, [(law, applicable, passed, None if passed else detail())
+                                    for law, applicable, passed, detail in verdicts]))
+        return verdicts
+
+    monkeypatch.setattr(rstr, "_laws", recording)
+    h = build(spec)
+    report = sweep_strings(h, **window)
+    monkeypatch.setattr(rstr, "_laws", laws)
+    broken = sum(law == "unbroken" for law, _ in report.failures)
+    assert report.ok() is not lie
+    assert len(taken) == len({(beta, alpha) for beta, alpha, _ in taken}) == report.pairs - broken
+    assert any(not passed for *_, verdicts in taken for _, _, passed, _ in verdicts) is lie
+    for beta, alpha, verdicts in taken:
+        expected = [(v.law, v.applicable, v.passed, None if v.passed else v.detail)
+                    for v in pairing_laws(h, root_string(h, beta, alpha))]
+        assert verdicts == expected, (beta, alpha)
+
+
 @pytest.mark.parametrize("spec, window", [
     ("B(1,1)^(1)", {"max_degree": 1}),
     ("A(1,2)", {"max_height": 3}),
-    ("A(2,2)^(4)", {"max_degree": 1}),
-    ("D(2,1;1/2)^(1)", {"max_degree": 1}),
-], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3", "A(2,2)^(4)-degree-1",
-        "D(2,1;1/2)^(1)-degree-1"])
-def test_sweep_shifts_each_string_exactly(monkeypatch, spec, window):
-    # every pair's string, read from its line's scan, is the string that
-    # root_string scans through its own beta
-    import superroot.rootstring as rstr
-
-    seen = []
-
-    def recording(handle, string):
-        seen.append(string)
-        return pairing_laws(handle, string)
-
-    monkeypatch.setattr(rstr, "pairing_laws", recording)
-    h = build(spec)
+], ids=["B(1,1)^(1)-degree-1", "A(1,2)-height-3"])
+def test_sweep_asks_each_root_and_line_fact_once(monkeypatch, spec, window):
+    # a root's isotropy is asked once per sweep; c(h_beta), which gives
+    # alpha(h_beta) = sign c(h_beta) on both directions +-c of a line, once per
+    # (line, root) that needs it; and b(h_c) once per scan in a non-isotropic
+    # direction
+    calls = _counting_scans(monkeypatch)
+    h, ref = build(spec), build(spec)
+    isotropy, pairings = [], []
+    for name, asked in (("is_isotropic", isotropy), ("pairings", pairings)):
+        original = getattr(h, name)
+        monkeypatch.setattr(h, name, lambda *a, _f=original, _asked=asked: _asked.append(a) or _f(*a))
     report = sweep_strings(h, **window)
     assert report.ok(), report.failures[:3]
-    assert len(seen) == report.pairs
-    for s in seen:
-        assert s == root_string(h, s.base_root, s.direction), s
+    assert len(isotropy) == len(set(isotropy)) > 0
+    alphas = ref.real_roots(**window)
+    needed = sum(1 for c in alphas if c < rs.neg(c) and not ref.is_isotropic(c)
+                 for beta in alphas if not ref.is_isotropic(beta))
+    assert needed > 0
+    assert len(pairings) <= sum(not ref.is_isotropic(c) for _, c in calls) + needed
 
 
 @pytest.mark.parametrize("spec, window", [
