@@ -18,11 +18,10 @@ it apart from the odd coordinates delta_p.
 Every type is one ``RootSystemHandle`` built from plain data.  An untwisted
 affine type is the data of its finite type with alpha_0 = null - theta, theta
 the highest root, prepended to the simple roots (Kac, *Infinite-dimensional
-Lie algebras*, ch. 7).  The type data (base, table, coordinate solver, Cartan
-matrix) is built and validated once per type, kept in a
-``functools.lru_cache`` and shared by every handle of that type.  Each handle
-keeps one memo of its own, the eps/delta image of each root it converts, in
-a ``functools.lru_cache``.
+Lie algebras*, ch. 7).  The type data (base, table and its index in
+simple-root coordinates, Gram matrix, coordinate solver, Cartan matrix) is
+built and validated once per type, kept in a ``functools.lru_cache`` and
+shared by every handle of that type; a handle keeps no state of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -52,7 +51,7 @@ from .rootspace import Root, check_bound, height
 FINITE = "finite"
 AFFINE = "affine"
 TWISTED4 = "twisted4"
-TABLE_LIMIT = 1 << 16  # entries per handle memo and per record cache, the least recently used going first
+TABLE_LIMIT = 1 << 16  # records per record cache, the least recently used going first
 
 
 @dataclass(frozen=True)
@@ -129,14 +128,6 @@ class EpsDeltaVector:
             tuple(-a for a in self.eps), tuple(-a for a in self.delta), -self.null
         )
 
-    def scaled(self, k: int) -> "EpsDeltaVector":
-        return EpsDeltaVector(
-            tuple(k * a for a in self.eps), tuple(k * a for a in self.delta), k * self.null
-        )
-
-    def finite_part(self) -> "EpsDeltaVector":
-        return EpsDeltaVector(self.eps, self.delta, 0)
-
     def coords(self) -> tuple[int, ...]:
         return self.eps + self.delta + (self.null,)
 
@@ -173,58 +164,85 @@ def _singles(n: int, slots: Iterable[int], x: int) -> list[tuple[int, ...]]:
 class RootSystemHandle:
     """Membership and classification oracle for one catalog type.
 
-    The symmetric form is diagonal in eps/delta coordinates.  It is kept in
-    integers: ``_denom`` is the common denominator D of the eps norms (1 for
-    every type but D(2,1;a) with non-integral a) and ``_form`` returns D times
-    the form, so isotropy and pairings never build a ``Fraction`` sum.  The
-    solver of ``to_alpha`` is kept in integers too: its rows give
-    ``_alpha_denom`` times each simple-root coordinate, and a remainder on
-    division by ``_alpha_denom`` means the vector is not in the lattice.
+    A handle is the fields of its type's read-only record (``_type_data``),
+    built and validated once per type and shared by every handle of that
+    type; it keeps no state of its own.  Every query in simple-root
+    coordinates checks the root with ``_check`` and goes through ``_gate``,
+    which reads ``_index``: entry r maps the simple-root coordinates of each
+    finite part f of a real root at null degree r mod the period to D (f, f).
+    Those queries read two more fields: ``_null``, the null root in
+    simple-root coordinates (None on a finite type), and ``_gram``, D
+    (alpha_i, alpha_j).  D, ``_denom``, is the common denominator of the eps
+    norms (1 for every type but D(2,1;a) with non-integral a), so isotropy
+    and pairings never build a ``Fraction`` sum.
 
-    ``_table`` holds the family's real roots: entry r is the set of finite
-    parts (eps then delta coordinates) of the real roots at null degree
-    congruent to r mod ``len(_table)``.
-
-    A handle copies the fields of its type's read-only record (``_type_data``),
-    which is built and validated once per type and shared by every handle of
-    that type.  Its one memo is its own: ``_images``, a ``functools.lru_cache``
-    of at most ``TABLE_LIMIT`` entries around the record's converter, keeps
-    each root's image, and ``to_ed`` checks every coordinate in front of it.
-    A root's norm is a fact of its type, read from the record's
-    ``_fin_norms``.  Logically immutable; a handle may be shared freely.
+    ``_table`` is ``_index`` in eps/delta coordinates: entry r is the set of
+    finite parts (eps then delta coordinates) of the real roots at null
+    degree r mod ``len(_table)``.  The solver of ``to_alpha`` is kept in
+    integers: its rows give ``_alpha_denom`` times each simple-root
+    coordinate, and a remainder on division by ``_alpha_denom`` means the
+    vector is not in the lattice.
     """
 
     def __init__(self, data: Mapping[str, object]):
         for name, value in data.items():
             setattr(self, name, value)  # not vars(self).update: that slows every attribute read
-        # a partial over the record's fields, not a bound method, so no cycle holds the handle
-        self._images = functools.lru_cache(maxsize=TABLE_LIMIT)(functools.partial(
-            _image, self.rank, self.eps_dim, self.delta_dim, self._simple_coords))
 
-    # -- membership ----------------------------------------------------------
+    # -- the gate ------------------------------------------------------------
+
+    def _check(self, root: Sequence[int]) -> Root:
+        """root as a tuple of ints of the type's rank, or an error naming it."""
+        key = tuple(root)
+        for c in key:  # before any lookup, where (1.0, 2, 1) and (True, 2, 1) would find (1, 2, 1)
+            if type(c) is not int:
+                raise NotInLatticeError(f"root {key!r} has a coordinate that is not an int")
+        if len(key) != self.rank:
+            raise DimensionMismatchError(
+                f"root {key} has length {len(key)}, but {self.label} has rank {self.rank}")
+        return key
+
+    def _gate(self, x: Root) -> tuple[bool, Optional[int]]:
+        """(is root, D (x, x) if x is real, else None) for an x that ``_check`` passed.
+
+        On an affine type the null degree d is x[0], as alpha_0 comes first;
+        the gate strips d null and looks the rest up at d mod the period.  A
+        root is real, or a nonzero multiple of null.
+        """
+        null, index = self._null, self._index
+        d = x[0] if null else 0
+        if d:
+            x = tuple([a - d * b for a, b in zip(x, null)])
+        norm = index[d % len(index)].get(x)
+        return norm is not None or (d != 0 and not any(x)), norm
+
+    def _row(self, x: Root) -> list[int]:
+        """D (x, alpha_j) for each j."""
+        return [sum(map(mul, x, col)) for col in self._gram]
+
+    def _norm(self, root: Sequence[int]) -> int:
+        """D (root, root): the gate's on a real root, the Gram matrix's otherwise."""
+        x = self._check(root)
+        norm = self._gate(x)[1]
+        return sum(map(mul, x, self._row(x))) if norm is None else norm
+
+    # -- eps/delta coordinates -----------------------------------------------
 
     def contains_ed(self, v: EpsDeltaVector) -> bool:
-        """Is v a root?  Real when its finite part is in the table at its degree,
-        imaginary when it is a nonzero multiple of null."""
-        self._check_dims(v)
-        fin = v.eps + v.delta
-        if fin in self._table[v.null % len(self._table)]:
-            return True
-        return v.null != 0 and not any(fin)
+        """Is v a root?  A vector off the root lattice is not."""
+        return self._gate_ed(v)[0]
+
+    def is_real_ed(self, v: EpsDeltaVector) -> bool:
+        return self._gate_ed(v)[1] is not None
+
+    def _gate_ed(self, v: EpsDeltaVector) -> tuple[bool, Optional[int]]:
+        try:  # a vector off the root lattice is no root
+            return self._gate(self.to_alpha(v))
+        except NotInLatticeError:
+            return False, None
 
     def real_roots_ed(self, max_degree: Optional[int] = None) -> Iterator[EpsDeltaVector]:
         """The real roots of null degree at most ``max_degree`` in size; all for a finite type."""
-        check_bound("max_degree", max_degree)
-        if not self.has_null:
-            degrees = (0,)
-        elif max_degree is None:
-            raise ValueError("affine enumeration needs a degree bound")
-        else:
-            degrees = range(-max_degree, max_degree + 1)
-        e = self.eps_dim  # not a generator function, so a bad bound raises at the call; the roots come lazily
-        return (EpsDeltaVector(c[:e], c[e:], r) for r in degrees for c in self._table[r % len(self._table)])
-
-    # -- form, parity, isotropy --------------------------------------------
+        return map(self.to_ed, self._enumerate(max_degree))
 
     def _check_dims(self, v: EpsDeltaVector):
         """Refuse another type's dimensions; the coordinates are ints by construction."""
@@ -235,40 +253,18 @@ class RootSystemHandle:
         if v.null and not self.has_null:
             raise DimensionMismatchError(f"{self.label} has no null direction")
 
-    def _form(self, v: EpsDeltaVector, w: EpsDeltaVector) -> int:
-        """D (v, w) in integers, skipping zero coordinates, for the diagonal form
-        (eps_i, eps_j) = s_i delta_ij, (delta_p, delta_q) = -delta_pq, null isotropic."""
-        total = 0
-        for s, a, b in zip(self._int_norms, v.eps + v.delta, w.eps + w.delta):
-            if a and b:
-                total += s * a * b
-        return total
-
     def parity_ed(self, v: EpsDeltaVector) -> int:
         return sum(c * x for c, x in zip(self.parity_coeffs, v.coords())) % 2
 
-    def is_real_ed(self, v: EpsDeltaVector) -> bool:
-        return self._membership_ed(v)[1]
-
-    def _membership_ed(self, v: EpsDeltaVector) -> tuple[bool, bool]:
-        # (is root, is real): a root is real exactly when its finite part is nonzero
-        root = self.contains_ed(v)
-        return root, root and (any(v.eps) or any(v.delta))
-
-    # -- coordinate conversion ----------------------------------------------
-
     def to_ed(self, root: Sequence[int]) -> EpsDeltaVector:
-        key = tuple(root)
-        for c in key:  # before the memo, where (1.0, 2, 1) and (True, 2, 1) would find (1, 2, 1)
-            if type(c) is not int:
-                raise NotInLatticeError(f"root {key!r} has a coordinate that is not an int")
-        return self._images(key)
-
-    def _norm(self, a: EpsDeltaVector) -> int:
-        """D (a, a) in integers: read from the type's table when a's finite part
-        is in it, a lookup cheaper than ``_form``, which answers any other vector."""
-        aa = self._fin_norms.get(a.eps + a.delta)
-        return self._form(a, a) if aa is None else aa
+        """The eps/delta image of simple-root coordinates."""
+        e, d = self.eps_dim, self.delta_dim
+        acc = [0] * (e + d + 1)
+        for c, sv in zip(self._check(root), self._simple_coords):
+            if c:
+                for k, x in enumerate(sv):
+                    acc[k] += c * x
+        return EpsDeltaVector(tuple(acc[:e]), tuple(acc[e : e + d]), acc[-1])
 
     def to_alpha(self, v: EpsDeltaVector) -> Root:
         """Simple-root coordinates of a lattice vector; exact and unique.
@@ -286,37 +282,29 @@ class RootSystemHandle:
             sol[pivot] = c
         return tuple(sol)
 
-    # -- alpha-coordinate interface ------------------------------------------
+    # -- simple-root coordinates ---------------------------------------------
 
     def contains(self, root: Sequence[int]) -> bool:
-        return self.contains_ed(self.to_ed(root))
+        return self._gate(self._check(root))[0]
 
     def is_real(self, root: Sequence[int]) -> bool:
-        return self.is_real_ed(self.to_ed(root))
+        return self._gate(self._check(root))[1] is not None
 
     def membership(self, root: Sequence[int]) -> tuple[bool, bool]:
-        """(``contains``, ``is_real``) from one ``to_ed`` and one ``contains_ed``."""
-        return self._membership_ed(self.to_ed(root))
+        """(``contains``, ``is_real``) from one query of the gate."""
+        found, norm = self._gate(self._check(root))
+        return found, norm is not None
 
     def real_sums(self, alpha: Sequence[int], betas: Iterable[Sequence[int]]) -> list[bool]:
-        """is_real(alpha + beta) for each beta, reading alpha's image once.
-
-        As in ``is_real_ed``, a sum is real exactly when its finite part is in
-        the table at its null degree, as the table holds no zero finite part.
-        """
-        a = self.to_ed(alpha)
-        fin, null, table = a.eps + a.delta, a.null, self._table
-        out = []
-        for beta in betas:
-            b = self.to_ed(beta)
-            out.append(tuple(map(add, fin, b.eps + b.delta)) in table[(null + b.null) % len(table)])
-        return out
+        """is_real(alpha + beta) for each beta, checking alpha once."""
+        a, check, gate = self._check(alpha), self._check, self._gate
+        return [gate(tuple(map(add, a, check(beta))))[1] is not None for beta in betas]
 
     def parity(self, root: Sequence[int]) -> int:
         return self.parity_ed(self.to_ed(root))
 
     def is_isotropic(self, root: Sequence[int]) -> bool:
-        return self._norm(self.to_ed(root)) == 0
+        return self._norm(root) == 0
 
     def is_positive(self, root: Sequence[int]) -> bool:
         return any(c != 0 for c in root) and all(c >= 0 for c in root)
@@ -327,13 +315,13 @@ class RootSystemHandle:
         alpha must be non-isotropic, and each pairing must be an integer: the
         first beta whose pairing is not raises ``PairingNotIntegralError``.
         """
-        a = self.to_ed(alpha)
-        aa = self._norm(a)
+        aa = self._norm(alpha)
         if aa == 0:
             raise IsotropicReflectorError(f"{alpha} is isotropic; no canonical coroot pairing")
+        row, check = self._row(self._check(alpha)), self._check
         out = []
         for beta in betas:
-            twice = 2 * self._form(self.to_ed(beta), a)
+            twice = 2 * sum(map(mul, check(beta), row))
             c, rem = divmod(twice, aa)
             if rem:
                 raise PairingNotIntegralError(
@@ -350,56 +338,49 @@ class RootSystemHandle:
         return tuple(_unit(self.rank, i) for i in range(self.rank))
 
     def null_root(self) -> Optional[Root]:
-        if not self.has_null:
-            return None
-        return self.to_alpha(EpsDeltaVector((0,) * self.eps_dim, (0,) * self.delta_dim, 1))
+        return self._null
 
     def degree_of(self, root: Sequence[int]) -> int:
-        return self.to_ed(root).null
-
-    def finite_part(self, root: Sequence[int]) -> EpsDeltaVector:
-        return self.to_ed(root).finite_part()
+        x = self._check(root)
+        return x[0] if self.has_null else 0
 
     @property
     def is_finite(self) -> bool:
         return not self.has_null
 
+    def _enumerate(self, max_degree: Optional[int]) -> Iterator[Root]:
+        """The real roots of null degree at most ``max_degree`` in size, read off
+        the index; not a generator function, so a bad bound raises at the call."""
+        check_bound("max_degree", max_degree)
+        if self.has_null and max_degree is None:
+            raise ValueError("affine enumeration needs a degree bound")
+        null, index = self._null, self._index
+        degrees = (0,) if null is None else range(-max_degree, max_degree + 1)
+        return (tuple([a + r * b for a, b in zip(f, null)]) if r else f
+                for r in degrees for f in index[r % len(index)])
+
     def real_roots(
         self, max_height: Optional[int] = None, max_degree: Optional[int] = None
     ) -> list[Root]:
         """Real roots in alpha-coordinates, sorted, within the given bounds."""
-        check_bound("max_height", max_height)  # real_roots_ed checks max_degree
+        check_bound("max_height", max_height)
         if self.has_null and max_degree is None:
             if max_height is None:
                 raise ValueError("affine enumeration needs max_height or max_degree")
             max_degree = max_height
-        return sorted(r for r in map(self.to_alpha, self.real_roots_ed(max_degree))
-                      if max_height is None or height(r) <= max_height)
+        return sorted(r for r in self._enumerate(max_degree) if max_height is None or height(r) <= max_height)
 
     def all_roots(
         self, max_height: Optional[int] = None, max_degree: Optional[int] = None
     ) -> list[Root]:
         """The real roots within the bounds and, on an affine type, the
         nonzero multiples of null, each of which is a root; sorted."""
-        out = list(self.real_roots(max_height, max_degree))
+        out = self.real_roots(max_height, max_degree)
         if self.has_null:
             d = max_degree if max_degree is not None else max_height
-            null = EpsDeltaVector((0,) * self.eps_dim, (0,) * self.delta_dim, 1)
-            imaginary = (self.to_alpha(null.scaled(k)) for k in range(-d, d + 1) if k)
+            imaginary = (tuple(k * x for x in self._null) for k in range(-d, d + 1) if k)
             out += [r for r in imaginary if max_height is None or height(r) <= max_height]
         return sorted(out)
-
-
-def _image(rank: int, e: int, d: int, simple_coords: tuple, key: Root) -> EpsDeltaVector:
-    """The eps/delta image of the simple-root coordinates ``key``."""
-    if len(key) != rank:
-        raise DimensionMismatchError("root length differs from rank")
-    acc = [0] * (e + d + 1)
-    for c, sv in zip(key, simple_coords):
-        if c:
-            for k, x in enumerate(sv):
-                acc[k] += c * x
-    return EpsDeltaVector(tuple(acc[:e]), tuple(acc[e : e + d]), acc[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -548,40 +529,40 @@ def _type_data(ctype: CatalogType) -> MappingProxyType:
     alpha_denom = lcm(*(x.denominator for _, row in solution for x in row))
     check_denom = lcm(*(x.denominator for row in consistency for x in row))
 
-    def form(i: int, j: int) -> Fraction:
-        # zip stops before the null coordinate, which is isotropic
-        return Fraction(sum(s * a * b for s, a, b in zip(int_norms, coords[i], coords[j])), denom)
-
-    rows = []
-    for i in range(n):
-        norm = form(i, i)
-        rows.append(tuple(2 * form(i, j) / norm if norm else gauge * form(i, j)
-                          for j in range(n)))
+    # D (alpha_i, alpha_j); zip stops before the null coordinate, which is isotropic
+    gram = tuple(tuple(sum(s * a * b for s, a, b in zip(int_norms, ci, cj)) for cj in coords) for ci in coords)
+    rows = [tuple(Fraction(2 * g, row[i]) if row[i] else gauge * Fraction(g, denom) for g in row)
+            for i, row in enumerate(gram)]
     cartan = CartanData(tuple(rows), tuple(sum(c * x for c, x in zip(coeffs, v)) % 2 for v in coords))
     report = cartan_mod.validate(cartan)
     if not report.ok():
         raise AssertionError(f"catalog base for {ctype.label} failed validation: {report}")
     if theta is not None and theta.eps + theta.delta not in table[0]:
         raise AssertionError("highest root is not a root")
+    solution_rows = tuple((p, tuple(int(x * alpha_denom) for x in row)) for p, row in solution)
+
+    def alpha_of(c: tuple[int, ...]) -> Root:
+        # the simple-root coordinates of a lattice vector; the pivots run 0..n-1 in order
+        return tuple(sum(t * x for t, x in zip(row, c)) // alpha_denom for _, row in solution_rows)
+
     return MappingProxyType(dict(
         ctype=ctype, label=ctype.label, eps_dim=e, delta_dim=d, has_null=ctype.twist != FINITE,
         rank=n, eps_norms=tuple(norms), parity_coeffs=tuple(coeffs), simple_ed=tuple(simples),
         cartan=cartan, coord_bound=max(abs(x) for entry in table for c in entry for x in c),
-        _table=tuple(table), _denom=denom,
-        _int_norms=int_norms, _simple_coords=coords,
-        # D (f, f) for every finite part f in the table
-        _fin_norms=MappingProxyType({f: sum(s * x * x for s, x in zip(int_norms, f))
-                                     for entry in table for f in entry}),
+        _table=tuple(table), _denom=denom, _simple_coords=coords, _gram=gram,
+        # D (f, f) for every finite part f in each entry of the table, keyed by f's simple-root coordinates
+        _index=tuple(MappingProxyType({alpha_of(f + (0,)): sum(s * x * x for s, x in zip(int_norms, f))
+                                       for f in entry}) for entry in table),
+        _null=alpha_of((0,) * (e + d) + (1,)) if ctype.twist != FINITE else None,
         # (pivot, row) pairs that solve for _alpha_denom times the alpha
         # coordinates, and the rows that every vector of the root lattice annihilates
-        _alpha_solution_rows=tuple((p, tuple(int(x * alpha_denom) for x in row)) for p, row in solution),
-        _alpha_denom=alpha_denom,
+        _alpha_solution_rows=solution_rows, _alpha_denom=alpha_denom,
         _alpha_consistency_rows=tuple(tuple(int(x * check_denom) for x in row) for row in consistency),
     ))
 
 
 def build(ctype: CatalogType | str) -> RootSystemHandle:
-    """A new handle on the type's shared data, with an empty memo."""
+    """A handle on the type's shared record."""
     if isinstance(ctype, str):
         ctype = parse_type(ctype)
     return RootSystemHandle(_type_data(ctype))

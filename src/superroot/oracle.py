@@ -24,8 +24,8 @@ The root spaces and the Chevalley generators, with their Cartan-row
 checks, are built once per type into a read-only record that every
 realization of that type shares, whatever its window.  The records are kept
 in a ``functools.lru_cache`` of at most ``TABLE_LIMIT`` of them, which
-drops the least recently used; they hold no handle.  The caller's handle,
-with its memo of root images, stays with each realization.
+drops the least recently used; they hold no handle.  The caller's handle
+stays with each realization.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ class Realization:
     and checked once per type and shared by every realization of that type,
     at every window: the ``index_weights`` (the finite eps+delta coordinates
     of each basis index), ``space``, the root spaces and the Chevalley
-    ``generators``.  ``root_vector`` reads the handle's own ``to_ed`` memo.
+    ``generators``.  ``root_vector`` converts through the caller's handle.
     """
 
     def __init__(self, handle: RootSystemHandle, truncation: int, data: Mapping[str, object]):
@@ -433,9 +433,9 @@ def _real_elements(basis: SubalgebraBasis, handle: RootSystemHandle) -> dict[Roo
     out: dict[Root, WeightedElement] = {}
     for x in basis.elements:
         w = x.weight
-        ed = EpsDeltaVector(w[:e], w[e : e + d], w[-1])
-        if handle.is_real_ed(ed):
-            out.setdefault(handle.to_alpha(ed), x)
+        root = handle.to_alpha(EpsDeltaVector(w[:e], w[e : e + d], w[-1]))
+        if handle.is_real(root):
+            out.setdefault(root, x)
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional
 
 from . import rootspace as rs
@@ -43,11 +44,17 @@ class RootString:
         return sum(1 for e in self.entries if e.real)
 
 
-def _box(handle, beta, alpha) -> range:
-    # The k with |b_i + k a_i| <= the type's coord_bound on the first nonzero
-    # finite coordinate a_i of alpha, flipped so that a_i > 0.
-    a, b, bound = handle.to_ed(alpha), handle.to_ed(beta), handle.coord_bound
-    ai, bi = next((x, y) for x, y in zip(a.eps + a.delta, b.eps + b.delta) if x)
+def _column(handle, alpha) -> Root:
+    # Eps/delta coordinate i of each simple root, i the first that is nonzero
+    # on alpha: a root's dot product with it is the root's coordinate i.
+    a = handle.to_ed(alpha)
+    i = next(i for i, x in enumerate(a.eps + a.delta) if x)
+    return tuple((s.eps + s.delta)[i] for s in handle.simple_ed)
+
+
+def _box(handle, beta, alpha, column) -> range:
+    # The k with |b_i + k a_i| <= the type's coord_bound, flipped so that a_i > 0.
+    ai, bi, bound = sum(map(mul, alpha, column)), sum(map(mul, beta, column)), handle.coord_bound
     if ai < 0:
         ai, bi = -ai, -bi
     return range(-((bound + bi) // ai), (bound - bi) // ai + 1)
@@ -69,10 +76,10 @@ def _scan(beta, alpha, ks, handle):
     return entries, zero_slot
 
 
-def _string(handle, beta, alpha, isotropic) -> RootString:
+def _string(handle, beta, alpha, isotropic, column) -> RootString:
     # The alpha-string through beta, scanned over the coordinate box; beta's
     # own slot says whether beta is a root.
-    entries, zero_slot = _scan(beta, alpha, _box(handle, beta, alpha), handle)
+    entries, zero_slot = _scan(beta, alpha, _box(handle, beta, alpha, column), handle)
     if not any(e.k == 0 for e in entries):
         raise NotARootError(f"{beta} is not a root")
     return RootString(beta, alpha, tuple(entries), zero_slot, isotropic,
@@ -92,7 +99,8 @@ def root_string(handle: RootSystemHandle, beta: Root, alpha: Root) -> RootString
     """
     if not handle.is_real(alpha):
         raise NotARootError(f"direction {alpha} is not a real root")
-    return _string(handle, beta, alpha, handle.is_isotropic(alpha))
+    handle.to_ed(beta)  # refuses, naming it, a beta that is no int vector of the type's rank
+    return _string(handle, beta, alpha, handle.is_isotropic(alpha), _column(handle, alpha))
 
 
 @dataclass(frozen=True)
@@ -218,7 +226,7 @@ class _Line:
         self.coroots: dict[int, int] = {}  # m -> c(h_beta) for beta = b + m c
         # may an isotropic string pass k = +-1: on a finite type, or when f_c and f_b are proportional
         self.wide = not handle.has_null or (string.direction_isotropic and _proportional(
-            handle.finite_part(string.direction).coords(), handle.finite_part(string.base_root).coords()))
+            _finite(handle, string.direction), _finite(handle, string.base_root)))
 
 
 def _laws(handle, line: _Line, beta: Root, alpha: Root, m: int, sign: int, isotropic):
@@ -263,6 +271,12 @@ def _laws(handle, line: _Line, beta: Root, alpha: Root, m: int, sign: int, isotr
         out.append(("isotropic-string-bound", True, bound_ok,
                     lambda: f"{n_real} real roots, ks={sorted(sign * (e.k - m) for e in s.entries)}"))
     return out
+
+
+def _finite(handle, x) -> Root:
+    # x - deg(x) null: x's finite part in simple-root coordinates, a linear image of its eps/delta one
+    d = handle.degree_of(x)
+    return tuple([a - d * n for a, n in zip(x, handle.null_root())])
 
 
 def _proportional(x, y) -> bool:
@@ -363,20 +377,21 @@ def sweep_strings(
         sign = 1 if c == alpha else -1
         table = lines.setdefault(c, {}) if sign > 0 else lines.pop(c, {})  # -c's pass is the last to read c's lines
         i = next(n for n, a in enumerate(c) if a)
+        column = _column(handle, c)
         for beta in betas:
             report.pairs += 1
             j = beta[i] // c[i]
             rep = tuple(b - j * a for b, a in zip(beta, c))
             entry = table.get(rep)
             if entry is None:
-                s = _string(handle, beta, c, iso)
+                s = _string(handle, beta, c, iso, column)
                 laws = [] if iso else _string_laws(s)
                 entry = table[rep] = (j, _Line(handle, s), laws if all(ok for _, ok, _ in laws) else None)
             j0, line, line_laws = entry
             m = j - j0
             if m not in line.real:
                 raise NotARootError(f"{beta} is not a root")
-            laws = line_laws if line_laws is not None else _string_laws(_string(handle, beta, alpha, iso))
+            laws = line_laws if line_laws is not None else _string_laws(_string(handle, beta, alpha, iso, column))
             for law in laws:
                 report.record(*law)
             if laws and not laws[0][1]:

@@ -52,15 +52,32 @@ def reflect_pair(handle: RootSystemHandle, alpha: Root, beta: Root) -> Root:
 
 def claim_a_root(monkeypatch, label: str, finite: tuple[int, ...]) -> None:
     """Make every handle of type ``label`` call the degree-0 vector with eps+delta
-    coordinates ``finite`` a root: a lie that the law checkers must report."""
-    contains = RootSystemHandle.contains_ed
+    coordinates ``finite`` a real root, at the gate that every query reads: a
+    lie that the law checkers must report."""
+    gate = RootSystemHandle._gate
 
-    def lying(self, v: EpsDeltaVector) -> bool:
-        if self.label == label and v.eps + v.delta == finite and v.null == 0:
-            return True
-        return contains(self, v)
+    def lying(self, root):
+        if self.label == label:
+            v = self.to_ed(root)
+            if v.eps + v.delta == finite and v.null == 0:
+                return True, scaled_norm(self, v)
+        return gate(self, root)
 
-    monkeypatch.setattr(RootSystemHandle, "contains_ed", lying)
+    monkeypatch.setattr(RootSystemHandle, "_gate", lying)
+
+
+def form(handle: RootSystemHandle, v: EpsDeltaVector, w: EpsDeltaVector) -> Fraction:
+    """Reference: (v, w) in the diagonal form (eps_i, eps_j) = s_i delta_ij,
+    (delta_p, delta_q) = -delta_pq, the null root isotropic."""
+    norms = handle.eps_norms + (-1,) * handle.delta_dim
+    return sum((s * a * b for s, a, b in zip(norms, v.eps + v.delta, w.eps + w.delta)), Fraction(0))
+
+
+def scaled_norm(handle: RootSystemHandle, v: EpsDeltaVector) -> int:
+    """D (v, v), the integer norm that the gate reports for a real root."""
+    norm = handle._denom * form(handle, v, v)
+    assert norm.denominator == 1
+    return int(norm)
 
 
 def reference_sweep(handle: RootSystemHandle, max_height: Optional[int] = None,
@@ -191,7 +208,7 @@ def is_imaginary(handle: RootSystemHandle, root: Sequence[int]) -> bool:
 
 
 def is_isotropic_ed(handle: RootSystemHandle, v: EpsDeltaVector) -> bool:
-    return handle._form(v, v) == 0
+    return form(handle, v, v) == 0
 
 
 def recomputed_cartan(realization: Realization) -> tuple[tuple[Fraction, ...], ...]:

@@ -9,8 +9,8 @@ import pytest
 from superroot.catalog import CatalogType, EpsDeltaVector as ED, build, parse_type
 from superroot.errors import (IsotropicReflectorError, NotInLatticeError, PairingNotIntegralError,
                               UnsupportedTypeError)
-from support import (SMALL_CATALOG, is_imaginary, is_imaginary_ed, is_isotropic_ed, membership_classify,
-                     positive_real_roots)
+from support import (SMALL_CATALOG, form, is_imaginary, is_imaginary_ed, is_isotropic_ed, membership_classify,
+                     positive_real_roots, scaled_norm)
 
 
 def test_parse_type_grammar():
@@ -127,7 +127,7 @@ def test_twisted_doubling_rule():
     t = build("A(2,2)^(4)")
     for r in t.real_roots(max_degree=4):
         ed = t.to_ed(r)
-        doubled = ed.scaled(2)
+        doubled = _scaled(ed, 2)
         if t.parity_ed(ed) == 1 and not is_isotropic_ed(t, ed):
             assert t.contains_ed(doubled), r
         else:
@@ -154,7 +154,7 @@ def test_root_multiple_rule():
         root_set = set(roots)
         for r in roots:
             ed = h.to_ed(r)
-            doubled = ed.scaled(2)
+            doubled = _scaled(ed, 2)
             if is_isotropic_ed(h, ed):
                 assert not h.contains_ed(doubled), (spec, r)
             elif h.parity_ed(ed) == 1:
@@ -162,7 +162,7 @@ def test_root_multiple_rule():
             else:
                 assert not h.contains_ed(doubled), (spec, r)
             for k in (3, 4, 5):
-                assert not h.contains_ed(ed.scaled(k)), (spec, r, k)
+                assert not h.contains_ed(_scaled(ed, k)), (spec, r, k)
 
 
 def test_convert_round_trip():
@@ -235,7 +235,7 @@ def test_finite_part_and_degree():
     h = build("B(2,2)^(1)")
     r = h.to_alpha(ED((1, 0), (0, -1), 6))
     assert h.degree_of(r) == 6
-    assert h.finite_part(r) == ED((1, 0), (0, -1), 0)
+    assert h.to_ed(r) == ED((1, 0), (0, -1), 6)
 
 
 def test_positive_real_roots_split():
@@ -245,6 +245,10 @@ def test_positive_real_roots_split():
     for r in pos:
         assert h.is_positive(r)
         assert not h.is_positive(tuple(-c for c in r))
+
+
+def _scaled(v, k):
+    return ED(tuple(k * a for a in v.eps), tuple(k * a for a in v.delta), k * v.null)
 
 
 def _grid(dim):
@@ -298,9 +302,9 @@ def test_real_roots_lie_in_the_coordinate_box():
 
 
 def test_the_form_is_the_defining_diagonal_form():
-    # _form / _denom gives (eps_i, eps_j) = s_i delta_ij, (delta_p, delta_q) =
-    # -delta_pq, the null root isotropic, exactly, also when the eps norms are
-    # not integers
+    # _gram / _denom gives (alpha_i, alpha_j) in the diagonal form (eps_i,
+    # eps_j) = s_i delta_ij, (delta_p, delta_q) = -delta_pq, the null root
+    # isotropic, exactly, also when the eps norms are not integers
     for spec in ("A(1,2)", "B(2,1)", "C(3)", "D(2,2)^(1)", "A(2,2)^(4)",
                  "D(2,1;1/2)", "D(2,1;-5/3)^(1)", "D(2,1;3)"):
         h = build(spec)
@@ -313,25 +317,55 @@ def test_the_form_is_the_defining_diagonal_form():
             norms.append(Q(0))
         for i, u in enumerate(units):
             for j, w in enumerate(units):
-                value = Q(h._form(u, w), h._denom)
-                assert type(value) is Q and value == (norms[i] if i == j else 0), (spec, i, j)
+                assert form(h, u, w) == (norms[i] if i == j else 0), (spec, i, j)
             assert is_isotropic_ed(h, u) is (norms[i] == 0), (spec, i)
+        for i, a in enumerate(h.simple_ed):
+            for j, b in enumerate(h.simple_ed):
+                assert type(h._gram[i][j]) is int, (spec, i, j)
+                assert Q(h._gram[i][j], h._denom) == form(h, a, b), (spec, i, j)
 
 
-def test_the_norm_table_agrees_with_the_form():
-    # _norm reads D (f, f) from the type's table for a finite part f in it and
-    # takes _form otherwise; both paths give one value on every pinned type
-    for spec in _PINNED_SPECS:
+def test_no_query_in_simple_root_coordinates_converts_to_eps_delta(monkeypatch):
+    # the members that answer in simple-root coordinates read the gate, the
+    # Gram matrix and the null root only: with to_ed raising, every answer
+    # is the one it was
+    from superroot.catalog import RootSystemHandle
+
+    def answers(h):
+        probes = sorted(_membership_probes(h))[:300]
+        roots = h.all_roots(max_degree=1) if h.has_null else h.all_roots()
+        alphas = [a for a in roots if h.is_real(a) and not h.is_isotropic(a)][:5]
+        return (
+            [(h.contains(x), h.is_real(x), h.membership(x), h.is_isotropic(x), h.degree_of(x)) for x in probes],
+            [h.real_sums(a, probes) for a in roots[:5]],
+            [h.pairings(a, roots) for a in alphas],
+            h.null_root(), h.real_roots(max_height=4), h.all_roots(max_height=4),
+        )
+
+    specs = ("B(1,1)", "D(2,1;1/2)", "A(1,2)^(1)", "C(3)^(1)", "A(2,2)^(4)")
+    expected = {spec: answers(build(spec)) for spec in specs}
+
+    def refuse(self, root):
+        raise AssertionError("to_ed called")
+
+    monkeypatch.setattr(RootSystemHandle, "to_ed", refuse)
+    for spec in specs:
+        assert answers(build(spec)) == expected[spec], spec
+
+
+def test_a_handle_holds_only_its_records_fields():
+    # no per-handle state: a handle's attributes are its type record's
+    # fields, before and after it has answered queries
+    from superroot import catalog
+
+    for spec in ("B(1,1)^(1)", "A(2,2)^(4)", "D(2,1;1/2)"):
         h = build(spec)
-        e = h.eps_dim
-        parts = {f for entry in h._table for f in entry}
-        assert set(h._fin_norms) == parts, spec
-        for f in parts:
-            for null in ((0, 1) if h.has_null else (0,)):
-                v = ED(f[:e], f[e:], null)
-                assert h._norm(v) == h._fin_norms[f] == h._form(v, v), (spec, f)
-                w = ED(tuple(3 * x for x in v.eps), tuple(3 * x for x in v.delta), null)
-                assert h._norm(w) == h._form(w, w) == 9 * h._fin_norms[f], (spec, f)
+        fields = dict(catalog._type_data(h.ctype))
+        assert vars(h) == fields, spec
+        for x in _membership_probes(h):
+            h.membership(x)
+            h.is_isotropic(x)
+        assert vars(h) == fields, spec
 
 
 def test_d21_cartan_matrix():
@@ -367,7 +401,7 @@ def test_affine_contains_ed_checks_dimensions_once(monkeypatch):
 
 
 def test_all_roots_lists_the_multiples_of_null_without_asking(monkeypatch):
-    # contains_ed accepts every nonzero multiple of null, so all_roots asks it
+    # the gate accepts every nonzero multiple of null, so all_roots asks it
     # nothing and lists the same roots
     from superroot.catalog import RootSystemHandle
     from superroot.rootspace import height
@@ -379,13 +413,13 @@ def test_all_roots_lists_the_multiples_of_null_without_asking(monkeypatch):
         null = ED((0,) * h.eps_dim, (0,) * h.delta_dim, 1)
         for i, bound in enumerate(bounds):
             d = bound.get("max_degree", bound.get("max_height"))
-            multiples = [h.to_alpha(null.scaled(k)) for k in range(-d, d + 1)
-                         if k and h.contains_ed(null.scaled(k))]
+            multiples = [h.to_alpha(_scaled(null, k)) for k in range(-d, d + 1)
+                         if k and h.contains_ed(_scaled(null, k))]
             multiples = [r for r in multiples if height(r) <= bound.get("max_height", height(r))]
             expected[spec, i] = sorted(h.real_roots(**bound) + multiples)
     calls = []
-    original = RootSystemHandle.contains_ed
-    monkeypatch.setattr(RootSystemHandle, "contains_ed", lambda self, v: calls.append(v) or original(self, v))
+    original = RootSystemHandle._gate
+    monkeypatch.setattr(RootSystemHandle, "_gate", lambda self, x: calls.append(x) or original(self, x))
     for (spec, i), roots in expected.items():
         assert build(spec).all_roots(**bounds[i]) == roots, (spec, bounds[i])
     assert calls == []
@@ -427,35 +461,6 @@ def test_real_sums_refuse_a_beta_of_the_wrong_length():
             h.is_real(bad)
         with pytest.raises(DimensionMismatchError):
             h.real_sums((1, 0, 0), [(0, 1, 0), bad])
-
-
-def test_bounded_tables_keep_their_verdicts(monkeypatch):
-    # a stream over the B(1,1)^(1) degree-2 grid: with the tables capped at
-    # 8 entries, every answer is that of an unbounded handle
-    from superroot import catalog
-
-    unbounded = build("B(1,1)^(1)")
-    queries = [ED(c[:1], c[1:], r) for c in _grid(2) for r in range(-2, 3)]
-    alpha0 = unbounded.simple_roots_alpha()[0]
-
-    def stream(h):
-        out, sizes = [], []
-        for v in queries * 2:
-            alpha = h.to_alpha(v)
-            answers = [h.contains_ed(v), h.contains(alpha), h.is_real(alpha), is_imaginary(h, alpha)]
-            if h.is_real(alpha):
-                iso = h.is_isotropic(alpha)
-                answers += [iso, None if iso else h.pairing(alpha0, alpha)]
-            out.append(answers)
-            sizes.append(h._images.cache_info().currsize)
-        return out, max(sizes)
-
-    expected, largest = stream(unbounded)
-    assert largest > 100
-    monkeypatch.setattr(catalog, "TABLE_LIMIT", 8)
-    got, largest = stream(build("B(1,1)^(1)"))
-    assert got == expected
-    assert largest == 8
 
 
 def test_pairings_equal_one_pairing_per_beta():
@@ -616,6 +621,57 @@ def _handle_digest(h):
     return hashlib.sha256(repr(pinned).encode()).hexdigest()
 
 
+def _gate_probes(h):
+    # finite parts in simple-root coordinates: the box [-1, 1], each real
+    # finite part of the index, twice each and each plus a simple root; on an
+    # affine type each at every degree up to two periods in size
+    finite_rank = h.rank - h.has_null
+    parts = {(0,) * h.has_null + c for c in itertools.product((-1, 0, 1), repeat=finite_rank)}
+    keys = {f for entry in h._index for f in entry}
+    parts |= keys | {tuple(2 * x for x in f) for f in keys}
+    parts |= {tuple(map(sum, zip(f, s))) for f in keys for s in h.simple_roots_alpha()}
+    if not h.has_null:
+        return parts
+    period = len(h._index)
+    return {tuple(x + d * n for x, n in zip(f, h.null_root()))
+            for f in parts for d in range(-2 * period, 2 * period + 1)}
+
+
+@pytest.mark.parametrize("spec", _PINNED_SPECS)
+def test_the_gate_agrees_with_the_table_rule_and_the_form(spec):
+    # the gate's (is root, is real, norm) against the family table rule in
+    # eps/delta coordinates: real when the finite part is in _table at the
+    # degree mod the period, a root when real or a nonzero multiple of null;
+    # the norm is D (v, v) in the reference diagonal form
+    h = build(spec)
+    e, period = h.eps_dim, len(h._table)
+    assert len(h._index) == period
+    for r, entry in enumerate(h._table):
+        assert set(h._index[r]) == {h.to_alpha(ED(f[:e], f[e:])) for f in entry}, (spec, r)
+    for x in _gate_probes(h):
+        v = h.to_ed(x)
+        fin = v.eps + v.delta
+        real = fin in h._table[v.null % period]
+        root = real or (v.null != 0 and not any(fin))
+        assert h._gate(x) == (root, scaled_norm(h, v) if real else None), (spec, x)
+        assert h.membership(x) == (root, real), (spec, x)
+        assert h.is_isotropic(x) is (form(h, v, v) == 0), (spec, x)
+        assert h.degree_of(x) == v.null, (spec, x)
+    # an eps/delta vector off the root lattice is no root, nor a real one
+    off = [v for v in (ED(c[:e], c[e:]) for c in _grid(e + h.delta_dim)) if not _in_lattice(h, v)]
+    assert all(not h.contains_ed(v) and not h.is_real_ed(v) for v in off), spec
+    if h.ctype.family == "D21":
+        assert ED((1, 0, 0), ()) in off, spec
+
+
+def _in_lattice(h, v):
+    try:
+        h.to_alpha(v)
+    except NotInLatticeError:
+        return False
+    return True
+
+
 def test_handles_match_the_pinned_digests():
     # the public data of every handle, pinned so that a rebuild of the
     # catalog cannot move a root, a sign or a parity unnoticed
@@ -682,29 +738,19 @@ def test_a_warm_build_equals_a_cold_build(monkeypatch):
     assert catalog._type_data.cache_info().misses == 1
 
 
-def test_handles_of_one_type_share_no_memo_state():
-    h1, h2 = build("B(1,1)^(1)"), build("B(1,1)^(1)")
-    alpha0 = h1.simple_roots_alpha()[0]
-    h1.to_ed(alpha0)
-    h1.is_isotropic(alpha0)
-    info = h1._images.cache_info()  # is_isotropic reads the image that to_ed stored
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert h2._images.cache_info().currsize == 0
-
-
 def test_a_float_or_bool_root_leaves_the_memo_exact():
     # a float coordinate used to store a float image under the key of the
     # equal int root, and every later query of that int root then raised
     fresh = build("B(1,1)")
     expected = fresh.to_ed((1, 0)), fresh.is_real((1, 0))
     h = build("B(1,1)")
+    queries = (h.contains, h.is_real, h.membership, h.is_isotropic, h.degree_of, h.to_ed,
+               lambda x: h.real_sums(x, [(0, 1)]), lambda x: h.real_sums((0, 1), [x]),
+               lambda x: h.pairings(x, [(0, 1)]), lambda x: h.pairings((0, 1), [x]))
     for bad in ((1.0, 0), (True, 0), (1, Q(0))):
-        with pytest.raises(NotInLatticeError, match="not an int"):
-            h.is_real(bad)
-        with pytest.raises(NotInLatticeError, match="not an int"):
-            h.to_ed(bad)
-    info = h._images.cache_info()  # no bad root reached the memo
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        for query in queries:
+            with pytest.raises(NotInLatticeError, match="not an int"):
+                query(bad)
     assert (h.to_ed((1, 0)), h.is_real((1, 0))) == expected
     assert all(type(x) is int for x in h.to_ed((1, 0)).coords())
 

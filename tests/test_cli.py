@@ -227,6 +227,13 @@ def test_rejects_non_integer_coordinates(capsys):
         assert "list" in err and "integer" in err, (argv, err)
 
 
+def test_a_root_of_the_wrong_length_is_named_with_the_rank(capsys):
+    # the message used to be only "root length differs from rank"
+    argv = ["string", "--type", "A(2,2)^(4)", "--alpha", "[1,0,0,0]", "--beta", "[0,1,0,0]"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: root (1, 0, 0, 0) has length 4, but A(2,2)^(4) has rank 3\n"
+
+
 def test_malformed_matrix_json_exits_two(capsys):
     # these were read as parity 0 or entry 1 (exit 0/1) or crashed (exit 1)
     for raw in (

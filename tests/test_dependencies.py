@@ -179,6 +179,8 @@ TEST_ONLY = {
     "span_signature": "the independent dense echelon reference for the sparse span reduction",
     "verify_osp12_module": "acceptance criterion 7: the osp(1,2) module table against the realization",
     "full_basis": "perfbench/baseline.py times it inside a code string, which no parse sees",
+    "contains_ed": "membership of an eps/delta vector, which the family-rule and twisted acceptance tests ask",
+    "is_real_ed": "reality of an eps/delta vector, against which the tests check the real-root enumerators",
 }
 
 

@@ -131,7 +131,7 @@ def test_reflect_all_matches_the_per_pair_reference():
             assert reflect_all(h, alpha, roots) == [reflect_pair(h, alpha, b) for b in roots], (spec, alpha)
             sums = [rs.add(alpha, b) for b in roots]
             assert h.real_sums(alpha, roots) == [h.is_real(s) for s in sums], (spec, alpha)
-            null_sums += sum(1 for s in sums if any(s) and not any(h.finite_part(s).coords()))
+            null_sums += sum(1 for s in sums if any(s) and not any(h.to_ed(s).eps + h.to_ed(s).delta))
         assert (null_sums > 0) == h.has_null, spec
 
 

@@ -21,7 +21,7 @@ from superroot.rootstring import (
     string_pattern,
     sweep_strings,
 )
-from support import claim_a_root, reference_sweep
+from support import claim_a_root, reference_sweep, scaled_norm
 
 
 def test_string_through_multiples():
@@ -275,14 +275,14 @@ def test_sweep_raises_when_a_listed_root_is_denied(monkeypatch, finite, beta):
     # only the member's own slot check can refuse it.
     from superroot.catalog import RootSystemHandle
 
-    contains = RootSystemHandle.contains_ed
+    gate = RootSystemHandle._gate
 
-    def denying(self, v):
-        if self.label == "B(1,1)" and v.eps + v.delta == finite and v.null == 0:
-            return False
-        return contains(self, v)
+    def denying(self, root):
+        if self.label == "B(1,1)" and self.to_ed(root).coords() == (*finite, 0):
+            return False, None
+        return gate(self, root)
 
-    monkeypatch.setattr(RootSystemHandle, "contains_ed", denying)
+    monkeypatch.setattr(RootSystemHandle, "_gate", denying)
     for sweep in (sweep_strings, reference_sweep):
         with pytest.raises(NotARootError) as raised:
             sweep(build("B(1,1)"), max_height=6)
@@ -345,8 +345,8 @@ def test_exclusion_names_the_implication_that_failed(monkeypatch):
     alpha = h.to_alpha(ED((-1,), (1,)))
     beta = h.to_alpha(ED((1,), (1,)))
     s = root_string(h, beta, alpha)
-    diff, contains = h.to_ed(rs.sub(alpha, beta)), h.contains_ed
-    monkeypatch.setattr(h, "contains_ed", lambda v: v == diff or contains(v))
+    diff, gate = rs.sub(alpha, beta), h._gate
+    monkeypatch.setattr(h, "_gate", lambda x: (True, scaled_norm(h, h.to_ed(x))) if x == diff else gate(x))
     verdict = {v.law: v for v in pairing_laws(h, s)}["isotropic-sum-difference-exclusion"]
     assert verdict.applicable and not verdict.passed
     assert verdict.detail == ("alpha+beta real and alpha-beta a root; "
@@ -355,18 +355,18 @@ def test_exclusion_names_the_implication_that_failed(monkeypatch):
 
 def test_pairing_laws_ask_about_alpha_minus_beta_once(monkeypatch):
     # for an isotropic alpha and a real beta, whether alpha - beta is a root
-    # and whether it is real come from one contains_ed query, and the laws
+    # and whether it is real come from one query of the gate, and the laws
     # make no other
     h = build("B(1,1)^(1)")
-    asked, contains = [], h.contains_ed
-    monkeypatch.setattr(h, "contains_ed", lambda v: asked.append(v) or contains(v))
+    asked, gate = [], h._gate
+    monkeypatch.setattr(h, "_gate", lambda x: asked.append(x) or gate(x))
     pairs = 0
     for alpha in h.real_roots(max_degree=1):
         if not h.is_isotropic(alpha):
             continue
         for beta in h.all_roots(max_degree=1):
             s = root_string(h, beta, alpha)
-            expected = [h.to_ed(rs.sub(alpha, beta))] if h.is_real(beta) else []
+            expected = [rs.sub(alpha, beta)] if h.is_real(beta) else []
             del asked[:]
             pairing_laws(h, s)
             assert asked == expected, (alpha, beta, asked)
@@ -618,8 +618,8 @@ def test_scan_makes_one_membership_query_per_slot(monkeypatch):
                          ("A(2,2)^(4)", {"max_degree": 2})):
         h = build(spec)
         queries = []
-        original = h.contains_ed
-        monkeypatch.setattr(h, "contains_ed", lambda v: queries.append(v) or original(v))
+        original = h._gate
+        monkeypatch.setattr(h, "_gate", lambda x: queries.append(x) or original(x))
         alphas = h.real_roots(**window)
         for alpha in alphas[:6]:
             for beta in h.all_roots(**window):
@@ -632,20 +632,22 @@ def test_scan_makes_one_membership_query_per_slot(monkeypatch):
 
 def test_root_string_asks_each_vector_once_and_refuses_a_bad_beta(monkeypatch):
     # beta's own slot says whether beta is a root, so the only queries are
-    # alpha's reality and one per distinct nonzero slot of the box
-    from superroot.rootstring import _box
+    # alpha's (its reality, its isotropy and its norm for the pairing) and
+    # one per distinct nonzero slot of the box
+    from superroot.rootstring import _box, _column
 
     h = build("B(1,1)^(1)")
     beta, alpha = (1, 2, 1), (0, 0, 1)
-    asked, original = [], h.contains_ed
-    monkeypatch.setattr(h, "contains_ed", lambda v: asked.append(v) or original(v))
+    asked, original = [], h._gate
+    monkeypatch.setattr(h, "_gate", lambda x: asked.append(x) or original(x))
     root_string(h, beta, alpha)
-    slots = {rs.add(beta, rs.scale(k, alpha)) for k in _box(h, beta, alpha)} - {(0, 0, 0)}
-    assert len(asked) == len(set(asked)) == len(slots) + 1
-    assert set(asked) == {h.to_ed(v) for v in slots | {alpha}}
+    slots = {rs.add(beta, rs.scale(k, alpha)) for k in _box(h, beta, alpha, _column(h, alpha))} - {(0, 0, 0)}
+    slot_queries = [x for x in asked if x != alpha]
+    assert len(slot_queries) == len(set(slot_queries)) == len(slots)
+    assert set(slot_queries) == slots and asked.count(alpha) == 3
     for bad, error, message in (
         ((3, 0, 0), NotARootError, "(3, 0, 0) is not a root"),
-        ((1, 2), DimensionMismatchError, "root length differs from rank"),
+        ((1, 2), DimensionMismatchError, "root (1, 2) has length 2, but B(1,1)^(1) has rank 3"),
         ((1.0, 2, 1), NotInLatticeError, "root (1.0, 2, 1) has a coordinate that is not an int"),
         ((0, 0, 0), NotARootError, "(0, 0, 0) is not a root"),
     ):
